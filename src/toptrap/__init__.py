@@ -16,6 +16,7 @@ from .closed_form import (
     ResurrectionPoint,
     SpinAmplitudes,
     amplitudes_at,
+    probabilities,
     resurrection_time,
     survival_probability,
     tau_extremum,
@@ -90,6 +91,7 @@ __all__ = [
     "hierarchy_check",
     "larmor_at",
     "oscillation_frequency",
+    "probabilities",
     "resurrection_time",
     "rotating_frame_propagator",
     "run_sweep",

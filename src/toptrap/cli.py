@@ -25,7 +25,7 @@ from .integrate import (
 )
 from .serialize import ChartSeries, Table, render_line_chart, table_from_sweep, to_csv, to_json
 from .spin import DriveParams, adiabaticity_matrix_element, adiabaticity_parameter
-from .sweep import OracleMismatchError, figure_dataset
+from .sweep import MAX_GRID_POINTS, OracleMismatchError, figure_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,8 +134,8 @@ def _emit_table(table: Table, args, chart=None):
 def _cmd_evolve(args) -> int:
     _echo(args)
     p = DriveParams(args.omega0, args.omega, args.theta)
-    if args.samples < 2:
-        raise ValueError(f"samples must be >= 2, got {args.samples}")
+    if not 2 <= args.samples <= MAX_GRID_POINTS:
+        raise ValueError(f"samples must lie in [2, {MAX_GRID_POINTS}], got {args.samples}")
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise ValueError(f"t-max must be > 0, got {args.t_max!r}")
     settings = IntegratorSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
@@ -215,8 +215,8 @@ def _cmd_tau(args) -> int:
     for theta in thetas:
         if not (math.isfinite(theta) and 0.0 < theta <= math.pi):
             raise ValueError(f"theta must lie in (0, pi], got {theta!r}")
-    if args.steps < 2:
-        raise ValueError(f"steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_GRID_POINTS:
+        raise ValueError(f"steps must lie in [2, {MAX_GRID_POINTS}], got {args.steps}")
     if not (math.isfinite(args.x_min) and math.isfinite(args.x_max) and args.x_min < args.x_max):
         raise ValueError("x-min must be < x-max and finite")
     if args.x_min < 0.0:

@@ -17,7 +17,9 @@ units of the drive period this is
 which for theta <= pi/2 peaks at x = cos(theta) with value 1/sin(theta)
 and for theta > pi/2 decreases monotonically from tau(0) = 1.
 
-Time arguments may be scalars or arrays; scalar input gives scalar output.
+:func:`probabilities` evaluates this broadcast over arrays of (omega0,
+omega, theta, t).  The functions of a :class:`DriveParams` accept a scalar
+or array time; scalar input gives scalar output, computed with ``math``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams
+from .spin import DriveParams, omega_bar_of
 
 # Below this fraction of the frequency scale the drive is treated as exactly
 # degenerate (omega0 == omega, theta == 0) and the analytic limit alpha = 1 is
@@ -52,29 +54,65 @@ class ResurrectionPoint:
     theta: float
 
 
-def _check_times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
-    if np.any(t < 0.0):
-        raise ValueError("t must be >= 0")
-    return t
+# (name, rule, test) per input of the broadcast kernel; nan and inf fail every test.
+_DOMAIN = (
+    ("omega0", "finite and > 0", lambda v: (v > 0.0) & (v < math.inf)),
+    ("omega", "finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    ("theta", "in [0, pi]", lambda v: (v >= 0.0) & (v <= math.pi)),
+    ("t", "finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+)
 
 
-def _maybe_scalar(value, template):
-    if np.ndim(template) == 0:
-        return value.item() if hasattr(value, "item") else value
-    return value
+def _broadcast_terms(omega0, omega, theta, t):
+    """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the no-flip masks;
+    wbar is taken as 1 at degenerate drives, which callers mask."""
+    checked = []
+    for (name, rule, test), value in zip(_DOMAIN, (omega0, omega, theta, t)):
+        v = np.asarray(value, dtype=float)
+        ok = test(v)
+        if not np.all(ok):
+            raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
+        checked.append(v)
+    omega0, omega, theta, t = checked
+    wb = omega_bar_of(omega0, omega, theta)
+    degenerate = wb < DEGENERATE_RTOL * np.maximum(omega0, omega)
+    wb = np.where(degenerate, 1.0, wb)
+    drift = (omega0 - omega) + 2.0 * omega * np.sin(0.5 * theta) ** 2
+    coupling = omega * np.sin(theta)
+    return 0.5 * wb * t, drift / wb, coupling / wb, degenerate, coupling == 0.0
 
 
-def _no_flip(p: DriveParams) -> bool:
-    """True when the transition amplitude vanishes identically.
+def _scalar_terms(p: DriveParams, t):
+    """cos, sin of wbar t/2, drift/wbar and coupling/wbar by ``math`` for scalar ``t``; None if degenerate."""
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    wb = p.omega_bar
+    if wb < DEGENERATE_RTOL * max(p.omega0, p.omega):
+        return None
+    half = 0.5 * wb * t
+    return math.cos(half), math.sin(half), p.drift / wb, p.coupling / wb
 
-    Covers zero coupling (theta in {0, pi} or omega = 0) and drives so close
-    to degeneracy that omega_bar underflows while the coupling does not
-    (subnormal theta with omega = omega0).
+
+def probabilities(omega0, omega, theta, t):
+    """Survival and transition probabilities, broadcast over all four inputs.
+
+    cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2) and its complement
+    (coupling/wbar)^2 sin^2(wbar t/2), as arrays of the broadcast shape;
+    exactly 1 and 0 where the spin never flips (zero coupling or a
+    degenerate drive).
+
+    Raises:
+        ValueError: naming the parameter, unless every value is finite with
+            omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0.
     """
-    return p.coupling == 0.0 or p.omega_bar < DEGENERATE_RTOL * max(p.omega0, p.omega)
+    half, drift_ratio, coupling_ratio, degenerate, uncoupled = _broadcast_terms(omega0, omega, theta, t)
+    no_flip = degenerate | uncoupled
+    sin2 = np.sin(half) ** 2
+    # Sums of squares: rounding can only overshoot 1.
+    survival = np.minimum(np.cos(half) ** 2 + drift_ratio**2 * sin2, 1.0)
+    transition = np.minimum(coupling_ratio**2 * sin2, 1.0)
+    return np.where(no_flip, 1.0, survival), np.where(no_flip, 0.0, transition)
 
 
 def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
@@ -83,17 +121,16 @@ def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
     Raises:
         ValueError: for negative or non-finite ``t``.
     """
-    ts = _check_times(t)
-    wb = p.omega_bar
-    if wb < DEGENERATE_RTOL * max(p.omega0, p.omega):
-        alpha = np.ones_like(ts, dtype=complex)
-        beta = np.zeros_like(ts, dtype=complex)
-    else:
-        half = 0.5 * wb * ts
-        sin_half = np.sin(half)
-        alpha = np.cos(half) + 1j * (p.drift / wb) * sin_half
-        beta = 1j * (p.coupling / wb) * sin_half
-    return SpinAmplitudes(alpha=_maybe_scalar(alpha, t), beta=_maybe_scalar(beta, t))
+    if np.ndim(t) == 0:
+        terms = _scalar_terms(p, t)
+        if terms is None:
+            return SpinAmplitudes(alpha=1.0 + 0.0j, beta=0.0j)
+        c, s, drift_ratio, coupling_ratio = terms
+        return SpinAmplitudes(alpha=c + 1j * drift_ratio * s, beta=1j * coupling_ratio * s)
+    half, drift_ratio, coupling_ratio, degenerate, _ = _broadcast_terms(p.omega0, p.omega, p.theta, t)
+    half = np.where(degenerate, 0.0, half)  # phase 0: alpha = 1, beta = 0
+    sin_half = np.sin(half)
+    return SpinAmplitudes(alpha=np.cos(half) + 1j * drift_ratio * sin_half, beta=1j * coupling_ratio * sin_half)
 
 
 def survival_probability(p: DriveParams, t):
@@ -102,13 +139,13 @@ def survival_probability(p: DriveParams, t):
     cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2); identically 1 when the
     spin never flips (theta = 0, omega = 0, or a degenerate drive).
     """
-    ts = _check_times(t)
-    if _no_flip(p):
-        return _maybe_scalar(np.ones_like(ts), t)
-    wb = p.omega_bar
-    half = 0.5 * wb * ts
-    s = np.cos(half) ** 2 + (p.drift / wb) ** 2 * np.sin(half) ** 2
-    return _maybe_scalar(np.clip(s, 0.0, 1.0), t)
+    if np.ndim(t) != 0:
+        return probabilities(p.omega0, p.omega, p.theta, t)[0]
+    terms = _scalar_terms(p, t)
+    if terms is None or p.coupling == 0.0:
+        return 1.0
+    c, s, drift_ratio, _ = terms
+    return min(c**2 + drift_ratio**2 * s**2, 1.0)
 
 
 def transition_probability(p: DriveParams, t):
@@ -117,12 +154,13 @@ def transition_probability(p: DriveParams, t):
     (coupling/wbar)^2 sin^2(wbar t/2); complements
     :func:`survival_probability` to one.
     """
-    ts = _check_times(t)
-    if _no_flip(p):
-        return _maybe_scalar(np.zeros_like(ts), t)
-    wb = p.omega_bar
-    q = (p.coupling / wb) ** 2 * np.sin(0.5 * wb * ts) ** 2
-    return _maybe_scalar(np.clip(q, 0.0, 1.0), t)
+    if np.ndim(t) != 0:
+        return probabilities(p.omega0, p.omega, p.theta, t)[1]
+    terms = _scalar_terms(p, t)
+    if terms is None or p.coupling == 0.0:
+        return 0.0
+    _, s, _, coupling_ratio = terms
+    return min(coupling_ratio**2 * s**2, 1.0)
 
 
 def tau_of_ratio(x, theta):
@@ -144,7 +182,8 @@ def tau_of_ratio(x, theta):
     d2 = (1.0 - xs) ** 2 + 4.0 * xs * np.sin(0.5 * np.asarray(theta, dtype=float)) ** 2
     if np.any(d2 == 0.0):
         raise ValueError("resurrection undefined: no flip occurs (omega0 == omega, theta == 0)")
-    return _maybe_scalar(1.0 / np.sqrt(d2), x)
+    tau = 1.0 / np.sqrt(d2)
+    return tau.item() if np.ndim(x) == 0 else tau
 
 
 def resurrection_time(p: DriveParams) -> ResurrectionPoint:

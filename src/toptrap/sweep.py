@@ -13,13 +13,12 @@ functions are pure and results are scattered back by grid index.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import survival_probability, tau_of_ratio, transition_probability
+# survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
+from .closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
 from .spin import DriveParams, omega_bar_of
 
@@ -27,7 +26,6 @@ AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
 MAX_GRID_POINTS = 10_000_000
 ORACLE_TOL = 1e-8
-THREADS_ENV = "TOPTRAP_THREADS"
 
 
 class OracleMismatchError(RuntimeError):
@@ -144,13 +142,6 @@ class SweepResult:
         return self.table[:, self.columns.index(name)]
 
 
-def _flat_param(name, axis_columns, fixed):
-    """Flattened per-point values for ``name``, or a scalar, or None."""
-    if name in axis_columns:
-        return axis_columns[name]
-    return fixed.get(name)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid defined by ``spec``.
 
@@ -160,22 +151,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     :class:`OracleMismatchError` names the worst point if the agreement
     bound ``ORACLE_TOL`` is violated.
     """
-    shape = tuple(len(a.values) for a in spec.axes)
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(len(a.values) for a in spec.axes)
     if n > MAX_GRID_POINTS:
         raise ValueError(f"grid too large: {n} points exceeds the {MAX_GRID_POINTS} limit")
 
-    if spec.axes:
-        mesh = np.meshgrid(*(a.values for a in spec.axes), indexing="ij")
-        axis_columns = {a.name: m.reshape(-1) for a, m in zip(spec.axes, mesh)}
-    else:
-        axis_columns = {}
+    mesh = np.meshgrid(*(a.values for a in spec.axes), indexing="ij")
+    axis_columns = {a.name: m.reshape(-1) for a, m in zip(spec.axes, mesh)}
 
     def per_point(name):
-        value = _flat_param(name, axis_columns, spec.fixed)
-        if value is None:
-            return None
-        return np.broadcast_to(np.asarray(value, dtype=float), (n,))
+        """Per-point values of ``name`` from its axis or fixed value, or None."""
+        value = axis_columns.get(name, spec.fixed.get(name))
+        return None if value is None else np.broadcast_to(np.asarray(value, dtype=float), (n,))
 
     omega = per_point("omega")
     theta = per_point("theta")
@@ -188,14 +174,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     columns: list[str] = [a.name for a in spec.axes]
     data: list[np.ndarray] = [axis_columns[a.name] for a in spec.axes]
 
-    needs_ode = spec.oracle and any(q in ("survival", "transition") for q in spec.quantities)
-    ode_series = _oracle_series(omega0, omega, theta, t) if needs_ode else None
+    pair = ("survival", "transition")
+    wants_probability = any(q in pair for q in spec.quantities)
+    closed = dict(zip(pair, probabilities(omega0, omega, theta, t))) if wants_probability else {}
+    needs_ode = spec.oracle and wants_probability
+    ode = dict(zip(pair, _oracle_series(omega0, omega, theta, t))) if needs_ode else {}
 
     for q in spec.quantities:
-        if q == "survival":
-            values = _grouped_probability(survival_probability, omega0, omega, theta, t)
-        elif q == "transition":
-            values = _grouped_probability(transition_probability, omega0, omega, theta, t)
+        if q in pair:
+            values = closed[q]
         elif q == "tau":
             ratio = x if x is not None else omega0 / omega
             values = np.asarray(tau_of_ratio(ratio, theta))
@@ -205,11 +192,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             values = np.asarray(omega_bar_of(omega0, omega, theta))
         columns.append(q)
         data.append(values)
-        if needs_ode and q in ("survival", "transition"):
-            oracle_values = ode_series[0] if q == "survival" else ode_series[1]
-            _check_oracle(q, values, oracle_values, columns, data)
+        if q in ode:
+            _check_oracle(q, values, ode[q], columns, data)
             columns.append(f"{q}_ode")
-            data.append(oracle_values)
+            data.append(ode[q])
 
     table = np.column_stack(data)
     if not np.all(np.isfinite(table)):
@@ -228,46 +214,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
 
 
-def _combos(omega0, omega, theta):
-    """Unique (omega0, omega, theta) rows and the inverse point -> combo map."""
-    stacked = np.stack([omega0, omega, theta])
-    unique, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    return unique.T, inverse
-
-
-def _grouped_probability(fn, omega0, omega, theta, t):
-    values = np.empty(len(t))
-    unique, inverse = _combos(omega0, omega, theta)
-    for k, (o0, om, th) in enumerate(unique):
-        mask = inverse == k
-        values[mask] = fn(DriveParams(o0, om, th), t[mask])
-    return values
-
-
 def _oracle_series(omega0, omega, theta, t):
-    """ODE survival/transition per point, integrating once per parameter combo."""
+    """ODE survival/transition per point, integrating once per (omega0, omega, theta) combo."""
     survival = np.empty(len(t))
     transition = np.empty(len(t))
-    unique, inverse = _combos(omega0, omega, theta)
-
-    def solve(k):
-        o0, om, th = unique[k]
-        mask = inverse == k
-        ts = t[mask]
-        order = np.argsort(ts, kind="stable")
-        series = evolve_instantaneous_basis(DriveParams(o0, om, th), ts[order])
-        back = np.empty_like(order)
-        back[order] = np.arange(len(order))
-        survival[mask] = series.survival[back]
-        transition[mask] = series.transition[back]
-
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1 and len(unique) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve, range(len(unique))))
-    else:
-        for k in range(len(unique)):
-            solve(k)
+    unique, inverse = np.unique(np.stack([omega0, omega, theta]), axis=1, return_inverse=True)
+    for k, (o0, om, th) in enumerate(unique.T):
+        points = np.flatnonzero(inverse == k)
+        points = points[np.argsort(t[points], kind="stable")]
+        series = evolve_instantaneous_basis(DriveParams(o0, om, th), t[points])
+        survival[points] = series.survival
+        transition[points] = series.transition
     return survival, transition
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from toptrap.serialize import parse_csv
+from toptrap.sweep import MAX_GRID_POINTS
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -18,6 +19,16 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_grids(monkeypatch):
+    """Make any grid allocation fail loudly, so an oversized request is never built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated before the size check")
+
+    monkeypatch.setattr(np, "linspace", refuse)
 
 
 class TestEvolve:
@@ -132,6 +143,15 @@ class TestEvolve:
         assert code == EXIT_USAGE
         assert "svg" in err
 
+    def test_samples_capped_before_allocation(self, no_grids, capsys):
+        code, _, err = run(
+            ["evolve", "--omega0", "1", "--omega", "1", "--theta", "1", "--t-max", "2",
+             "--samples", str(MAX_GRID_POINTS + 1)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "samples" in err and str(MAX_GRID_POINTS) in err
+
 
 class TestTau:
     def test_extremum_report_and_unity_at_zero(self, capsys):
@@ -159,6 +179,11 @@ class TestTau:
         code, _, err = run(["tau", "--theta", "0"], capsys)
         assert code == EXIT_USAGE
         assert "theta" in err
+
+    def test_steps_capped_before_allocation(self, no_grids, capsys):
+        code, _, err = run(["tau", "--theta", "1.0", "--steps", str(MAX_GRID_POINTS + 1)], capsys)
+        assert code == EXIT_USAGE
+        assert "steps" in err and str(MAX_GRID_POINTS) in err
 
 
 class TestFig:

@@ -9,6 +9,7 @@ import pytest
 
 from toptrap.closed_form import (
     amplitudes_at,
+    probabilities,
     resurrection_time,
     survival_probability,
     tau_extremum,
@@ -17,6 +18,7 @@ from toptrap.closed_form import (
 )
 from toptrap.integrate import evolve_instantaneous_basis
 from toptrap.spin import DriveParams
+from toptrap.sweep import Axis, SweepSpec, run_sweep
 
 RNG = np.random.default_rng(7)
 
@@ -179,6 +181,72 @@ class TestProbabilities:
         assert all(a < b for a, b in zip(amps, amps[1:]))
         beyond = DriveParams(1.0, ratio, math.pi / 2)
         assert (beyond.coupling / beyond.omega_bar) ** 2 < 1.0
+
+
+class TestKernelAgreement:
+    """The scalar ``math`` path, the broadcast kernel and run_sweep agree."""
+
+    @hyp.given(
+        omega0=st.floats(1e-2, 1e2),
+        ratio=st.floats(0.0, 10.0),
+        theta=st.floats(0.0, math.pi),
+        t=st.floats(0.0, 100.0),
+    )
+    @hyp.example(omega0=1.0, ratio=1.5, theta=0.0, t=3.0)
+    @hyp.example(omega0=1.0, ratio=1.5, theta=math.pi, t=3.0)
+    @hyp.example(omega0=2.0, ratio=0.0, theta=1.0, t=3.0)
+    @hyp.example(omega0=2.0, ratio=1.0, theta=1.0, t=3.0)
+    @hyp.example(omega0=1.0, ratio=1.0, theta=0.0, t=3.0)
+    @hyp.example(omega0=1.0, ratio=1.0, theta=5e-324, t=3.0)
+    @hyp.settings(max_examples=200, deadline=None)
+    def test_scalar_array_and_sweep_agree(self, omega0, ratio, theta, t):
+        p = DriveParams(omega0, ratio * omega0, theta)
+        scalar = np.array([survival_probability(p, t), transition_probability(p, t)])
+        array = np.concatenate([survival_probability(p, np.array([t])), transition_probability(p, np.array([t]))])
+        sweep = run_sweep(
+            SweepSpec(
+                axes=(Axis("t", np.array([t, t])),),
+                quantities=("survival", "transition"),
+                fixed={"omega0": p.omega0, "omega": p.omega, "theta": p.theta},
+            )
+        )
+        cell = np.array([sweep.column("survival")[0], sweep.column("transition")[0]])
+        # The scalar path squares with libm pow, numpy arrays with x*x, so
+        # results may differ by an ulp or two.  The sweep also squares
+        # sin^2(theta/2) inside drift = (omega0 - omega) + 2 omega
+        # sin^2(theta/2) that way, and cancellation in drift amplifies that
+        # rounding by (omega0 + omega) / wbar in the survival.
+        np.testing.assert_array_max_ulp(array, scalar, maxulp=2)
+        np.testing.assert_array_max_ulp(cell[1], scalar[1], maxulp=2)
+        wb = p.omega_bar if p.omega_bar > 0.0 else 1.0
+        bound = 2 * np.spacing(scalar[0]) + 8 * np.finfo(float).eps * (p.omega0 + p.omega) / wb
+        assert abs(cell[0] - scalar[0]) <= bound
+        if p.coupling == 0.0 or p.omega_bar < 1e-12 * max(p.omega0, p.omega):
+            assert tuple(scalar) == tuple(array) == tuple(cell) == (1.0, 0.0)
+
+    def test_masks_apply_per_point(self):
+        survival, transition = probabilities(
+            np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.5, 0.0, 1.0, 1.5]), np.array([0.0, 1.0, 5e-324, 1.0]), 2.0
+        )
+        np.testing.assert_array_equal(survival[:3], 1.0)
+        np.testing.assert_array_equal(transition[:3], 0.0)
+        assert 0.0 < transition[3] < 1.0
+        assert survival[3] + transition[3] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((0.0, 1.0, 1.0, 1.0), "omega0"),
+            ((1.0, -1.0, 1.0, 1.0), "omega"),
+            ((1.0, 1.0, 3.2, 1.0), "theta"),
+            ((1.0, 1.0, 1.0, -1.0), "t"),
+            ((1.0, np.inf, 1.0, 1.0), "omega"),
+            ((1.0, 1.0, 1.0, [0.0, np.nan]), "t"),
+        ],
+    )
+    def test_domain_errors_name_the_parameter(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            probabilities(*args)
 
 
 class TestResurrection:

@@ -153,17 +153,26 @@ class TestRunSweep:
         with pytest.raises(OracleMismatchError, match="t="):
             run_sweep(spec)
 
-    def test_thread_env_does_not_change_result(self, monkeypatch):
+    def test_oracle_sweep_is_deterministic(self):
         spec = SweepSpec(
             axes=(Axis("theta", np.array([0.4, 0.9, 1.3])), Axis.linear("t", 0.0, 8.0, 41)),
             quantities=("survival",),
             fixed={"omega0": 1.0, "omega": 0.7},
             oracle=True,
         )
-        serial = run_sweep(spec)
-        monkeypatch.setenv("TOPTRAP_THREADS", "4")
-        threaded = run_sweep(spec)
-        assert np.array_equal(serial.table, threaded.table)
+        assert np.array_equal(run_sweep(spec).table, run_sweep(spec).table)
+
+    @pytest.mark.parametrize(
+        "axis, fixed, name",
+        [
+            (Axis.linear("theta", 0.0, 3.5, 8), {"omega0": 1.0, "omega": 1.5}, "theta"),
+            (Axis.linear("x", 0.0, 2.0, 5), {"omega": 1.5, "theta": 1.0}, "omega0"),
+        ],
+    )
+    def test_out_of_domain_drive_rejected(self, axis, fixed, name):
+        spec = SweepSpec(axes=(axis, Axis.linear("t", 0.0, 5.0, 4)), quantities=("survival",), fixed=fixed)
+        with pytest.raises(ValueError, match=name):
+            run_sweep(spec)
 
 
 class TestFigureDatasets:
