@@ -19,8 +19,10 @@ dense output.  Because reported samples come from the interpolant, the step
 size is capped so the Hermite error (h Omega)^4 / 384 stays inside the
 budget 2*rel_tol + abs_tol, with Omega a bound on the solution's angular
 content supplied by each route; tolerances therefore hold at every sample,
-independent of the output grid.  A classic fixed-step RK4 is kept for
-convergence-order checks; it lands on the sample times exactly.
+independent of the output grid.
+
+The lab-frame and rotating-frame routes project onto eigenvectors found by
+numerical diagonalisation, one batched ``np.linalg.eigh`` per block of samples.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, eigensystem_at
+from .spin import DriveParams, eigensystem_at, hamiltonian_at
 
-METHOD_ADAPTIVE = "adaptive-embedded-pair"
-METHOD_FIXED = "fixed-step-4th-order"
+_MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
+_MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
+_BLOCK = 4096  # samples per batched projection: its temporaries stay at a few MB
 
 
 class IntegrationError(RuntimeError):
@@ -46,26 +49,18 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and stepping policy for the ODE routes.
-
-    ``max_step`` is a fraction of the shortest drive period
-    min(2 pi / omega, 2 pi / omega0).
-    """
+    """ODE tolerances; abs_tol <= rel_tol, or error control outruns the 10 * rel_tol norm guard."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 0.1
-    method: str = METHOD_ADAPTIVE
 
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if not (math.isfinite(self.max_step) and 0.0 < self.max_step <= 1.0):
-            raise ValueError(f"max_step must lie in (0, 1], got {self.max_step!r}")
-        if self.method not in (METHOD_ADAPTIVE, METHOD_FIXED):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.abs_tol > self.rel_tol:
+            raise ValueError(f"abs_tol ({self.abs_tol!r}) must not exceed rel_tol ({self.rel_tol!r})")
 
 
 @dataclass(frozen=True)
@@ -188,32 +183,6 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
     return out
 
 
-def _integrate_rk4(rhs, sample_ts, y0, h_nominal):
-    """Classic RK4 with uniform substeps per sample interval; exact landings."""
-    n = len(sample_ts)
-    out = np.empty((2, n), dtype=complex)
-    t, y = 0.0, y0
-    for idx in range(n):
-        span = sample_ts[idx] - t
-        if span > 0.0:
-            steps = max(1, math.ceil(span / h_nominal))
-            h = span / steps
-            for _ in range(steps):
-                a, b = y
-                fa1, fb1 = rhs(t, a, b)
-                fa2, fb2 = rhs(t + 0.5 * h, a + 0.5 * h * fa1, b + 0.5 * h * fb1)
-                fa3, fb3 = rhs(t + 0.5 * h, a + 0.5 * h * fa2, b + 0.5 * h * fb2)
-                fa4, fb4 = rhs(t + h, a + h * fa3, b + h * fb3)
-                y = (
-                    a + h / 6.0 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
-                    b + h / 6.0 * (fb1 + 2.0 * fb2 + 2.0 * fb3 + fb4),
-                )
-                t += h
-            t = sample_ts[idx]
-        out[:, idx] = y
-    return out
-
-
 def _check_grid(t_grid) -> np.ndarray:
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or len(ts) == 0:
@@ -228,22 +197,24 @@ def _check_grid(t_grid) -> np.ndarray:
 
 
 def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, p: DriveParams):
-    """Dispatch to the configured stepper with the step caps for this route."""
-    h_user = s.max_step * 2.0 * math.pi / max(p.omega, p.omega0)
-    if s.method == METHOD_FIXED:
-        return _integrate_rk4(rhs, ts, y0, h_user)
+    """Run the DP5(4) stepper with the step caps for this route.
+
+    Every step is at most the cap, so t_end / cap bounds the step count below.
+    """
+    h_user = _MAX_STEP * 2.0 * math.pi / max(p.omega, p.omega0)
     # Norm deviation at a sample is at most 4x the per-component Hermite
     # error, so a budget of 2*rel_tol keeps it inside the 10*rel_tol guard.
     budget = 2.0 * s.rel_tol + s.abs_tol
     h_interp = (384.0 * budget) ** 0.25 / content_freq if content_freq > 0.0 else math.inf
-    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, min(h_user, h_interp))
+    h_cap = min(h_user, h_interp)
+    if ts[-1] > _MAX_STEPS * h_cap:
+        raise ValueError(
+            f"integrating to t = {ts[-1]!r} needs at least {ts[-1] / h_cap:.3g} steps, over {_MAX_STEPS}"
+        )
+    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap)
 
 
 def _norm_guard(survival, transition, ts, s: IntegratorSettings, label: str):
-    # 10*rel_tol is the adaptive pair's contract; the fixed-step method's
-    # error is set by the step size alone.
-    if s.method != METHOD_ADAPTIVE:
-        return
     dev = np.max(np.abs(survival + transition - 1.0))
     if dev > 10.0 * s.rel_tol:
         worst = float(ts[int(np.argmax(np.abs(survival + transition - 1.0)))])
@@ -259,9 +230,10 @@ def evolve_instantaneous_basis(
         p: drive parameters.
         t_grid: ascending sample times (seconds), all >= 0; the integration
             itself always starts at t = 0.
-        settings: tolerances and method selection.
+        settings: tolerances.
 
     Raises:
+        ValueError: if the solve would exceed the step limit.
         IntegrationError: on step-size underflow or norm loss beyond
             10 * rel_tol.
     """
@@ -300,57 +272,54 @@ def evolve_lab_frame(
     start = eigensystem_at(p, 0.0).vec_minus
     # Solution frequencies are bounded by omega/2 + omega_bar/2 <= omega + omega0/2.
     samples = _run(rhs, ts, (complex(start[0]), complex(start[1])), settings, p.omega + 0.5 * p.omega0, p)
-    survival = np.empty_like(ts)
-    transition = np.empty_like(ts)
-    for k, t in enumerate(ts):
-        pair = eigensystem_at(p, t)
-        psi = samples[:, k]
-        survival[k] = abs(np.vdot(pair.vec_minus, psi)) ** 2
-        transition[k] = abs(np.vdot(pair.vec_plus, psi)) ** 2
+    survival, transition = _eigen_projections(p, ts, lambda block: samples[:, block].T)
     _norm_guard(survival, transition, ts, settings, "lab-frame")
     return TimeSeries(times=ts, survival=survival, transition=transition, method="lab-frame")
 
 
-def rotating_frame_propagator(p: DriveParams, t: float) -> np.ndarray:
+def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:
     """Exact lab-frame propagator U(t), assembled from the co-rotating frame.
 
     In the frame rotating at the drive frequency the Hamiltonian is the
     static 0.5 * (omega0 sin(theta) sigma_x + (omega0 cos(theta) - omega) sigma_z),
     whose exponential follows from the Rodrigues expansion
     exp(-i a (m.sigma)) = cos(a) I - i sin(a) (m.sigma); transforming back
-    multiplies by diag(e^{-i omega t / 2}, e^{+i omega t / 2}).
+    multiplies by diag(e^{-i omega t / 2}, e^{+i omega t / 2}).  An array
+    ``t`` gives a stack of shape ``t.shape + (2, 2)``.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
     ax = p.omega0 * math.sin(p.theta)
     az = p.omega0 * math.cos(p.theta) - p.omega
     wb = math.hypot(ax, az)
-    if wb == 0.0:
-        core = np.eye(2, dtype=complex)
-    else:
-        half = 0.5 * wb * t
-        c, s = math.cos(half), math.sin(half)
-        core = np.array(
-            [
-                [c - 1j * s * az / wb, -1j * s * ax / wb],
-                [-1j * s * ax / wb, c + 1j * s * az / wb],
-            ],
-            dtype=complex,
-        )
-    phase = complex(math.cos(0.5 * p.omega * t), -math.sin(0.5 * p.omega * t))
-    rot = np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
-    return rot @ core
+    # m.sigma for the unit axis m; with wb == 0 the sine vanishes, so any axis does
+    m_sigma = np.array([[az, ax], [ax, -az]]) / wb if wb > 0.0 else np.zeros((2, 2))
+    half = 0.5 * wb * t
+    core = np.multiply.outer(np.cos(half), np.eye(2)) - 1j * np.multiply.outer(np.sin(half), m_sigma)
+    frame = np.exp(-0.5j * p.omega * np.stack([t, -t], axis=-1))
+    return frame[..., :, None] * core
+
+
+def _eigen_projections(p: DriveParams, ts: np.ndarray, state_at):
+    """Squared projections (survival, transition) onto the instantaneous eigenvectors.
+
+    ``state_at(block)`` returns the (n, 2) states at ``ts[block]``.  One
+    batched ``np.linalg.eigh`` per block diagonalises the Hamiltonians; it
+    sorts eigenvalues ascending, so column 0 is the weak-field seeker.
+    Squared moduli do not depend on the eigenvector phases.
+    """
+    probs = np.empty((2, len(ts)))
+    for lo in range(0, len(ts), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        vectors = np.linalg.eigh(hamiltonian_at(p, ts[block]))[1]
+        probs[:, block] = np.abs(np.einsum("nji,nj->in", vectors.conj(), state_at(block))) ** 2
+    return probs
 
 
 def evolve_rotating_frame(p: DriveParams, t_grid) -> TimeSeries:
     """Probability series from the exact propagator; no ODE solve involved."""
     ts = _check_grid(t_grid)
     start = eigensystem_at(p, 0.0).vec_minus
-    survival = np.empty_like(ts)
-    transition = np.empty_like(ts)
-    for k, t in enumerate(ts):
-        psi = rotating_frame_propagator(p, float(t)) @ start
-        pair = eigensystem_at(p, float(t))
-        survival[k] = abs(np.vdot(pair.vec_minus, psi)) ** 2
-        transition[k] = abs(np.vdot(pair.vec_plus, psi)) ** 2
+    survival, transition = _eigen_projections(p, ts, lambda block: rotating_frame_propagator(p, ts[block]) @ start)
     return TimeSeries(times=ts, survival=survival, transition=transition, method="rotating-frame")

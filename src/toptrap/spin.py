@@ -93,7 +93,7 @@ class EigenPair:
     vec_minus: np.ndarray
 
 
-def hamiltonian_at(p: DriveParams, t: float) -> np.ndarray:
+def hamiltonian_at(p: DriveParams, t) -> np.ndarray:
     """Return the 2x2 Hamiltonian matrix at time ``t``.
 
     The result is Hermitian and traceless with det = -omega0^2/4, so its
@@ -101,16 +101,23 @@ def hamiltonian_at(p: DriveParams, t: float) -> np.ndarray:
 
     Args:
         p: drive parameters.
-        t: time in seconds; any finite value.
+        t: time in seconds, any finite value; an array of times gives a
+            stack of shape ``t.shape + (2, 2)``.
 
     Raises:
-        ValueError: if ``t`` is not finite.
+        ValueError: if any ``t`` is not finite.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
     diag = 0.5 * p.omega0 * math.cos(p.theta)
-    off = 0.5 * p.omega0 * math.sin(p.theta) * complex(math.cos(p.omega * t), -math.sin(p.omega * t))
-    return np.array([[diag, off], [off.conjugate(), -diag]], dtype=complex)
+    off = 0.5 * p.omega0 * math.sin(p.theta) * (np.cos(p.omega * t) - 1j * np.sin(p.omega * t))
+    h = np.empty(t.shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = diag
+    h[..., 0, 1] = off
+    h[..., 1, 0] = np.conj(off)
+    h[..., 1, 1] = -diag
+    return h
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -78,6 +78,28 @@ class TestEvolve:
         assert code == EXIT_INTEGRITY
         assert "integrity" in err
 
+    def test_contradictory_tolerances_are_usage_error(self, capsys):
+        code, _, err = run(
+            [
+                "evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1.5708",
+                "--t-max", "20", "--samples", "2001", "--method", "all", "--rel-tol", "1e-13",
+            ],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "abs_tol" in err and "rel_tol" in err
+
+    def test_unbounded_ode_work_is_usage_error(self, no_stepping, capsys):
+        code, _, err = run(
+            [
+                "evolve", "--omega0", "1e6", "--omega", "1.5e6", "--theta", "1",
+                "--t-max", "1", "--samples", "2", "--method", "all",
+            ],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "steps" in err
+
     def test_unwritable_output_is_io_error(self, capsys):
         code, _, err = run(
             [

@@ -1,16 +1,18 @@
 """Tests for the ODE routes and the rotating-frame propagator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from toptrap import integrate
 from toptrap.closed_form import survival_probability, transition_probability
 from toptrap.integrate import (
-    METHOD_FIXED,
     IntegrationError,
     IntegratorSettings,
     TimeSeries,
+    _eigen_projections,
     _integrate_dp45,
     _norm_guard,
     evolve_instantaneous_basis,
@@ -23,20 +25,31 @@ from toptrap.spin import DriveParams, eigensystem_at
 RNG = np.random.default_rng(11)
 
 
+def reference_projections(p, ts, states):
+    """Per-sample eigensystem_at + vdot: the loop the batched projection replaced."""
+    ref = np.empty((2, len(ts)))
+    for k, t in enumerate(ts):
+        pair = eigensystem_at(p, float(t))
+        ref[0, k] = abs(np.vdot(pair.vec_minus, states[k])) ** 2
+        ref[1, k] = abs(np.vdot(pair.vec_plus, states[k])) ** 2
+    return ref
+
+
 class TestSettings:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": 0.0},
             {"abs_tol": -1e-12},
-            {"max_step": 0.0},
-            {"max_step": 1.5},
-            {"method": "leapfrog"},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorSettings(**kwargs)
+
+    def test_abs_tol_above_rel_tol_rejected(self):
+        with pytest.raises(ValueError, match=r"abs_tol.*rel_tol"):
+            IntegratorSettings(rel_tol=1e-13, abs_tol=1e-12)
 
     def test_timeseries_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -93,6 +106,18 @@ class TestLabFrame:
 
 
 class TestRotatingFramePropagator:
+    @pytest.mark.parametrize("p", [DriveParams(1.0, 1.5, 1.0), DriveParams(1.0, 1.0, 0.0)])
+    def test_array_matches_scalar_calls(self, p):
+        ts = np.array([[0.0, 0.3, 3.7], [-12.0, 100.0, 1e3]])
+        stack = rotating_frame_propagator(p, ts)
+        assert stack.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(ts.shape):
+            np.testing.assert_allclose(stack[idx], rotating_frame_propagator(p, float(ts[idx])), rtol=0, atol=1e-15)
+
+    def test_nonfinite_time_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            rotating_frame_propagator(DriveParams(1.0, 1.5, 1.0), np.array([0.0, math.nan]))
+
     def test_identity_at_time_zero(self):
         u = rotating_frame_propagator(DriveParams(1.0, 1.5, 1.0), 0.0)
         np.testing.assert_allclose(u, np.eye(2), atol=1e-16)
@@ -117,6 +142,31 @@ class TestRotatingFramePropagator:
         series = evolve_rotating_frame(p, ts)
         np.testing.assert_allclose(series.survival, survival_probability(p, ts), atol=1e-12)
         np.testing.assert_allclose(series.transition, transition_probability(p, ts), atol=1e-12)
+
+
+class TestProjection:
+    @pytest.mark.parametrize(
+        "omega0, omega, theta",
+        [(1.0, 1.5, 0.0), (1.0, 1.5, math.pi / 2), (1.0, 1.5, math.pi), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 0.0)],
+    )
+    def test_matches_per_sample_reference(self, monkeypatch, omega0, omega, theta):
+        monkeypatch.setattr(integrate, "_BLOCK", 7)  # several blocks and a ragged last one
+        p = DriveParams(omega0, omega, theta)
+        ts = np.linspace(0.0, 12.0, 40)
+        states = RNG.normal(size=(40, 2)) + 1j * RNG.normal(size=(40, 2))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        probs = _eigen_projections(p, ts, lambda block: states[block])
+        np.testing.assert_allclose(probs, reference_projections(p, ts, states), rtol=0, atol=1e-14)
+
+    def test_rotating_frame_peak_memory_stays_blocked(self):
+        ts = np.linspace(0.0, 50.0, 400_000)
+        tracemalloc.start()
+        try:
+            evolve_rotating_frame(DriveParams(1.0, 1.5, 1.0), ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
 
 class TestCrossMethodAgreement:
@@ -150,18 +200,31 @@ class TestFailureModes:
         with pytest.raises(IntegrationError, match="norm deviation"):
             _norm_guard(bad, np.zeros(2), np.array([0.0, 1.0]), settings, "test")
 
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    def test_step_bound_refuses_before_stepping(self, no_stepping, route):
+        with pytest.raises(ValueError, match="steps"):
+            route(DriveParams(1e6, 1.5e6, 1.0), [0.0, 1.0])
 
-class TestFixedStepConvergence:
-    def test_fourth_order_error_reduction(self):
+
+class TestStepperOrder:
+    def test_fifth_order_error_reduction(self):
+        """Unit tolerances accept every step, so h stays at the cap and the order shows."""
         p = DriveParams(1.0, 1.5, math.pi / 4)
         t_end = 4.0
         exact = float(survival_probability(p, t_end))
+        drift, coupling = p.drift, p.coupling
+        calls = 0
 
-        def error(max_step):
-            settings = IntegratorSettings(method=METHOD_FIXED, max_step=max_step)
-            series = evolve_instantaneous_basis(p, [0.0, t_end], settings)
-            return abs(series.survival[-1] - exact)
+        def rhs(t, a, b):
+            nonlocal calls
+            calls += 1
+            return 0.5j * (drift * a + coupling * b), 0.5j * (coupling * a - drift * b)
 
-        coarse = error(0.05)
-        fine = error(0.025)
-        assert coarse / fine >= 8.0
+        def error(h):
+            nonlocal calls
+            calls = 0
+            alpha = _integrate_dp45(rhs, np.array([0.0, t_end]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, h)[0, -1]
+            assert calls == 1 + 6 * round(t_end / h)  # FSAL: six new stages per accepted step
+            return abs(abs(alpha) ** 2 - exact)
+
+        assert error(0.2) / error(0.1) >= 16.0

@@ -98,6 +98,16 @@ class TestHamiltonian:
     def test_nonfinite_time_rejected(self):
         with pytest.raises(ValueError):
             hamiltonian_at(DriveParams(1.0, 1.0, 1.0), math.inf)
+        with pytest.raises(ValueError, match="nan"):
+            hamiltonian_at(DriveParams(1.0, 1.0, 1.0), np.array([0.0, math.nan]))
+
+    def test_array_time_gives_stack(self):
+        p = DriveParams(1.3, 2.7, 1.1)
+        ts = np.array([[0.0, 0.4, 3.9], [-7.2, 50.0, 1e3]])
+        stack = hamiltonian_at(p, ts)
+        assert stack.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(ts.shape):
+            np.testing.assert_allclose(stack[idx], hamiltonian_at(p, float(ts[idx])), rtol=0, atol=1e-15)
 
 
 class TestEigensystem:

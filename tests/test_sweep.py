@@ -153,6 +153,16 @@ class TestRunSweep:
         with pytest.raises(OracleMismatchError, match="t="):
             run_sweep(spec)
 
+    def test_oracle_step_bound_refused_before_stepping(self, no_stepping):
+        spec = SweepSpec(
+            axes=(Axis.linear("t", 0.0, 1.0, 2),),
+            quantities=("survival",),
+            fixed={"omega0": 1e6, "omega": 1.5e6, "theta": 1.0},
+            oracle=True,
+        )
+        with pytest.raises(ValueError, match="steps"):
+            run_sweep(spec)
+
     def test_oracle_sweep_is_deterministic(self):
         spec = SweepSpec(
             axes=(Axis("theta", np.array([0.4, 0.9, 1.3])), Axis.linear("t", 0.0, 8.0, 41)),
