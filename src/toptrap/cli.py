@@ -81,8 +81,7 @@ def _parser() -> argparse.ArgumentParser:
     adiabatic.add_argument("--t", type=float, default=0.0)
     adiabatic.add_argument("--dt", type=float, default=None, help="finite-difference step")
     adiabatic.add_argument("--threshold", type=float, default=0.1)
-    adiabatic.add_argument("--format", choices=("text", "json"), default="text")
-    adiabatic.add_argument("--out", default=None)
+    _report_flags(adiabatic)
 
     geometry = sub.add_parser("geometry", help="trap scales and frequency hierarchy")
     geometry.add_argument("--a0", type=float, required=True, help="quadrupole gradient, T/m")
@@ -92,8 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     geometry.add_argument("--mu", type=float, required=True, help="magnetic moment, J/T")
     geometry.add_argument("--mass", type=float, required=True, help="atomic mass, kg")
     geometry.add_argument("--margin", type=float, default=10.0, help="factor standing in for '<<'")
-    geometry.add_argument("--format", choices=("text", "json"), default="text")
-    geometry.add_argument("--out", default=None)
+    _report_flags(geometry)
 
     return parser
 
@@ -102,6 +100,11 @@ def _output_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--out", default=None, help="output path; stdout when omitted (csv/json only)")
     sub.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     sub.add_argument("-v", "--verbose", action="store_true")
+
+
+def _report_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_argument("--out", default=None)
 
 
 def _emit(text: str, out: str | None):
@@ -118,21 +121,36 @@ def _echo(args):
         print(f"toptrap {args.command}: {pairs}", file=sys.stderr)
 
 
-def _emit_table(table: Table, args, chart=None):
+def _emit_table(table: Table, args, series: list[ChartSeries], **labels):
+    """Write ``table`` as csv or json, or chart ``series`` as svg with the chart ``labels``."""
     if args.format == "csv":
         _emit(to_csv(table), args.out)
     elif args.format == "json":
         _emit(to_json(table), args.out)
+    elif args.out is None:
+        raise ValueError("svg output requires --out")
     else:
-        if chart is None:
-            raise ValueError("svg output is not available for this command")
-        if args.out is None:
-            raise ValueError("svg output requires --out")
-        _emit(chart(), args.out)
+        _emit(render_line_chart(series, **labels), args.out)
+
+
+def _emit_report(args, fields: dict, lines: list[str]):
+    """Write a report as indented JSON of ``fields`` or as the text ``lines``."""
+    text = json.dumps(fields, indent=2) if args.format == "json" else "\n".join(lines)
+    _emit(text + "\n", args.out)
+
+
+_TAU_LABELS = {"x_label": "omega0/omega", "y_label": "tau (units of 2*pi/omega)"}
+
+
+def _theta_curves(thetas, x, ys) -> list[ChartSeries]:
+    """One curve per angle; obtuse angles, where tau has no interior maximum, are dashed."""
+    return [
+        ChartSeries(label=f"theta={theta:.4g}", x=x, y=y, dash="6,4" if theta > 0.5 * math.pi else None)
+        for theta, y in zip(thetas, ys)
+    ]
 
 
 def _cmd_evolve(args) -> int:
-    _echo(args)
     p = DriveParams(args.omega0, args.omega, args.theta)
     if not 2 <= args.samples <= MAX_GRID_POINTS:
         raise ValueError(f"samples must lie in [2, {MAX_GRID_POINTS}], got {args.samples}")
@@ -141,25 +159,20 @@ def _cmd_evolve(args) -> int:
     settings = IntegratorSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     ts = np.linspace(0.0, args.t_max, args.samples)
 
-    def closed_pair():
-        return np.asarray(survival_probability(p, ts)), np.asarray(transition_probability(p, ts))
-
     runners = {
-        "closed": closed_pair,
+        "closed": lambda: (survival_probability(p, ts), transition_probability(p, ts)),
         "ode": lambda: _pair(evolve_instantaneous_basis(p, ts, settings)),
         "lab": lambda: _pair(evolve_lab_frame(p, ts, settings)),
         "rot": lambda: _pair(evolve_rotating_frame(p, ts)),
     }
     wanted = ("closed", "ode", "lab", "rot") if args.method == "all" else (args.method,)
+    results = {name: runners[name]() for name in wanted}
     columns: list[str] = ["t"]
     data = [ts]
-    results = {}
-    for name in wanted:
-        survival, transition = runners[name]()
-        results[name] = (survival, transition)
+    for name, pair in results.items():
         suffix = f"_{name}" if args.method == "all" else ""
         columns += [f"survival{suffix}", f"transition{suffix}"]
-        data += [survival, transition]
+        data += pair
 
     if args.method == "all":
         delta = max(
@@ -185,23 +198,18 @@ def _cmd_evolve(args) -> int:
         "abs_tol": args.abs_tol,
     }
     table = Table(columns=tuple(columns), rows=np.column_stack(data), params=params, axes=(("t", ts),))
-
-    def chart():
-        series = [
-            ChartSeries(label=f"survival ({name})", x=ts, y=results[name][0])
-            for name in wanted
-        ]
-        if len(wanted) == 1:
-            series.append(ChartSeries(label="transition", x=ts, y=results[wanted[0]][1], dash="6,4"))
-        return render_line_chart(
-            series,
-            title="Weak-field-seeker survival",
-            annotation=f"omega0={args.omega0:g}, omega={args.omega:g}, theta={args.theta:g}",
-            x_label="t [s]",
-            y_label="probability",
-        )
-
-    _emit_table(table, args, chart)
+    series = [ChartSeries(label=f"survival ({name})", x=ts, y=results[name][0]) for name in wanted]
+    if len(wanted) == 1:
+        series.append(ChartSeries(label="transition", x=ts, y=results[wanted[0]][1], dash="6,4"))
+    _emit_table(
+        table,
+        args,
+        series,
+        title="Weak-field-seeker survival",
+        annotation=f"omega0={args.omega0:g}, omega={args.omega:g}, theta={args.theta:g}",
+        x_label="t [s]",
+        y_label="probability",
+    )
     return EXIT_OK
 
 
@@ -210,7 +218,6 @@ def _pair(series):
 
 
 def _cmd_tau(args) -> int:
-    _echo(args)
     thetas = list(args.theta)
     for theta in thetas:
         if not (math.isfinite(theta) and 0.0 < theta <= math.pi):
@@ -228,7 +235,7 @@ def _cmd_tau(args) -> int:
     for theta in thetas:
         taus = np.asarray(tau_of_ratio(xs, theta))
         blocks.append(np.column_stack([xs, np.full_like(xs, theta), taus]))
-        curves.append((theta, taus))
+        curves.append(taus)
         if theta <= 0.5 * math.pi:
             x_star, tau_star = tau_extremum(theta)
             x_grid = float(xs[int(np.argmax(taus))])
@@ -237,7 +244,7 @@ def _cmd_tau(args) -> int:
                 f"({x_star:.6g}, {tau_star:.6g}); grid argmax at x = {x_grid:.6g}",
                 file=sys.stderr,
             )
-            if not (args.x_min - step <= x_star <= args.x_max + step) :
+            if not (args.x_min - step <= x_star <= args.x_max + step):
                 continue
             if abs(x_grid - x_star) > step:
                 raise IntegrityError(
@@ -254,66 +261,27 @@ def _cmd_tau(args) -> int:
         "x_max": args.x_max,
         "steps": args.steps,
     }
-    table = Table(
-        columns=("x", "theta", "tau"),
-        rows=np.vstack(blocks),
-        params=params,
-        axes=(("x", xs),),
-    )
-
-    def chart():
-        series = [
-            ChartSeries(
-                label=f"theta={theta:.4g}",
-                x=xs,
-                y=taus,
-                dash=None if theta <= 0.5 * math.pi else "6,4",
-            )
-            for theta, taus in curves
-        ]
-        return render_line_chart(
-            series,
-            title="Resurrection time",
-            x_label="omega0/omega",
-            y_label="tau (units of 2*pi/omega)",
-        )
-
-    _emit_table(table, args, chart)
+    table = Table(columns=("x", "theta", "tau"), rows=np.vstack(blocks), params=params, axes=(("x", xs),))
+    _emit_table(table, args, _theta_curves(thetas, xs, curves), title="Resurrection time", **_TAU_LABELS)
     return EXIT_OK
 
 
 def _cmd_fig(args) -> int:
-    _echo(args)
     result = figure_dataset(args.which)
-    table = table_from_sweep(result)
-
-    def chart():
-        thetas = result.axes[0].values
-        inner = result.axes[1]
-        quantity = "survival" if args.which in ("fig1", "fig2") else "tau"
-        values = result.column(quantity).reshape(len(thetas), len(inner.values))
-        series = [
-            ChartSeries(
-                label=f"theta={theta:.4g}",
-                x=inner.values,
-                y=values[i],
-                dash="6,4" if quantity == "tau" and theta > 0.5 * math.pi else None,
-            )
-            for i, theta in enumerate(thetas)
-        ]
-        if quantity == "survival":
-            x_label, y_label = "t * omega0", "survival probability"
-        else:
-            x_label, y_label = "omega0/omega", "tau (units of 2*pi/omega)"
-        return render_line_chart(
-            series,
-            title=args.which,
-            annotation=result.meta.get("description", ""),
-            x_label=x_label,
-            y_label=y_label,
-        )
-
-    _emit_table(table, args, chart)
+    thetas, inner = (axis.values for axis in result.axes)
+    if args.which == "fig3":
+        quantity, labels = "tau", _TAU_LABELS
+    else:
+        quantity, labels = "survival", {"x_label": "t * omega0", "y_label": "survival probability"}
+    curves = result.column(quantity).reshape(len(thetas), len(inner))
+    _emit_table(
+        table_from_sweep(result),
+        args,
+        _theta_curves(thetas, inner, curves),
+        title=args.which,
+        annotation=result.params["description"],
+        **labels,
+    )
     return EXIT_OK
 
 
@@ -324,25 +292,22 @@ def _cmd_adiabatic(args) -> int:
     if not (math.isfinite(args.threshold) and args.threshold > 0.0):
         raise ValueError(f"threshold must be > 0, got {args.threshold!r}")
     adiabatic = parameter < args.threshold
-    if args.format == "json":
-        payload = {
-            "omega0": args.omega0,
-            "omega": args.omega,
-            "theta": args.theta,
-            "parameter": parameter,
-            "matrix_element": element,
-            "threshold": args.threshold,
-            "adiabatic": adiabatic,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        verdict = "adiabatic" if adiabatic else "NOT adiabatic"
-        _emit(
-            f"adiabaticity parameter (omega/(2 omega0)) sin(theta): {parameter:.10g}\n"
-            f"finite-difference matrix element:                     {element:.10g}\n"
-            f"verdict (threshold {args.threshold:g}): {verdict}\n",
-            args.out,
-        )
+    fields = {
+        "omega0": args.omega0,
+        "omega": args.omega,
+        "theta": args.theta,
+        "parameter": parameter,
+        "matrix_element": element,
+        "threshold": args.threshold,
+        "adiabatic": adiabatic,
+    }
+    verdict = "adiabatic" if adiabatic else "NOT adiabatic"
+    lines = [
+        f"adiabaticity parameter (omega/(2 omega0)) sin(theta): {parameter:.10g}",
+        f"finite-difference matrix element:                     {element:.10g}",
+        f"verdict (threshold {args.threshold:g}): {verdict}",
+    ]
+    _emit_report(args, fields, lines)
     return EXIT_OK
 
 
@@ -362,21 +327,18 @@ def _cmd_geometry(args) -> int:
         "margin": report.margin,
         "satisfied": report.satisfied,
     }
-    if args.format == "json":
-        _emit(json.dumps(fields, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"circle-of-death radius r0 = b0/a0: {fields['r0']:.10g} m",
-            f"spring constant k = mu a0^2 / (2 b0): {fields['k']:.10g} N/m",
-            f"oscillation frequency sqrt(k/m): {fields['omega_osc']:.10g} rad/s",
-            f"drive frequency omega: {fields['omega']:.10g} rad/s",
-            f"Larmor frequency at b0: {fields['omega0_ref']:.10g} rad/s",
-            f"omega/omega_osc: {fields['ratio_low']:.10g}",
-            f"omega0/omega: {fields['ratio_high']:.10g}",
-            f"hierarchy omega_osc << omega << omega0 (margin {fields['margin']:g}): "
-            + ("satisfied" if fields["satisfied"] else "NOT satisfied"),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"circle-of-death radius r0 = b0/a0: {fields['r0']:.10g} m",
+        f"spring constant k = mu a0^2 / (2 b0): {fields['k']:.10g} N/m",
+        f"oscillation frequency sqrt(k/m): {fields['omega_osc']:.10g} rad/s",
+        f"drive frequency omega: {fields['omega']:.10g} rad/s",
+        f"Larmor frequency at b0: {fields['omega0_ref']:.10g} rad/s",
+        f"omega/omega_osc: {fields['ratio_low']:.10g}",
+        f"omega0/omega: {fields['ratio_high']:.10g}",
+        f"hierarchy omega_osc << omega << omega0 (margin {fields['margin']:g}): "
+        + ("satisfied" if fields["satisfied"] else "NOT satisfied"),
+    ]
+    _emit_report(args, fields, lines)
     return EXIT_OK
 
 
@@ -394,6 +356,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    _echo(args)
     try:
         return _HANDLERS[args.command](args)
     except (OracleMismatchError, IntegrityError, IntegrationError) as exc:

@@ -62,6 +62,8 @@ _DOMAIN = (
     ("t", "finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
 )
 
+_PHASE_RULE = "t must keep the phase wbar t/2 finite, got {!r}"
+
 
 def _broadcast_terms(omega0, omega, theta, t):
     """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the no-flip masks;
@@ -74,12 +76,17 @@ def _broadcast_terms(omega0, omega, theta, t):
             raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
         checked.append(v)
     omega0, omega, theta, t = checked
-    wb = omega_bar_of(omega0, omega, theta)
-    degenerate = wb < DEGENERATE_RTOL * np.maximum(omega0, omega)
-    wb = np.where(degenerate, 1.0, wb)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase is rejected below
+        wb = omega_bar_of(omega0, omega, theta)
+        degenerate = wb < DEGENERATE_RTOL * np.maximum(omega0, omega)
+        wb = np.where(degenerate, 1.0, wb)
+        half = 0.5 * wb * t
+    finite = np.isfinite(half)
+    if not np.all(finite):
+        raise ValueError(_PHASE_RULE.format(float(np.broadcast_to(t, half.shape)[~finite][0])))
     drift = (omega0 - omega) + 2.0 * omega * np.sin(0.5 * theta) ** 2
     coupling = omega * np.sin(theta)
-    return 0.5 * wb * t, drift / wb, coupling / wb, degenerate, coupling == 0.0
+    return half, drift / wb, coupling / wb, degenerate, coupling == 0.0
 
 
 def _scalar_terms(p: DriveParams, t):
@@ -91,6 +98,8 @@ def _scalar_terms(p: DriveParams, t):
     if wb < DEGENERATE_RTOL * max(p.omega0, p.omega):
         return None
     half = 0.5 * wb * t
+    if not math.isfinite(half):
+        raise ValueError(_PHASE_RULE.format(t))
     return math.cos(half), math.sin(half), p.drift / wb, p.coupling / wb
 
 
@@ -104,7 +113,8 @@ def probabilities(omega0, omega, theta, t):
 
     Raises:
         ValueError: naming the parameter, unless every value is finite with
-            omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0.
+            omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0, and naming
+            t where the phase wbar t/2 overflows.
     """
     half, drift_ratio, coupling_ratio, degenerate, uncoupled = _broadcast_terms(omega0, omega, theta, t)
     no_flip = degenerate | uncoupled

@@ -134,12 +134,13 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
         idx += 1
     if idx == n:
         return out
-    t_scale = max(t_end, h_cap)
+    h_min = 1e-14 * max(t_end, h_cap)
     h = min(h_cap, t_end)
     while idx < n:
         remainder = t_end - t
-        h = min(h, remainder)
-        if h < 1e-14 * t_scale:
+        if remainder - h < h_min:
+            h = remainder  # take the whole remainder rather than leave a sliver below h_min
+        if h < h_min:
             raise IntegrationError("step size underflow", t)
         a, b = y
         fa1, fb1 = f

@@ -42,9 +42,8 @@ class Table:
 
 
 def table_from_sweep(result: SweepResult) -> Table:
-    params = {**result.params, **result.meta}
     axes = tuple((a.name, a.values) for a in result.axes)
-    return Table(columns=result.columns, rows=result.table, params=params, axes=axes)
+    return Table(columns=result.columns, rows=result.table, params=dict(result.params), axes=axes)
 
 
 def to_csv(table: Table) -> str:

@@ -180,14 +180,22 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         dt: finite-difference step; defaults to :func:`default_fd_step`.
 
     Raises:
-        ValueError: if ``dt`` is not a positive finite number.
+        ValueError: if ``dt`` is not a positive finite number, or if the
+            squared gap or the result is not finite.
     """
     if dt is None:
         dt = default_fd_step(p)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    h_dot = (hamiltonian_at(p, t + dt) - hamiltonian_at(p, t - dt)) / (2.0 * dt)
-    pair = eigensystem_at(p, t)
-    element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))
-    gap = pair.value_plus - pair.value_minus
-    return float(element / gap**2)
+    with np.errstate(all="ignore"):  # an overflow shows as the non-finite result checked below
+        h_dot = (hamiltonian_at(p, t + dt) - hamiltonian_at(p, t - dt)) / (2.0 * dt)
+        pair = eigensystem_at(p, t)
+        element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))
+        gap = pair.value_plus - pair.value_minus
+        try:
+            result = float(element / gap**2)
+        except OverflowError:  # of gap**2: float powers raise where numpy returns inf
+            result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"the squared gap or the matrix element is not finite at omega0 = {p.omega0!r}")
+    return result

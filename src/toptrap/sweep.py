@@ -38,7 +38,6 @@ class Axis:
 
     name: str
     values: np.ndarray
-    spacing: str = "explicit"
 
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
@@ -53,14 +52,14 @@ class Axis:
     @classmethod
     def linear(cls, name: str, start: float, stop: float, steps: int) -> "Axis":
         cls._check_range(name, start, stop, steps)
-        return cls(name, np.linspace(start, stop, steps), "linear")
+        return cls(name, np.linspace(start, stop, steps))
 
     @classmethod
     def log(cls, name: str, start: float, stop: float, steps: int) -> "Axis":
         cls._check_range(name, start, stop, steps)
         if start <= 0.0:
-            raise ValueError(f"axis {name!r}: log spacing needs start > 0")
-        return cls(name, np.geomspace(start, stop, steps), "log")
+            raise ValueError(f"axis {name!r}: a log axis needs start > 0")
+        return cls(name, np.geomspace(start, stop, steps))
 
     @staticmethod
     def _check_range(name, start, stop, steps):
@@ -130,13 +129,14 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Row-major table over the grid: axis columns first, then quantities."""
+    """Row-major table over the grid: axis columns first, then quantities.
+
+    ``params``: the fixed inputs, the tool, method and oracle, a canned figure's name and description."""
 
     axes: tuple[Axis, ...]
     columns: tuple[str, ...]
     table: np.ndarray
     params: dict
-    meta: dict
 
     def column(self, name: str) -> np.ndarray:
         return self.table[:, self.columns.index(name)]
@@ -202,16 +202,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         raise ValueError("sweep produced non-finite values")
     from . import __version__
 
-    meta = {"tool": f"toptrap {__version__}", "method": "closed-form"}
+    params = {**spec.fixed, "tool": f"toptrap {__version__}", "method": "closed-form"}
     if needs_ode:
-        meta["oracle"] = "instantaneous-basis"
-    return SweepResult(
-        axes=spec.axes,
-        columns=tuple(columns),
-        table=table,
-        params=dict(spec.fixed),
-        meta=meta,
-    )
+        params["oracle"] = "instantaneous-basis"
+    return SweepResult(axes=spec.axes, columns=tuple(columns), table=table, params=params)
 
 
 def _oracle_series(omega0, omega, theta, t):
@@ -252,42 +246,32 @@ def figure_dataset(which: str, oracle: bool = False) -> SweepResult:
     fixed at 1) at drive ratios omega/omega0 = 1.5 and 0.5 for a documented
     set of angles.  ``fig3``: resurrection time tau versus x = omega0/omega
     for one angle on each side of pi/2.  The choices are recorded in the
-    result metadata.  ``oracle`` adds the ODE companion columns to the
+    result params.  ``oracle`` adds the ODE companion columns to the
     survival figures; fig3 has no ODE analogue and ignores it.
     """
     if which in ("fig1", "fig2"):
         ratio = 1.5 if which == "fig1" else 0.5
         spec = SweepSpec(
-            axes=(
-                Axis("theta", np.array(FIG1_THETAS)),
-                Axis.linear("t", 0.0, 15.0, 1501),
-            ),
+            axes=(Axis("theta", np.array(FIG1_THETAS)), Axis.linear("t", 0.0, 15.0, 1501)),
             quantities=("survival",),
             fixed={"omega0": 1.0, "omega": ratio},
             oracle=oracle,
         )
-        result = run_sweep(spec)
-        result.meta["figure"] = which
-        result.meta["description"] = (
+        description = (
             f"survival vs t (units 1/omega0) at omega = {ratio} omega0, "
             f"theta in {[round(v, 6) for v in FIG1_THETAS]}"
         )
-        return result
-    if which == "fig3":
+    elif which == "fig3":
         spec = SweepSpec(
-            axes=(
-                Axis("theta", np.array(FIG3_THETAS)),
-                Axis.linear("x", 0.0, 4.0, 401),
-            ),
+            axes=(Axis("theta", np.array(FIG3_THETAS)), Axis.linear("x", 0.0, 4.0, 401)),
             quantities=("tau",),
-            fixed={},
-            oracle=False,
         )
-        result = run_sweep(spec)
-        result.meta["figure"] = "fig3"
-        result.meta["description"] = (
+        description = (
             "resurrection time tau (units 2*pi/omega) vs x = omega0/omega, "
             f"theta in {[round(v, 6) for v in FIG3_THETAS]}"
         )
-        return result
-    raise ValueError(f"unknown figure {which!r}; expected fig1, fig2 or fig3")
+    else:
+        raise ValueError(f"unknown figure {which!r}; expected fig1, fig2 or fig3")
+    result = run_sweep(spec)
+    result.params.update(figure=which, description=description)
+    return result

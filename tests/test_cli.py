@@ -1,15 +1,22 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import re
 from xml.etree import ElementTree as ET
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from toptrap.closed_form import survival_probability, tau_of_ratio, transition_probability
+from toptrap.integrate import evolve_instantaneous_basis
 from toptrap.serialize import parse_csv
+from toptrap.spin import DriveParams
 from toptrap.sweep import MAX_GRID_POINTS
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -19,6 +26,20 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    """``main`` with stdout and stderr captured; usable inside hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def svg_curves(path):
+    """The chart's polylines as (points, dash) pairs."""
+    root = ET.fromstring(path.read_text())
+    return [(line.get("points"), line.get("stroke-dasharray")) for line in root.iter(f"{SVG_NS}polyline")]
 
 
 @pytest.fixture
@@ -165,6 +186,38 @@ class TestEvolve:
         assert code == EXIT_USAGE
         assert "svg" in err
 
+    def test_underflow_at_end_of_grid_is_avoided(self, capsys):
+        """A whole number of drive periods once ended a few ulp short of t-max and underflowed."""
+        code, out, _ = run(
+            [
+                "evolve", "--omega0", "1", "--omega", "1.5", "--theta", "0.3", "--t-max", "8.377580409572781",
+                "--rel-tol", "1e-3", "--method", "all", "--samples", "11",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert parse_csv(out).rows.shape == (11, 9)
+
+    def test_overflowing_phase_is_usage_error(self, capsys):
+        code, out, err = run(
+            ["evolve", "--omega0", "1e10", "--omega", "1.5", "--theta", "1", "--t-max", "1e300", "--samples", "2"],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "t must keep the phase wbar t/2 finite" in err
+
+    @pytest.mark.parametrize("method, dashed", [("closed", [None, "6,4"]), ("all", [None] * 4)])
+    def test_svg_curves(self, tmp_path, method, dashed, capsys):
+        out_path = tmp_path / "evolve.svg"
+        code, _, _ = run(
+            ["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1.2", "--t-max", "12", "--samples", "101",
+             "--method", method, "--format", "svg", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert [dash for _, dash in svg_curves(out_path)] == dashed
+
     def test_samples_capped_before_allocation(self, no_grids, capsys):
         code, _, err = run(
             ["evolve", "--omega0", "1", "--omega", "1", "--theta", "1", "--t-max", "2",
@@ -208,6 +261,17 @@ class TestTau:
         assert "steps" in err and str(MAX_GRID_POINTS) in err
 
 
+    def test_svg_dashes_only_obtuse_angles(self, tmp_path, capsys):
+        out_path = tmp_path / "tau.svg"
+        code, _, _ = run(
+            ["tau", "--theta", "0.5", "--theta", "2.3", "--theta", str(math.pi / 2),
+             "--format", "svg", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert [dash for _, dash in svg_curves(out_path)] == [None, "6,4", None]
+
+
 class TestFig:
     def test_fig1_row_count(self, capsys):
         code, out, _ = run(["fig", "fig1"], capsys)
@@ -247,6 +311,68 @@ class TestFig:
         assert len(payload["data"]) == 2 * 401
 
 
+DRIVES = dict(
+    omega0=st.floats(0.1, 10.0),
+    ratio=st.floats(0.0, 5.0),
+    theta=st.floats(0.0, math.pi),
+    t_max=st.floats(0.1, 20.0),
+    samples=st.integers(2, 40),
+)
+
+
+def outputs(argv):
+    """The table of one invocation as (columns, rows) from the CSV and from the JSON output."""
+    code, csv_text, _ = run_quiet(argv)
+    assert code == EXIT_OK
+    code, json_text, _ = run_quiet(argv + ["--format", "json"])
+    assert code == EXIT_OK
+    table = parse_csv(csv_text)
+    payload = json.loads(json_text)
+    return [(table.columns, table.rows), (tuple(payload["columns"]), np.array(payload["data"], dtype=float))]
+
+
+def assert_bit_identical(got, columns, rows):
+    for got_columns, got_rows in got:
+        assert got_columns == columns
+        assert got_rows.shape == rows.shape
+        assert got_rows.tobytes() == rows.tobytes()
+
+
+class TestDifferential:
+    """CSV, JSON and the library give the same table, bit for bit."""
+
+    @hyp.given(method=st.sampled_from(["closed", "ode"]), **DRIVES)
+    @hyp.settings(max_examples=40, deadline=None)
+    def test_evolve(self, method, omega0, ratio, theta, t_max, samples):
+        argv = [
+            "evolve", "--omega0", repr(omega0), "--omega", repr(ratio * omega0), "--theta", repr(theta),
+            "--t-max", repr(t_max), "--samples", str(samples), "--method", method,
+        ]
+        p = DriveParams(omega0, ratio * omega0, theta)
+        ts = np.linspace(0.0, t_max, samples)
+        if method == "closed":
+            pair = (survival_probability(p, ts), transition_probability(p, ts))
+        else:
+            series = evolve_instantaneous_basis(p, ts)
+            pair = (series.survival, series.transition)
+        assert_bit_identical(outputs(argv), ("t", "survival", "transition"), np.column_stack([ts, *pair]))
+
+    @hyp.given(
+        thetas=st.lists(st.floats(0.05, math.pi), min_size=1, max_size=3),
+        x_min=st.floats(0.0, 2.0),
+        width=st.floats(0.1, 4.0),
+        steps=st.integers(2, 60),
+    )
+    @hyp.settings(max_examples=40, deadline=None)
+    def test_tau(self, thetas, x_min, width, steps):
+        argv = ["tau", "--x-min", repr(x_min), "--x-max", repr(x_min + width), "--steps", str(steps)]
+        for theta in thetas:
+            argv += ["--theta", repr(theta)]
+        xs = np.linspace(x_min, x_min + width, steps)
+        rows = np.vstack([np.column_stack([xs, np.full_like(xs, th), tau_of_ratio(xs, th)]) for th in thetas])
+        assert_bit_identical(outputs(argv), ("x", "theta", "tau"), rows)
+
+
 class TestAdiabatic:
     def test_theta_zero_is_adiabatic(self, capsys):
         code, out, _ = run(["adiabatic", "--omega0", "1", "--omega", "5", "--theta", "0"], capsys)
@@ -271,6 +397,13 @@ class TestAdiabatic:
         assert code == EXIT_OK
         assert "0.75" in out
         assert "NOT adiabatic" in out
+
+
+    def test_overflow_is_usage_error(self, capsys):
+        code, out, err = run(["adiabatic", "--omega0", "1e300", "--omega", "1e300", "--theta", "1"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "omega0" in err
 
 
 class TestGeometry:

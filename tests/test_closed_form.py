@@ -248,6 +248,24 @@ class TestKernelAgreement:
         with pytest.raises(ValueError, match=f"^{name} must"):
             probabilities(*args)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: survival_probability(p, 1e300),
+            lambda p: transition_probability(p, 1e300),
+            lambda p: amplitudes_at(p, 1e300),
+            lambda p: survival_probability(p, np.array([0.0, 1e300])),
+            lambda p: amplitudes_at(p, np.array([0.0, 1e300])),
+            lambda p: probabilities(p.omega0, p.omega, p.theta, [0.0, 1e300]),
+        ],
+        ids=["scalar-survival", "scalar-transition", "scalar-amplitudes", "array-survival", "array-amplitudes", "kernel"],
+    )
+    def test_overflowing_phase_rejected(self, call):
+        """wbar t/2 = inf would give nan (array) or a bare math domain error (scalar)."""
+        with pytest.raises(ValueError, match=r"^t must keep the phase wbar t/2 finite, got 1e\+300$"):
+            call(DriveParams(1e10, 1.5, 1.0))
+
 
 class TestResurrection:
     def test_tau_of_ratio_at_zero_is_exactly_one(self):

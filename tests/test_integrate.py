@@ -200,6 +200,19 @@ class TestFailureModes:
         with pytest.raises(IntegrationError, match="norm deviation"):
             _norm_guard(bad, np.zeros(2), np.array([0.0, 1.0]), settings, "test")
 
+    def test_last_step_takes_the_whole_remainder(self):
+        """Ten steps of 0.2 sum to a few ulp short of 2; the tenth must still arrive at 2."""
+        calls = 0
+
+        def rhs(t, a, b):
+            nonlocal calls
+            calls += 1
+            return 0.5j * (0.3 * a + 0.8 * b), 0.5j * (0.8 * a - 0.3 * b)
+
+        out = _integrate_dp45(rhs, np.array([0.0, 2.0]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, 0.2)
+        assert calls == 1 + 6 * 10
+        assert np.all(np.isfinite(out))
+
     @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
     def test_step_bound_refuses_before_stepping(self, no_stepping, route):
         with pytest.raises(ValueError, match="steps"):

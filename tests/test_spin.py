@@ -184,6 +184,13 @@ class TestAdiabaticity:
         order = math.log2(err1 / err2)
         assert order >= 1.9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega0, omega", [(1e300, 1e300), (1e150, 1e300)])
+    def test_overflow_rejected_naming_omega0(self, omega0, omega):
+        """The squared gap (first case) or the difference quotient (second) overflows."""
+        with pytest.raises(ValueError, match="omega0"):
+            adiabaticity_matrix_element(DriveParams(omega0, omega, 1.0))
+
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
             adiabaticity_matrix_element(DriveParams(1.0, 1.0, 1.0), 0.0, 0.0)

@@ -129,7 +129,7 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert "survival_ode" in result.columns and "transition_ode" in result.columns
         assert np.max(np.abs(result.column("survival") - result.column("survival_ode"))) <= 1e-8
-        assert result.meta["oracle"] == "instantaneous-basis"
+        assert result.params["oracle"] == "instantaneous-basis"
 
     def test_oracle_mismatch_fails_loudly(self, monkeypatch):
         def corrupted(p, t_grid, settings=None):
@@ -227,6 +227,6 @@ class TestFigureDatasets:
 
     def test_metadata_recorded(self):
         result = figure_dataset("fig2")
-        assert result.meta["figure"] == "fig2"
-        assert "omega = 0.5" in result.meta["description"]
+        assert result.params["figure"] == "fig2"
+        assert "omega = 0.5" in result.params["description"]
         assert result.params["omega0"] == 1.0
