@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, omega_bar_of
+from .spin import DriveParams, check_omega_bar, omega_bar_of
 
 # Below this fraction of the frequency scale the drive is treated as exactly
 # degenerate (omega0 == omega, theta == 0) and the analytic limit alpha = 1 is
@@ -76,8 +76,9 @@ def _broadcast_terms(omega0, omega, theta, t):
             raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
         checked.append(v)
     omega0, omega, theta, t = checked
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar or phase raises instead
         wb = omega_bar_of(omega0, omega, theta)
+        check_omega_bar(wb, omega0, omega)
         degenerate = wb < DEGENERATE_RTOL * np.maximum(omega0, omega)
         wb = np.where(degenerate, 1.0, wb)
         half = 0.5 * wb * t
@@ -114,7 +115,7 @@ def probabilities(omega0, omega, theta, t):
     Raises:
         ValueError: naming the parameter, unless every value is finite with
             omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0, and naming
-            t where the phase wbar t/2 overflows.
+            omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
     """
     half, drift_ratio, coupling_ratio, degenerate, uncoupled = _broadcast_terms(omega0, omega, theta, t)
     no_flip = degenerate | uncoupled
@@ -193,7 +194,7 @@ def tau_of_ratio(x, theta):
     if np.any(d2 == 0.0):
         raise ValueError("resurrection undefined: no flip occurs (omega0 == omega, theta == 0)")
     tau = 1.0 / np.sqrt(d2)
-    return tau.item() if np.ndim(x) == 0 else tau
+    return tau.item() if tau.ndim == 0 else tau
 
 
 def resurrection_time(p: DriveParams) -> ResurrectionPoint:
@@ -201,12 +202,10 @@ def resurrection_time(p: DriveParams) -> ResurrectionPoint:
 
     Raises:
         ValueError: if omega = 0 (no drive period to measure against) or
-            the effective Rabi frequency vanishes (no flip occurs).
+            omega0 == omega at theta == 0 (no flip occurs).
     """
     if p.omega <= 0.0:
         raise ValueError("resurrection undefined: omega must be > 0")
-    if p.omega_bar == 0.0:
-        raise ValueError("resurrection undefined: no flip occurs (omega_bar = 0)")
     x = p.omega0 / p.omega
     return ResurrectionPoint(x=x, tau=float(tau_of_ratio(x, p.theta)), theta=p.theta)
 

@@ -73,9 +73,6 @@ class FieldVector:
     def magnitude(self) -> float:
         return math.sqrt(self.bx**2 + self.by**2 + self.bz**2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bx, self.by, self.bz])
-
 
 @dataclass(frozen=True)
 class HierarchyReport:

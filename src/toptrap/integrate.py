@@ -210,7 +210,7 @@ def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, p: DriveParams
     h_cap = min(h_user, h_interp)
     if ts[-1] > _MAX_STEPS * h_cap:
         raise ValueError(
-            f"integrating to t = {ts[-1]!r} needs at least {ts[-1] / h_cap:.3g} steps, over {_MAX_STEPS}"
+            f"integrating to t = {float(ts[-1])!r} needs at least {ts[-1] / h_cap:.3g} steps, over {_MAX_STEPS}"
         )
     return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap)
 
@@ -234,7 +234,7 @@ def evolve_instantaneous_basis(
         settings: tolerances.
 
     Raises:
-        ValueError: if the solve would exceed the step limit.
+        ValueError: if the solve would exceed the step limit or omega0 * omega overflows omega_bar.
         IntegrationError: on step-size underflow or norm loss beyond
             10 * rel_tol.
     """

@@ -26,6 +26,8 @@ from . import __version__
 from .sweep import SweepResult
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 720, 480  # chart size, px
+TICKS = 6  # tick count aimed at per axis
 
 
 @dataclass
@@ -100,11 +102,11 @@ class ChartSeries:
     dash: str | None = None
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] with a 1-2-5 step."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / (TICKS - 1)
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * power
@@ -131,8 +133,6 @@ def render_line_chart(
     x_label: str = "",
     y_label: str = "",
     annotation: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render a multi-curve line chart as a standalone SVG document."""
     if not series:
@@ -150,8 +150,8 @@ def render_line_chart(
     y_hi += pad
 
     left, right, top, bottom = 64.0, 16.0, 34.0, 48.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -163,9 +163,9 @@ def render_line_chart(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
+            "width": str(WIDTH),
+            "height": str(HEIGHT),
+            "viewBox": f"0 0 {WIDTH} {HEIGHT}",
             "data-x-min": repr(x_lo),
             "data-x-max": repr(x_hi),
             "data-y-min": repr(y_lo),
@@ -176,7 +176,7 @@ def render_line_chart(
             "data-plot-height": repr(plot_h),
         },
     )
-    ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(width), "height": str(height), "fill": "white"})
+    ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(WIDTH), "height": str(HEIGHT), "fill": "white"})
     ET.SubElement(
         root,
         "rect",
@@ -257,7 +257,7 @@ def render_line_chart(
         text(left + plot_w / 2.0, 18.0, title, size=14)
     if annotation:
         text(left + plot_w / 2.0, 31.0, annotation, size=10, extra={"fill": "#555555"})
-    text(left + plot_w / 2.0, height - 10.0, x_label, size=12)
+    text(left + plot_w / 2.0, HEIGHT - 10.0, x_label, size=12)
     text(16.0, top + plot_h / 2.0, y_label, size=12, extra={"transform": f"rotate(-90 16 {top + plot_h / 2.0:.1f})"})
 
     return ET.tostring(root, encoding="unicode") + "\n"

@@ -37,6 +37,14 @@ def omega_bar_of(omega0, omega, theta):
     return np.hypot(omega0 - omega, 2.0 * np.sqrt(omega0 * omega) * np.sin(0.5 * theta))
 
 
+def check_omega_bar(wb, omega0, omega):
+    """Raise ValueError naming the first omega0, omega whose omega_bar ``wb`` is not finite (omega0 * omega overflows)."""
+    bad = ~np.isfinite(wb)
+    if np.any(bad):
+        o0, om = (float(np.broadcast_to(v, np.shape(wb))[bad][0]) for v in (omega0, omega))
+        raise ValueError(f"omega0 and omega must keep omega_bar finite, got omega0 = {o0!r}, omega = {om!r}")
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Reduced parameters of the rotating spin drive.
@@ -65,8 +73,15 @@ class DriveParams:
 
     @property
     def omega_bar(self) -> float:
-        """Effective Rabi frequency; zero only for omega0 == omega, theta == 0."""
-        return float(omega_bar_of(self.omega0, self.omega, self.theta))
+        """Effective Rabi frequency; zero only for omega0 == omega, theta == 0.
+
+        Raises:
+            ValueError: naming omega0 and omega where omega0 * omega overflows it.
+        """
+        wb = float(omega_bar_of(self.omega0, self.omega, self.theta))
+        if not math.isfinite(wb):
+            check_omega_bar(wb, self.omega0, self.omega)
+        return wb
 
     @property
     def drift(self) -> float:

@@ -6,8 +6,8 @@ with the remaining inputs supplied as fixed values.  Quantities are
 evaluated with the closed-form module; when ``oracle`` is set, survival and
 transition pick up companion columns from the instantaneous-basis ODE
 integration and the run aborts if any point disagrees beyond
-``ORACLE_TOL``.  Evaluation order never affects the output: quantity
-functions are pure and results are scattered back by grid index.
+``ORACLE_TOL``.  No grid of inputs is built: each axis reaches the kernels
+along its own grid dimension, and only the outputs hold one value per point.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
 from .closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
-from .spin import DriveParams, omega_bar_of
+from .spin import DriveParams, check_omega_bar, omega_bar_of
 
 AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
@@ -89,9 +89,11 @@ class SweepSpec:
             raise ValueError(f"duplicate axis names: {axis_names}")
         if not self.quantities:
             raise ValueError("at least one quantity is required")
-        for q in self.quantities:
+        for k, q in enumerate(self.quantities):
             if q not in QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}; expected one of {QUANTITIES}")
+            if q in self.quantities[:k]:
+                raise ValueError(f"quantity {q!r} is repeated")
         for name, value in self.fixed.items():
             if name not in AXIS_NAMES:
                 raise ValueError(f"unknown fixed parameter {name!r}")
@@ -151,61 +153,54 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     :class:`OracleMismatchError` names the worst point if the agreement
     bound ``ORACLE_TOL`` is violated.
     """
-    n = math.prod(len(a.values) for a in spec.axes)
+    shape = tuple(len(a.values) for a in spec.axes)
+    n = math.prod(shape)
     if n > MAX_GRID_POINTS:
         raise ValueError(f"grid too large: {n} points exceeds the {MAX_GRID_POINTS} limit")
 
-    mesh = np.meshgrid(*(a.values for a in spec.axes), indexing="ij")
-    axis_columns = {a.name: m.reshape(-1) for a, m in zip(spec.axes, mesh)}
-
-    def per_point(name):
-        """Per-point values of ``name`` from its axis or fixed value, or None."""
-        value = axis_columns.get(name, spec.fixed.get(name))
-        return None if value is None else np.broadcast_to(np.asarray(value, dtype=float), (n,))
-
-    omega = per_point("omega")
-    theta = per_point("theta")
-    t = per_point("t")
-    x = per_point("x")
-    omega0 = per_point("omega0")
+    # Axis k varies along grid dimension k only and the kernels broadcast.  Fixed values are
+    # 1-element arrays: numpy squares a scalar by pow(), which may differ from x*x in the last bit.
+    inputs = {name: np.full(1, value, dtype=float) for name, value in spec.fixed.items()}
+    for k, a in enumerate(spec.axes):
+        inputs[a.name] = a.values.reshape((-1,) + (1,) * (len(shape) - k - 1))
+    omega0, omega, theta, t, x = (inputs.get(name) for name in AXIS_NAMES)
     if omega0 is None and x is not None and omega is not None:
         omega0 = x * omega
 
-    columns: list[str] = [a.name for a in spec.axes]
-    data: list[np.ndarray] = [axis_columns[a.name] for a in spec.axes]
-
+    out = {a.name: inputs[a.name] for a in spec.axes}
     pair = ("survival", "transition")
-    wants_probability = any(q in pair for q in spec.quantities)
-    closed = dict(zip(pair, probabilities(omega0, omega, theta, t))) if wants_probability else {}
-    needs_ode = spec.oracle and wants_probability
-    ode = dict(zip(pair, _oracle_series(omega0, omega, theta, t))) if needs_ode else {}
-
+    if any(q in pair for q in spec.quantities):
+        closed = dict(zip(pair, probabilities(omega0, omega, theta, t)))
+    if spec.oracle:
+        flat = (v.reshape(-1) for v in np.broadcast_arrays(omega0, omega, theta, t))
+        ode = dict(zip(pair, _oracle_series(*flat)))
     for q in spec.quantities:
         if q in pair:
-            values = closed[q]
+            out[q] = closed[q]
+            if spec.oracle:
+                out[f"{q}_ode"] = ode[q].reshape(closed[q].shape)
+                _check_oracle(q, closed[q], out[f"{q}_ode"], spec.axes)
         elif q == "tau":
-            ratio = x if x is not None else omega0 / omega
-            values = np.asarray(tau_of_ratio(ratio, theta))
+            out[q] = tau_of_ratio(x if x is not None else omega0 / omega, theta)
         elif q == "adiabaticity":
-            values = 0.5 * omega * np.sin(theta) / omega0
+            out[q] = 0.5 * omega * np.sin(theta) / omega0
         else:  # omega_bar
-            values = np.asarray(omega_bar_of(omega0, omega, theta))
-        columns.append(q)
-        data.append(values)
-        if q in ode:
-            _check_oracle(q, values, ode[q], columns, data)
-            columns.append(f"{q}_ode")
-            data.append(ode[q])
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[q] = omega_bar_of(omega0, omega, theta)
+            check_omega_bar(out[q], omega0, omega)
 
-    table = np.column_stack(data)
+    table = np.empty(shape + (len(out),))
+    for j, values in enumerate(out.values()):
+        table[..., j] = values
+    table = table.reshape(n, len(out))
     if not np.all(np.isfinite(table)):
         raise ValueError("sweep produced non-finite values")
     from . import __version__
 
     params = {**spec.fixed, "tool": f"toptrap {__version__}", "method": "closed-form"}
-    if needs_ode:
+    if spec.oracle:
         params["oracle"] = "instantaneous-basis"
-    return SweepResult(axes=spec.axes, columns=tuple(columns), table=table, params=params)
+    return SweepResult(axes=spec.axes, columns=tuple(out), table=table, params=params)
 
 
 def _oracle_series(omega0, omega, theta, t):
@@ -222,13 +217,11 @@ def _oracle_series(omega0, omega, theta, t):
     return survival, transition
 
 
-def _check_oracle(quantity, closed, oracle, columns, data):
+def _check_oracle(quantity, closed, oracle, axes):
     delta = np.abs(closed - oracle)
-    worst = int(np.argmax(delta))
+    worst = np.unravel_index(np.argmax(delta), delta.shape)
     if delta[worst] > ORACLE_TOL:
-        where = ", ".join(
-            f"{name}={col[worst]:.6g}" for name, col in zip(columns, data) if name in AXIS_NAMES
-        )
+        where = ", ".join(f"{a.name}={a.values[i]:.6g}" for a, i in zip(axes, worst))
         raise OracleMismatchError(
             f"{quantity}: closed form and ODE differ by {delta[worst]:.3e} "
             f"(> {ORACLE_TOL:.0e}) at {where or 'the fixed point'}"
@@ -239,15 +232,14 @@ FIG1_THETAS = (0.3, 0.7, 1.2, math.pi / 2)
 FIG3_THETAS = (math.pi / 6, 3 * math.pi / 4)
 
 
-def figure_dataset(which: str, oracle: bool = False) -> SweepResult:
+def figure_dataset(which: str) -> SweepResult:
     """Canned sweeps behind the three standard plots.
 
     ``fig1``/``fig2``: survival versus time (units of 1/omega0, so omega0 is
     fixed at 1) at drive ratios omega/omega0 = 1.5 and 0.5 for a documented
     set of angles.  ``fig3``: resurrection time tau versus x = omega0/omega
     for one angle on each side of pi/2.  The choices are recorded in the
-    result params.  ``oracle`` adds the ODE companion columns to the
-    survival figures; fig3 has no ODE analogue and ignores it.
+    result params.
     """
     if which in ("fig1", "fig2"):
         ratio = 1.5 if which == "fig1" else 0.5
@@ -255,7 +247,6 @@ def figure_dataset(which: str, oracle: bool = False) -> SweepResult:
             axes=(Axis("theta", np.array(FIG1_THETAS)), Axis.linear("t", 0.0, 15.0, 1501)),
             quantities=("survival",),
             fixed={"omega0": 1.0, "omega": ratio},
-            oracle=oracle,
         )
         description = (
             f"survival vs t (units 1/omega0) at omega = {ratio} omega0, "

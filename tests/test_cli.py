@@ -14,10 +14,10 @@ import pytest
 
 from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from toptrap.closed_form import survival_probability, tau_of_ratio, transition_probability
-from toptrap.integrate import evolve_instantaneous_basis
+from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
 from toptrap.serialize import parse_csv
 from toptrap.spin import DriveParams
-from toptrap.sweep import MAX_GRID_POINTS
+from toptrap.sweep import MAX_GRID_POINTS, figure_dataset
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -207,6 +207,21 @@ class TestEvolve:
         assert out == ""
         assert "t must keep the phase wbar t/2 finite" in err
 
+    @pytest.mark.parametrize("method", ["closed", "ode", "all", "lab"])
+    def test_overflowing_omega_bar_is_usage_error(self, method, capsys):
+        """omega0 * omega overflows omega_bar: named by the routes that need omega_bar; the lab route's
+        step bound prints t as a float."""
+        if method == "lab":
+            message = "integrating to t = 1.0 needs at least 9e+301 steps, over 1000000"
+        else:
+            message = "omega0 and omega must keep omega_bar finite, got omega0 = 1e+300, omega = 1e+300"
+        code, out, err = run(
+            ["evolve", "--omega0", "1e300", "--omega", "1e300", "--theta", "1", "--t-max", "1", "--samples", "2",
+             "--method", method],
+            capsys,
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
     @pytest.mark.parametrize("method, dashed", [("closed", [None, "6,4"]), ("all", [None] * 4)])
     def test_svg_curves(self, tmp_path, method, dashed, capsys):
         out_path = tmp_path / "evolve.svg"
@@ -371,6 +386,34 @@ class TestDifferential:
         xs = np.linspace(x_min, x_min + width, steps)
         rows = np.vstack([np.column_stack([xs, np.full_like(xs, th), tau_of_ratio(xs, th)]) for th in thetas])
         assert_bit_identical(outputs(argv), ("x", "theta", "tau"), rows)
+
+    @pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+    def test_fig(self, which):
+        result = figure_dataset(which)
+        assert_bit_identical(outputs(["fig", which]), result.columns, result.table)
+
+    @hyp.given(method=st.sampled_from(["lab", "all"]), **DRIVES)
+    @hyp.settings(max_examples=20, deadline=None)
+    def test_evolve_ode_routes(self, method, omega0, ratio, theta, t_max, samples):
+        argv = [
+            "evolve", "--omega0", repr(omega0), "--omega", repr(ratio * omega0), "--theta", repr(theta),
+            "--t-max", repr(t_max), "--samples", str(samples), "--method", method,
+        ]
+        p = DriveParams(omega0, ratio * omega0, theta)
+        ts = np.linspace(0.0, t_max, samples)
+        lab = evolve_lab_frame(p, ts)
+        if method == "lab":
+            columns, pairs = ("t", "survival", "transition"), [(lab.survival, lab.transition)]
+        else:
+            columns = ("t",) + tuple(f"{q}_{name}" for name in ("closed", "ode", "lab", "rot") for q in ("survival", "transition"))
+            ode, rot = evolve_instantaneous_basis(p, ts), evolve_rotating_frame(p, ts)
+            pairs = [
+                (survival_probability(p, ts), transition_probability(p, ts)),
+                (ode.survival, ode.transition),
+                (lab.survival, lab.transition),
+                (rot.survival, rot.transition),
+            ]
+        assert_bit_identical(outputs(argv), columns, np.column_stack([ts, *(col for pair in pairs for col in pair)]))
 
 
 class TestAdiabatic:

@@ -266,6 +266,26 @@ class TestKernelAgreement:
         with pytest.raises(ValueError, match=r"^t must keep the phase wbar t/2 finite, got 1e\+300$"):
             call(DriveParams(1e10, 1.5, 1.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: survival_probability(p, 0.0),
+            lambda p: transition_probability(p, 0.0),
+            lambda p: amplitudes_at(p, 0.0),
+            lambda p: survival_probability(p, np.array([0.0, 1.0])),
+            lambda p: amplitudes_at(p, np.array([0.0, 1.0])),
+            lambda p: probabilities(p.omega0, p.omega, p.theta, 0.0),
+            lambda p: probabilities(np.array([1.0, p.omega0]), p.omega, 0.0, np.array([[0.0], [1.0]])),
+        ],
+        ids=["scalar-survival", "scalar-transition", "scalar-amplitudes", "array-survival", "array-amplitudes", "kernel",
+             "kernel-theta-zero"],
+    )
+    def test_overflowing_omega_bar_rejected(self, call):
+        """omega0 * omega = inf once made wbar inf and the error blamed t; it names omega0 and omega."""
+        with pytest.raises(ValueError, match=r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+300, omega = 1e\+300$"):
+            call(DriveParams(1e300, 1e300, 1.0))
+
 
 class TestResurrection:
     def test_tau_of_ratio_at_zero_is_exactly_one(self):
@@ -277,6 +297,12 @@ class TestResurrection:
         taus = tau_of_ratio(xs, math.pi / 2)
         np.testing.assert_allclose(taus, 1.0 / np.sqrt(1.0 + xs**2), rtol=1e-14)
         assert np.all(np.diff(taus) < 0)
+
+    def test_tau_scalar_x_broadcasts_over_theta(self):
+        thetas = np.array([0.5, 1.0, 2.5])
+        taus = tau_of_ratio(1.0, thetas)
+        assert taus.tobytes() == tau_of_ratio(np.full(3, 1.0), thetas).tobytes()
+        assert isinstance(tau_of_ratio(1.0, 0.5), float)
 
     def test_tau_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -297,6 +323,11 @@ class TestResurrection:
             resurrection_time(DriveParams(1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             resurrection_time(DriveParams(1.0, 1.0, 0.0))
+
+    def test_overflowing_omega_bar_leaves_tau_finite(self):
+        """omega0 * omega overflows omega_bar, but tau depends only on x and theta."""
+        point = resurrection_time(DriveParams(1e300, 1e300, 1.0))
+        assert point.tau == tau_of_ratio(1.0, 1.0)
 
     def test_local_maximum_pi_third(self):
         point = tau_of_ratio(0.5, math.pi / 3)

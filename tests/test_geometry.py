@@ -209,6 +209,10 @@ class TestConfinement:
         with pytest.raises(ValueError):
             confinement_advisor(DriveParams(1.0, 1.5, 1.0), escape_time=0.0)
 
+    def test_overflowing_omega_bar_is_value_error(self):
+        with pytest.raises(ValueError, match="omega0 = 1e\\+300, omega = 1e\\+300"):
+            confinement_advisor(DriveParams(1e300, 1e300, 1.0), escape_time=1.0)
+
     def test_report_type(self):
         report = confinement_advisor(DriveParams(1.0, 1.5, 1.0), escape_time=10.0)
         assert isinstance(report, ConfinementReport)

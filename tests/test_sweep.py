@@ -1,14 +1,21 @@
 """Tests for the sweep engine and the canned figure datasets."""
 
 import math
+import re
+import tracemalloc
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 import toptrap.sweep as sweep_mod
-from toptrap.closed_form import survival_probability
-from toptrap.spin import DriveParams, adiabaticity_parameter
+from toptrap import __version__
+from toptrap.closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability
+from toptrap.spin import DriveParams, adiabaticity_parameter, omega_bar_of
 from toptrap.sweep import (
+    AXIS_NAMES,
+    QUANTITIES,
     Axis,
     OracleMismatchError,
     SweepSpec,
@@ -65,6 +72,10 @@ class TestSweepSpec:
     def test_oracle_needs_probability_quantity(self):
         with pytest.raises(ValueError):
             SweepSpec(quantities=("tau",), fixed={"x": 0.5, "theta": 1.0}, oracle=True)
+
+    def test_repeated_quantity_rejected(self):
+        with pytest.raises(ValueError, match="'survival' is repeated"):
+            SweepSpec(quantities=("survival", "transition", "survival"), fixed={"omega0": 1, "omega": 1, "theta": 1, "t": 0})
 
 
 class TestRunSweep:
@@ -172,6 +183,49 @@ class TestRunSweep:
         )
         assert np.array_equal(run_sweep(spec).table, run_sweep(spec).table)
 
+    def test_oracle_mismatch_names_the_worst_point(self, monkeypatch):
+        def bumped(p, t_grid, settings=None):
+            """The closed form plus 1e-6 theta sin(t): worst at the largest theta and t = 1.5."""
+            from toptrap.integrate import TimeSeries
+
+            ts = np.asarray(t_grid, dtype=float)
+            bump = 1e-6 * p.theta * np.sin(ts)
+            return TimeSeries(ts, survival_probability(p, ts) + bump, transition_probability(p, ts) - bump, "bumped")
+
+        monkeypatch.setattr(sweep_mod, "evolve_instantaneous_basis", bumped)
+        spec = SweepSpec(
+            axes=(Axis("theta", np.array([0.3, 1.2, 2.0])), Axis.linear("t", 0.0, 3.0, 7)),
+            quantities=("survival", "transition"),
+            fixed={"omega0": 1.0, "omega": 1.5},
+            oracle=True,
+        )
+        with pytest.raises(OracleMismatchError) as info:
+            run_sweep(spec)
+        assert str(info.value) == "survival: closed form and ODE differ by 1.995e-06 (> 1e-08) at theta=2, t=1.5"
+
+    def test_overflowing_omega_bar_named(self):
+        """omega0 * omega overflows: a ValueError naming both, and no RuntimeWarning first."""
+        spec = SweepSpec(
+            axes=(Axis("omega", np.array([1e300, 1e299])),), quantities=("omega_bar",), fixed={"omega0": 1e300, "theta": 1.0}
+        )
+        with pytest.raises(ValueError, match=r"omega0 = 1e\+300, omega = 1e\+300"):
+            run_sweep(spec)
+
+    def test_peak_memory_near_the_table(self):
+        """Only the outputs are per-point arrays: no meshgrid, no per-point copies of the inputs."""
+        spec = SweepSpec(
+            axes=tuple(Axis.linear(name, 0.1, 3.0, 100) for name in ("omega", "theta", "t")),
+            quantities=("survival", "transition"),
+            fixed={"omega0": 1.0},
+        )
+        tracemalloc.start()
+        try:
+            table = run_sweep(spec).table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * table.nbytes
+
     @pytest.mark.parametrize(
         "axis, fixed, name",
         [
@@ -183,6 +237,79 @@ class TestRunSweep:
         spec = SweepSpec(axes=(axis, Axis.linear("t", 0.0, 5.0, 4)), quantities=("survival",), fixed=fixed)
         with pytest.raises(ValueError, match=name):
             run_sweep(spec)
+
+
+def reference_sweep(spec):
+    """Closed-form sweep the meshgrid way: every input copied out to one value per grid point."""
+    n = math.prod(len(a.values) for a in spec.axes)
+    mesh = np.meshgrid(*(a.values for a in spec.axes), indexing="ij")
+    axis_columns = {a.name: m.reshape(-1) for a, m in zip(spec.axes, mesh)}
+
+    def per_point(name):
+        value = axis_columns.get(name, spec.fixed.get(name))
+        return None if value is None else np.broadcast_to(np.asarray(value, dtype=float), (n,))
+
+    omega0, omega, theta, t, x = (per_point(name) for name in AXIS_NAMES)
+    if omega0 is None and x is not None and omega is not None:
+        omega0 = x * omega
+    columns = [a.name for a in spec.axes]
+    data = [axis_columns[a.name] for a in spec.axes]
+    pair = ("survival", "transition")
+    closed = dict(zip(pair, probabilities(omega0, omega, theta, t))) if set(pair) & set(spec.quantities) else {}
+    for q in spec.quantities:
+        if q in pair:
+            values = closed[q]
+        elif q == "tau":
+            values = np.asarray(tau_of_ratio(x if x is not None else omega0 / omega, theta))
+        elif q == "adiabaticity":
+            values = 0.5 * omega * np.sin(theta) / omega0
+        else:
+            values = np.asarray(omega_bar_of(omega0, omega, theta))
+        columns.append(q)
+        data.append(values)
+    params = {**spec.fixed, "tool": f"toptrap {__version__}", "method": "closed-form"}
+    return tuple(columns), np.column_stack(data), params
+
+
+DOMAIN = {"omega0": (0.05, 5.0), "omega": (0.0, 5.0), "theta": (0.0, math.pi), "t": (0.0, 40.0), "x": (0.0, 4.0)}
+
+
+@st.composite
+def closed_form_specs(draw):
+    """Any closed-form spec: axes in any order, each input an axis or fixed, x in place of omega0."""
+    inputs = ["x" if draw(st.booleans()) else "omega0", "omega", "theta", "t"]
+    names = draw(st.permutations(inputs))[: draw(st.integers(0, 3))]
+    value = {name: st.floats(*DOMAIN[name]) for name in inputs}
+    axes = tuple(
+        Axis(name, np.sort(draw(st.lists(value[name], min_size=2, max_size=6, unique=True)))) for name in names
+    )
+    fixed = {name: draw(value[name]) for name in inputs if name not in names}
+    quantities = draw(st.lists(st.sampled_from(QUANTITIES), min_size=1, max_size=5, unique=True))
+    return SweepSpec(axes=axes, quantities=tuple(quantities), fixed=fixed)
+
+
+class TestBroadcastGrid:
+    """run_sweep's broadcast grid gives the meshgrid evaluation's table, bit for bit."""
+
+    @hyp.given(spec=closed_form_specs())
+    # Scalar fixed inputs would change this one: numpy squares the scalar sin(theta/2) by pow().
+    @hyp.example(
+        spec=SweepSpec(axes=(Axis.linear("t", 0.0, 9.0, 7),), fixed={"omega0": 1.0, "omega": 1.5, "theta": 2.516})
+    )
+    @hyp.example(spec=SweepSpec(quantities=QUANTITIES, fixed={"omega0": 1.3, "omega": 0.7, "theta": 2.2, "t": 4.1}))
+    @hyp.settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_meshgrid(self, spec):
+        try:
+            columns, table, params = reference_sweep(spec)
+        except (ValueError, RuntimeWarning) as exc:  # omega0 = 0, tau at omega = 0 or its degenerate point
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                run_sweep(spec)
+            return
+        result = run_sweep(spec)
+        assert result.columns == columns
+        assert result.params == params
+        assert result.table.shape == table.shape
+        assert result.table.tobytes() == table.tobytes()
 
 
 class TestFigureDatasets:
