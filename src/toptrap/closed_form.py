@@ -19,7 +19,8 @@ and for theta > pi/2 decreases monotonically from tau(0) = 1.
 
 :func:`probabilities` evaluates this broadcast over arrays of (omega0,
 omega, theta, t).  The functions of a :class:`DriveParams` accept a scalar
-or array time; scalar input gives scalar output, computed with ``math``.
+or array time; scalar input gives scalar output, computed with ``math``
+(a Python float skips ``np.ndim``, which is slow on one).
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
     Raises:
         ValueError: for negative or non-finite ``t``.
     """
-    if np.ndim(t) == 0:
+    if isinstance(t, float) or np.ndim(t) == 0:
         terms = _scalar_terms(p, t)
         if terms is None:
             return SpinAmplitudes(alpha=1.0 + 0.0j, beta=0.0j)
@@ -150,7 +151,7 @@ def survival_probability(p: DriveParams, t):
     cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2); identically 1 when the
     spin never flips (theta = 0, omega = 0, or a degenerate drive).
     """
-    if np.ndim(t) != 0:
+    if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[0]
     terms = _scalar_terms(p, t)
     if terms is None or p.coupling == 0.0:
@@ -165,7 +166,7 @@ def transition_probability(p: DriveParams, t):
     (coupling/wbar)^2 sin^2(wbar t/2); complements
     :func:`survival_probability` to one.
     """
-    if np.ndim(t) != 0:
+    if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[1]
     terms = _scalar_terms(p, t)
     if terms is None or p.coupling == 0.0:

@@ -101,16 +101,17 @@ class ConfinementReport:
     ratio: float
 
 
-def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVector:
-    """Trap field at position (x, y, z) metres and time t seconds."""
+def _components(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[float, float, float]:
+    """Field components (bx, by, bz) of :func:`field_at` as a tuple, without building a FieldVector."""
     for name, value in (("x", x), ("y", y), ("z", z), ("t", t)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    return FieldVector(
-        bx=c.a0 * x + c.b0 * math.cos(c.omega * t),
-        by=c.a0 * y + c.b0 * math.sin(c.omega * t),
-        bz=-2.0 * c.a0 * z,
-    )
+    return c.a0 * x + c.b0 * math.cos(c.omega * t), c.a0 * y + c.b0 * math.sin(c.omega * t), -2.0 * c.a0 * z
+
+
+def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVector:
+    """Trap field at position (x, y, z) metres and time t seconds."""
+    return FieldVector(*_components(c, x, y, z, t))
 
 
 def zero_locus(c: TrapConfig, t: float) -> np.ndarray:
@@ -141,7 +142,8 @@ def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> fl
         ValueError: on (or numerically at) the circle of death, where the
             field magnitude vanishes and the Larmor frequency is undefined.
     """
-    b = field_at(c, x, y, z, t).magnitude()
+    bx, by, bz = _components(c, x, y, z, t)
+    b = math.sqrt(bx**2 + by**2 + bz**2)  # FieldVector.magnitude, bit for bit
     if b <= ZERO_FIELD_RTOL * c.b0:
         raise ValueError("Larmor frequency undefined at field zero")
     return abs(c.gamma) * b
@@ -153,11 +155,11 @@ def field_angle_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) 
     Raises:
         ValueError: at the field zero, where the direction is undefined.
     """
-    f = field_at(c, x, y, z, t)
-    b = f.magnitude()
+    bx, by, bz = _components(c, x, y, z, t)
+    b = math.sqrt(bx**2 + by**2 + bz**2)  # FieldVector.magnitude, bit for bit
     if b <= ZERO_FIELD_RTOL * c.b0:
         raise ValueError("field angle undefined at field zero")
-    return math.acos(f.bz / b)
+    return math.acos(bz / b)
 
 
 def hierarchy_check(c: TrapConfig, margin: float = 10.0) -> HierarchyReport:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +38,12 @@ def omega_bar_of(omega0, omega, theta):
     return np.hypot(omega0 - omega, 2.0 * np.sqrt(omega0 * omega) * np.sin(0.5 * theta))
 
 
-def check_omega_bar(wb, omega0, omega):
-    """Raise ValueError naming the first omega0, omega whose omega_bar ``wb`` is not finite (omega0 * omega overflows)."""
+def check_omega_bar(wb, omega0, omega, quantity="omega_bar"):
+    """Raise ValueError naming the first omega0, omega whose ``quantity`` ``wb`` is not finite (omega_bar: omega0 * omega overflows)."""
     bad = ~np.isfinite(wb)
     if np.any(bad):
         o0, om = (float(np.broadcast_to(v, np.shape(wb))[bad][0]) for v in (omega0, omega))
-        raise ValueError(f"omega0 and omega must keep omega_bar finite, got omega0 = {o0!r}, omega = {om!r}")
+        raise ValueError(f"omega0 and omega must keep {quantity} finite, got omega0 = {o0!r}, omega = {om!r}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,11 @@ class DriveParams:
     theta: float
 
     def __post_init__(self):
-        for name in ("omega0", "omega", "theta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.omega0 + self.omega + self.theta):  # one test; the loop names a bad value
+            for name in ("omega0", "omega", "theta"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         if self.omega0 <= 0.0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0!r}")
         if self.omega < 0.0:
@@ -71,30 +73,34 @@ class DriveParams:
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta out of [0, pi]: {self.theta!r}")
 
-    @property
+    @cached_property
     def omega_bar(self) -> float:
         """Effective Rabi frequency; zero only for omega0 == omega, theta == 0.
+
+        Computed once per instance, as :func:`omega_bar_of` but by ``math`` save for ``np.hypot``
+        (``math.hypot`` differs in the last bit); a raising call caches nothing.
 
         Raises:
             ValueError: naming omega0 and omega where omega0 * omega overflows it.
         """
-        wb = float(omega_bar_of(self.omega0, self.omega, self.theta))
+        s = 2.0 * math.sqrt(self.omega0 * self.omega) * math.sin(0.5 * self.theta)
+        wb = float(np.hypot(self.omega0 - self.omega, s))
         if not math.isfinite(wb):
             check_omega_bar(wb, self.omega0, self.omega)
         return wb
 
-    @property
+    @cached_property
     def drift(self) -> float:
-        """Diagonal rate omega0 - omega cos(theta) of the amplitude equations.
+        """Diagonal rate omega0 - omega cos(theta) of the amplitude equations, computed once per instance.
 
         Grouped as (omega0 - omega) + 2 omega sin^2(theta/2) so that the
         ratio drift/omega_bar stays accurate when both are small.
         """
         return (self.omega0 - self.omega) + 2.0 * self.omega * math.sin(0.5 * self.theta) ** 2
 
-    @property
+    @cached_property
     def coupling(self) -> float:
-        """Off-diagonal rate omega sin(theta); zero means the spin never flips."""
+        """Off-diagonal rate omega sin(theta), computed once per instance; zero means the spin never flips."""
         return self.omega * math.sin(self.theta)
 
 

@@ -181,13 +181,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 out[f"{q}_ode"] = ode[q].reshape(closed[q].shape)
                 _check_oracle(q, closed[q], out[f"{q}_ode"], spec.axes)
         elif q == "tau":
+            if x is None and not np.all(omega > 0.0):
+                raise ValueError("resurrection undefined: omega must be > 0")
             out[q] = tau_of_ratio(x if x is not None else omega0 / omega, theta)
-        elif q == "adiabaticity":
-            out[q] = 0.5 * omega * np.sin(theta) / omega0
-        else:  # omega_bar
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[q] = omega_bar_of(omega0, omega, theta)
-            check_omega_bar(out[q], omega0, omega)
+        else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
+            with np.errstate(all="ignore"):
+                out[q] = 0.5 * omega * np.sin(theta) / omega0 if q == "adiabaticity" else omega_bar_of(omega0, omega, theta)
+            check_omega_bar(out[q], omega0, omega, q)
 
     table = np.empty(shape + (len(out),))
     for j, values in enumerate(out.values()):

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import toptrap.spin
 from toptrap.closed_form import (
     amplitudes_at,
     probabilities,
@@ -16,6 +17,7 @@ from toptrap.closed_form import (
     tau_of_ratio,
     transition_probability,
 )
+from toptrap.geometry import confinement_advisor
 from toptrap.integrate import evolve_instantaneous_basis
 from toptrap.spin import DriveParams
 from toptrap.sweep import Axis, SweepSpec, run_sweep
@@ -285,6 +287,45 @@ class TestKernelAgreement:
         """omega0 * omega = inf once made wbar inf and the error blamed t; it names omega0 and omega."""
         with pytest.raises(ValueError, match=r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+300, omega = 1e\+300$"):
             call(DriveParams(1e300, 1e300, 1.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_omega_bar_at_theta_zero(self):
+        """sqrt(omega0 omega) sin(0) = inf * 0 warned "invalid value" before the error; the
+        coupling is 0, so the confinement verdict needs no omega_bar."""
+        p = DriveParams(1e300, 1e300, 0.0)
+        message = r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+300, omega = 1e\+300$"
+        for call in (survival_probability, transition_probability):
+            with pytest.raises(ValueError, match=message):
+                call(p, 0.0)
+        report = confinement_advisor(p, escape_time=1.0)
+        assert report.confined and report.resurrection_time == math.inf
+
+    @pytest.mark.parametrize("t", [2.5, np.float64(2.5), np.array(2.5), 2])
+    def test_scalar_time_types_agree(self, t):
+        """A Python float skips np.ndim; numpy scalars, 0-d arrays and ints take it, to the same result."""
+        p = DriveParams(1.0, 1.5, 1.0)
+        exact = float(t)
+        assert survival_probability(p, t) == survival_probability(p, exact)
+        assert transition_probability(p, t) == transition_probability(p, exact)
+        assert amplitudes_at(p, t) == amplitudes_at(p, exact)
+        assert type(survival_probability(p, t)) is float
+
+    def test_omega_bar_evaluated_once_per_drive(self, monkeypatch):
+        """Survival, transition, amplitudes and the confinement verdict on one DriveParams share one omega_bar."""
+        calls = []
+        hypot = toptrap.spin.np.hypot
+
+        def counting_hypot(*args):
+            calls.append(args)
+            return hypot(*args)
+
+        monkeypatch.setattr(toptrap.spin.np, "hypot", counting_hypot)
+        p = DriveParams(1.0, 1.5, 1.0)
+        survival_probability(p, 2.0)
+        transition_probability(p, 2.0)
+        amplitudes_at(p, 2.0)
+        confinement_advisor(p, escape_time=1.0)
+        assert len(calls) == 1
 
 
 class TestResurrection:

@@ -156,6 +156,36 @@ class TestLarmorAndAngle:
         angle = field_angle_at(CONFIG, 0.0, 0.0, 0.0, z=CONFIG.b0 / (2 * CONFIG.a0))
         assert angle == pytest.approx(3 * math.pi / 4, rel=1e-12)
 
+    def test_same_bits_as_the_field_vector(self):
+        """larmor_at/field_angle_at skip the FieldVector but keep its magnitude formula, bit for bit."""
+        r0 = circle_of_death_radius(CONFIG)
+        for x, y, z, t in RNG.uniform(-2 * r0, 2 * r0, (500, 4)).tolist():
+            t *= 1e-1
+            f = field_at(CONFIG, x, y, z, t)
+            assert larmor_at(CONFIG, x, y, t, z).hex() == (abs(CONFIG.gamma) * f.magnitude()).hex()
+            assert field_angle_at(CONFIG, x, y, t, z).hex() == math.acos(f.bz / f.magnitude()).hex()
+
+    @pytest.mark.parametrize(
+        "x, y, z, t, message",
+        [
+            (math.nan, 0.0, 0.0, 0.0, "x must be finite, got nan"),
+            (0.0, math.inf, 0.0, 0.0, "y must be finite, got inf"),
+            (0.0, 0.0, -math.inf, 0.0, "z must be finite, got -inf"),
+            (0.0, 0.0, 0.0, math.nan, "t must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_input_messages(self, x, y, z, t, message):
+        for call in (field_at, larmor_at, field_angle_at):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(CONFIG, x, y, z, t) if call is field_at else call(CONFIG, x, y, t, z)
+
+    def test_field_zero_messages(self):
+        x, y, _ = zero_locus(CONFIG, 0.0).tolist()
+        with pytest.raises(ValueError, match="^Larmor frequency undefined at field zero$"):
+            larmor_at(CONFIG, x, y, 0.0)
+        with pytest.raises(ValueError, match="^field angle undefined at field zero$"):
+            field_angle_at(CONFIG, x, y, 0.0)
+
 
 class TestHierarchy:
     def test_well_separated(self):

@@ -1,5 +1,6 @@
 """Tests for the two-level drive model: Hamiltonian, eigensystem, adiabaticity."""
 
+import dataclasses
 import math
 
 import hypothesis as hyp
@@ -62,6 +63,62 @@ class TestDriveParams:
             assert p.drift == pytest.approx(p.omega0 - p.omega * math.cos(p.theta), rel=1e-12, abs=1e-12)
             assert p.coupling == pytest.approx(p.omega * math.sin(p.theta), rel=1e-12, abs=1e-12)
             assert math.hypot(p.drift, p.coupling) == pytest.approx(p.omega_bar, rel=1e-12, abs=1e-12)
+
+    @hyp.given(omega0=st.floats(1e-3, 1e3), omega=finite_omega, theta=finite_theta)
+    @hyp.example(omega0=1.0, omega=1.0, theta=0.0)
+    @hyp.example(omega0=1.3, omega=0.0, theta=1.0)
+    @hyp.example(omega0=1.3, omega=0.7, theta=math.pi)
+    @hyp.example(omega0=1e-3, omega=1e3, theta=math.pi / 2)
+    @hyp.settings(max_examples=500, deadline=None)
+    def test_scalar_omega_bar_is_the_array_formula_bit_for_bit(self, omega0, omega, theta):
+        """The scalar omega_bar uses math for sqrt and sin; it must not move a bit off omega_bar_of."""
+        expected = float(omega_bar_of(np.full(1, omega0), np.full(1, omega), np.full(1, theta))[0])
+        assert DriveParams(omega0, omega, theta).omega_bar.hex() == expected.hex()
+
+    def test_scalar_omega_bar_bit_for_bit_on_many_drives(self):
+        """math.hypot in place of np.hypot would move 70 of these 20000 by an ulp."""
+        rng = np.random.default_rng(11)
+        n = 20000
+        omega0, omega = rng.uniform(0.0, 5.0, (2, n)) * 10.0 ** rng.integers(-3, 4, (2, n)) + 1e-3
+        theta = rng.uniform(0.0, math.pi, n)
+        expected = omega_bar_of(omega0, omega, theta).tolist()
+        scalar = [DriveParams(*args).omega_bar for args in zip(omega0.tolist(), omega.tolist(), theta.tolist())]
+        assert [v.hex() for v in scalar] == [v.hex() for v in expected]
+
+    def test_derived_rates_cached_without_changing_the_dataclass(self):
+        p = DriveParams(1.0, 1.5, 1.0)
+        before = (repr(p), hash(p))
+        rates = (p.omega_bar, p.drift, p.coupling)
+        assert (p.omega_bar, p.drift, p.coupling) == rates
+        assert (repr(p), hash(p)) == before
+        assert p == DriveParams(1.0, 1.5, 1.0)
+        assert [f.name for f in dataclasses.fields(p)] == ["omega0", "omega", "theta"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.omega0 = 2.0
+
+    def test_overflowing_omega_bar_caches_nothing(self):
+        p = DriveParams(1e300, 1e300, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^omega0 and omega must keep omega_bar finite"):
+                p.omega_bar
+        assert "omega_bar" not in vars(p)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 1.0, 1.0), "omega0 must be finite, got nan"),
+            ((1.0, math.inf, 1.0), "omega must be finite, got inf"),
+            ((1.0, 1.0, -math.inf), "theta must be finite, got -inf"),
+            ((math.inf, -math.inf, 1.0), "omega0 must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_parameter_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DriveParams(*args)
+
+    def test_finite_parameters_whose_sum_overflows_accepted(self):
+        p = DriveParams(1.7e308, 1.7e308, 1.0)
+        assert p.coupling == 1.7e308 * math.sin(1.0)
 
 
 class TestHamiltonian:

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -211,6 +212,23 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=r"omega0 = 1e\+300, omega = 1e\+300"):
             run_sweep(spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_adiabaticity_named(self):
+        """omega / omega0 overflows: a ValueError naming both, and no RuntimeWarning first."""
+        spec = SweepSpec(
+            axes=(Axis("omega", np.array([1e299, 1e300])),), quantities=("adiabaticity",), fixed={"omega0": 1e-300, "theta": 1.0}
+        )
+        message = r"^omega0 and omega must keep adiabaticity finite, got omega0 = 1e-300, omega = 1e\+299$"
+        with pytest.raises(ValueError, match=message):
+            run_sweep(spec)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tau_needs_a_drive(self):
+        """x = omega0 / omega at omega = 0: the message of resurrection_time, and no RuntimeWarning first."""
+        spec = SweepSpec(axes=(Axis("theta", np.array([0.5, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "omega": 0.0})
+        with pytest.raises(ValueError, match="^resurrection undefined: omega must be > 0$"):
+            run_sweep(spec)
+
     def test_peak_memory_near_the_table(self):
         """Only the outputs are per-point arrays: no meshgrid, no per-point copies of the inputs."""
         spec = SweepSpec(
@@ -260,9 +278,16 @@ def reference_sweep(spec):
         if q in pair:
             values = closed[q]
         elif q == "tau":
+            if x is None and not np.all(omega > 0.0):
+                raise ValueError("resurrection undefined: omega must be > 0")
             values = np.asarray(tau_of_ratio(x if x is not None else omega0 / omega, theta))
         elif q == "adiabaticity":
-            values = 0.5 * omega * np.sin(theta) / omega0
+            with np.errstate(all="ignore"):
+                values = 0.5 * omega * np.sin(theta) / omega0
+            bad = ~np.isfinite(values)
+            if np.any(bad):
+                o0, om = float(omega0[bad][0]), float(omega[bad][0])
+                raise ValueError(f"omega0 and omega must keep adiabaticity finite, got omega0 = {o0!r}, omega = {om!r}")
         else:
             values = np.asarray(omega_bar_of(omega0, omega, theta))
         columns.append(q)
@@ -297,11 +322,17 @@ class TestBroadcastGrid:
         spec=SweepSpec(axes=(Axis.linear("t", 0.0, 9.0, 7),), fixed={"omega0": 1.0, "omega": 1.5, "theta": 2.516})
     )
     @hyp.example(spec=SweepSpec(quantities=QUANTITIES, fixed={"omega0": 1.3, "omega": 0.7, "theta": 2.2, "t": 4.1}))
+    @hyp.example(spec=SweepSpec(axes=(Axis("x", np.array([0.0, 1.0])),), quantities=("adiabaticity",), fixed={"omega": 1.5, "theta": 1.0}))
+    @hyp.example(spec=SweepSpec(axes=(Axis("theta", np.array([0.5, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "omega": 0.0}))
     @hyp.settings(max_examples=300, deadline=None)
     def test_bit_identical_to_meshgrid(self, spec):
         try:
-            columns, table, params = reference_sweep(spec)
-        except (ValueError, RuntimeWarning) as exc:  # omega0 = 0, tau at omega = 0 or its degenerate point
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                columns, table, params = reference_sweep(spec)
+        # ValueError: omega0 = 0, tau at omega = 0 or its degenerate point, a non-finite adiabaticity.
+        # RuntimeWarning: x = omega0/omega overflows, or tau_of_ratio squares an x above about 1e154.
+        except (ValueError, RuntimeWarning) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 run_sweep(spec)
             return
