@@ -230,12 +230,8 @@ def _cmd_tau(args) -> int:
         raise ValueError(f"x-min must be >= 0, got {args.x_min!r}")
     xs = np.linspace(args.x_min, args.x_max, args.steps)
     step = xs[1] - xs[0]
-    blocks = []
-    curves = []
-    for theta in thetas:
-        taus = np.asarray(tau_of_ratio(xs, theta))
-        blocks.append(np.column_stack([xs, np.full_like(xs, theta), taus]))
-        curves.append(taus)
+    curves = tau_of_ratio(xs, np.array(thetas)[:, None])
+    for theta, taus in zip(thetas, curves):
         if theta <= 0.5 * math.pi:
             x_star, tau_star = tau_extremum(theta)
             x_grid = float(xs[int(np.argmax(taus))])
@@ -261,7 +257,8 @@ def _cmd_tau(args) -> int:
         "x_max": args.x_max,
         "steps": args.steps,
     }
-    table = Table(columns=("x", "theta", "tau"), rows=np.vstack(blocks), params=params, axes=(("x", xs),))
+    rows = np.column_stack([np.tile(xs, len(thetas)), np.repeat(thetas, len(xs)), curves.ravel()])
+    table = Table(columns=("x", "theta", "tau"), rows=rows, params=params, axes=(("x", xs),))
     _emit_table(table, args, _theta_curves(thetas, xs, curves), title="Resurrection time", **_TAU_LABELS)
     return EXIT_OK
 

@@ -17,10 +17,9 @@ units of the drive period this is
 which for theta <= pi/2 peaks at x = cos(theta) with value 1/sin(theta)
 and for theta > pi/2 decreases monotonically from tau(0) = 1.
 
-:func:`probabilities` evaluates this broadcast over arrays of (omega0,
-omega, theta, t).  The functions of a :class:`DriveParams` accept a scalar
-or array time; scalar input gives scalar output, computed with ``math``
-(a Python float skips ``np.ndim``, which is slow on one).
+:func:`probabilities` broadcasts this over arrays of (omega0, omega, theta,
+t); the :class:`DriveParams` functions take scalar or array t.  Squares are
+x * x, correctly rounded unlike ``pow``, so every call shape gives the same bits.
 """
 
 from __future__ import annotations
@@ -55,28 +54,31 @@ class ResurrectionPoint:
     theta: float
 
 
-# (name, rule, test) per input of the broadcast kernel; nan and inf fail every test.
-_DOMAIN = (
-    ("omega0", "finite and > 0", lambda v: (v > 0.0) & (v < math.inf)),
-    ("omega", "finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
-    ("theta", "in [0, pi]", lambda v: (v >= 0.0) & (v <= math.pi)),
-    ("t", "finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
-)
+# (rule, test) per input of the kernels; nan and inf fail every test.
+_DOMAIN = {
+    "omega0": ("finite and > 0", lambda v: (v > 0.0) & (v < math.inf)),
+    "omega": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "theta": ("in [0, pi]", lambda v: (v >= 0.0) & (v <= math.pi)),
+    "t": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "x": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+}
 
 _PHASE_RULE = "t must keep the phase wbar t/2 finite, got {!r}"
+
+
+def _checked(name, value):
+    """``value`` as a float array; a ValueError names ``name``, its rule and its first value outside it."""
+    rule, test = _DOMAIN[name]
+    v = np.asarray(value, dtype=float)
+    if not np.all(ok := test(v)):
+        raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
+    return v
 
 
 def _broadcast_terms(omega0, omega, theta, t):
     """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the no-flip masks;
     wbar is taken as 1 at degenerate drives, which callers mask."""
-    checked = []
-    for (name, rule, test), value in zip(_DOMAIN, (omega0, omega, theta, t)):
-        v = np.asarray(value, dtype=float)
-        ok = test(v)
-        if not np.all(ok):
-            raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
-        checked.append(v)
-    omega0, omega, theta, t = checked
+    omega0, omega, theta, t = map(_checked, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar or phase raises instead
         wb = omega_bar_of(omega0, omega, theta)
         check_omega_bar(wb, omega0, omega)
@@ -86,7 +88,8 @@ def _broadcast_terms(omega0, omega, theta, t):
     finite = np.isfinite(half)
     if not np.all(finite):
         raise ValueError(_PHASE_RULE.format(float(np.broadcast_to(t, half.shape)[~finite][0])))
-    drift = (omega0 - omega) + 2.0 * omega * np.sin(0.5 * theta) ** 2
+    sin_half = np.sin(0.5 * theta)
+    drift = (omega0 - omega) + 2.0 * omega * (sin_half * sin_half)
     coupling = omega * np.sin(theta)
     return half, drift / wb, coupling / wb, degenerate, coupling == 0.0
 
@@ -120,10 +123,13 @@ def probabilities(omega0, omega, theta, t):
     """
     half, drift_ratio, coupling_ratio, degenerate, uncoupled = _broadcast_terms(omega0, omega, theta, t)
     no_flip = degenerate | uncoupled
-    sin2 = np.sin(half) ** 2
-    # Sums of squares: rounding can only overshoot 1.
-    survival = np.minimum(np.cos(half) ** 2 + drift_ratio**2 * sin2, 1.0)
-    transition = np.minimum(coupling_ratio**2 * sin2, 1.0)
+    sin2 = np.sin(half)
+    sin2 *= sin2
+    survival = np.cos(half)  # built in place: one more live full-grid array re-faults heap pages per call
+    survival *= survival
+    survival += drift_ratio * drift_ratio * sin2  # sums of squares: rounding can only overshoot 1
+    survival = np.minimum(survival, 1.0)
+    transition = np.minimum(coupling_ratio * coupling_ratio * sin2, 1.0)
     return np.where(no_flip, 1.0, survival), np.where(no_flip, 0.0, transition)
 
 
@@ -157,7 +163,7 @@ def survival_probability(p: DriveParams, t):
     if terms is None or p.coupling == 0.0:
         return 1.0
     c, s, drift_ratio, _ = terms
-    return min(c**2 + drift_ratio**2 * s**2, 1.0)
+    return min(c * c + drift_ratio * drift_ratio * (s * s), 1.0)
 
 
 def transition_probability(p: DriveParams, t):
@@ -172,7 +178,7 @@ def transition_probability(p: DriveParams, t):
     if terms is None or p.coupling == 0.0:
         return 0.0
     _, s, _, coupling_ratio = terms
-    return min(coupling_ratio**2 * s**2, 1.0)
+    return min(coupling_ratio * coupling_ratio * (s * s), 1.0)
 
 
 def tau_of_ratio(x, theta):
@@ -183,15 +189,15 @@ def tau_of_ratio(x, theta):
     at x = 0 (tau = 1) and never goes negative in floating point.
 
     Raises:
-        ValueError: for negative or non-finite ``x``, or at the degenerate
-            point x = 1, theta = 0 where no flip ever occurs.
+        ValueError: naming x or theta unless x is finite and >= 0, theta in [0, pi]
+            and (1 - x)^2 finite (x below about 1.3e154); at x = 1, theta = 0 (no flip).
     """
-    xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x must be finite")
-    if np.any(xs < 0.0):
-        raise ValueError("x must be >= 0")
-    d2 = (1.0 - xs) ** 2 + 4.0 * xs * np.sin(0.5 * np.asarray(theta, dtype=float)) ** 2
+    xs = _checked("x", x)
+    d, sin_half = 1.0 - xs, np.sin(0.5 * _checked("theta", theta))
+    with np.errstate(over="ignore"):  # an overflowing d * d raises below
+        d2 = d * d + 4.0 * xs * (sin_half * sin_half)
+    if not np.all(np.isfinite(d2)):
+        raise ValueError(f"x must keep (1 - x)^2 finite, got {float(np.broadcast_to(xs, d2.shape)[~np.isfinite(d2)][0])!r}")
     if np.any(d2 == 0.0):
         raise ValueError("resurrection undefined: no flip occurs (omega0 == omega, theta == 0)")
     tau = 1.0 / np.sqrt(d2)

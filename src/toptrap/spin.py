@@ -96,7 +96,8 @@ class DriveParams:
         Grouped as (omega0 - omega) + 2 omega sin^2(theta/2) so that the
         ratio drift/omega_bar stays accurate when both are small.
         """
-        return (self.omega0 - self.omega) + 2.0 * self.omega * math.sin(0.5 * self.theta) ** 2
+        sin_half = math.sin(0.5 * self.theta)
+        return (self.omega0 - self.omega) + 2.0 * self.omega * (sin_half * sin_half)
 
     @cached_property
     def coupling(self) -> float:

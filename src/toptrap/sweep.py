@@ -158,9 +158,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if n > MAX_GRID_POINTS:
         raise ValueError(f"grid too large: {n} points exceeds the {MAX_GRID_POINTS} limit")
 
-    # Axis k varies along grid dimension k only and the kernels broadcast.  Fixed values are
-    # 1-element arrays: numpy squares a scalar by pow(), which may differ from x*x in the last bit.
-    inputs = {name: np.full(1, value, dtype=float) for name, value in spec.fixed.items()}
+    inputs = {name: float(value) for name, value in spec.fixed.items()}
     for k, a in enumerate(spec.axes):
         inputs[a.name] = a.values.reshape((-1,) + (1,) * (len(shape) - k - 1))
     omega0, omega, theta, t, x = (inputs.get(name) for name in AXIS_NAMES)
@@ -183,7 +181,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         elif q == "tau":
             if x is None and not np.all(omega > 0.0):
                 raise ValueError("resurrection undefined: omega must be > 0")
-            out[q] = tau_of_ratio(x if x is not None else omega0 / omega, theta)
+            with np.errstate(over="ignore"):  # a subnormal omega overflows x, named below
+                ratio = x if x is not None else omega0 / omega
+            check_omega_bar(ratio, omega0, omega, "x")
+            out[q] = tau_of_ratio(ratio, theta)
         else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
             with np.errstate(all="ignore"):
                 out[q] = 0.5 * omega * np.sin(theta) / omega0 if q == "adiabaticity" else omega_bar_of(omega0, omega, theta)

@@ -115,7 +115,7 @@ def test_criterion_4_resurrection_curve():
         k = int(np.argmax(solid))
         assert abs(xs[k] - x_star) <= step, f"grid argmax {xs[k]} vs analytic {x_star}"
         assert solid[k] <= tau_star + 1e-12
-        assert solid[k] == pytest.approx(float(tau_of_ratio(xs[k], math.pi / 6)), abs=1e-15)
+        assert solid[k] == tau_of_ratio(float(xs[k]), math.pi / 6)
         assert np.all(np.diff(dashed) < 0.0)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f} s"

@@ -270,6 +270,13 @@ class TestTau:
         assert code == EXIT_USAGE
         assert "theta" in err
 
+    def test_overflowing_x_rejected(self, capsys):
+        """(1 - x)^2 overflows above x of about 1.3e154: exit 2 naming x, no tau = 0 rows, no RuntimeWarning."""
+        code, out, err = run(["tau", "--theta", "1", "--x-max", "1e200"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "toptrap: x must keep (1 - x)^2 finite, got 2.5e+197\n"
+
     def test_steps_capped_before_allocation(self, no_grids, capsys):
         code, _, err = run(["tau", "--theta", "1.0", "--steps", str(MAX_GRID_POINTS + 1)], capsys)
         assert code == EXIT_USAGE

@@ -1,6 +1,8 @@
 """Tests for the closed-form amplitudes, probabilities and resurrection time."""
 
 import math
+import re
+from dataclasses import astuple
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -200,31 +202,41 @@ class TestKernelAgreement:
     @hyp.example(omega0=2.0, ratio=1.0, theta=1.0, t=3.0)
     @hyp.example(omega0=1.0, ratio=1.0, theta=0.0, t=3.0)
     @hyp.example(omega0=1.0, ratio=1.0, theta=5e-324, t=3.0)
+    # Squared by pow(), these drives' scalar and array results differed in the last bit.
+    @hyp.example(omega0=75.78258601882392, ratio=2.747998961560717, theta=2.8051914887915435, t=87.1746863375472)
+    @hyp.example(omega0=11.102295261113284, ratio=9.00146233269396, theta=0.6310450172660358, t=37.05008008819806)
+    @hyp.example(omega0=46.89629674604318, ratio=3.2306457475777686, theta=0.9263468492734053, t=55.48557739057433)
     @hyp.settings(max_examples=200, deadline=None)
     def test_scalar_array_and_sweep_agree(self, omega0, ratio, theta, t):
+        """Every call shape and sweep cell gives the scalar path's bits."""
         p = DriveParams(omega0, ratio * omega0, theta)
-        scalar = np.array([survival_probability(p, t), transition_probability(p, t)])
-        array = np.concatenate([survival_probability(p, np.array([t])), transition_probability(p, np.array([t]))])
-        sweep = run_sweep(
-            SweepSpec(
-                axes=(Axis("t", np.array([t, t])),),
-                quantities=("survival", "transition"),
-                fixed={"omega0": p.omega0, "omega": p.omega, "theta": p.theta},
-            )
+        expected = [survival_probability(p, t), transition_probability(p, t)]
+        amplitudes = amplitudes_at(p, t)
+        for ts in (np.float64(t), np.array(t), np.array([t]), np.array([[0.0, t], [t, 3.0 * t]])):
+            at_t = np.asarray(ts) == t
+            n = int(np.sum(at_t))
+            for got, want in zip(
+                (survival_probability(p, ts), transition_probability(p, ts), *astuple(amplitudes_at(p, ts))),
+                (*expected, amplitudes.alpha, amplitudes.beta),
+            ):
+                assert np.asarray(got)[at_t].tolist() == [want] * n
+        fixed_drive = SweepSpec(
+            axes=(Axis("t", np.array([t, 0.5 * t])),),
+            quantities=("survival", "transition"),
+            fixed={"omega0": p.omega0, "omega": p.omega, "theta": p.theta},
         )
-        cell = np.array([sweep.column("survival")[0], sweep.column("transition")[0]])
-        # The scalar path squares with libm pow, numpy arrays with x*x, so
-        # results may differ by an ulp or two.  The sweep also squares
-        # sin^2(theta/2) inside drift = (omega0 - omega) + 2 omega
-        # sin^2(theta/2) that way, and cancellation in drift amplifies that
-        # rounding by (omega0 + omega) / wbar in the survival.
-        np.testing.assert_array_max_ulp(array, scalar, maxulp=2)
-        np.testing.assert_array_max_ulp(cell[1], scalar[1], maxulp=2)
-        wb = p.omega_bar if p.omega_bar > 0.0 else 1.0
-        bound = 2 * np.spacing(scalar[0]) + 8 * np.finfo(float).eps * (p.omega0 + p.omega) / wb
-        assert abs(cell[0] - scalar[0]) <= bound
+        drive_on_axes = SweepSpec(
+            axes=(Axis("omega", np.array([0.5, p.omega])), Axis("theta", np.array([p.theta, 1.0])), Axis("t", np.array([t, 0.5 * t]))),
+            quantities=("survival", "transition"),
+            fixed={"omega0": p.omega0},
+        )
+        for spec in (fixed_drive, drive_on_axes):
+            result = run_sweep(spec)
+            drive = {**spec.fixed, **{a.name: result.column(a.name) for a in spec.axes}}
+            cells = (drive["omega"] == p.omega) & (drive["theta"] == p.theta) & (drive["t"] == t)
+            assert result.table[cells, -2:].tolist() == [expected] * int(np.sum(cells))
         if p.coupling == 0.0 or p.omega_bar < 1e-12 * max(p.omega0, p.omega):
-            assert tuple(scalar) == tuple(array) == tuple(cell) == (1.0, 0.0)
+            assert expected == [1.0, 0.0]
 
     def test_masks_apply_per_point(self):
         survival, transition = probabilities(
@@ -345,11 +357,34 @@ class TestResurrection:
         assert taus.tobytes() == tau_of_ratio(np.full(3, 1.0), thetas).tobytes()
         assert isinstance(tau_of_ratio(1.0, 0.5), float)
 
+    def test_tau_broadcast_rows_equal_per_angle_calls(self):
+        """One call over all angles gives each angle's own bits, as ``toptrap tau`` relies on."""
+        xs = np.linspace(0.0, 4.0, 401)
+        # Squared by pow(), the per-angle call for 1.3595568541055658 differed from the broadcast row.
+        thetas = np.append(np.random.default_rng(5).uniform(0.01, math.pi, 300), 1.3595568541055658)
+        for theta, row in zip(thetas, tau_of_ratio(xs, thetas[:, None])):
+            assert row.tobytes() == tau_of_ratio(xs, float(theta)).tobytes()
+            assert row[137] == tau_of_ratio(float(xs[137]), float(theta))
+
     def test_tau_degenerate_rejected(self):
         with pytest.raises(ValueError):
             tau_of_ratio(1.0, 0.0)
-        with pytest.raises(ValueError):
-            tau_of_ratio(-0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "x, theta, message",
+        [
+            (-0.5, 1.0, "x must be finite and >= 0, got -0.5"),
+            (math.inf, 1.0, "x must be finite and >= 0, got inf"),
+            (2.0, math.nan, "theta must be in [0, pi], got nan"),
+            (np.array([1.0, 2.0]), np.array([[1.0], [4.0]]), "theta must be in [0, pi], got 4.0"),
+            (1e200, 1.0, "x must keep (1 - x)^2 finite, got 1e+200"),
+            (np.array([1.0, 1e154, 2e154]), 0.5, "x must keep (1 - x)^2 finite, got 2e+154"),
+        ],
+    )
+    def test_tau_domain_errors_name_the_parameter(self, x, theta, message):
+        """The kernel's rule and message for theta; x above about 1.3e154 raises, with no RuntimeWarning."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tau_of_ratio(x, theta)
 
     def test_resurrection_time_matches_omega_bar(self):
         for p in random_params(50):

@@ -12,7 +12,13 @@ import pytest
 
 import toptrap.sweep as sweep_mod
 from toptrap import __version__
-from toptrap.closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability
+from toptrap.closed_form import (
+    probabilities,
+    resurrection_time,
+    survival_probability,
+    tau_of_ratio,
+    transition_probability,
+)
 from toptrap.spin import DriveParams, adiabaticity_parameter, omega_bar_of
 from toptrap.sweep import (
     AXIS_NAMES,
@@ -116,20 +122,20 @@ class TestRunSweep:
         )
         result = run_sweep(spec)
         for x, value in zip(result.column("x"), result.column("survival")):
-            expected = survival_probability(DriveParams(x * 2.0, 2.0, 1.0), 1.3)
-            assert value == pytest.approx(float(expected), abs=1e-15)
+            assert value == survival_probability(DriveParams(float(x) * 2.0, 2.0, 1.0), 1.3)
 
     def test_quantities_match_scalar_api(self):
         spec = SweepSpec(
             axes=(Axis.linear("omega", 0.2, 3.0, 5), Axis.linear("theta", 0.1, 3.0, 5)),
-            quantities=("adiabaticity", "omega_bar"),
+            quantities=("adiabaticity", "omega_bar", "tau"),
             fixed={"omega0": 1.2},
         )
         result = run_sweep(spec)
-        for omega, theta, adiabaticity, omega_bar in result.table:
-            p = DriveParams(1.2, omega, theta)
-            assert adiabaticity == pytest.approx(adiabaticity_parameter(p), rel=1e-14)
-            assert omega_bar == pytest.approx(p.omega_bar, rel=1e-14)
+        for omega, theta, adiabaticity, omega_bar, tau in result.table:
+            p = DriveParams(1.2, float(omega), float(theta))
+            assert adiabaticity == adiabaticity_parameter(p)
+            assert omega_bar == p.omega_bar
+            assert tau == resurrection_time(p).tau
 
     def test_oracle_columns_agree(self):
         spec = SweepSpec(
@@ -245,15 +251,35 @@ class TestRunSweep:
         assert peak <= 1.8 * table.nbytes
 
     @pytest.mark.parametrize(
-        "axis, fixed, name",
+        "axis, fixed, quantity, message",
         [
-            (Axis.linear("theta", 0.0, 3.5, 8), {"omega0": 1.0, "omega": 1.5}, "theta"),
-            (Axis.linear("x", 0.0, 2.0, 5), {"omega": 1.5, "theta": 1.0}, "omega0"),
+            pytest.param(
+                Axis.linear("theta", 0.0, 3.5, 8), {"omega0": 1.0, "omega": 1.5}, "survival", "theta must be in [0, pi], got 3.5",
+                id="axis0-fixed0-theta",
+            ),
+            pytest.param(
+                Axis.linear("x", 0.0, 2.0, 5), {"omega": 1.5, "theta": 1.0}, "survival", "omega0 must be finite and > 0, got 0.0",
+                id="axis1-fixed1-omega0",
+            ),
+            pytest.param(
+                Axis.linear("theta", 0.0, 4.0, 9), {"omega0": 1.0, "omega": 1.5}, "tau", "theta must be in [0, pi], got 3.5",
+                id="tau-theta",
+            ),
+            # x = omega0 / omega overflows, or (1 - x)^2 does: named, with no RuntimeWarning first.
+            pytest.param(
+                Axis("omega", np.array([2.2e-311, 1.0])), {"omega0": 1.0, "theta": 1.0}, "tau",
+                "omega0 and omega must keep x finite, got omega0 = 1.0, omega = 2.2e-311",
+                id="tau-subnormal-omega",
+            ),
+            pytest.param(
+                Axis("omega", np.array([8e-237, 1.0])), {"omega0": 1.0, "theta": 1.0}, "tau", "x must keep (1 - x)^2 finite, got 1.25e+236",
+                id="tau-x-above-1e154",
+            ),
         ],
     )
-    def test_out_of_domain_drive_rejected(self, axis, fixed, name):
-        spec = SweepSpec(axes=(axis, Axis.linear("t", 0.0, 5.0, 4)), quantities=("survival",), fixed=fixed)
-        with pytest.raises(ValueError, match=name):
+    def test_out_of_domain_drive_rejected(self, axis, fixed, quantity, message):
+        spec = SweepSpec(axes=(axis, Axis.linear("t", 0.0, 5.0, 4)), quantities=(quantity,), fixed=fixed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_sweep(spec)
 
 
@@ -280,7 +306,13 @@ def reference_sweep(spec):
         elif q == "tau":
             if x is None and not np.all(omega > 0.0):
                 raise ValueError("resurrection undefined: omega must be > 0")
-            values = np.asarray(tau_of_ratio(x if x is not None else omega0 / omega, theta))
+            with np.errstate(over="ignore"):
+                ratio = x if x is not None else omega0 / omega
+            bad = ~np.isfinite(ratio)
+            if np.any(bad):
+                o0, om = float(omega0[bad][0]), float(omega[bad][0])
+                raise ValueError(f"omega0 and omega must keep x finite, got omega0 = {o0!r}, omega = {om!r}")
+            values = np.asarray(tau_of_ratio(ratio, theta))
         elif q == "adiabaticity":
             with np.errstate(all="ignore"):
                 values = 0.5 * omega * np.sin(theta) / omega0
@@ -317,22 +349,24 @@ class TestBroadcastGrid:
     """run_sweep's broadcast grid gives the meshgrid evaluation's table, bit for bit."""
 
     @hyp.given(spec=closed_form_specs())
-    # Scalar fixed inputs would change this one: numpy squares the scalar sin(theta/2) by pow().
+    # Fixed values reach the kernels as floats; squared by pow(), this drive's sin(theta/2) was an ulp off.
     @hyp.example(
         spec=SweepSpec(axes=(Axis.linear("t", 0.0, 9.0, 7),), fixed={"omega0": 1.0, "omega": 1.5, "theta": 2.516})
     )
     @hyp.example(spec=SweepSpec(quantities=QUANTITIES, fixed={"omega0": 1.3, "omega": 0.7, "theta": 2.2, "t": 4.1}))
     @hyp.example(spec=SweepSpec(axes=(Axis("x", np.array([0.0, 1.0])),), quantities=("adiabaticity",), fixed={"omega": 1.5, "theta": 1.0}))
     @hyp.example(spec=SweepSpec(axes=(Axis("theta", np.array([0.5, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "omega": 0.0}))
+    @hyp.example(spec=SweepSpec(quantities=("tau",), fixed={"omega0": 1.0, "omega": 2.225073858507203e-309, "theta": 0.0}))
+    @hyp.example(spec=SweepSpec(axes=(Axis("omega", np.array([8e-237, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "theta": 1.0}))
     @hyp.settings(max_examples=300, deadline=None)
     def test_bit_identical_to_meshgrid(self, spec):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 columns, table, params = reference_sweep(spec)
-        # ValueError: omega0 = 0, tau at omega = 0 or its degenerate point, a non-finite adiabaticity.
-        # RuntimeWarning: x = omega0/omega overflows, or tau_of_ratio squares an x above about 1e154.
-        except (ValueError, RuntimeWarning) as exc:
+        # omega0 = 0, tau at omega = 0 or its degenerate point, x = omega0/omega overflowing or above
+        # about 1e154 (tau_of_ratio squares it), a non-finite adiabaticity.
+        except ValueError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 run_sweep(spec)
             return
