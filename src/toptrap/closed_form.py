@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, check_omega_bar, omega_bar_of
-
-# Below this fraction of the frequency scale the drive is treated as exactly
-# degenerate (omega0 == omega, theta == 0) and the analytic limit alpha = 1 is
-# returned; the singularity is removable.
-DEGENERATE_RTOL = 1e-12
+from .spin import DriveParams, check_finite, omega_bar_of
 
 
 @dataclass(frozen=True)
@@ -76,14 +71,12 @@ def _checked(name, value):
 
 
 def _broadcast_terms(omega0, omega, theta, t):
-    """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the no-flip masks;
-    wbar is taken as 1 at degenerate drives, which callers mask."""
+    """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the zero-coupling mask;
+    a zero wbar divides as 1, so there the ratios only multiply sin 0 = 0."""
     omega0, omega, theta, t = map(_checked, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar or phase raises instead
         wb = omega_bar_of(omega0, omega, theta)
-        check_omega_bar(wb, omega0, omega)
-        degenerate = wb < DEGENERATE_RTOL * np.maximum(omega0, omega)
-        wb = np.where(degenerate, 1.0, wb)
+        check_finite("omega_bar", wb, omega0=omega0, omega=omega)
         half = 0.5 * wb * t
     finite = np.isfinite(half)
     if not np.all(finite):
@@ -91,20 +84,20 @@ def _broadcast_terms(omega0, omega, theta, t):
     sin_half = np.sin(0.5 * theta)
     drift = (omega0 - omega) + 2.0 * omega * (sin_half * sin_half)
     coupling = omega * np.sin(theta)
-    return half, drift / wb, coupling / wb, degenerate, coupling == 0.0
+    wb = np.where(wb == 0.0, 1.0, wb)
+    return half, drift / wb, coupling / wb, coupling == 0.0
 
 
 def _scalar_terms(p: DriveParams, t):
-    """cos, sin of wbar t/2, drift/wbar and coupling/wbar by ``math`` for scalar ``t``; None if degenerate."""
+    """cos, sin of wbar t/2, drift/wbar and coupling/wbar by ``math`` for scalar ``t``; a zero wbar divides as 1."""
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     wb = p.omega_bar
-    if wb < DEGENERATE_RTOL * max(p.omega0, p.omega):
-        return None
     half = 0.5 * wb * t
     if not math.isfinite(half):
         raise ValueError(_PHASE_RULE.format(t))
+    wb = wb or 1.0
     return math.cos(half), math.sin(half), p.drift / wb, p.coupling / wb
 
 
@@ -113,24 +106,22 @@ def probabilities(omega0, omega, theta, t):
 
     cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2) and its complement
     (coupling/wbar)^2 sin^2(wbar t/2), as arrays of the broadcast shape;
-    exactly 1 and 0 where the spin never flips (zero coupling or a
-    degenerate drive).
+    exactly 1 and 0 where the spin never flips (coupling = 0 or wbar = 0).
 
     Raises:
         ValueError: naming the parameter, unless every value is finite with
             omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0, and naming
             omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
     """
-    half, drift_ratio, coupling_ratio, degenerate, uncoupled = _broadcast_terms(omega0, omega, theta, t)
-    no_flip = degenerate | uncoupled
+    half, drift_ratio, coupling_ratio, uncoupled = _broadcast_terms(omega0, omega, theta, t)
     sin2 = np.sin(half)
     sin2 *= sin2
     survival = np.cos(half)  # built in place: one more live full-grid array re-faults heap pages per call
     survival *= survival
     survival += drift_ratio * drift_ratio * sin2  # sums of squares: rounding can only overshoot 1
     survival = np.minimum(survival, 1.0)
-    transition = np.minimum(coupling_ratio * coupling_ratio * sin2, 1.0)
-    return np.where(no_flip, 1.0, survival), np.where(no_flip, 0.0, transition)
+    transition = np.minimum(coupling_ratio * coupling_ratio * sin2, 1.0)  # exactly 0 at coupling = 0
+    return np.where(uncoupled, 1.0, survival), transition
 
 
 def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
@@ -140,13 +131,9 @@ def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
         ValueError: for negative or non-finite ``t``.
     """
     if isinstance(t, float) or np.ndim(t) == 0:
-        terms = _scalar_terms(p, t)
-        if terms is None:
-            return SpinAmplitudes(alpha=1.0 + 0.0j, beta=0.0j)
-        c, s, drift_ratio, coupling_ratio = terms
+        c, s, drift_ratio, coupling_ratio = _scalar_terms(p, t)
         return SpinAmplitudes(alpha=c + 1j * drift_ratio * s, beta=1j * coupling_ratio * s)
-    half, drift_ratio, coupling_ratio, degenerate, _ = _broadcast_terms(p.omega0, p.omega, p.theta, t)
-    half = np.where(degenerate, 0.0, half)  # phase 0: alpha = 1, beta = 0
+    half, drift_ratio, coupling_ratio, _ = _broadcast_terms(p.omega0, p.omega, p.theta, t)
     sin_half = np.sin(half)
     return SpinAmplitudes(alpha=np.cos(half) + 1j * drift_ratio * sin_half, beta=1j * coupling_ratio * sin_half)
 
@@ -155,15 +142,12 @@ def survival_probability(p: DriveParams, t):
     """Probability of still being a weak-field seeker at time ``t``.
 
     cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2); identically 1 when the
-    spin never flips (theta = 0, omega = 0, or a degenerate drive).
+    spin never flips (coupling = 0, i.e. theta = 0 or omega = 0, or wbar = 0).
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[0]
-    terms = _scalar_terms(p, t)
-    if terms is None or p.coupling == 0.0:
-        return 1.0
-    c, s, drift_ratio, _ = terms
-    return min(c * c + drift_ratio * drift_ratio * (s * s), 1.0)
+    c, s, drift_ratio, _ = _scalar_terms(p, t)
+    return 1.0 if p.coupling == 0.0 else min(c * c + drift_ratio * drift_ratio * (s * s), 1.0)
 
 
 def transition_probability(p: DriveParams, t):
@@ -174,10 +158,7 @@ def transition_probability(p: DriveParams, t):
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[1]
-    terms = _scalar_terms(p, t)
-    if terms is None or p.coupling == 0.0:
-        return 0.0
-    _, s, _, coupling_ratio = terms
+    _, s, _, coupling_ratio = _scalar_terms(p, t)
     return min(coupling_ratio * coupling_ratio * (s * s), 1.0)
 
 

@@ -134,7 +134,7 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
         idx += 1
     if idx == n:
         return out
-    h_min = 1e-14 * max(t_end, h_cap)
+    h_min = 1e-14 * t_end
     h = min(h_cap, t_end)
     while idx < n:
         remainder = t_end - t

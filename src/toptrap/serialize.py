@@ -103,8 +103,8 @@ class ChartSeries:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round tick positions covering [lo, hi] with a 1-2-5 step."""
-    if hi <= lo:
+    """Round tick positions covering [lo, hi] with a 1-2-5 step, at most TICKS + 1 of them."""
+    if hi - lo < 4 * TICKS * math.ulp(max(abs(lo), abs(hi))):  # also hi <= lo: too few floats between for round ticks
         return [lo]
     raw = (hi - lo) / (TICKS - 1)
     power = 10.0 ** math.floor(math.log10(raw))
@@ -115,7 +115,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
-    while value <= hi + 1e-9 * step:
+    while value <= hi + 1e-9 * step and len(ticks) <= TICKS:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return ticks

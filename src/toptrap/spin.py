@@ -38,12 +38,13 @@ def omega_bar_of(omega0, omega, theta):
     return np.hypot(omega0 - omega, 2.0 * np.sqrt(omega0 * omega) * np.sin(0.5 * theta))
 
 
-def check_omega_bar(wb, omega0, omega, quantity="omega_bar"):
-    """Raise ValueError naming the first omega0, omega whose ``quantity`` ``wb`` is not finite (omega_bar: omega0 * omega overflows)."""
-    bad = ~np.isfinite(wb)
+def check_finite(quantity, values, **inputs):
+    """Raise ValueError naming the ``inputs`` at the first point where ``quantity`` ``values`` is not finite
+    (omega_bar: omega0 * omega overflows)."""
+    bad = ~np.isfinite(values)
     if np.any(bad):
-        o0, om = (float(np.broadcast_to(v, np.shape(wb))[bad][0]) for v in (omega0, omega))
-        raise ValueError(f"omega0 and omega must keep {quantity} finite, got omega0 = {o0!r}, omega = {om!r}")
+        got = ", ".join(f"{name} = {float(np.broadcast_to(v, np.shape(values))[bad][0])!r}" for name, v in inputs.items())
+        raise ValueError(f"{' and '.join(inputs)} must keep {quantity} finite, got {got}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class DriveParams:
         s = 2.0 * math.sqrt(self.omega0 * self.omega) * math.sin(0.5 * self.theta)
         wb = float(np.hypot(self.omega0 - self.omega, s))
         if not math.isfinite(wb):
-            check_omega_bar(wb, self.omega0, self.omega)
+            check_finite("omega_bar", wb, omega0=self.omega0, omega=self.omega)
         return wb
 
     @cached_property

@@ -20,7 +20,7 @@ import numpy as np
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
 from .closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
-from .spin import DriveParams, check_omega_bar, omega_bar_of
+from .spin import DriveParams, check_finite, omega_bar_of
 
 AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
@@ -163,7 +163,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         inputs[a.name] = a.values.reshape((-1,) + (1,) * (len(shape) - k - 1))
     omega0, omega, theta, t, x = (inputs.get(name) for name in AXIS_NAMES)
     if omega0 is None and x is not None and omega is not None:
-        omega0 = x * omega
+        with np.errstate(over="ignore"):  # an overflowing product is named with x and omega below
+            omega0 = x * omega
+        check_finite("omega0 = x * omega", omega0, x=x, omega=omega)
 
     out = {a.name: inputs[a.name] for a in spec.axes}
     pair = ("survival", "transition")
@@ -183,12 +185,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 raise ValueError("resurrection undefined: omega must be > 0")
             with np.errstate(over="ignore"):  # a subnormal omega overflows x, named below
                 ratio = x if x is not None else omega0 / omega
-            check_omega_bar(ratio, omega0, omega, "x")
+            check_finite("x", ratio, omega0=omega0, omega=omega)
             out[q] = tau_of_ratio(ratio, theta)
         else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
             with np.errstate(all="ignore"):
                 out[q] = 0.5 * omega * np.sin(theta) / omega0 if q == "adiabaticity" else omega_bar_of(omega0, omega, theta)
-            check_omega_bar(out[q], omega0, omega, q)
+            check_finite(q, out[q], omega0=omega0, omega=omega)
 
     table = np.empty(shape + (len(out),))
     for j, values in enumerate(out.values()):

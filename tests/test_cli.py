@@ -198,6 +198,18 @@ class TestEvolve:
         assert code == EXIT_OK
         assert parse_csv(out).rows.shape == (11, 9)
 
+    def test_very_short_span_is_solved(self, capsys):
+        """A t-max below 1e-14 of the step cap once tripped the step-size floor at t = 0 (exit 3)."""
+        code, out, err = run(
+            ["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1", "--t-max", "1e-16", "--samples", "3", "--method", "all"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert err.startswith("max cross-method delta")
+        rows = parse_csv(out).rows
+        assert rows.shape == (3, 9)
+        np.testing.assert_allclose(rows[:, 1::2], 1.0, rtol=0, atol=1e-15)
+
     def test_overflowing_phase_is_usage_error(self, capsys):
         code, out, err = run(
             ["evolve", "--omega0", "1e10", "--omega", "1.5", "--theta", "1", "--t-max", "1e300", "--samples", "2"],
@@ -282,6 +294,17 @@ class TestTau:
         assert code == EXIT_USAGE
         assert "steps" in err and str(MAX_GRID_POINTS) in err
 
+
+    def test_ulp_wide_x_range_svg(self, tmp_path, capsys):
+        """An x range two ulps wide once sent the chart's tick loop round until memory ran out."""
+        out_path = tmp_path / "tau.svg"
+        code, _, _ = run(
+            ["tau", "--theta", "1", "--x-min", "1", "--x-max", "1.0000000000000002", "--steps", "2",
+             "--format", "svg", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert len(svg_curves(out_path)) == 1
 
     def test_svg_dashes_only_obtuse_angles(self, tmp_path, capsys):
         out_path = tmp_path / "tau.svg"

@@ -20,7 +20,7 @@ from toptrap.closed_form import (
     transition_probability,
 )
 from toptrap.geometry import confinement_advisor
-from toptrap.integrate import evolve_instantaneous_basis
+from toptrap.integrate import evolve_instantaneous_basis, evolve_rotating_frame
 from toptrap.spin import DriveParams
 from toptrap.sweep import Axis, SweepSpec, run_sweep
 
@@ -61,8 +61,8 @@ class TestAmplitudes:
 
     def test_subnormal_angle_near_degeneracy(self):
         # sin(theta/2) underflows to 0 here while sin(theta) does not, so
-        # omega_bar is exactly 0 with a non-zero coupling; the analytic
-        # limit must kick in instead of dividing by zero
+        # omega_bar is exactly 0 with a non-zero coupling; the phase wbar t/2
+        # is then 0, and the ratios, divided by 1 there, only multiply sin 0 = 0
         p = DriveParams(1.0, 1.0, 5e-324)
         assert p.omega_bar == 0.0 and p.coupling != 0.0
         assert survival_probability(p, 3.0) == 1.0
@@ -235,8 +235,32 @@ class TestKernelAgreement:
             drive = {**spec.fixed, **{a.name: result.column(a.name) for a in spec.axes}}
             cells = (drive["omega"] == p.omega) & (drive["theta"] == p.theta) & (drive["t"] == t)
             assert result.table[cells, -2:].tolist() == [expected] * int(np.sum(cells))
-        if p.coupling == 0.0 or p.omega_bar < 1e-12 * max(p.omega0, p.omega):
+        if p.coupling == 0.0 or p.omega_bar == 0.0:
             assert expected == [1.0, 0.0]
+
+    @hyp.given(
+        omega0=st.floats(0.1, 10.0),
+        detuning=st.one_of(st.just(0.0), st.floats(-1e-13, 1e-13)),
+        theta=st.one_of(st.just(0.0), st.floats(1e-300, 1e-12)),
+        phase=st.floats(0.0, 20.0),
+    )
+    # Below 1e-12 max(omega0, omega) the closed form once returned survival 1, transition 0.
+    @hyp.example(omega0=1.0, detuning=0.0, theta=1e-13, phase=math.pi)  # t about pi 1e13: a complete flip
+    @hyp.example(omega0=1.0, detuning=0.0, theta=1e-13, phase=1.0)  # t about 1e13: survival 0.770
+    @hyp.example(omega0=1.0, detuning=0.0, theta=5e-13, phase=20.0)
+    @hyp.example(omega0=2.0, detuning=0.0, theta=1e-300, phase=7.0)
+    @hyp.settings(max_examples=200, deadline=None)
+    def test_near_degenerate_drive_follows_the_route(self, omega0, detuning, theta, phase):
+        """0 < wbar < 1e-12 max(omega0, omega): every call shape matches the rotating-frame propagator."""
+        p = DriveParams(omega0, omega0 * (1.0 + detuning), theta)
+        hyp.assume(0.0 < p.omega_bar < 1e-12 * max(p.omega0, p.omega))
+        t = phase / p.omega_bar
+        route = evolve_rotating_frame(p, [t])
+        calls = [(survival_probability(p, ts), transition_probability(p, ts)) for ts in (t, np.array(t), np.array([[t, t]]))]
+        for survival, transition in calls + [probabilities(p.omega0, p.omega, p.theta, np.array([t]))]:
+            np.testing.assert_allclose(survival, route.survival[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(transition, route.transition[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.add(survival, transition), 1.0, rtol=0, atol=1e-14)
 
     def test_masks_apply_per_point(self):
         survival, transition = probabilities(

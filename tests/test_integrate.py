@@ -214,6 +214,15 @@ class TestFailureModes:
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    @pytest.mark.parametrize("t_end", [1e-16, 1e-300, 5e-324])
+    def test_very_short_span_is_solved(self, route, t_end):
+        """The step-size floor was 1e-14 of the step cap, above a whole span this short: underflow at t = 0."""
+        p = DriveParams(1.0, 1.5, 1.0)
+        series = route(p, [0.0, t_end])
+        np.testing.assert_allclose(series.survival, [1.0, survival_probability(p, t_end)], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(series.transition, [0.0, transition_probability(p, t_end)], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
     def test_step_bound_refuses_before_stepping(self, no_stepping, route):
         with pytest.raises(ValueError, match="steps"):
             route(DriveParams(1e6, 1.5e6, 1.0), [0.0, 1.0])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from toptrap.serialize import (
+    TICKS,
     ChartSeries,
     Table,
     parse_csv,
@@ -116,6 +117,23 @@ class TestSvg:
             y_back = y_hi - (py - top) / ph * (y_hi - y_lo)
             assert x_back == pytest.approx(x_expected, abs=1e-3)
             assert y_back == pytest.approx(y_expected, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([1.0, 1.0000000000000002], [0.0, 1.0]), ([0.0, 1.0], [0.9999999999999999, 1.0])],
+        ids=["x-axis", "y-axis"],
+    )
+    def test_ulp_wide_axis_gets_bounded_ticks(self, xs, ys):
+        """A tick step below half an ulp of the tick value once left the value in place, and the tick loop never ended."""
+        root = ET.fromstring(render_line_chart([ChartSeries("s", np.array(xs), np.array(ys))]))
+        left, top = float(root.get("data-plot-left")), float(root.get("data-plot-top"))
+        pw, ph = float(root.get("data-plot-width")), float(root.get("data-plot-height"))
+        lines = list(root.iter(f"{SVG_NS}line"))
+        x_ticks = [float(e.get("x1")) for e in lines if float(e.get("y2")) == top + ph + 5]
+        y_ticks = [float(e.get("y1")) for e in lines if float(e.get("x1")) == left - 5]
+        for ticks, lo, hi in ((x_ticks, left, left + pw), (y_ticks, top, top + ph)):
+            assert 1 <= len(ticks) <= TICKS + 1
+            assert all(lo <= v <= hi for v in ticks)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

@@ -275,6 +275,12 @@ class TestRunSweep:
                 Axis("omega", np.array([8e-237, 1.0])), {"omega0": 1.0, "theta": 1.0}, "tau", "x must keep (1 - x)^2 finite, got 1.25e+236",
                 id="tau-x-above-1e154",
             ),
+            # omega0 = x * omega overflows: named with x and omega, with no RuntimeWarning first.
+            pytest.param(
+                Axis("x", np.array([1e300, 1e301])), {"omega": 1e300, "theta": 1.0}, "survival",
+                "x and omega must keep omega0 = x * omega finite, got x = 1e+300, omega = 1e+300",
+                id="x-times-omega-overflows",
+            ),
         ],
     )
     def test_out_of_domain_drive_rejected(self, axis, fixed, quantity, message):
