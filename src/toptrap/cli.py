@@ -99,7 +99,6 @@ def _parser() -> argparse.ArgumentParser:
 def _output_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--out", default=None, help="output path; stdout when omitted (csv/json only)")
     sub.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    sub.add_argument("-v", "--verbose", action="store_true")
 
 
 def _report_flags(sub: argparse.ArgumentParser):
@@ -113,12 +112,6 @@ def _emit(text: str, out: str | None):
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _echo(args):
-    if getattr(args, "verbose", False):
-        pairs = {k: v for k, v in vars(args).items() if k not in ("command", "verbose")}
-        print(f"toptrap {args.command}: {pairs}", file=sys.stderr)
 
 
 def _emit_table(table: Table, args, series: list[ChartSeries], **labels):
@@ -226,8 +219,6 @@ def _cmd_tau(args) -> int:
         raise ValueError(f"steps must lie in [2, {MAX_GRID_POINTS}], got {args.steps}")
     if not (math.isfinite(args.x_min) and math.isfinite(args.x_max) and args.x_min < args.x_max):
         raise ValueError("x-min must be < x-max and finite")
-    if args.x_min < 0.0:
-        raise ValueError(f"x-min must be >= 0, got {args.x_min!r}")
     xs = np.linspace(args.x_min, args.x_max, args.steps)
     step = xs[1] - xs[0]
     curves = tau_of_ratio(xs, np.array(thetas)[:, None])
@@ -353,7 +344,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    _echo(args)
     try:
         return _HANDLERS[args.command](args)
     except (OracleMismatchError, IntegrityError, IntegrationError) as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, check_finite, omega_bar_of
+from .spin import DriveParams, check_domain, check_finite, omega_bar_of
 
 
 @dataclass(frozen=True)
@@ -49,31 +49,13 @@ class ResurrectionPoint:
     theta: float
 
 
-# (rule, test) per input of the kernels; nan and inf fail every test.
-_DOMAIN = {
-    "omega0": ("finite and > 0", lambda v: (v > 0.0) & (v < math.inf)),
-    "omega": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
-    "theta": ("in [0, pi]", lambda v: (v >= 0.0) & (v <= math.pi)),
-    "t": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
-    "x": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
-}
-
 _PHASE_RULE = "t must keep the phase wbar t/2 finite, got {!r}"
-
-
-def _checked(name, value):
-    """``value`` as a float array; a ValueError names ``name``, its rule and its first value outside it."""
-    rule, test = _DOMAIN[name]
-    v = np.asarray(value, dtype=float)
-    if not np.all(ok := test(v)):
-        raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
-    return v
 
 
 def _broadcast_terms(omega0, omega, theta, t):
     """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the zero-coupling mask;
     a zero wbar divides as 1, so there the ratios only multiply sin 0 = 0."""
-    omega0, omega, theta, t = map(_checked, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
+    omega0, omega, theta, t = map(check_domain, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar or phase raises instead
         wb = omega_bar_of(omega0, omega, theta)
         check_finite("omega_bar", wb, omega0=omega0, omega=omega)
@@ -92,7 +74,7 @@ def _scalar_terms(p: DriveParams, t):
     """cos, sin of wbar t/2, drift/wbar and coupling/wbar by ``math`` for scalar ``t``; a zero wbar divides as 1."""
     t = float(t)
     if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+        check_domain("t", t)
     wb = p.omega_bar
     half = 0.5 * wb * t
     if not math.isfinite(half):
@@ -173,8 +155,8 @@ def tau_of_ratio(x, theta):
         ValueError: naming x or theta unless x is finite and >= 0, theta in [0, pi]
             and (1 - x)^2 finite (x below about 1.3e154); at x = 1, theta = 0 (no flip).
     """
-    xs = _checked("x", x)
-    d, sin_half = 1.0 - xs, np.sin(0.5 * _checked("theta", theta))
+    xs = check_domain("x", x)
+    d, sin_half = 1.0 - xs, np.sin(0.5 * check_domain("theta", theta))
     with np.errstate(over="ignore"):  # an overflowing d * d raises below
         d2 = d * d + 4.0 * xs * (sin_half * sin_half)
     if not np.all(np.isfinite(d2)):

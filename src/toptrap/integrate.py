@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, eigensystem_at, hamiltonian_at
+from .spin import DriveParams, check_domain, eigensystem_at, finite_times, hamiltonian_at
 
 _MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
 _MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
@@ -185,13 +185,9 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
 
 
 def _check_grid(t_grid) -> np.ndarray:
-    ts = np.asarray(t_grid, dtype=float)
+    ts = check_domain("t", t_grid)
     if ts.ndim != 1 or len(ts) == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("t_grid must be finite")
-    if ts[0] < 0.0:
-        raise ValueError("t_grid must start at or after 0")
     if np.any(np.diff(ts) < 0.0):
         raise ValueError("t_grid must be ascending")
     return ts
@@ -288,9 +284,7 @@ def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:
     multiplies by diag(e^{-i omega t / 2}, e^{+i omega t / 2}).  An array
     ``t`` gives a stack of shape ``t.shape + (2, 2)``.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    t = finite_times(t)
     ax = p.omega0 * math.sin(p.theta)
     az = p.omega0 * math.cos(p.theta) - p.omega
     wb = math.hypot(ax, az)

@@ -21,6 +21,7 @@ that choice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,14 +29,42 @@ import numpy as np
 
 
 def omega_bar_of(omega0, omega, theta):
-    """Effective Rabi frequency sqrt(omega0^2 + omega^2 - 2 omega0 omega cos theta).
+    """Effective Rabi frequency sqrt(omega0^2 + omega^2 - 2 omega0 omega cos theta), broadcast.
 
     Evaluated as hypot(omega0 - omega, 2 sqrt(omega0 omega) sin(theta/2)),
     which is free of cancellation, symmetric under omega0 <-> omega, and
-    exactly zero iff omega0 == omega and theta == 0.  Accepts scalars or
-    broadcastable arrays.
+    exactly zero iff omega0 == omega and theta == 0; below the smallest normal
+    float (bits lost, or 0), sqrt(omega0 omega) is taken as sqrt(omega0) sqrt(omega).
     """
-    return np.hypot(omega0 - omega, 2.0 * np.sqrt(omega0 * omega) * np.sin(0.5 * theta))
+    product = np.multiply(omega0, omega)
+    root = np.where(product < sys.float_info.min, np.sqrt(omega0) * np.sqrt(omega), np.sqrt(product))
+    return np.hypot(omega0 - omega, 2.0 * root * np.sin(0.5 * theta))
+
+
+# The drive domain: (rule, test) per input; nan and inf fail every test.
+DOMAIN = {
+    "omega0": ("finite and > 0", lambda v: (v > 0.0) & (v < math.inf)),
+    "omega": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "theta": ("in [0, pi]", lambda v: (v >= 0.0) & (v <= math.pi)),
+    "t": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "x": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+}
+
+
+def check_domain(name, value):
+    """``value`` as a float array; a ValueError names ``name``, its DOMAIN rule and its first value outside it."""
+    return _require(name, *DOMAIN[name], np.asarray(value, dtype=float))
+
+
+def finite_times(t):
+    """``t`` as a float array; H(t) and U(t) hold at any sign of t, so only nan and inf are rejected."""
+    return _require("t", "finite", np.isfinite, np.asarray(t, dtype=float))
+
+
+def _require(name, rule, test, v):
+    if not np.all(ok := test(v)):
+        raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
+    return v
 
 
 def check_finite(quantity, values, **inputs):
@@ -62,17 +91,10 @@ class DriveParams:
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.omega0 + self.omega + self.theta):  # one test; the loop names a bad value
+        # DOMAIN's three rules as one chained test, the fast path; DOMAIN names a bad value.
+        if not (0.0 < self.omega0 < math.inf and 0.0 <= self.omega < math.inf and 0.0 <= self.theta <= math.pi):
             for name in ("omega0", "omega", "theta"):
-                value = getattr(self, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0!r}")
-        if self.omega < 0.0:
-            raise ValueError(f"omega must be >= 0, got {self.omega!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta out of [0, pi]: {self.theta!r}")
+                check_domain(name, getattr(self, name))
 
     @cached_property
     def omega_bar(self) -> float:
@@ -84,8 +106,9 @@ class DriveParams:
         Raises:
             ValueError: naming omega0 and omega where omega0 * omega overflows it.
         """
-        s = 2.0 * math.sqrt(self.omega0 * self.omega) * math.sin(0.5 * self.theta)
-        wb = float(np.hypot(self.omega0 - self.omega, s))
+        product = self.omega0 * self.omega
+        root = math.sqrt(product) if product >= sys.float_info.min else math.sqrt(self.omega0) * math.sqrt(self.omega)
+        wb = float(np.hypot(self.omega0 - self.omega, 2.0 * root * math.sin(0.5 * self.theta)))
         if not math.isfinite(wb):
             check_finite("omega_bar", wb, omega0=self.omega0, omega=self.omega)
         return wb
@@ -130,9 +153,7 @@ def hamiltonian_at(p: DriveParams, t) -> np.ndarray:
     Raises:
         ValueError: if any ``t`` is not finite.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    t = finite_times(t)
     diag = 0.5 * p.omega0 * math.cos(p.theta)
     off = 0.5 * p.omega0 * math.sin(p.theta) * (np.cos(p.omega * t) - 1j * np.sin(p.omega * t))
     h = np.empty(t.shape + (2, 2), dtype=complex)

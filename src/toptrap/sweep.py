@@ -20,7 +20,7 @@ import numpy as np
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
 from .closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
-from .spin import DriveParams, check_finite, omega_bar_of
+from .spin import DriveParams, check_domain, check_finite, omega_bar_of
 
 AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
@@ -148,19 +148,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid defined by ``spec``.
 
     Deterministic: identical specs give bit-identical tables.  Grids above
-    ``MAX_GRID_POINTS`` are refused.  With ``spec.oracle`` set, survival and
-    transition gain ``*_ode`` companion columns and an
-    :class:`OracleMismatchError` names the worst point if the agreement
-    bound ``ORACLE_TOL`` is violated.
+    ``MAX_GRID_POINTS`` are refused, and so, before any quantity, is an axis
+    (as a 1-d array) or fixed value outside ``spin.DOMAIN``.  With
+    ``spec.oracle`` set, survival and transition gain ``*_ode`` companion
+    columns and an :class:`OracleMismatchError` names the worst point if the
+    agreement bound ``ORACLE_TOL`` is violated.
     """
     shape = tuple(len(a.values) for a in spec.axes)
     n = math.prod(shape)
     if n > MAX_GRID_POINTS:
         raise ValueError(f"grid too large: {n} points exceeds the {MAX_GRID_POINTS} limit")
 
-    inputs = {name: float(value) for name, value in spec.fixed.items()}
+    inputs = {name: float(check_domain(name, value)) for name, value in spec.fixed.items()}
     for k, a in enumerate(spec.axes):
-        inputs[a.name] = a.values.reshape((-1,) + (1,) * (len(shape) - k - 1))
+        inputs[a.name] = check_domain(a.name, a.values).reshape((-1,) + (1,) * (len(shape) - k - 1))
     omega0, omega, theta, t, x = (inputs.get(name) for name in AXIS_NAMES)
     if omega0 is None and x is not None and omega is not None:
         with np.errstate(over="ignore"):  # an overflowing product is named with x and omega below

@@ -262,6 +262,26 @@ class TestKernelAgreement:
             np.testing.assert_allclose(transition, route.transition[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(np.add(survival, transition), 1.0, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("omega", [1e-200, 2e-200])
+    def test_underflowing_root_follows_the_route(self, omega):
+        """omega0 * omega = 1e-400 underflows to 0: wbar was 0 (no flip ever) or far too small (s + q = 1.42)."""
+        fixed = {"omega0": 1e-200, "omega": omega, "theta": 1.0}
+        p = DriveParams(**fixed)
+        ts = np.linspace(0.0, 2e201, 21)
+        route = evolve_rotating_frame(p, ts)
+        sweep = run_sweep(SweepSpec(axes=(Axis("t", ts),), quantities=("survival", "transition"), fixed=fixed))
+        calls = [
+            ([survival_probability(p, t) for t in ts.tolist()], [transition_probability(p, t) for t in ts.tolist()]),
+            (survival_probability(p, ts), transition_probability(p, ts)),
+            probabilities(p.omega0, p.omega, p.theta, ts),
+            (sweep.column("survival"), sweep.column("transition")),
+        ]
+        for survival, transition in calls:
+            np.testing.assert_allclose(survival, route.survival, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(transition, route.transition, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.add(survival, transition), 1.0, rtol=0, atol=1e-14)
+        assert np.min(route.survival) < 0.5  # the spin does flip
+
     def test_masks_apply_per_point(self):
         survival, transition = probabilities(
             np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.5, 0.0, 1.0, 1.5]), np.array([0.0, 1.0, 5e-324, 1.0]), 2.0

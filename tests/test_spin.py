@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -106,14 +107,14 @@ class TestDriveParams:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((math.nan, 1.0, 1.0), "omega0 must be finite, got nan"),
-            ((1.0, math.inf, 1.0), "omega must be finite, got inf"),
-            ((1.0, 1.0, -math.inf), "theta must be finite, got -inf"),
-            ((math.inf, -math.inf, 1.0), "omega0 must be finite, got inf"),
+            ((math.nan, 1.0, 1.0), "omega0 must be finite and > 0, got nan"),
+            ((1.0, math.inf, 1.0), "omega must be finite and >= 0, got inf"),
+            ((1.0, 1.0, -math.inf), "theta must be in [0, pi], got -inf"),
+            ((math.inf, -math.inf, 1.0), "omega0 must be finite and > 0, got inf"),
         ],
     )
     def test_non_finite_parameter_named(self, args, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DriveParams(*args)
 
     def test_finite_parameters_whose_sum_overflows_accepted(self):
