@@ -24,8 +24,8 @@ from .integrate import (
     evolve_rotating_frame,
 )
 from .serialize import ChartSeries, Table, render_line_chart, table_from_sweep, to_csv, to_json
-from .spin import DriveParams, adiabaticity_matrix_element, adiabaticity_parameter
-from .sweep import MAX_GRID_POINTS, OracleMismatchError, figure_dataset
+from .spin import FINITE, POSITIVE, DriveParams, adiabaticity_matrix_element, adiabaticity_parameter, check
+from .sweep import GRID_SIZE, OracleMismatchError, figure_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,10 +145,8 @@ def _theta_curves(thetas, x, ys) -> list[ChartSeries]:
 
 def _cmd_evolve(args) -> int:
     p = DriveParams(args.omega0, args.omega, args.theta)
-    if not 2 <= args.samples <= MAX_GRID_POINTS:
-        raise ValueError(f"samples must lie in [2, {MAX_GRID_POINTS}], got {args.samples}")
-    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
-        raise ValueError(f"t-max must be > 0, got {args.t_max!r}")
+    check("samples", *GRID_SIZE, args.samples)
+    check("t-max", *POSITIVE, args.t_max)
     settings = IntegratorSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     ts = np.linspace(0.0, args.t_max, args.samples)
 
@@ -212,13 +210,10 @@ def _pair(series):
 
 def _cmd_tau(args) -> int:
     thetas = list(args.theta)
-    for theta in thetas:
-        if not (math.isfinite(theta) and 0.0 < theta <= math.pi):
-            raise ValueError(f"theta must lie in (0, pi], got {theta!r}")
-    if not 2 <= args.steps <= MAX_GRID_POINTS:
-        raise ValueError(f"steps must lie in [2, {MAX_GRID_POINTS}], got {args.steps}")
-    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max) and args.x_min < args.x_max):
-        raise ValueError("x-min must be < x-max and finite")
+    check("theta", "in (0, pi]", lambda v: (v > 0.0) & (v <= math.pi), thetas)
+    check("steps", *GRID_SIZE, args.steps)
+    check("x-min", *FINITE, args.x_min)
+    check("x-max", f"finite and > x-min = {args.x_min!r}", lambda v: (v > args.x_min) & (v < math.inf), args.x_max)
     xs = np.linspace(args.x_min, args.x_max, args.steps)
     step = xs[1] - xs[0]
     curves = tau_of_ratio(xs, np.array(thetas)[:, None])
@@ -277,8 +272,7 @@ def _cmd_adiabatic(args) -> int:
     p = DriveParams(args.omega0, args.omega, args.theta)
     parameter = adiabaticity_parameter(p)
     element = adiabaticity_matrix_element(p, args.t, args.dt)
-    if not (math.isfinite(args.threshold) and args.threshold > 0.0):
-        raise ValueError(f"threshold must be > 0, got {args.threshold!r}")
+    check("threshold", *POSITIVE, args.threshold)
     adiabatic = parameter < args.threshold
     fields = {
         "omega0": args.omega0,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, check_domain, check_finite, omega_bar_of
+from .spin import DriveParams, check, check_domain, check_finite, omega_bar_of
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,7 @@ def tau_extremum(theta: float) -> tuple[float, float] | None:
     Raises:
         ValueError: for theta outside the open interval (0, pi).
     """
-    if not (math.isfinite(theta) and 0.0 < theta < math.pi):
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
+    check("theta", "in (0, pi)", lambda v: (v > 0.0) & (v < math.pi), theta)
     if theta > 0.5 * math.pi:
         return None
     return (math.cos(theta), 1.0 / math.sin(theta))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams
+from .spin import FINITE, POSITIVE, DriveParams, check, check_finite
 
 #: Fields smaller than this fraction of b0 count as "on the circle of death".
 ZERO_FIELD_RTOL = 1e-12
@@ -52,14 +52,8 @@ class TrapConfig:
 
     def __post_init__(self):
         for name in ("a0", "b0", "omega", "gamma", "mu", "mass"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("a0", "b0", "omega", "mu", "mass"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.gamma == 0.0:
-            raise ValueError("gamma must be non-zero")
+            rule = ("finite and != 0", lambda v: np.isfinite(v) & (v != 0.0)) if name == "gamma" else POSITIVE
+            check(name, *rule, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,18 @@ class FieldVector:
     bz: float
 
     def magnitude(self) -> float:
-        return math.sqrt(self.bx**2 + self.by**2 + self.bz**2)
+        return _magnitude(self.bx, self.by, self.bz)
+
+
+def _magnitude(bx: float, by: float, bz: float) -> float:
+    """sqrt(bx**2 + by**2 + bz**2); a ValueError naming bx, by and bz where it overflows."""
+    try:
+        b = math.sqrt(bx**2 + by**2 + bz**2)
+    except OverflowError:  # float powers raise where numpy returns inf
+        b = math.inf
+    if b == math.inf:
+        check_finite("|B|", b, bx=bx, by=by, bz=bz)
+    return b
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,9 @@ class ConfinementReport:
 
 def _components(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[float, float, float]:
     """Field components (bx, by, bz) of :func:`field_at` as a tuple, without building a FieldVector."""
-    for name, value in (("x", x), ("y", y), ("z", z), ("t", t)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(x + y + z + t):  # one test for the four; a finite sum that overflows passes below
+        for name, value in (("x", x), ("y", y), ("z", z), ("t", t)):
+            check(name, *FINITE, value)
     return c.a0 * x + c.b0 * math.cos(c.omega * t), c.a0 * y + c.b0 * math.sin(c.omega * t), -2.0 * c.a0 * z
 
 
@@ -126,13 +131,20 @@ def circle_of_death_radius(c: TrapConfig) -> float:
 
 
 def spring_constant(c: TrapConfig) -> float:
-    """Restoring-force constant mu * a0^2 / (2 b0), N/m."""
-    return c.mu * c.a0**2 / (2.0 * c.b0)
+    """Restoring-force constant mu * a0^2 / (2 b0), N/m; a ValueError naming mu, a0 and b0 where it overflows."""
+    try:
+        k = c.mu * c.a0**2 / (2.0 * c.b0)
+    except OverflowError:  # of a0**2
+        k = math.inf
+    check_finite("k", k, mu=c.mu, a0=c.a0, b0=c.b0)
+    return k
 
 
 def oscillation_frequency(c: TrapConfig) -> float:
-    """Cloud oscillation frequency sqrt(k/m) about the field minimum, rad/s."""
-    return math.sqrt(spring_constant(c) / c.mass)
+    """Cloud oscillation frequency sqrt(k/m) about the field minimum, rad/s; a ValueError where it overflows."""
+    osc = math.sqrt(spring_constant(c) / c.mass)
+    check_finite("omega_osc", osc, mu=c.mu, a0=c.a0, b0=c.b0, mass=c.mass)
+    return osc
 
 
 def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> float:
@@ -140,10 +152,10 @@ def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> fl
 
     Raises:
         ValueError: on (or numerically at) the circle of death, where the
-            field magnitude vanishes and the Larmor frequency is undefined.
+            field magnitude vanishes and the Larmor frequency is undefined,
+            and naming the field components where the magnitude overflows.
     """
-    bx, by, bz = _components(c, x, y, z, t)
-    b = math.sqrt(bx**2 + by**2 + bz**2)  # FieldVector.magnitude, bit for bit
+    b = _magnitude(*_components(c, x, y, z, t))
     if b <= ZERO_FIELD_RTOL * c.b0:
         raise ValueError("Larmor frequency undefined at field zero")
     return abs(c.gamma) * b
@@ -153,10 +165,11 @@ def field_angle_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) 
     """Polar angle arccos(Bz/|B|) of the field at (x, y, z); pi/2 anywhere in z = 0.
 
     Raises:
-        ValueError: at the field zero, where the direction is undefined.
+        ValueError: at the field zero, where the direction is undefined, and
+            naming the field components where the magnitude overflows.
     """
     bx, by, bz = _components(c, x, y, z, t)
-    b = math.sqrt(bx**2 + by**2 + bz**2)  # FieldVector.magnitude, bit for bit
+    b = _magnitude(bx, by, bz)
     if b <= ZERO_FIELD_RTOL * c.b0:
         raise ValueError("field angle undefined at field zero")
     return math.acos(bz / b)
@@ -169,8 +182,7 @@ def hierarchy_check(c: TrapConfig, margin: float = 10.0) -> HierarchyReport:
     hierarchy is the conventional sufficient trapping condition; the spin
     dynamics elsewhere in this package quantifies when it can be relaxed.
     """
-    if not (math.isfinite(margin) and margin >= 1.0):
-        raise ValueError(f"margin must be >= 1, got {margin!r}")
+    check("margin", "finite and >= 1", lambda v: (v >= 1.0) & (v < math.inf), margin)
     osc = oscillation_frequency(c)
     omega0_ref = abs(c.gamma) * c.b0
     ratio_low = c.omega / osc
@@ -198,8 +210,8 @@ def confinement_advisor(p: DriveParams, escape_time: float) -> ConfinementReport
         escape_time: user-supplied time for a strong-field seeker to leave
             the trap region, seconds; no kinematic model is assumed.
     """
-    if not (math.isfinite(escape_time) and escape_time > 0.0):
-        raise ValueError(f"escape_time must be > 0, got {escape_time!r}")
+    if not 0.0 < escape_time < math.inf:
+        check("escape_time", *POSITIVE, escape_time)
     if p.coupling == 0.0 or p.omega_bar == 0.0:
         return ConfinementReport(
             confined=True, escape_time=escape_time, resurrection_time=math.inf, ratio=0.0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, check_domain, eigensystem_at, finite_times, hamiltonian_at
+from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, eigensystem_at, hamiltonian_at
 
 _MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
 _MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
@@ -55,12 +55,8 @@ class IntegratorSettings:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if self.abs_tol > self.rel_tol:
-            raise ValueError(f"abs_tol ({self.abs_tol!r}) must not exceed rel_tol ({self.rel_tol!r})")
+        check("rel_tol", *POSITIVE, self.rel_tol)
+        check("abs_tol", "in (0, rel_tol]", lambda v: (v > 0.0) & (v <= self.rel_tol), self.abs_tol)
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, p: DriveParams
 
 def _norm_guard(survival, transition, ts, s: IntegratorSettings, label: str):
     dev = np.max(np.abs(survival + transition - 1.0))
-    if dev > 10.0 * s.rel_tol:
+    if not dev <= 10.0 * s.rel_tol:  # a NaN sample fails too
         worst = float(ts[int(np.argmax(np.abs(survival + transition - 1.0)))])
         raise IntegrationError(f"{label}: norm deviation {dev:.3e} exceeds 10*rel_tol", worst)
 
@@ -284,7 +280,7 @@ def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:
     multiplies by diag(e^{-i omega t / 2}, e^{+i omega t / 2}).  An array
     ``t`` gives a stack of shape ``t.shape + (2, 2)``.
     """
-    t = finite_times(t)
+    t = check("t", *FINITE, t)
     ax = p.omega0 * math.sin(p.theta)
     az = p.omega0 * math.cos(p.theta) - p.omega
     wb = math.hypot(ax, az)

@@ -41,30 +41,31 @@ def omega_bar_of(omega0, omega, theta):
     return np.hypot(omega0 - omega, 2.0 * root * np.sin(0.5 * theta))
 
 
-# The drive domain: (rule, test) per input; nan and inf fail every test.
+# Named (rule, test) pairs for check, then the drive domain: a rule per input; nan fails every test.
+FINITE = ("finite", np.isfinite)
+POSITIVE = ("finite and > 0", lambda v: (v > 0.0) & (v < math.inf))
+NON_NEGATIVE = ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf))
 DOMAIN = {
-    "omega0": ("finite and > 0", lambda v: (v > 0.0) & (v < math.inf)),
-    "omega": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "omega0": POSITIVE,
+    "omega": NON_NEGATIVE,
     "theta": ("in [0, pi]", lambda v: (v >= 0.0) & (v <= math.pi)),
-    "t": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
-    "x": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "t": NON_NEGATIVE,
+    "x": NON_NEGATIVE,
 }
+
+
+def check(name, rule, test, value):
+    """``value`` as a float array; a ValueError reads ``<name> must be <rule>, got <first bad value>``."""
+    is_int = isinstance(value, int)  # tested as an int: it prints as one, and one too large for a float is still named
+    v = value if is_int else np.asarray(value, dtype=float)
+    if not np.all(ok := test(v)):
+        raise ValueError(f"{name} must be {rule}, got {value if is_int else float(v[~ok][0])!r}")
+    return np.asarray(v, dtype=float)
 
 
 def check_domain(name, value):
     """``value`` as a float array; a ValueError names ``name``, its DOMAIN rule and its first value outside it."""
-    return _require(name, *DOMAIN[name], np.asarray(value, dtype=float))
-
-
-def finite_times(t):
-    """``t`` as a float array; H(t) and U(t) hold at any sign of t, so only nan and inf are rejected."""
-    return _require("t", "finite", np.isfinite, np.asarray(t, dtype=float))
-
-
-def _require(name, rule, test, v):
-    if not np.all(ok := test(v)):
-        raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
-    return v
+    return check(name, *DOMAIN[name], value)
 
 
 def check_finite(quantity, values, **inputs):
@@ -153,7 +154,7 @@ def hamiltonian_at(p: DriveParams, t) -> np.ndarray:
     Raises:
         ValueError: if any ``t`` is not finite.
     """
-    t = finite_times(t)
+    t = check("t", *FINITE, t)
     diag = 0.5 * p.omega0 * math.cos(p.theta)
     off = 0.5 * p.omega0 * math.sin(p.theta) * (np.cos(p.omega * t) - 1j * np.sin(p.omega * t))
     h = np.empty(t.shape + (2, 2), dtype=complex)
@@ -229,8 +230,7 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
     """
     if dt is None:
         dt = default_fd_step(p)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    check("dt", *POSITIVE, dt)
     with np.errstate(all="ignore"):  # an overflow shows as the non-finite result checked below
         h_dot = (hamiltonian_at(p, t + dt) - hamiltonian_at(p, t - dt)) / (2.0 * dt)
         pair = eigensystem_at(p, t)

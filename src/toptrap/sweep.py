@@ -20,11 +20,12 @@ import numpy as np
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
 from .closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
-from .spin import DriveParams, check_domain, check_finite, omega_bar_of
+from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, omega_bar_of
 
 AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
 MAX_GRID_POINTS = 10_000_000
+GRID_SIZE = (f"in [2, {MAX_GRID_POINTS}]", lambda n: (n >= 2) & (n <= MAX_GRID_POINTS))  # points on one axis or t grid
 ORACLE_TOL = 1e-8
 
 
@@ -45,28 +46,24 @@ class Axis:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or len(values) < 2:
             raise ValueError(f"axis {self.name!r} needs at least 2 values")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"axis {self.name!r} has non-finite values")
+        check(self.name, *FINITE, values)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def linear(cls, name: str, start: float, stop: float, steps: int) -> "Axis":
-        cls._check_range(name, start, stop, steps)
+        cls._check_range(name, start, stop, steps, FINITE)
         return cls(name, np.linspace(start, stop, steps))
 
     @classmethod
     def log(cls, name: str, start: float, stop: float, steps: int) -> "Axis":
-        cls._check_range(name, start, stop, steps)
-        if start <= 0.0:
-            raise ValueError(f"axis {name!r}: a log axis needs start > 0")
+        cls._check_range(name, start, stop, steps, POSITIVE)
         return cls(name, np.geomspace(start, stop, steps))
 
     @staticmethod
-    def _check_range(name, start, stop, steps):
-        if steps < 2:
-            raise ValueError(f"axis {name!r} needs steps >= 2, got {steps}")
-        if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
-            raise ValueError(f"axis {name!r} needs finite start < stop")
+    def _check_range(name, start, stop, steps, start_rule):
+        check(f"axis {name!r} steps", *GRID_SIZE, steps)
+        check(f"axis {name!r} start", *start_rule, start)
+        check(f"axis {name!r} stop", f"finite and > start = {start!r}", lambda v: (v > start) & (v < math.inf), stop)
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,7 @@ class SweepSpec:
                 raise ValueError(f"unknown fixed parameter {name!r}")
             if name in axis_names:
                 raise ValueError(f"{name!r} is both an axis and a fixed parameter")
-            if not math.isfinite(value):
-                raise ValueError(f"fixed parameter {name!r} must be finite")
+            check(name, *FINITE, value)
         provided = set(axis_names) | set(self.fixed)
         if "x" in provided and "omega0" in provided:
             raise ValueError("give either x = omega0/omega or omega0, not both")
@@ -189,6 +185,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             check_finite("x", ratio, omega0=omega0, omega=omega)
             out[q] = tau_of_ratio(ratio, theta)
         else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
+            if x is not None:  # omega0 = x * omega is checked only here: tau may take x = 0
+                check_domain("omega0", omega0)
             with np.errstate(all="ignore"):
                 out[q] = 0.5 * omega * np.sin(theta) / omega0 if q == "adiabaticity" else omega_bar_of(omega0, omega, theta)
             check_finite(q, out[q], omega0=omega0, omega=omega)

@@ -508,6 +508,19 @@ class TestGeometry:
         assert "mass" in err
 
 
+    @pytest.mark.parametrize(
+        "a0, b0, message",
+        [
+            ("1e200", "1", "mu and a0 and b0 must keep k finite, got mu = 1.0, a0 = 1e+200, b0 = 1.0"),
+            ("1", "1e-320", "mu and a0 and b0 must keep k finite, got mu = 1.0, a0 = 1.0, b0 = 1e-320"),
+        ],
+    )
+    def test_overflowing_scale_is_usage_error(self, a0, b0, message, capsys):
+        argv = ["geometry", "--a0", a0, "--b0", b0, "--omega", "1", "--gamma", "1", "--mu", "1", "--mass", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK

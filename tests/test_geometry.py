@@ -1,12 +1,14 @@
 """Tests for the trap field, derived scales and the confinement verdict."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from toptrap.geometry import (
     ConfinementReport,
+    FieldVector,
     TrapConfig,
     circle_of_death_radius,
     confinement_advisor,
@@ -185,6 +187,44 @@ class TestLarmorAndAngle:
             larmor_at(CONFIG, x, y, 0.0)
         with pytest.raises(ValueError, match="^field angle undefined at field zero$"):
             field_angle_at(CONFIG, x, y, 0.0)
+
+
+class TestOverflow:
+    """A trap or point whose field or scales overflow is a ValueError naming the inputs, not an
+    OverflowError from a float square nor an infinite result."""
+
+    UNIT = TrapConfig(a0=1.0, b0=1.0, omega=1.0, gamma=1.0, mu=1.0, mass=1.0)
+
+    @pytest.mark.parametrize(
+        "call, got",
+        [
+            (lambda c: larmor_at(c, 1e200, 0.0, 0.0), "bx = 1e+200, by = 0.0, bz = -0.0"),
+            (lambda c: field_angle_at(c, 1e200, 0.0, 0.0), "bx = 1e+200, by = 0.0, bz = -0.0"),
+            (lambda c: FieldVector(1e200, 0.0, -0.0).magnitude(), "bx = 1e+200, by = 0.0, bz = -0.0"),
+            # each square is finite, their sum is not
+            (lambda c: FieldVector(1e154, 1e154, 0.0).magnitude(), "bx = 1e+154, by = 1e+154, bz = 0.0"),
+        ],
+    )
+    def test_field_magnitude(self, call, got):
+        with pytest.raises(ValueError, match=f"^bx and by and bz must keep \\|B\\| finite, got {re.escape(got)}$"):
+            call(self.UNIT)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"a0": 1e200}, "mu and a0 and b0 must keep k finite, got mu = 1.0, a0 = 1e+200, b0 = 1.0"),
+            ({"b0": 1e-320}, "mu and a0 and b0 must keep k finite, got mu = 1.0, a0 = 1.0, b0 = 1e-320"),
+            (
+                {"mass": 1e-320},
+                "mu and a0 and b0 and mass must keep omega_osc finite, got mu = 1.0, a0 = 1.0, b0 = 1.0, mass = 1e-320",
+            ),
+        ],
+    )
+    def test_trap_scales(self, changes, message):
+        config = TrapConfig(**{**vars(self.UNIT), **changes})
+        for call in (oscillation_frequency, hierarchy_check) + ((spring_constant,) if "mass" not in changes else ()):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(config)
 
 
 class TestHierarchy:

@@ -200,6 +200,25 @@ class TestFailureModes:
         with pytest.raises(IntegrationError, match="norm deviation"):
             _norm_guard(bad, np.zeros(2), np.array([0.0, 1.0]), settings, "test")
 
+    def test_norm_guard_trips_on_nan(self):
+        with pytest.raises(IntegrationError, match="norm deviation nan"):
+            _norm_guard(np.array([math.nan]), np.array([0.0]), np.array([0.0]), IntegratorSettings(), "test")
+
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    def test_nan_sample_fails_the_route(self, monkeypatch, route):
+        """A stepper that hands back one NaN sample trips either ODE route's norm guard, at that sample."""
+        stepper = integrate._integrate_dp45
+
+        def one_nan(*args):
+            out = stepper(*args)
+            out[:, 1] = math.nan
+            return out
+
+        monkeypatch.setattr(integrate, "_integrate_dp45", one_nan)
+        with pytest.raises(IntegrationError, match="norm deviation nan") as err:
+            route(DriveParams(1.0, 1.5, 1.0), np.array([0.0, 1.0, 2.0]))
+        assert err.value.t == 1.0
+
     def test_last_step_takes_the_whole_remainder(self):
         """Ten steps of 0.2 sum to a few ulp short of 2; the tenth must still arrive at 2."""
         calls = 0

@@ -1,0 +1,161 @@
+"""The value rules outside the drive domain: every one is raised by ``spin.check`` in one format.
+
+A value outside its rule reads ``<name> must be <rule>, got <value>``.  Each case below gives the entry
+point, the bad value and the exact message.  Library cases also require the innermost traceback frame to
+be ``spin.check``, so a hand-written copy of a rule fails here; CLI cases require exit 2 and
+``toptrap: <message>`` on stderr.  The boundary values each rule must still accept close the file.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from toptrap import spin
+from toptrap.cli import EXIT_OK, EXIT_USAGE, main
+from toptrap.closed_form import tau_extremum
+from toptrap.geometry import TrapConfig, confinement_advisor, field_angle_at, field_at, hierarchy_check, larmor_at
+from toptrap.integrate import IntegratorSettings, rotating_frame_propagator
+from toptrap.spin import DriveParams, adiabaticity_matrix_element, check, hamiltonian_at
+from toptrap.sweep import GRID_SIZE, MAX_GRID_POINTS, Axis, SweepSpec
+
+TRAP = {"a0": 1.0, "b0": 1e-3, "omega": 4.4e4, "gamma": 4.4e10, "mu": 9.274e-24, "mass": 1.443e-25}
+CONFIG = TrapConfig(**TRAP)
+POINT = {"x": 1e-4, "y": 0.0, "z": 0.0, "t": 0.0}
+P = DriveParams(1.0, 1.5, 1.0)
+GRID_RULE = f"in [2, {MAX_GRID_POINTS}]"
+
+# (entry point, call with the value under test, name, rule, values outside the rule besides nan and inf)
+LIBRARY = [
+    ("IntegratorSettings", lambda v: IntegratorSettings(rel_tol=v), "rel_tol", "finite and > 0", [0.0, -1e-10]),
+    ("IntegratorSettings", lambda v: IntegratorSettings(abs_tol=v), "abs_tol", "in (0, rel_tol]", [0.0, 2e-10]),
+    ("hamiltonian_at", lambda v: hamiltonian_at(P, v), "t", "finite", [-math.inf]),
+    ("rotating_frame_propagator", lambda v: rotating_frame_propagator(P, np.array([1.0, v])), "t", "finite", [-math.inf]),
+    *(
+        ("TrapConfig", lambda v, n=n: TrapConfig(**{**TRAP, n: v}), n, "finite and > 0", [0.0, -1.0])
+        for n in ("a0", "b0", "omega", "mu", "mass")
+    ),
+    ("TrapConfig", lambda v: TrapConfig(**{**TRAP, "gamma": v}), "gamma", "finite and != 0", [0.0, -math.inf]),
+    *(
+        (call.__name__, lambda v, n=n, call=call: call(CONFIG, **{**POINT, n: v}), n, "finite", [-math.inf])
+        for call in (field_at, larmor_at, field_angle_at)
+        for n in POINT
+    ),
+    ("hierarchy_check", lambda v: hierarchy_check(CONFIG, v), "margin", "finite and >= 1", [0.5]),
+    ("confinement_advisor", lambda v: confinement_advisor(P, v), "escape_time", "finite and > 0", [0.0, -1.0]),
+    ("adiabaticity_matrix_element", lambda v: adiabaticity_matrix_element(P, 0.0, v), "dt", "finite and > 0", [0.0]),
+    ("tau_extremum", tau_extremum, "theta", "in (0, pi)", [0.0, math.pi]),
+    ("Axis", lambda v: Axis("theta", [0.5, v]), "theta", "finite", [-math.inf]),
+    ("Axis.linear", lambda v: Axis.linear("t", 0.0, 1.0, v), "axis 't' steps", GRID_RULE, [1, MAX_GRID_POINTS + 1]),
+    ("Axis.linear", lambda v: Axis.linear("t", v, 1.0, 3), "axis 't' start", "finite", [-math.inf]),
+    ("Axis.linear", lambda v: Axis.linear("t", 0.5, v, 3), "axis 't' stop", "finite and > start = 0.5", [0.5, 0.0]),
+    ("Axis.log", lambda v: Axis.log("omega", v, 1.0, 3), "axis 'omega' start", "finite and > 0", [0.0]),
+    ("SweepSpec", lambda v: SweepSpec(quantities=("tau",), fixed={"x": 1.0, "theta": v}), "theta", "finite", [-math.inf]),
+]
+
+EVOLVE = ["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1", "--t-max", "2", "--samples", "3"]
+ADIABATIC = ["adiabatic", "--omega0", "1", "--omega", "1.5", "--theta", "1"]
+GEOMETRY = ["geometry"] + [arg for name, value in TRAP.items() for arg in (f"--{name}", repr(value))]
+
+# (command line, flag, name, rule, values outside the rule besides nan and inf; ints for an int flag)
+CLI = [
+    (EVOLVE, "--samples", "samples", GRID_RULE, [1, MAX_GRID_POINTS + 1]),
+    (EVOLVE, "--t-max", "t-max", "finite and > 0", [0.0]),
+    (EVOLVE, "--rel-tol", "rel_tol", "finite and > 0", [0.0]),
+    (EVOLVE, "--abs-tol", "abs_tol", "in (0, rel_tol]", [1e-9]),
+    (["tau", "--theta", "1"], "--theta", "theta", "in (0, pi]", [0.0, 3.2]),
+    (["tau", "--theta", "1"], "--steps", "steps", GRID_RULE, [1]),
+    (["tau", "--theta", "1"], "--x-min", "x-min", "finite", [-math.inf]),
+    (["tau", "--theta", "1", "--x-min", "2"], "--x-max", "x-max", "finite and > x-min = 2.0", [1.0, 2.0]),
+    (ADIABATIC, "--threshold", "threshold", "finite and > 0", [0.0]),
+    (ADIABATIC, "--dt", "dt", "finite and > 0", [-1e-3]),
+    (ADIABATIC, "--t", "t", "finite", [-math.inf]),
+    (GEOMETRY, "--margin", "margin", "finite and >= 1", [0.5]),
+    (GEOMETRY, "--gamma", "gamma", "finite and != 0", [0.0]),
+    (GEOMETRY, "--mass", "mass", "finite and > 0", [-1.0]),
+]
+
+
+def _cases(table):
+    """One case per bad value: nan and inf for a float rule, then the rule's own values."""
+    for entry, call, name, rule, values in table:
+        non_finite = [] if isinstance(values[0], int) else [math.nan, math.inf]
+        for value in non_finite + values:
+            yield pytest.param(call, value, f"{name} must be {rule}, got {value!r}", id=f"{entry}-{name}={value!r}")
+
+
+def _innermost_code(tb):
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code
+
+
+@pytest.mark.parametrize("call, value, message", _cases(LIBRARY))
+def test_library_rule_raised_by_check(call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call(value)
+    assert _innermost_code(err.tb) is spin.check.__code__
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    _cases(
+        (f"{argv[0]} {flag}", lambda v, argv=argv, flag=flag: main(argv + [f"{flag}={v!r}"]), *rest)
+        for argv, flag, *rest in CLI
+    ),
+)
+def test_cli_rule_is_usage_error(call, value, message, capsys):
+    assert call(value) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"toptrap: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: hierarchy_check(CONFIG, 1.0), id="margin=1"),
+        pytest.param(lambda: IntegratorSettings(rel_tol=1e-10, abs_tol=1e-10), id="abs_tol=rel_tol"),
+        pytest.param(lambda: tau_extremum(math.nextafter(math.pi, 0.0)), id="tau_extremum-theta-below-pi"),
+        pytest.param(lambda: Axis.linear("t", 0.0, 1.0, 2), id="Axis.linear-steps=2"),
+        pytest.param(lambda: Axis.log("omega", 5e-324, 1.0, 2), id="Axis.log-start=5e-324"),
+        pytest.param(lambda: check("samples", *GRID_SIZE, MAX_GRID_POINTS), id="samples=MAX_GRID_POINTS"),
+    ],
+)
+def test_library_boundary_accepted(call):
+    call()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["tau", "--theta", repr(math.pi), "--steps", "5"], id="tau-theta=pi"),
+        pytest.param(EVOLVE[:-1] + ["2"], id="samples=2"),
+        pytest.param(EVOLVE + ["--rel-tol", "1e-10", "--abs-tol", "1e-10", "--method", "ode"], id="abs_tol=rel_tol"),
+        pytest.param(GEOMETRY + ["--margin", "1"], id="margin=1"),
+    ],
+)
+def test_cli_boundary_accepted(argv, capsys):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out
+
+
+def test_int_is_tested_as_an_int_and_returned_as_a_float_array():
+    with pytest.raises(ValueError, match=f"^samples must be {re.escape(GRID_RULE)}, got {10**400}$"):
+        check("samples", *GRID_SIZE, 10**400)
+    assert check("samples", *GRID_SIZE, 2).dtype == np.float64
+    assert np.array_equal(hamiltonian_at(P, 1), hamiltonian_at(P, 1.0))
+
+
+def test_cli_samples_at_the_grid_limit_reach_the_grid(monkeypatch):
+    """--samples MAX_GRID_POINTS passes the rule: the run gets as far as building its time grid."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(np, "linspace", reached)
+    with pytest.raises(Reached):
+        main(EVOLVE[:-1] + [str(MAX_GRID_POINTS)])

@@ -261,6 +261,14 @@ class TestRunSweep:
                 Axis.linear("x", 0.0, 2.0, 5), {"omega": 1.5, "theta": 1.0}, "survival", "omega0 must be finite and > 0, got 0.0",
                 id="axis1-fixed1-omega0",
             ),
+            # omega0 = x * omega is 0 at x = 0: only tau may take it.
+            *(
+                pytest.param(
+                    Axis.linear("x", 0.0, 2.0, 5), {"omega": 1.5, "theta": 1.0}, q, "omega0 must be finite and > 0, got 0.0",
+                    id=f"{q}-derived-omega0",
+                )
+                for q in ("adiabaticity", "omega_bar")
+            ),
             pytest.param(
                 Axis.linear("theta", 0.0, 4.0, 9), {"omega0": 1.0, "omega": 1.5}, "tau", "theta must be in [0, pi], got 3.5",
                 id="tau-theta",
@@ -307,6 +315,8 @@ def reference_sweep(spec):
     pair = ("survival", "transition")
     closed = dict(zip(pair, probabilities(omega0, omega, theta, t))) if set(pair) & set(spec.quantities) else {}
     for q in spec.quantities:
+        if q in ("adiabaticity", "omega_bar") and not np.all(omega0 > 0.0):
+            raise ValueError(f"omega0 must be finite and > 0, got {float(omega0[~(omega0 > 0.0)][0])!r}")
         if q in pair:
             values = closed[q]
         elif q == "tau":
