@@ -157,7 +157,7 @@ def tau_of_ratio(x, theta):
     """
     xs = check_domain("x", x)
     d, sin_half = 1.0 - xs, np.sin(0.5 * check_domain("theta", theta))
-    with np.errstate(over="ignore"):  # an overflowing d * d raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # d * d or 4 x overflowing (inf * 0 at theta = 0) raises below
         d2 = d * d + 4.0 * xs * (sin_half * sin_half)
     if not np.all(np.isfinite(d2)):
         raise ValueError(f"x must keep (1 - x)^2 finite, got {float(np.broadcast_to(xs, d2.shape)[~np.isfinite(d2)][0])!r}")

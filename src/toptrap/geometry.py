@@ -108,10 +108,12 @@ class ConfinementReport:
 
 def _components(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[float, float, float]:
     """Field components (bx, by, bz) of :func:`field_at` as a tuple, without building a FieldVector."""
-    if not math.isfinite(x + y + z + t):  # one test for the four; a finite sum that overflows passes below
+    phase = c.omega * t
+    if not math.isfinite(x + y + z + phase):  # one test for x, y, z, t and omega t; an overflowing sum passes below
         for name, value in (("x", x), ("y", y), ("z", z), ("t", t)):
             check(name, *FINITE, value)
-    return c.a0 * x + c.b0 * math.cos(c.omega * t), c.a0 * y + c.b0 * math.sin(c.omega * t), -2.0 * c.a0 * z
+        check_finite("the phase omega t", phase, omega=c.omega, t=t)
+    return c.a0 * x + c.b0 * math.cos(phase), c.a0 * y + c.b0 * math.sin(phase), -2.0 * c.a0 * z
 
 
 def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVector:
@@ -126,8 +128,10 @@ def zero_locus(c: TrapConfig, t: float) -> np.ndarray:
 
 
 def circle_of_death_radius(c: TrapConfig) -> float:
-    """Radius b0/a0 of the circle traced by the field zero, metres."""
-    return c.b0 / c.a0
+    """Radius b0/a0 of the circle traced by the field zero, metres; a ValueError naming b0 and a0 where it overflows."""
+    r0 = c.b0 / c.a0
+    check_finite("r0", r0, b0=c.b0, a0=c.a0)
+    return r0
 
 
 def spring_constant(c: TrapConfig) -> float:
@@ -185,7 +189,8 @@ def hierarchy_check(c: TrapConfig, margin: float = 10.0) -> HierarchyReport:
     check("margin", "finite and >= 1", lambda v: (v >= 1.0) & (v < math.inf), margin)
     osc = oscillation_frequency(c)
     omega0_ref = abs(c.gamma) * c.b0
-    ratio_low = c.omega / osc
+    ratio_low = c.omega / osc if osc else math.inf  # omega_osc underflows to 0 where mu a0^2 / (2 b0 mass) does
+    check_finite("omega/omega_osc", ratio_low, omega=c.omega, mu=c.mu, a0=c.a0, b0=c.b0, mass=c.mass)
     ratio_high = omega0_ref / c.omega
     return HierarchyReport(
         omega_osc=osc,

@@ -28,6 +28,7 @@ from .sweep import SweepResult
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 720, 480  # chart size, px
 TICKS = 6  # tick count aimed at per axis
+_AXIS = '{\n      "name": %s,\n      "values": %s\n    }'  # one "axes" entry in the json.dumps(indent=2) layout
 
 
 @dataclass
@@ -53,43 +54,52 @@ def to_csv(table: Table) -> str:
     for key, value in table.params.items():
         lines.append(f"# {key} = {value}")
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    fmt = ",".join(["%.17g"] * table.rows.shape[1])
+    lines.extend(fmt % tuple(row) for row in table.rows.tolist())
     return "\n".join(lines) + "\n"
 
 
 def parse_csv(text: str) -> Table:
-    """Inverse of :func:`to_csv`; header-echo values come back as strings."""
+    """Inverse of :func:`to_csv`; header-echo values come back as strings, and a row of the wrong width is a ValueError."""
     params = {}
     columns: tuple[str, ...] | None = None
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
+    lines = []
+    for number, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            key, equals, value = line[1:].partition("=")
+            if equals:
                 params[key.strip()] = value.strip()
+        elif not line.strip():
             continue
-        if columns is None:
+        elif columns is None:
             columns = tuple(part.strip() for part in line.split(","))
-            continue
-        rows.append([float(part) for part in line.split(",")])
+        elif line.count(",") != len(columns) - 1:
+            raise ValueError(f"CSV line {number} has {line.count(',') + 1} fields, the header has {len(columns)}")
+        else:
+            lines.append(line)
     if columns is None:
         raise ValueError("no column header found in CSV text")
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
-    return Table(columns=columns, rows=data, params=params)
+    data = np.array(list(map(float, ",".join(lines).split(","))) if lines else [], dtype=float)
+    return Table(columns=columns, rows=data.reshape(len(lines), len(columns)), params=params)
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """Formatted ``items`` in the ``json.dumps(indent=2)`` layout of an array whose brackets sit at ``indent``."""
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+
+
+def _json_floats(items: list, template: str, indent: str) -> str:
+    """:func:`_json_array` of ``template % item`` per item; repr's nan and inf become json's NaN and Infinity."""
+    return _json_array([template % item for item in items], indent).replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def to_json(table: Table) -> str:
-    payload = {
-        "params": {**{"tool": f"toptrap {__version__}"}, **table.params},
-        "axes": [{"name": name, "values": np.asarray(v).tolist()} for name, v in table.axes],
-        "columns": list(table.columns),
-        "data": table.rows.tolist(),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` of the schema above; floats are written by ``repr``, as json writes them."""
+    params = json.dumps({"tool": f"toptrap {__version__}", **table.params}, indent=2).replace("\n", "\n  ")
+    columns = json.dumps(list(table.columns), indent=2).replace("\n", "\n  ")
+    axes = [_AXIS % (json.dumps(name), _json_floats(np.asarray(v).tolist(), "%r", "      ")) for name, v in table.axes]
+    data = _json_floats(list(map(tuple, table.rows.tolist())), _json_array(["%r"] * table.rows.shape[1], "    "), "  ")
+    return f'{{\n  "params": {params},\n  "axes": {_json_array(axes, "  ")},\n  "columns": {columns},\n  "data": {data}\n}}\n'
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def render_line_chart(
             "stroke": PALETTE[k % len(PALETTE)],
             "stroke-width": "1.5",
             "class": "curve",
-            "points": " ".join(f"{px(xv):.3f},{py(yv):.3f}" for xv, yv in zip(s.x, s.y)),
+            "points": " ".join(map("%.3f,%.3f".__mod__, zip(px(s.x).tolist(), py(s.y).tolist()))),
         }
         if s.dash:
             attrs["stroke-dasharray"] = s.dash

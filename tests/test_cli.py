@@ -12,10 +12,11 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from test_serialize import reference_csv, reference_json
 from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from toptrap.closed_form import survival_probability, tau_of_ratio, transition_probability
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
-from toptrap.serialize import parse_csv
+from toptrap.serialize import Table, parse_csv, table_from_sweep
 from toptrap.spin import DriveParams
 from toptrap.sweep import MAX_GRID_POINTS, figure_dataset
 
@@ -444,6 +445,82 @@ class TestDifferential:
                 (rot.survival, rot.transition),
             ]
         assert_bit_identical(outputs(argv), columns, np.column_stack([ts, *(col for pair in pairs for col in pair)]))
+
+
+def fig_result(which):
+    result = figure_dataset(which)
+    thetas, inner = (axis.values for axis in result.axes)
+    curves = result.column("tau" if which == "fig3" else "survival").reshape(len(thetas), len(inner))
+    return table_from_sweep(result), [(inner, y) for y in curves]
+
+
+def tau_result():
+    thetas, xs = (0.7, 2.2), np.linspace(0.0, 4.0, 101)
+    curves = [tau_of_ratio(xs, theta) for theta in thetas]
+    rows = np.vstack([np.column_stack([xs, np.full_like(xs, theta), y]) for theta, y in zip(thetas, curves)])
+    params = {"command": "tau", "theta": "0.7,2.2", "x_min": 0.0, "x_max": 4.0, "steps": 101}
+    return Table(("x", "theta", "tau"), rows, params, (("x", xs),)), [(xs, y) for y in curves]
+
+
+def evolve_all_result():
+    p, ts = DriveParams(1.0, 1.5, 1.2), np.linspace(0.0, 12.0, 301)
+    pairs = {"closed": (survival_probability(p, ts), transition_probability(p, ts))}
+    for name, route in (("ode", evolve_instantaneous_basis), ("lab", evolve_lab_frame), ("rot", evolve_rotating_frame)):
+        series = route(p, ts)
+        pairs[name] = (series.survival, series.transition)
+    columns = ("t",) + tuple(f"{q}_{name}" for name in pairs for q in ("survival", "transition"))
+    rows = np.column_stack([ts, *(column for pair in pairs.values() for column in pair)])
+    params = {
+        "command": "evolve", "omega0": 1.0, "omega": 1.5, "theta": 1.2, "t_max": 12.0, "samples": 301,
+        "method": "all", "rel_tol": 1e-10, "abs_tol": 1e-12,
+    }
+    return Table(columns, rows, params, (("t", ts),)), [(ts, pair[0]) for pair in pairs.values()]
+
+
+# (command line, library table and chart curves it must write)
+PINNED = {
+    "fig1": (["fig", "fig1"], lambda: fig_result("fig1")),
+    "fig2": (["fig", "fig2"], lambda: fig_result("fig2")),
+    "fig3": (["fig", "fig3"], lambda: fig_result("fig3")),
+    "tau": (["tau", "--theta", "0.7", "--theta", "2.2", "--steps", "101"], tau_result),
+    "evolve-all": (
+        ["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1.2", "--t-max", "12", "--samples", "301",
+         "--method", "all"],
+        evolve_all_result,
+    ),
+}
+
+
+class TestBytes:
+    """Table and chart output equals the per-value reference writers applied to the library result."""
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_csv_and_json(self, name, capsys):
+        argv, library = PINNED[name]
+        table, _ = library()
+        for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
+            code, out, _ = run(argv + ["--format", fmt], capsys)
+            assert code == EXIT_OK
+            # compared as lines: pytest's diff of two long unequal strings takes minutes
+            assert out.splitlines(keepends=True) == reference(table).splitlines(keepends=True)
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_svg_polyline_points(self, name, tmp_path, capsys):
+        argv, library = PINNED[name]
+        _, curves = library()
+        path = tmp_path / "chart.svg"
+        assert run(argv + ["--format", "svg", "--out", str(path)], capsys)[0] == EXIT_OK
+        root = ET.fromstring(path.read_text())
+        keys = ("x-min", "x-max", "y-min", "y-max", "plot-left", "plot-top", "plot-width", "plot-height")
+        x_lo, x_hi, y_lo, y_hi, left, top, width, height = (float(root.get(f"data-{key}")) for key in keys)
+        want = [
+            " ".join(
+                f"{left + (x - x_lo) / (x_hi - x_lo) * width:.3f},{top + (y_hi - y) / (y_hi - y_lo) * height:.3f}"
+                for x, y in zip(xs.tolist(), ys.tolist())
+            )
+            for xs, ys in curves
+        ]
+        assert [line.get("points") for line in root.iter(f"{SVG_NS}polyline")] == want
 
 
 class TestAdiabatic:

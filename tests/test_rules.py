@@ -3,7 +3,9 @@
 A value outside its rule reads ``<name> must be <rule>, got <value>``.  Each case below gives the entry
 point, the bad value and the exact message.  Library cases also require the innermost traceback frame to
 be ``spin.check``, so a hand-written copy of a rule fails here; CLI cases require exit 2 and
-``toptrap: <message>`` on stderr.  The boundary values each rule must still accept close the file.
+``toptrap: <message>`` on stderr.  Trap scales that valid inputs push out of the float range are raised
+the same way by ``spin.check_finite``, which names the inputs.  The boundary values each rule must still
+accept close the file.
 """
 
 import math
@@ -77,6 +79,30 @@ CLI = [
 ]
 
 
+# Derived scales that leave the float range, raised by spin.check_finite naming the inputs: (call, exact message)
+SCALE_LIBRARY = [
+    pytest.param(
+        lambda call=call: call(TrapConfig(1, 1, 1e300, 1, 1, 1), x=0.0, y=0.0, z=0.0, t=1e300),
+        "omega and t must keep the phase omega t finite, got omega = 1e+300, t = 1e+300",
+        id=f"{call.__name__}-omega-t",
+    )
+    for call in (field_at, larmor_at, field_angle_at)
+]
+SCALE_CLI = [
+    pytest.param(
+        "--a0 1e-100 --b0 1 --omega 1 --gamma 1 --mu 1e-300 --mass 1",
+        "omega and mu and a0 and b0 and mass must keep omega/omega_osc finite, "
+        "got omega = 1.0, mu = 1e-300, a0 = 1e-100, b0 = 1.0, mass = 1.0",
+        id="omega_osc-underflows",
+    ),
+    pytest.param(
+        "--a0 1e-150 --b0 1e160 --omega 1 --gamma 1 --mu 1e300 --mass 1 --format json",
+        "b0 and a0 must keep r0 finite, got b0 = 1e+160, a0 = 1e-150",
+        id="r0-overflows",
+    ),
+]
+
+
 def _cases(table):
     """One case per bad value: nan and inf for a float rule, then the rule's own values."""
     for entry, call, name, rule, values in table:
@@ -107,6 +133,20 @@ def test_library_rule_raised_by_check(call, value, message):
 )
 def test_cli_rule_is_usage_error(call, value, message, capsys):
     assert call(value) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"toptrap: {message}\n")
+
+
+@pytest.mark.parametrize("call, message", SCALE_LIBRARY)
+def test_library_scale_raised_by_check_finite(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert _innermost_code(err.tb) is spin.check_finite.__code__
+
+
+@pytest.mark.parametrize("flags, message", SCALE_CLI)
+def test_cli_scale_is_usage_error(flags, message, capsys):
+    assert main(["geometry", *flags.split()]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"toptrap: {message}\n")
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import re
 from xml.etree import ElementTree as ET
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis.extra.numpy import arrays
 
+from toptrap import __version__
 from toptrap.serialize import (
     TICKS,
     ChartSeries,
@@ -21,6 +26,52 @@ from toptrap.sweep import figure_dataset
 
 RNG = np.random.default_rng(3)
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def reference_csv(table):
+    """The CSV text :func:`to_csv` must write: one ``f"{v:.17g}"`` per value."""
+    lines = [f"# toptrap {__version__}", *(f"# {key} = {value}" for key, value in table.params.items())]
+    lines.append(",".join(table.columns))
+    lines += [",".join(f"{v:.17g}" for v in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(table):
+    """The JSON text :func:`to_json` must write: ``json.dumps(indent=2)`` of the whole payload."""
+    payload = {
+        "params": {"tool": f"toptrap {__version__}", **table.params},
+        "axes": [{"name": name, "values": np.asarray(v).tolist()} for name, v in table.axes],
+        "columns": list(table.columns),
+        "data": table.rows.tolist(),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Names spelt like repr's non-finite floats must come through the writers untouched.
+NAMES = st.one_of(st.sampled_from(["nan", "inf", "-inf", "info"]), st.text(alphabet="abinfNI_", min_size=1, max_size=6))
+FLOATS = st.floats(width=64)  # every float64: +-0.0, subnormals, +-1e308, NaN and +-inf
+
+
+@st.composite
+def tables(draw):
+    """0-50 rows by 1-6 columns of any float64, with 0-2 axes of 0-50 values and a few params."""
+    rows = draw(arrays(np.float64, st.tuples(st.integers(0, 50), st.integers(1, 6)), elements=FLOATS))
+    columns = draw(st.lists(NAMES, min_size=rows.shape[1], max_size=rows.shape[1]))
+    axes = draw(st.lists(st.tuples(NAMES, arrays(np.float64, st.integers(0, 50), elements=FLOATS)), max_size=2))
+    params = draw(st.dictionaries(NAMES, st.one_of(FLOATS, st.integers(), NAMES), max_size=3))
+    return Table(columns=tuple(columns), rows=rows, params=params, axes=tuple(axes))
+
+
+@hyp.given(table=tables())
+@hyp.settings(max_examples=300, deadline=None)
+def test_writers_match_the_reference_bytes_and_round_trip(table):
+    assert to_csv(table) == reference_csv(table)
+    assert to_json(table) == reference_json(table)
+    back = parse_csv(to_csv(table)).rows
+    nan = np.isnan(table.rows)
+    assert back.shape == table.rows.shape
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back.view(np.uint64)[~nan], table.rows.view(np.uint64)[~nan])
 
 
 def tricky_table():
@@ -39,6 +90,7 @@ class TestCsv:
         table = tricky_table()
         back = parse_csv(to_csv(table))
         assert back.columns == table.columns
+        assert back.params == {"omega0": "1.0", "note": "x"}
         assert np.array_equal(back.rows, table.rows)
 
     def test_round_trip_random(self):
@@ -57,6 +109,18 @@ class TestCsv:
     def test_parse_requires_header(self):
         with pytest.raises(ValueError):
             parse_csv("# only comments\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,c\n1,2\n3,4\n", "CSV line 2 has 2 fields, the header has 3"),
+            ("# toptrap 0\n\na,b\n1,2\n3,4,5\n", "CSV line 5 has 3 fields, the header has 2"),
+        ],
+        ids=["narrower-than-header", "ragged"],
+    )
+    def test_row_width_must_match_header(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_csv(text)
 
 
 class TestJson:

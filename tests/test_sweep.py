@@ -374,6 +374,14 @@ class TestBroadcastGrid:
     @hyp.example(spec=SweepSpec(axes=(Axis("theta", np.array([0.5, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "omega": 0.0}))
     @hyp.example(spec=SweepSpec(quantities=("tau",), fixed={"omega0": 1.0, "omega": 2.225073858507203e-309, "theta": 0.0}))
     @hyp.example(spec=SweepSpec(axes=(Axis("omega", np.array([8e-237, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "theta": 1.0}))
+    # x = 9e307: 4 x overflows, and times sin(0) = 0 it once warned "invalid value" before the ValueError.
+    @hyp.example(
+        spec=SweepSpec(
+            axes=(Axis("theta", np.array([0.0, 1.0])), Axis("omega", np.array([1.1125369292536007e-308, 1.0]))),
+            quantities=("tau",),
+            fixed={"omega0": 1.0, "t": 0.0},
+        )
+    )
     @hyp.settings(max_examples=300, deadline=None)
     def test_bit_identical_to_meshgrid(self, spec):
         try:
