@@ -49,9 +49,6 @@ class ResurrectionPoint:
     theta: float
 
 
-_PHASE_RULE = "t must keep the phase wbar t/2 finite, got {!r}"
-
-
 def _broadcast_terms(omega0, omega, theta, t):
     """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the zero-coupling mask;
     a zero wbar divides as 1, so there the ratios only multiply sin 0 = 0."""
@@ -60,9 +57,7 @@ def _broadcast_terms(omega0, omega, theta, t):
         wb = omega_bar_of(omega0, omega, theta)
         check_finite("omega_bar", wb, omega0=omega0, omega=omega)
         half = 0.5 * wb * t
-    finite = np.isfinite(half)
-    if not np.all(finite):
-        raise ValueError(_PHASE_RULE.format(float(np.broadcast_to(t, half.shape)[~finite][0])))
+    check_finite("the phase wbar t/2", half, t=t)
     sin_half = np.sin(0.5 * theta)
     drift = (omega0 - omega) + 2.0 * omega * (sin_half * sin_half)
     coupling = omega * np.sin(theta)
@@ -78,7 +73,7 @@ def _scalar_terms(p: DriveParams, t):
     wb = p.omega_bar
     half = 0.5 * wb * t
     if not math.isfinite(half):
-        raise ValueError(_PHASE_RULE.format(t))
+        check_finite("the phase wbar t/2", half, t=t)
     wb = wb or 1.0
     return math.cos(half), math.sin(half), p.drift / wb, p.coupling / wb
 
@@ -159,8 +154,7 @@ def tau_of_ratio(x, theta):
     d, sin_half = 1.0 - xs, np.sin(0.5 * check_domain("theta", theta))
     with np.errstate(over="ignore", invalid="ignore"):  # d * d or 4 x overflowing (inf * 0 at theta = 0) raises below
         d2 = d * d + 4.0 * xs * (sin_half * sin_half)
-    if not np.all(np.isfinite(d2)):
-        raise ValueError(f"x must keep (1 - x)^2 finite, got {float(np.broadcast_to(xs, d2.shape)[~np.isfinite(d2)][0])!r}")
+    check_finite("(1 - x)^2", d2, x=xs)
     if np.any(d2 == 0.0):
         raise ValueError("resurrection undefined: no flip occurs (omega0 == omega, theta == 0)")
     tau = 1.0 / np.sqrt(d2)

@@ -69,11 +69,8 @@ class FieldVector:
 
 
 def _magnitude(bx: float, by: float, bz: float) -> float:
-    """sqrt(bx**2 + by**2 + bz**2); a ValueError naming bx, by and bz where it overflows."""
-    try:
-        b = math.sqrt(bx**2 + by**2 + bz**2)
-    except OverflowError:  # float powers raise where numpy returns inf
-        b = math.inf
+    """sqrt(bx^2 + by^2 + bz^2); a ValueError naming bx, by and bz where it overflows."""
+    b = math.sqrt(bx * bx + by * by + bz * bz)
     if b == math.inf:
         check_finite("|B|", b, bx=bx, by=by, bz=bz)
     return b
@@ -124,6 +121,7 @@ def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVect
 def zero_locus(c: TrapConfig, t: float) -> np.ndarray:
     """Position of the instantaneous field zero: radius b0/a0, opposite the bias."""
     r0 = circle_of_death_radius(c)
+    _components(c, 0.0, 0.0, 0.0, t)  # names a bad t or omega t as field_at does
     return np.array([-r0 * math.cos(c.omega * t), -r0 * math.sin(c.omega * t), 0.0])
 
 
@@ -136,10 +134,7 @@ def circle_of_death_radius(c: TrapConfig) -> float:
 
 def spring_constant(c: TrapConfig) -> float:
     """Restoring-force constant mu * a0^2 / (2 b0), N/m; a ValueError naming mu, a0 and b0 where it overflows."""
-    try:
-        k = c.mu * c.a0**2 / (2.0 * c.b0)
-    except OverflowError:  # of a0**2
-        k = math.inf
+    k = c.mu * (c.a0 * c.a0) / (2.0 * c.b0)
     check_finite("k", k, mu=c.mu, a0=c.a0, b0=c.b0)
     return k
 
@@ -189,9 +184,11 @@ def hierarchy_check(c: TrapConfig, margin: float = 10.0) -> HierarchyReport:
     check("margin", "finite and >= 1", lambda v: (v >= 1.0) & (v < math.inf), margin)
     osc = oscillation_frequency(c)
     omega0_ref = abs(c.gamma) * c.b0
+    check_finite("omega0_ref", omega0_ref, gamma=c.gamma, b0=c.b0)
     ratio_low = c.omega / osc if osc else math.inf  # omega_osc underflows to 0 where mu a0^2 / (2 b0 mass) does
     check_finite("omega/omega_osc", ratio_low, omega=c.omega, mu=c.mu, a0=c.a0, b0=c.b0, mass=c.mass)
     ratio_high = omega0_ref / c.omega
+    check_finite("omega0_ref/omega", ratio_high, gamma=c.gamma, b0=c.b0, omega=c.omega)
     return HierarchyReport(
         omega_osc=osc,
         omega=c.omega,

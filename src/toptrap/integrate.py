@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, eigensystem_at, hamiltonian_at
+from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, eigensystem_at, hamiltonian_at
 
 _MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
 _MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
@@ -277,18 +277,22 @@ def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:
     static 0.5 * (omega0 sin(theta) sigma_x + (omega0 cos(theta) - omega) sigma_z),
     whose exponential follows from the Rodrigues expansion
     exp(-i a (m.sigma)) = cos(a) I - i sin(a) (m.sigma); transforming back
-    multiplies by diag(e^{-i omega t / 2}, e^{+i omega t / 2}).  An array
-    ``t`` gives a stack of shape ``t.shape + (2, 2)``.
+    multiplies by diag(e^{-i omega t / 2}, e^{+i omega t / 2}).  An array ``t`` gives a stack
+    of shape ``t.shape + (2, 2)``; an overflowing phase is a ValueError naming the inputs.
     """
     t = check("t", *FINITE, t)
     ax = p.omega0 * math.sin(p.theta)
     az = p.omega0 * math.cos(p.theta) - p.omega
     wb = math.hypot(ax, az)
-    # m.sigma for the unit axis m; with wb == 0 the sine vanishes, so any axis does
-    m_sigma = np.array([[az, ax], [ax, -az]]) / wb if wb > 0.0 else np.zeros((2, 2))
-    half = 0.5 * wb * t
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite wb or phase is named below
+        # m.sigma for the unit axis m; with wb == 0 the sine vanishes, so any axis does
+        m_sigma = np.array([[az, ax], [ax, -az]]) / wb if wb > 0.0 else np.zeros((2, 2))
+        half = 0.5 * wb * t
+        phase = p.omega * t
+    check_finite("the phase wbar t/2", half, omega0=p.omega0, omega=p.omega, t=t)
+    check_finite("the phase omega t", phase, omega=p.omega, t=t)
     core = np.multiply.outer(np.cos(half), np.eye(2)) - 1j * np.multiply.outer(np.sin(half), m_sigma)
-    frame = np.exp(-0.5j * p.omega * np.stack([t, -t], axis=-1))
+    frame = np.exp(-0.5j * np.stack([phase, -phase], axis=-1))
     return frame[..., :, None] * core
 
 

@@ -152,11 +152,14 @@ def hamiltonian_at(p: DriveParams, t) -> np.ndarray:
             stack of shape ``t.shape + (2, 2)``.
 
     Raises:
-        ValueError: if any ``t`` is not finite.
+        ValueError: if any ``t`` is not finite, and naming omega and t where the phase omega t overflows.
     """
     t = check("t", *FINITE, t)
+    with np.errstate(over="ignore"):
+        phase = p.omega * t
+    check_finite("the phase omega t", phase, omega=p.omega, t=t)
     diag = 0.5 * p.omega0 * math.cos(p.theta)
-    off = 0.5 * p.omega0 * math.sin(p.theta) * (np.cos(p.omega * t) - 1j * np.sin(p.omega * t))
+    off = 0.5 * p.omega0 * math.sin(p.theta) * (np.cos(phase) - 1j * np.sin(phase))
     h = np.empty(t.shape + (2, 2), dtype=complex)
     h[..., 0, 0] = diag
     h[..., 0, 1] = off
@@ -225,21 +228,19 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         dt: finite-difference step; defaults to :func:`default_fd_step`.
 
     Raises:
-        ValueError: if ``dt`` is not a positive finite number, or if the
-            squared gap or the result is not finite.
+        ValueError: if ``dt`` is not a positive finite number, naming omega0 where the
+            squared gap overflows, and omega0, omega and dt where the matrix element does.
     """
     if dt is None:
         dt = default_fd_step(p)
     check("dt", *POSITIVE, dt)
-    with np.errstate(all="ignore"):  # an overflow shows as the non-finite result checked below
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, named below
         h_dot = (hamiltonian_at(p, t + dt) - hamiltonian_at(p, t - dt)) / (2.0 * dt)
         pair = eigensystem_at(p, t)
         element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))
         gap = pair.value_plus - pair.value_minus
-        try:
-            result = float(element / gap**2)
-        except OverflowError:  # of gap**2: float powers raise where numpy returns inf
-            result = math.inf
-    if not math.isfinite(result):
-        raise ValueError(f"the squared gap or the matrix element is not finite at omega0 = {p.omega0!r}")
+        gap2 = gap * gap
+        result = float(element / gap2)
+    check_finite("the squared gap", gap2, omega0=p.omega0)  # first: an infinite gap2 makes the result 0
+    check_finite("the matrix element", result, omega0=p.omega0, omega=p.omega, dt=dt)
     return result

@@ -288,7 +288,24 @@ class TestTau:
         code, out, err = run(["tau", "--theta", "1", "--x-max", "1e200"], capsys)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == "toptrap: x must keep (1 - x)^2 finite, got 2.5e+197\n"
+        assert err == "toptrap: x must keep (1 - x)^2 finite, got x = 2.5e+197\n"
+
+    def test_peak_tied_on_a_narrow_window(self, capsys):
+        """tau is flat to rounding on a window 1e-11 wide around x* = cos(1), so np.argmax returns the first
+        of many tied grid points, far from x*; a tied point within one step of x* passes."""
+        code, out, _ = run(
+            ["tau", "--theta", "1", "--x-min", "0.54030230586", "--x-max", "0.54030230587", "--steps", "401"], capsys
+        )
+        assert code == EXIT_OK
+        assert parse_csv(out).rows.shape == (401, 3)
+
+    def test_displaced_peak_is_integrity_failure(self, monkeypatch, capsys):
+        """A tau curve whose peak sits five grid steps from the analytic x* exits 3."""
+        step = 4.0 / 400
+        monkeypatch.setattr("toptrap.cli.tau_of_ratio", lambda x, theta: tau_of_ratio(x + 5 * step, theta))
+        code, out, err = run(["tau", "--theta", "1"], capsys)
+        assert (code, out) == (EXIT_INTEGRITY, "")
+        assert "disagrees with analytic x* 0.540302 by more than one grid step 0.01" in err
 
     def test_steps_capped_before_allocation(self, no_grids, capsys):
         code, _, err = run(["tau", "--theta", "1.0", "--steps", str(MAX_GRID_POINTS + 1)], capsys)

@@ -3,8 +3,9 @@
 A value outside its rule reads ``<name> must be <rule>, got <value>``.  Each case below gives the entry
 point, the bad value and the exact message.  Library cases also require the innermost traceback frame to
 be ``spin.check``, so a hand-written copy of a rule fails here; CLI cases require exit 2 and
-``toptrap: <message>`` on stderr.  Trap scales that valid inputs push out of the float range are raised
-the same way by ``spin.check_finite``, which names the inputs.  The boundary values each rule must still
+``toptrap: <message>`` on stderr.  Derived values that valid inputs push out of the float range (phases,
+field magnitudes, trap scales, the matrix element) are raised the same way by ``spin.check_finite`` as
+``<inputs> must keep <quantity> finite, got <name> = <value>``.  The boundary values each rule must still
 accept close the file.
 """
 
@@ -16,9 +17,19 @@ import pytest
 
 from toptrap import spin
 from toptrap.cli import EXIT_OK, EXIT_USAGE, main
-from toptrap.closed_form import tau_extremum
-from toptrap.geometry import TrapConfig, confinement_advisor, field_angle_at, field_at, hierarchy_check, larmor_at
-from toptrap.integrate import IntegratorSettings, rotating_frame_propagator
+from toptrap.closed_form import probabilities, survival_probability, tau_extremum, tau_of_ratio
+from toptrap.geometry import (
+    FieldVector,
+    TrapConfig,
+    confinement_advisor,
+    field_angle_at,
+    field_at,
+    hierarchy_check,
+    larmor_at,
+    spring_constant,
+    zero_locus,
+)
+from toptrap.integrate import IntegratorSettings, evolve_rotating_frame, rotating_frame_propagator
 from toptrap.spin import DriveParams, adiabaticity_matrix_element, check, hamiltonian_at
 from toptrap.sweep import GRID_SIZE, MAX_GRID_POINTS, Axis, SweepSpec
 
@@ -44,6 +55,7 @@ LIBRARY = [
         for call in (field_at, larmor_at, field_angle_at)
         for n in POINT
     ),
+    ("zero_locus", lambda v: zero_locus(CONFIG, v), "t", "finite", [-math.inf]),
     ("hierarchy_check", lambda v: hierarchy_check(CONFIG, v), "margin", "finite and >= 1", [0.5]),
     ("confinement_advisor", lambda v: confinement_advisor(P, v), "escape_time", "finite and > 0", [0.0, -1.0]),
     ("adiabaticity_matrix_element", lambda v: adiabaticity_matrix_element(P, 0.0, v), "dt", "finite and > 0", [0.0]),
@@ -79,14 +91,65 @@ CLI = [
 ]
 
 
-# Derived scales that leave the float range, raised by spin.check_finite naming the inputs: (call, exact message)
+PHASE_OMEGA_T = "omega and t must keep the phase omega t finite, got omega = {}, t = {}"
+PHASE_WBAR_T = "t must keep the phase wbar t/2 finite, got t = 1e+300"
+
+# Derived values that leave the float range, raised by spin.check_finite naming the inputs: (call, exact message)
 SCALE_LIBRARY = [
+    *(
+        pytest.param(
+            lambda call=call: call(TrapConfig(1, 1, 1e300, 1, 1, 1), x=0.0, y=0.0, z=0.0, t=1e300),
+            PHASE_OMEGA_T.format("1e+300", "1e+300"),
+            id=f"{call.__name__}-omega-t",
+        )
+        for call in (field_at, larmor_at, field_angle_at)
+    ),
+    pytest.param(lambda: zero_locus(CONFIG, 1e308), PHASE_OMEGA_T.format("44000.0", "1e+308"), id="zero_locus-omega-t"),
     pytest.param(
-        lambda call=call: call(TrapConfig(1, 1, 1e300, 1, 1, 1), x=0.0, y=0.0, z=0.0, t=1e300),
-        "omega and t must keep the phase omega t finite, got omega = 1e+300, t = 1e+300",
-        id=f"{call.__name__}-omega-t",
-    )
-    for call in (field_at, larmor_at, field_angle_at)
+        lambda: hamiltonian_at(DriveParams(1, 10, 1), np.array([0.0, 1e308])),
+        PHASE_OMEGA_T.format("10.0", "1e+308"),
+        id="hamiltonian_at-omega-t",
+    ),
+    pytest.param(
+        lambda: evolve_rotating_frame(DriveParams(1, 10, 1), [0.0, 1e308]),
+        PHASE_OMEGA_T.format("10.0", "1e+308"),
+        id="evolve_rotating_frame-omega-t",
+    ),
+    pytest.param(  # wbar t/2 is near half of omega t here, so only omega t overflows
+        lambda: rotating_frame_propagator(DriveParams(1, 1e300, 1), np.array([0.0, 2.5e8])),
+        PHASE_OMEGA_T.format("1e+300", "250000000.0"),
+        id="rotating_frame_propagator-omega-t",
+    ),
+    pytest.param(
+        lambda: rotating_frame_propagator(DriveParams(1e300, 0.0, 1), np.array([0.0, 1e10])),
+        "omega0 and omega and t must keep the phase wbar t/2 finite, got omega0 = 1e+300, omega = 0.0, t = 10000000000.0",
+        id="rotating_frame_propagator-wbar-t",
+    ),
+    pytest.param(lambda: probabilities(1e10, 1.5, 1.0, np.array([0.0, 1e300])), PHASE_WBAR_T, id="broadcast-phase"),
+    pytest.param(lambda: survival_probability(DriveParams(1e10, 1.5, 1.0), 1e300), PHASE_WBAR_T, id="scalar-phase"),
+    pytest.param(
+        lambda: tau_of_ratio(np.array([1.0, 2e154]), 0.5), "x must keep (1 - x)^2 finite, got x = 2e+154", id="tau-(1-x)^2"
+    ),
+    pytest.param(
+        lambda: FieldVector(1e154, 1e154, 0.0).magnitude(),
+        "bx and by and bz must keep |B| finite, got bx = 1e+154, by = 1e+154, bz = 0.0",
+        id="|B|",
+    ),
+    pytest.param(
+        lambda: spring_constant(TrapConfig(1e200, 1, 1, 1, 1, 1)),
+        "mu and a0 and b0 must keep k finite, got mu = 1.0, a0 = 1e+200, b0 = 1.0",
+        id="k",
+    ),
+    pytest.param(
+        lambda: adiabaticity_matrix_element(DriveParams(1e300, 1e300, 1.0)),
+        "omega0 must keep the squared gap finite, got omega0 = 1e+300",
+        id="squared-gap",
+    ),
+    pytest.param(
+        lambda: adiabaticity_matrix_element(DriveParams(1.0, 1.0, 1.0), 0.0, 5e-324),
+        "omega0 and omega and dt must keep the matrix element finite, got omega0 = 1.0, omega = 1.0, dt = 5e-324",
+        id="matrix-element",
+    ),
 ]
 SCALE_CLI = [
     pytest.param(
@@ -99,6 +162,16 @@ SCALE_CLI = [
         "--a0 1e-150 --b0 1e160 --omega 1 --gamma 1 --mu 1e300 --mass 1 --format json",
         "b0 and a0 must keep r0 finite, got b0 = 1e+160, a0 = 1e-150",
         id="r0-overflows",
+    ),
+    pytest.param(
+        "--a0 1 --b0 1e200 --omega 1 --gamma 1e200 --mu 1e200 --mass 1 --format json",
+        "gamma and b0 must keep omega0_ref finite, got gamma = 1e+200, b0 = 1e+200",
+        id="omega0_ref-overflows",
+    ),
+    pytest.param(
+        "--a0 1 --b0 1 --omega 1e-300 --gamma 1e10 --mu 1e-300 --mass 1",
+        "gamma and b0 and omega must keep omega0_ref/omega finite, got gamma = 10000000000.0, b0 = 1.0, omega = 1e-300",
+        id="ratio_high-overflows",
     ),
 ]
 

@@ -1,8 +1,11 @@
-"""Static check of the package source: no module imports a name it never uses.
+"""Static checks of the package source.
 
-A stand-in for pyflakes' F401 that needs no third-party tool.  A name listed in ``__all__`` counts as used,
-and an import statement marked ``# noqa: F401`` is skipped (``sweep.py`` keeps two names that the benchmark
-wraps there).
+No module imports a name it never uses: a stand-in for pyflakes' F401 that needs no third-party tool.  A
+name listed in ``__all__`` counts as used, and an import statement marked ``# noqa: F401`` is skipped
+(``sweep.py`` keeps two names that the benchmark wraps there).
+
+A derived value leaving the float range has one report, ``spin.check_finite``: no module catches an
+OverflowError, and no text outside that function spells the ``must keep ... finite`` message.
 """
 
 import ast
@@ -34,3 +37,24 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path) == []
+
+
+def _lines_mentioning(text: str) -> list[str]:
+    return [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if text in line
+    ]
+
+
+def test_no_module_catches_overflow_error():
+    assert _lines_mentioning("except OverflowError") == []
+
+
+def test_must_keep_message_only_in_check_finite():
+    tree = ast.parse((SRC / "spin.py").read_text())
+    check_finite = next(node for node in tree.body if getattr(node, "name", None) == "check_finite")
+    inside = {f"spin.py:{number}" for number in range(check_finite.lineno, check_finite.end_lineno + 1)}
+    found = _lines_mentioning("must keep")
+    assert found and set(found) <= inside

@@ -280,7 +280,7 @@ class TestRunSweep:
                 id="tau-subnormal-omega",
             ),
             pytest.param(
-                Axis("omega", np.array([8e-237, 1.0])), {"omega0": 1.0, "theta": 1.0}, "tau", "x must keep (1 - x)^2 finite, got 1.25e+236",
+                Axis("omega", np.array([8e-237, 1.0])), {"omega0": 1.0, "theta": 1.0}, "tau", "x must keep (1 - x)^2 finite, got x = 1.25e+236",
                 id="tau-x-above-1e154",
             ),
             # omega0 = x * omega overflows: named with x and omega, with no RuntimeWarning first.
