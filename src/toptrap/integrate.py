@@ -19,7 +19,11 @@ dense output.  Because reported samples come from the interpolant, the step
 size is capped so the Hermite error (h Omega)^4 / 384 stays inside the
 budget 2*rel_tol + abs_tol, with Omega a bound on the solution's angular
 content supplied by each route; tolerances therefore hold at every sample,
-independent of the output grid.
+independent of the output grid.  The instantaneous-basis equations are y' = M y, M
+constant, so a DP5(4) step is exactly y + D(hM) y with error E(hM) y, D = R - I for R
+the stability function.  The stages run on the two basis vectors once per new step size
+(D, not R: the rounding of R = I + D would recur in every step and add up), each step is
+two 2x2 mat-vecs, and f = M y is formed only for steps holding a sample.
 
 The lab-frame and rotating-frame routes project onto eigenvectors found by
 numerical diagonalisation, one batched ``np.linalg.eigh`` per block of samples.
@@ -113,14 +117,42 @@ def _hermite(y0, f0, y1, f1, h, u):
     )
 
 
-def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
+def _stages(rhs, t, y, f, h):
+    """One DP5(4) step of size h from (t, y) with derivative f: (y1 - y, the derivative at y1, the error estimate)."""
+    a, b = y
+    fa1, fb1 = f
+    ya = a + h * _A21 * fa1
+    yb = b + h * _A21 * fb1
+    fa2, fb2 = rhs(t + _C2 * h, ya, yb)
+    ya = a + h * (_A31 * fa1 + _A32 * fa2)
+    yb = b + h * (_A31 * fb1 + _A32 * fb2)
+    fa3, fb3 = rhs(t + _C3 * h, ya, yb)
+    ya = a + h * (_A41 * fa1 + _A42 * fa2 + _A43 * fa3)
+    yb = b + h * (_A41 * fb1 + _A42 * fb2 + _A43 * fb3)
+    fa4, fb4 = rhs(t + _C4 * h, ya, yb)
+    ya = a + h * (_A51 * fa1 + _A52 * fa2 + _A53 * fa3 + _A54 * fa4)
+    yb = b + h * (_A51 * fb1 + _A52 * fb2 + _A53 * fb3 + _A54 * fb4)
+    fa5, fb5 = rhs(t + _C5 * h, ya, yb)
+    ya = a + h * (_A61 * fa1 + _A62 * fa2 + _A63 * fa3 + _A64 * fa4 + _A65 * fa5)
+    yb = b + h * (_A61 * fb1 + _A62 * fb2 + _A63 * fb3 + _A64 * fb4 + _A65 * fb5)
+    fa6, fb6 = rhs(t + h, ya, yb)
+    da = h * (_B1 * fa1 + _B3 * fa3 + _B4 * fa4 + _B5 * fa5 + _B6 * fa6)
+    db = h * (_B1 * fb1 + _B3 * fb3 + _B4 * fb4 + _B5 * fb5 + _B6 * fb6)
+    fa7, fb7 = rhs(t + h, a + da, b + db)
+    err_a = h * (_E1 * fa1 + _E3 * fa3 + _E4 * fa4 + _E5 * fa5 + _E6 * fa6 + _E7 * fa7)
+    err_b = h * (_E1 * fb1 + _E3 * fb3 + _E4 * fb4 + _E5 * fb5 + _E6 * fb6 + _E7 * fb7)
+    return (da, db), (fa7, fb7), (err_a, err_b)
+
+
+def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, linear=False):
     """Adaptive DP5(4) from t = 0 through sample_ts[-1]; returns 2xN complex samples.
 
-    ``rhs(t, a, b) -> (da, db)`` works on plain complex scalars: for a
-    2-component state that is several times faster than ndarray arithmetic.
+    ``rhs(t, a, b) -> (da, db)`` works on plain complex scalars: for a 2-component state that is
+    several times faster than ndarray arithmetic.  A ``linear`` rhs is M y, M constant: see the module docstring.
     """
     n = len(sample_ts)
     out = np.empty((2, n), dtype=complex)
+    sample_ts = sample_ts.tolist()  # Python floats: the same values, without numpy-scalar arithmetic per step
     t_end = sample_ts[-1]
     t, y = 0.0, y0
     f = rhs(t, *y)
@@ -132,6 +164,7 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
         return out
     h_min = 1e-14 * t_end
     h = min(h_cap, t_end)
+    h_built = f_new = None
     while idx < n:
         remainder = t_end - t
         if remainder - h < h_min:
@@ -139,27 +172,16 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
         if h < h_min:
             raise IntegrationError("step size underflow", t)
         a, b = y
-        fa1, fb1 = f
-        ya = a + h * _A21 * fa1
-        yb = b + h * _A21 * fb1
-        fa2, fb2 = rhs(t + _C2 * h, ya, yb)
-        ya = a + h * (_A31 * fa1 + _A32 * fa2)
-        yb = b + h * (_A31 * fb1 + _A32 * fb2)
-        fa3, fb3 = rhs(t + _C3 * h, ya, yb)
-        ya = a + h * (_A41 * fa1 + _A42 * fa2 + _A43 * fa3)
-        yb = b + h * (_A41 * fb1 + _A42 * fb2 + _A43 * fb3)
-        fa4, fb4 = rhs(t + _C4 * h, ya, yb)
-        ya = a + h * (_A51 * fa1 + _A52 * fa2 + _A53 * fa3 + _A54 * fa4)
-        yb = b + h * (_A51 * fb1 + _A52 * fb2 + _A53 * fb3 + _A54 * fb4)
-        fa5, fb5 = rhs(t + _C5 * h, ya, yb)
-        ya = a + h * (_A61 * fa1 + _A62 * fa2 + _A63 * fa3 + _A64 * fa4 + _A65 * fa5)
-        yb = b + h * (_A61 * fb1 + _A62 * fb2 + _A63 * fb3 + _A64 * fb4 + _A65 * fb5)
-        fa6, fb6 = rhs(t + h, ya, yb)
-        a1 = a + h * (_B1 * fa1 + _B3 * fa3 + _B4 * fa4 + _B5 * fa5 + _B6 * fa6)
-        b1 = b + h * (_B1 * fb1 + _B3 * fb3 + _B4 * fb4 + _B5 * fb5 + _B6 * fb6)
-        fa7, fb7 = rhs(t + h, a1, b1)
-        err_a = h * (_E1 * fa1 + _E3 * fa3 + _E4 * fa4 + _E5 * fa5 + _E6 * fa6 + _E7 * fa7)
-        err_b = h * (_E1 * fb1 + _E3 * fb3 + _E4 * fb4 + _E5 * fb5 + _E6 * fb6 + _E7 * fb7)
+        if linear:
+            if h != h_built:  # one-entry cache: h is h_cap on almost every step; a basis vector per column
+                h_built = h
+                (d00, d10), _, (e00, e10) = _stages(rhs, 0.0, (1.0 + 0.0j, 0.0j), rhs(0.0, 1.0 + 0.0j, 0.0j), h)
+                (d01, d11), _, (e01, e11) = _stages(rhs, 0.0, (0.0j, 1.0 + 0.0j), rhs(0.0, 0.0j, 1.0 + 0.0j), h)
+            da, db = d00 * a + d01 * b, d10 * a + d11 * b
+            err_a, err_b = e00 * a + e01 * b, e10 * a + e11 * b
+        else:
+            (da, db), f_new, (err_a, err_b) = _stages(rhs, t, y, f, h)
+        a1, b1 = a + da, b + db
         scale_a = abs_tol + rel_tol * max(abs(a), abs(a1))
         scale_b = abs_tol + rel_tol * max(abs(b), abs(b1))
         err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
@@ -167,7 +189,8 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap):
             # force exact arrival: t + h may round to just below t_end
             t_new = t_end if h == remainder else t + h
             y_new = (a1, b1)
-            f_new = (fa7, fb7)
+            if linear and sample_ts[idx] <= t_new:  # M y serves only the interpolant
+                f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
             while idx < n and sample_ts[idx] <= t_new:
                 u = min(1.0, (sample_ts[idx] - t) / h)
                 out[:, idx] = _hermite(y, f, y_new, f_new, h, u)
@@ -189,7 +212,7 @@ def _check_grid(t_grid) -> np.ndarray:
     return ts
 
 
-def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, p: DriveParams):
+def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, p: DriveParams, linear=False):
     """Run the DP5(4) stepper with the step caps for this route.
 
     Every step is at most the cap, so t_end / cap bounds the step count below.
@@ -201,10 +224,10 @@ def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, p: DriveParams
     h_interp = (384.0 * budget) ** 0.25 / content_freq if content_freq > 0.0 else math.inf
     h_cap = min(h_user, h_interp)
     if ts[-1] > _MAX_STEPS * h_cap:
-        raise ValueError(
-            f"integrating to t = {float(ts[-1])!r} needs at least {ts[-1] / h_cap:.3g} steps, over {_MAX_STEPS}"
-        )
-    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap)
+        steps = float(ts[-1]) / h_cap  # a float division: an overflow gives inf, not a warning
+        need = f"at least {steps:.3g} steps, over {_MAX_STEPS}" if steps < math.inf else f"more than {_MAX_STEPS} steps"
+        raise ValueError(f"integrating to t = {float(ts[-1])!r} needs {need}")
+    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap, linear)
 
 
 def _norm_guard(survival, transition, ts, s: IntegratorSettings, label: str):
@@ -237,7 +260,7 @@ def evolve_instantaneous_basis(
     def rhs(t, a, b):
         return 0.5j * (drift * a + coupling * b), 0.5j * (coupling * a - drift * b)
 
-    samples = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, p)
+    samples = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, p, linear=True)
     survival = np.abs(samples[0]) ** 2
     transition = np.abs(samples[1]) ** 2
     _norm_guard(survival, transition, ts, settings, "instantaneous-basis")

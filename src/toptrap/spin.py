@@ -228,14 +228,16 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         dt: finite-difference step; defaults to :func:`default_fd_step`.
 
     Raises:
-        ValueError: if ``dt`` is not a positive finite number, naming omega0 where the
-            squared gap overflows, and omega0, omega and dt where the matrix element does.
+        ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming t and dt where
+            t +/- dt overflows, omega0 where the squared gap does, and omega0, omega, dt where the element does.
     """
     if dt is None:
         dt = default_fd_step(p)
     check("dt", *POSITIVE, dt)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, named below
-        h_dot = (hamiltonian_at(p, t + dt) - hamiltonian_at(p, t - dt)) / (2.0 * dt)
+        ends = np.add(check("t", *FINITE, t), [-dt, dt])
+        check_finite("t +/- dt", ends, t=t, dt=dt)
+        h_dot = (hamiltonian_at(p, ends[1]) - hamiltonian_at(p, ends[0])) / (2.0 * dt)
         pair = eigensystem_at(p, t)
         element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))
         gap = pair.value_plus - pair.value_minus

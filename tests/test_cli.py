@@ -235,6 +235,16 @@ class TestEvolve:
         )
         assert (code, out, err) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
+    def test_step_count_beyond_the_float_range_is_usage_error(self, no_stepping, capsys):
+        """t_end / h_cap overflows: the refusal says "more than", with no inf and no overflow RuntimeWarning."""
+        code, out, err = run(
+            ["evolve", "--omega0", "1", "--omega", "1e300", "--theta", "1", "--t-max", "1e10", "--samples", "3",
+             "--method", "lab"],
+            capsys,
+        )
+        message = "integrating to t = 10000000000.0 needs more than 1000000 steps"
+        assert (code, out, err) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
     @pytest.mark.parametrize("method, dashed", [("closed", [None, "6,4"]), ("all", [None] * 4)])
     def test_svg_curves(self, tmp_path, method, dashed, capsys):
         out_path = tmp_path / "evolve.svg"
@@ -571,6 +581,12 @@ class TestAdiabatic:
         assert code == EXIT_USAGE
         assert out == ""
         assert "omega0" in err
+
+    def test_overflowing_shifted_time_names_t_and_dt(self, capsys):
+        """t + dt overflows: the message names the given t and dt, not an infinite t."""
+        argv = ["adiabatic", "--omega0", "1", "--omega", "10", "--theta", "1", "--t", "1e308", "--dt", "1e308"]
+        message = "t and dt must keep t +/- dt finite, got t = 1e+308, dt = 1e+308"
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
 
 class TestGeometry:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -103,6 +104,74 @@ class TestLabFrame:
     def test_degenerate_point_stays_put(self):
         series = evolve_lab_frame(DriveParams(1.0, 1.0, 0.0), np.linspace(0, 20, 41))
         np.testing.assert_allclose(series.survival, 1.0, atol=1e-10)
+
+    def test_samples_pinned_bit_for_bit(self):
+        """The lab frame takes the seven stages at every step: its samples must not move by a bit."""
+        series = evolve_lab_frame(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11))
+        assert [v.hex() for v in series.survival.tolist()] == [
+            "0x1.0000000000000p+0", "0x1.4e4c83404a19cp-1", "0x1.abad4c307b123p-4", "0x1.10a4db1899385p-3",
+            "0x1.658870419f860p-1", "0x1.fec8a351fbcefp-1", "0x1.365bdf256101ap-1", "0x1.463f93641c561p-4",
+            "0x1.52f82348b8706p-3", "0x1.7bd5db74de7afp-1", "0x1.fb2593c119444p-1",
+        ]  # fmt: skip
+        assert [v.hex() for v in series.transition.tolist()] == [
+            "0x0.0p+0", "0x1.6366f97f6bb95p-2", "0x1.ca8a5679f0797p-1", "0x1.bbd6c939d963cp-1",
+            "0x1.34ef1f7cbfe5ep-2", "0x1.375cae0363259p-9", "0x1.934841b53bba8p-2", "0x1.d7380d937af59p-1",
+            "0x1.ab41f72dcff9cp-1", "0x1.085449163e4c3p-2", "0x1.369b0fb9ab33ap-7",
+        ]  # fmt: skip
+
+
+class TestCachedStepMatrices:
+    """The instantaneous basis steps with R(hM) and E(hM) built from the stages; the staged loop that
+    the lab frame takes, run on the same rhs, is the reference."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param(DriveParams(1.0, 1.001, 0.01), id="near-resonant"),
+            pytest.param(DriveParams(1.0, 1.5, 1e-3), id="small-theta"),
+            pytest.param(DriveParams(1.0, 1.5, math.pi - 1e-3), id="theta-near-pi"),
+            pytest.param(DriveParams(1.0, 50.0, 1.0), id="omega-above-omega0"),
+        ],
+    )
+    def test_matrices_match_the_stages(self, monkeypatch, p, rel_tol):
+        solves, stage_hs, norms = [], [], []
+        stepper, stages = integrate._integrate_dp45, integrate._stages
+
+        def recorded(*args):
+            solves.append((args, stepper(*args)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(integrate, "_integrate_dp45", recorded)
+        monkeypatch.setattr(integrate, "_stages", lambda rhs, t, y, f, h: stage_hs.append(h) or stages(rhs, t, y, f, h))
+        # one error norm, so one math.sqrt, per step attempt
+        counting = {**vars(math), "sqrt": lambda x: norms.append(x) or math.sqrt(x)}
+        monkeypatch.setattr(integrate, "math", types.SimpleNamespace(**counting))
+        ts = np.linspace(0.0, 3 * 2 * math.pi / p.omega_bar, 41)
+        evolve_instantaneous_basis(p, ts, IntegratorSettings(rel_tol=rel_tol, abs_tol=rel_tol / 100))
+        [((rhs, sample_ts, y0, rel, abs_tol, h_cap, linear), cached)] = solves
+        builds, cached_norms = stage_hs[::2], norms.copy()
+        assert linear
+        assert stage_hs[1::2] == builds  # each build runs the stages on both basis vectors
+        assert len(set(builds)) == len(builds)  # and happens once per distinct h
+        stage_hs.clear()
+        norms.clear()
+        staged = stepper(rhs, sample_ts, y0, rel, abs_tol, h_cap)
+        assert len(norms) == len(stage_hs) == len(cached_norms) > len(builds)
+        np.testing.assert_allclose(cached, staged, rtol=0.0, atol=1e-12)
+        # E(hM) y is the staged error estimate: the scaled errors agree far inside the accept threshold 1
+        np.testing.assert_allclose(np.sqrt(cached_norms), np.sqrt(norms), rtol=0.0, atol=1e-6)
+
+    def test_no_drift_over_a_long_solve(self, monkeypatch):
+        """Over 100 Rabi periods (about 19,000 steps) the cached solve stays with the staged one.  Caching R
+        itself, not R - I, rounds every step alike and drifted 3e-13 away on this drive."""
+        p = DriveParams(2.0, 1.0, 2.0)
+        solves = []
+        stepper = integrate._integrate_dp45
+        monkeypatch.setattr(integrate, "_integrate_dp45", lambda *args: solves.append(args) or stepper(*args))
+        evolve_instantaneous_basis(p, np.linspace(0.0, 100 * 2 * math.pi / p.omega_bar, 11))
+        [args] = solves
+        np.testing.assert_allclose(stepper(*args), stepper(*args[:-1]), rtol=0.0, atol=1e-13)
 
 
 class TestRotatingFramePropagator:

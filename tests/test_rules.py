@@ -150,6 +150,16 @@ SCALE_LIBRARY = [
         "omega0 and omega and dt must keep the matrix element finite, got omega0 = 1.0, omega = 1.0, dt = 5e-324",
         id="matrix-element",
     ),
+    pytest.param(
+        lambda: adiabaticity_matrix_element(DriveParams(1.0, 10.0, 1.0), 1e308, 1e308),
+        "t and dt must keep t +/- dt finite, got t = 1e+308, dt = 1e+308",
+        id="t+dt",
+    ),
+    pytest.param(
+        lambda: adiabaticity_matrix_element(DriveParams(1.0, 10.0, 1.0), -1e308, 1e308),
+        "t and dt must keep t +/- dt finite, got t = -1e+308, dt = 1e+308",
+        id="t-dt",
+    ),
 ]
 SCALE_CLI = [
     pytest.param(
