@@ -19,11 +19,14 @@ dense output.  Because reported samples come from the interpolant, the step
 size is capped so the Hermite error (h Omega)^4 / 384 stays inside the
 budget 2*rel_tol + abs_tol, with Omega a bound on the solution's angular
 content supplied by each route; tolerances therefore hold at every sample,
-independent of the output grid.  The instantaneous-basis equations are y' = M y, M
-constant, so a DP5(4) step is exactly y + D(hM) y with error E(hM) y, D = R - I for R
-the stability function.  The stages run on the two basis vectors once per new step size
-(D, not R: the rounding of R = I + D would recur in every step and add up), each step is
-two 2x2 mat-vecs, and f = M y is formed only for steps holding a sample.
+independent of the output grid.  A further cap keeps the norm that DP5(4) loses at every
+step, (h Omega)^6 / 1800, within 2*rel_tol over the whole span.
+
+The instantaneous-basis equations are y' = M y, M constant, so a DP5(4) step is exactly
+y + D(hM) y with error E(hM) y, D = R - I for R the stability function.  The stages run on
+the two basis vectors once per new step size (D, not R: the rounding of R = I + D would
+recur in every step and add up), each step is two 2x2 mat-vecs, and f = M y is formed only
+for steps holding a sample.
 
 The lab-frame and rotating-frame routes project onto eigenvectors found by
 numerical diagonalisation, one batched ``np.linalg.eigh`` per block of samples.
@@ -154,24 +157,24 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, linear=False):
     out = np.empty((2, n), dtype=complex)
     sample_ts = sample_ts.tolist()  # Python floats: the same values, without numpy-scalar arithmetic per step
     t_end = sample_ts[-1]
-    t, y = 0.0, y0
-    f = rhs(t, *y)
+    sample_ts.append(math.inf)  # a sentinel: the next sample time is always sample_ts[idx]
+    t, (a, b) = 0.0, y0
+    f = rhs(t, a, b)
     idx = 0
-    while idx < n and sample_ts[idx] <= t:
-        out[:, idx] = y
+    while sample_ts[idx] <= t:
+        out[:, idx] = y0
         idx += 1
-    if idx == n:
-        return out
+    t_next = sample_ts[idx]
     h_min = 1e-14 * t_end
     h = min(h_cap, t_end)
     h_built = f_new = None
+    abs_a, abs_b = abs(a), abs(b)  # |y|, carried over from the step that reached y
     while idx < n:
         remainder = t_end - t
         if remainder - h < h_min:
             h = remainder  # take the whole remainder rather than leave a sliver below h_min
         if h < h_min:
             raise IntegrationError("step size underflow", t)
-        a, b = y
         if linear:
             if h != h_built:  # one-entry cache: h is h_cap on almost every step; a basis vector per column
                 h_built = h
@@ -180,24 +183,27 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, linear=False):
             da, db = d00 * a + d01 * b, d10 * a + d11 * b
             err_a, err_b = e00 * a + e01 * b, e10 * a + e11 * b
         else:
-            (da, db), f_new, (err_a, err_b) = _stages(rhs, t, y, f, h)
+            (da, db), f_new, (err_a, err_b) = _stages(rhs, t, (a, b), f, h)
         a1, b1 = a + da, b + db
-        scale_a = abs_tol + rel_tol * max(abs(a), abs(a1))
-        scale_b = abs_tol + rel_tol * max(abs(b), abs(b1))
+        abs_a1, abs_b1 = abs(a1), abs(b1)
+        scale_a = abs_tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
+        scale_b = abs_tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
         err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
         if err <= 1.0:
             # force exact arrival: t + h may round to just below t_end
             t_new = t_end if h == remainder else t + h
-            y_new = (a1, b1)
-            if linear and sample_ts[idx] <= t_new:  # M y serves only the interpolant
-                f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
-            while idx < n and sample_ts[idx] <= t_new:
-                u = min(1.0, (sample_ts[idx] - t) / h)
-                out[:, idx] = _hermite(y, f, y_new, f_new, h, u)
-                idx += 1
-            t, y, f = t_new, y_new, f_new
-            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
-            h = min(h_cap, h * max(1.0, factor))
+            if t_next <= t_new:
+                if linear:  # M y serves only the interpolant
+                    f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
+                y, y_new = (a, b), (a1, b1)
+                while t_next <= t_new:
+                    out[:, idx] = _hermite(y, f, y_new, f_new, h, min(1.0, (t_next - t) / h))
+                    idx += 1
+                    t_next = sample_ts[idx]
+            t, a, b, f, abs_a, abs_b = t_new, a1, b1, f_new, abs_a1, abs_b1
+            if h < h_cap:  # at h_cap, min(h_cap, h * max(1.0, factor)) is h_cap
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
+                h = min(h_cap, h * max(1.0, factor))
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
     return out
@@ -212,21 +218,27 @@ def _check_grid(t_grid) -> np.ndarray:
     return ts
 
 
-def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, p: DriveParams, linear=False):
+def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, norm_freq: float, p: DriveParams, linear=False):
     """Run the DP5(4) stepper with the step caps for this route.
 
-    Every step is at most the cap, so t_end / cap bounds the step count below.
+    ``content_freq`` bounds the solution's angular frequencies for the Hermite cap, and ``norm_freq``
+    is the Omega of the secular norm loss.  Every step is at most the cap, so t_end / cap bounds the step count below.
     """
+    t_end = float(ts[-1])
     h_user = _MAX_STEP * 2.0 * math.pi / max(p.omega, p.omega0)
     # Norm deviation at a sample is at most 4x the per-component Hermite
     # error, so a budget of 2*rel_tol keeps it inside the 10*rel_tol guard.
     budget = 2.0 * s.rel_tol + s.abs_tol
     h_interp = (384.0 * budget) ** 0.25 / content_freq if content_freq > 0.0 else math.inf
-    h_cap = min(h_user, h_interp)
-    if ts[-1] > _MAX_STEPS * h_cap:
-        steps = float(ts[-1]) / h_cap  # a float division: an overflow gives inf, not a warning
+    # A DP5(4) step loses (h Omega)^6 / 1800 of the norm (its z^6 term is 1/600, exp's 1/720), so t_end / h
+    # steps lose at most a further 2*rel_tol where h <= (3600 rel_tol / (t_end Omega^6))^(1/5).
+    root = t_end**0.2 * norm_freq**0.2  # fifth roots first: no factor leaves the float range
+    h_norm = (3600.0 * s.rel_tol) ** 0.2 / root / norm_freq if root > 0.0 else math.inf
+    h_cap = min(h_user, h_interp, h_norm)
+    if t_end > _MAX_STEPS * h_cap:
+        steps = t_end / h_cap if h_cap > 0.0 else math.inf  # a float division: an overflow gives inf
         need = f"at least {steps:.3g} steps, over {_MAX_STEPS}" if steps < math.inf else f"more than {_MAX_STEPS} steps"
-        raise ValueError(f"integrating to t = {float(ts[-1])!r} needs {need}")
+        raise ValueError(f"integrating to t = {t_end!r} needs {need}")
     return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap, linear)
 
 
@@ -260,7 +272,7 @@ def evolve_instantaneous_basis(
     def rhs(t, a, b):
         return 0.5j * (drift * a + coupling * b), 0.5j * (coupling * a - drift * b)
 
-    samples = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, p, linear=True)
+    samples = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, 0.5 * p.omega_bar, p, linear=True)
     survival = np.abs(samples[0]) ** 2
     transition = np.abs(samples[1]) ** 2
     _norm_guard(survival, transition, ts, settings, "instantaneous-basis")
@@ -287,7 +299,8 @@ def evolve_lab_frame(
 
     start = eigensystem_at(p, 0.0).vec_minus
     # Solution frequencies are bounded by omega/2 + omega_bar/2 <= omega + omega0/2.
-    samples = _run(rhs, ts, (complex(start[0]), complex(start[1])), settings, p.omega + 0.5 * p.omega0, p)
+    bound = 0.5 * p.omega + 0.5 * p.omega_bar
+    samples = _run(rhs, ts, (complex(start[0]), complex(start[1])), settings, p.omega + 0.5 * p.omega0, bound, p)
     survival, transition = _eigen_projections(p, ts, lambda block: samples[:, block].T)
     _norm_guard(survival, transition, ts, settings, "lab-frame")
     return TimeSeries(times=ts, survival=survival, transition=transition, method="lab-frame")

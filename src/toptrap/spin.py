@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +76,18 @@ def check_finite(quantity, values, **inputs):
         raise ValueError(f"{' and '.join(inputs)} must keep {quantity} finite, got {got}")
 
 
+class _cached:
+    """A value computed on first read and stored in the instance ``__dict__``, where later reads find it
+    before this non-data descriptor: ``functools.cached_property`` as of Python 3.12, without the lock that
+    3.11's version takes on every first read.  A raising read stores nothing."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Reduced parameters of the rotating spin drive.
@@ -97,7 +108,7 @@ class DriveParams:
             for name in ("omega0", "omega", "theta"):
                 check_domain(name, getattr(self, name))
 
-    @cached_property
+    @_cached
     def omega_bar(self) -> float:
         """Effective Rabi frequency; zero only for omega0 == omega, theta == 0.
 
@@ -114,7 +125,7 @@ class DriveParams:
             check_finite("omega_bar", wb, omega0=self.omega0, omega=self.omega)
         return wb
 
-    @cached_property
+    @_cached
     def drift(self) -> float:
         """Diagonal rate omega0 - omega cos(theta) of the amplitude equations, computed once per instance.
 
@@ -124,7 +135,7 @@ class DriveParams:
         sin_half = math.sin(0.5 * self.theta)
         return (self.omega0 - self.omega) + 2.0 * self.omega * (sin_half * sin_half)
 
-    @cached_property
+    @_cached
     def coupling(self) -> float:
         """Off-diagonal rate omega sin(theta), computed once per instance; zero means the spin never flips."""
         return self.omega * math.sin(self.theta)
@@ -229,7 +240,8 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
 
     Raises:
         ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming t and dt where
-            t +/- dt overflows, omega0 where the squared gap does, and omega0, omega, dt where the element does.
+            t +/- dt overflows, omega, t and dt where the phase omega (t +/- dt) does, omega0 where the
+            squared gap does, and omega0, omega, dt where the element does.
     """
     if dt is None:
         dt = default_fd_step(p)
@@ -237,6 +249,7 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, named below
         ends = np.add(check("t", *FINITE, t), [-dt, dt])
         check_finite("t +/- dt", ends, t=t, dt=dt)
+        check_finite("the phase omega (t +/- dt)", p.omega * ends, omega=p.omega, t=t, dt=dt)
         h_dot = (hamiltonian_at(p, ends[1]) - hamiltonian_at(p, ends[0])) / (2.0 * dt)
         pair = eigensystem_at(p, t)
         element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))

@@ -222,18 +222,31 @@ class TestEvolve:
 
     @pytest.mark.parametrize("method", ["closed", "ode", "all", "lab"])
     def test_overflowing_omega_bar_is_usage_error(self, method, capsys):
-        """omega0 * omega overflows omega_bar: named by the routes that need omega_bar; the lab route's
-        step bound prints t as a float."""
-        if method == "lab":
-            message = "integrating to t = 1.0 needs at least 9e+301 steps, over 1000000"
-        else:
-            message = "omega0 and omega must keep omega_bar finite, got omega0 = 1e+300, omega = 1e+300"
+        """omega0 * omega overflows omega_bar: every route needs it, the lab route for its norm-loss step cap."""
+        message = "omega0 and omega must keep omega_bar finite, got omega0 = 1e+300, omega = 1e+300"
         code, out, err = run(
             ["evolve", "--omega0", "1e300", "--omega", "1e300", "--theta", "1", "--t-max", "1", "--samples", "2",
              "--method", method],
             capsys,
         )
         assert (code, out, err) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+    def test_long_span_keeps_the_norm(self, capsys):
+        """A thousand time units, about 400 Rabi periods: the DP5(4) norm loss grows with the step count, and the
+        step cap that bounds it keeps the instantaneous-basis route inside its 10 * rel_tol guard."""
+        argv = ["evolve", "--omega0", "2", "--omega", "1", "--theta", "2", "--t-max", "1000", "--samples", "11",
+                "--method", "ode"]  # fmt: skip
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rows = parse_csv(out).rows
+        np.testing.assert_allclose(rows[:, 1] + rows[:, 2], 1.0, rtol=0, atol=1e-9)
+
+    def test_span_beyond_the_norm_loss_cap_is_refused(self, no_stepping, capsys):
+        """The norm-loss cap sets the step count, so a span too long to keep the norm is refused before stepping."""
+        argv = ["evolve", "--omega0", "2", "--omega", "1", "--theta", "2", "--t-max", "1e5", "--samples", "11",
+                "--method", "ode"]  # fmt: skip
+        message = "integrating to t = 100000.0 needs at least 2.64e+07 steps, over 1000000"
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
     def test_step_count_beyond_the_float_range_is_usage_error(self, no_stepping, capsys):
         """t_end / h_cap overflows: the refusal says "more than", with no inf and no overflow RuntimeWarning."""
@@ -586,6 +599,12 @@ class TestAdiabatic:
         """t + dt overflows: the message names the given t and dt, not an infinite t."""
         argv = ["adiabatic", "--omega0", "1", "--omega", "10", "--theta", "1", "--t", "1e308", "--dt", "1e308"]
         message = "t and dt must keep t +/- dt finite, got t = 1e+308, dt = 1e+308"
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+    def test_overflowing_shifted_phase_names_omega_t_and_dt(self, capsys):
+        """omega (t + dt) overflows at t = 0: the message names omega and the given t and dt, not t + dt."""
+        argv = ["adiabatic", "--omega0", "1", "--omega", "10", "--theta", "1", "--t", "0", "--dt", "1e308"]
+        message = "omega and t and dt must keep the phase omega (t +/- dt) finite, got omega = 10.0, t = 0.0, dt = 1e+308"
         assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
 

@@ -81,6 +81,20 @@ class TestInstantaneousBasis:
         delta = np.max(np.abs(series.survival - survival_probability(p, ts)))
         assert delta <= 1e-8
 
+    def test_samples_pinned_bit_for_bit(self):
+        """The cached step matrices and the step loop around them must not move a sample by a bit."""
+        series = evolve_instantaneous_basis(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11))
+        assert [v.hex() for v in series.survival.tolist()] == [
+            "0x1.0000000000000p+0", "0x1.4e4c833ec627bp-1", "0x1.abad4c2db6f60p-4", "0x1.10a4db1830f71p-3",
+            "0x1.65887040f9995p-1", "0x1.fec8a34e9f84ep-1", "0x1.365bdf240bdb9p-1", "0x1.463f93641a9b4p-4",
+            "0x1.52f82347135afp-3", "0x1.7bd5db7275094p-1", "0x1.fb2593c10f5f6p-1",
+        ]  # fmt: skip
+        assert [v.hex() for v in series.transition.tolist()] == [
+            "0x0.0p+0", "0x1.6366f97dcce89p-2", "0x1.ca8a5676fb35dp-1", "0x1.bbd6c9392c77fp-1",
+            "0x1.34ef1f7c3192dp-2", "0x1.375cae01502cap-9", "0x1.934841b382e1bp-2", "0x1.d7380d93728c3p-1",
+            "0x1.ab41f72bbc827p-1", "0x1.085449148e7d9p-2", "0x1.369b0fb9a7476p-7",
+        ]  # fmt: skip
+
     def test_norm_drift_small_at_long_times(self):
         for _ in range(10):
             p = DriveParams(1.0, RNG.uniform(0, 5), RNG.uniform(0, math.pi))
@@ -161,6 +175,15 @@ class TestCachedStepMatrices:
         np.testing.assert_allclose(cached, staged, rtol=0.0, atol=1e-12)
         # E(hM) y is the staged error estimate: the scaled errors agree far inside the accept threshold 1
         np.testing.assert_allclose(np.sqrt(cached_norms), np.sqrt(norms), rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("route, attempts", [(evolve_instantaneous_basis, 383), (evolve_lab_frame, 1200)])
+    def test_step_attempts_pinned(self, monkeypatch, route, attempts):
+        """Each step attempt takes one error norm, so one math.sqrt: the step sequence must not change."""
+        norms = []
+        counting = {**vars(math), "sqrt": lambda x: norms.append(x) or math.sqrt(x)}
+        monkeypatch.setattr(integrate, "math", types.SimpleNamespace(**counting))
+        route(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11))
+        assert len(norms) == attempts
 
     def test_no_drift_over_a_long_solve(self, monkeypatch):
         """Over 100 Rabi periods (about 19,000 steps) the cached solve stays with the staged one.  Caching R
@@ -314,6 +337,39 @@ class TestFailureModes:
     def test_step_bound_refuses_before_stepping(self, no_stepping, route):
         with pytest.raises(ValueError, match="steps"):
             route(DriveParams(1e6, 1.5e6, 1.0), [0.0, 1.0])
+
+
+class TestNormLossCap:
+    """A DP5(4) step loses (h Omega)^6 / 1800 of the norm, so the loss grows with the step count; the step cap
+    keeps a whole span's loss inside 2 * rel_tol, and a span that needs more than 10^6 such steps is refused."""
+
+    P = DriveParams(2.0, 1.0, 2.0)
+    SETTINGS = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-8)
+    # t_end / h_cap = 10^6 for h_cap = (3600 rel_tol / (t_end Omega^6))^(1/5), Omega = wbar / 2
+    REFUSED = 1e6 ** (5 / 6) * (3600.0 * SETTINGS.rel_tol) ** (1 / 6) / (0.5 * P.omega_bar)
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.1, 0.3])
+    def test_span_keeps_the_norm_up_to_the_refusal(self, fraction):
+        series = evolve_instantaneous_basis(self.P, np.linspace(0.0, fraction * self.REFUSED, 11), self.SETTINGS)
+        assert np.max(np.abs(series.survival + series.transition - 1.0)) <= 4.0 * self.SETTINGS.rel_tol
+
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    def test_longer_span_is_refused(self, no_stepping, route):
+        with pytest.raises(ValueError, match="needs at least .* steps, over 1000000"):
+            route(self.P, [0.0, 1.01 * self.REFUSED], self.SETTINGS)
+
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    def test_cap_stays_in_the_float_range(self, route):
+        """Omega^6 would overflow at omega_bar = 1e300 (1 / t_end at t_end = 5e-324: test_very_short_span_is_solved)."""
+        p, t_end = DriveParams(1e300, 1e-10, 1.0), 1e-300
+        series = route(p, [0.0, t_end])
+        np.testing.assert_allclose(series.survival, [1.0, survival_probability(p, t_end)], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    def test_cap_below_the_float_range_is_refused(self, no_stepping, route):
+        """The cap underflows to 0 here: the refusal still names the step count, with no division by zero."""
+        with pytest.raises(ValueError, match="^integrating to t = 1e[+]300 needs more than 1000000 steps$"):
+            route(DriveParams(1e300, 1e-10, 1.0), [0.0, 1e300])
 
 
 class TestStepperOrder:

@@ -160,6 +160,11 @@ SCALE_LIBRARY = [
         "t and dt must keep t +/- dt finite, got t = -1e+308, dt = 1e+308",
         id="t-dt",
     ),
+    pytest.param(
+        lambda: adiabaticity_matrix_element(DriveParams(1.0, 10.0, 1.0), 0.0, 1e308),
+        "omega and t and dt must keep the phase omega (t +/- dt) finite, got omega = 10.0, t = 0.0, dt = 1e+308",
+        id="omega(t+dt)",
+    ),
 ]
 SCALE_CLI = [
     pytest.param(

@@ -6,6 +6,9 @@ name listed in ``__all__`` counts as used, and an import statement marked ``# no
 
 A derived value leaving the float range has one report, ``spin.check_finite``: no module catches an
 OverflowError, and no text outside that function spells the ``must keep ... finite`` message.
+
+No module uses ``functools.cached_property``: on Python 3.11 it takes a lock on every first read, and
+``spin._cached`` caches the same way without one.
 """
 
 import ast
@@ -58,3 +61,14 @@ def test_must_keep_message_only_in_check_finite():
     inside = {f"spin.py:{number}" for number in range(check_finite.lineno, check_finite.end_lineno + 1)}
     found = _lines_mentioning("must keep")
     assert found and set(found) <= inside
+
+
+def test_no_module_uses_functools_cached_property():
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.alias) and node.name == "cached_property"
+        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+    ]
+    assert uses == []

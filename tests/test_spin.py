@@ -90,6 +90,7 @@ class TestDriveParams:
         p = DriveParams(1.0, 1.5, 1.0)
         before = (repr(p), hash(p))
         rates = (p.omega_bar, p.drift, p.coupling)
+        assert (vars(p)["omega_bar"], vars(p)["drift"], vars(p)["coupling"]) == rates
         assert (p.omega_bar, p.drift, p.coupling) == rates
         assert (repr(p), hash(p)) == before
         assert p == DriveParams(1.0, 1.5, 1.0)
