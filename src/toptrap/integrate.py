@@ -22,11 +22,11 @@ content supplied by each route; tolerances therefore hold at every sample,
 independent of the output grid.  A further cap keeps the norm that DP5(4) loses at every
 step, (h Omega)^6 / 1800, within 2*rel_tol over the whole span.
 
-The instantaneous-basis equations are y' = M y, M constant, so a DP5(4) step is exactly
-y + D(hM) y with error E(hM) y, D = R - I for R the stability function.  The stages run on
-the two basis vectors once per new step size (D, not R: the rounding of R = I + D would
-recur in every step and add up), each step is two 2x2 mat-vecs, and f = M y is formed only
-for steps holding a sample.
+Both ODE routes are linear, y' = M(t) y, so a DP5(4) step of size h is y + D y with error E y.  The stages, run on
+the basis vectors from t = 0 once per new step size, give D and E (D, not R = I + D: R's rounding would recur every
+step and add up).  The instantaneous-basis M is constant.  The lab M turns with the drive, M(t + s) = U(t) M(s) U(t)^+
+for U(t) = diag(e^{-i omega t/2}, e^{i omega t/2}), constant within a step, so the step from t is U(t) (I + D) U(t)^+,
+e^{-+i omega t} on the off-diagonals of D and E.  Each step is two 2x2 mat-vecs; f = M y is formed only at samples.
 
 The lab-frame and rotating-frame routes project onto eigenvectors found by
 numerical diagonalisation, one batched ``np.linalg.eigh`` per block of samples.
@@ -34,6 +34,7 @@ numerical diagonalisation, one batched ``np.linalg.eigh`` per block of samples.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -83,8 +84,8 @@ class TimeSeries:
 DEFAULT_SETTINGS = IntegratorSettings()
 
 # Dormand-Prince 5(4) tableau.  The propagated solution is 5th order; the
-# difference to the embedded 4th-order solution drives step control.  FSAL:
-# stage 7 is the derivative at the accepted point.
+# difference to the embedded 4th-order solution drives step control; stage 7,
+# the derivative at the step's end, enters only the error estimate.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -120,38 +121,38 @@ def _hermite(y0, f0, y1, f1, h, u):
     )
 
 
-def _stages(rhs, t, y, f, h):
-    """One DP5(4) step of size h from (t, y) with derivative f: (y1 - y, the derivative at y1, the error estimate)."""
+def _stages(rhs, y, h):
+    """One DP5(4) step of size h from (0, y): (y1 - y, the error estimate)."""
     a, b = y
-    fa1, fb1 = f
+    fa1, fb1 = rhs(0.0, a, b)
     ya = a + h * _A21 * fa1
     yb = b + h * _A21 * fb1
-    fa2, fb2 = rhs(t + _C2 * h, ya, yb)
+    fa2, fb2 = rhs(_C2 * h, ya, yb)
     ya = a + h * (_A31 * fa1 + _A32 * fa2)
     yb = b + h * (_A31 * fb1 + _A32 * fb2)
-    fa3, fb3 = rhs(t + _C3 * h, ya, yb)
+    fa3, fb3 = rhs(_C3 * h, ya, yb)
     ya = a + h * (_A41 * fa1 + _A42 * fa2 + _A43 * fa3)
     yb = b + h * (_A41 * fb1 + _A42 * fb2 + _A43 * fb3)
-    fa4, fb4 = rhs(t + _C4 * h, ya, yb)
+    fa4, fb4 = rhs(_C4 * h, ya, yb)
     ya = a + h * (_A51 * fa1 + _A52 * fa2 + _A53 * fa3 + _A54 * fa4)
     yb = b + h * (_A51 * fb1 + _A52 * fb2 + _A53 * fb3 + _A54 * fb4)
-    fa5, fb5 = rhs(t + _C5 * h, ya, yb)
+    fa5, fb5 = rhs(_C5 * h, ya, yb)
     ya = a + h * (_A61 * fa1 + _A62 * fa2 + _A63 * fa3 + _A64 * fa4 + _A65 * fa5)
     yb = b + h * (_A61 * fb1 + _A62 * fb2 + _A63 * fb3 + _A64 * fb4 + _A65 * fb5)
-    fa6, fb6 = rhs(t + h, ya, yb)
+    fa6, fb6 = rhs(h, ya, yb)
     da = h * (_B1 * fa1 + _B3 * fa3 + _B4 * fa4 + _B5 * fa5 + _B6 * fa6)
     db = h * (_B1 * fb1 + _B3 * fb3 + _B4 * fb4 + _B5 * fb5 + _B6 * fb6)
-    fa7, fb7 = rhs(t + h, a + da, b + db)
+    fa7, fb7 = rhs(h, a + da, b + db)
     err_a = h * (_E1 * fa1 + _E3 * fa3 + _E4 * fa4 + _E5 * fa5 + _E6 * fa6 + _E7 * fa7)
     err_b = h * (_E1 * fb1 + _E3 * fb3 + _E4 * fb4 + _E5 * fb5 + _E6 * fb6 + _E7 * fb7)
-    return (da, db), (fa7, fb7), (err_a, err_b)
+    return (da, db), (err_a, err_b)
 
 
-def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, linear=False):
+def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0):
     """Adaptive DP5(4) from t = 0 through sample_ts[-1]; returns 2xN complex samples.
 
-    ``rhs(t, a, b) -> (da, db)`` works on plain complex scalars: for a 2-component state that is
-    several times faster than ndarray arithmetic.  A ``linear`` rhs is M y, M constant: see the module docstring.
+    ``rhs(t, a, b) -> (da, db)`` is linear in (a, b) and works on plain complex scalars, several times faster than
+    ndarray arithmetic for 2 components.  It is constant for ``frame_freq`` 0, else turns at it (module docstring).
     """
     n = len(sample_ts)
     out = np.empty((2, n), dtype=complex)
@@ -159,15 +160,13 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, linear=False):
     t_end = sample_ts[-1]
     sample_ts.append(math.inf)  # a sentinel: the next sample time is always sample_ts[idx]
     t, (a, b) = 0.0, y0
-    f = rhs(t, a, b)
     idx = 0
     while sample_ts[idx] <= t:
         out[:, idx] = y0
         idx += 1
     t_next = sample_ts[idx]
     h_min = 1e-14 * t_end
-    h = min(h_cap, t_end)
-    h_built = f_new = None
+    h, h_built = min(h_cap, t_end), None
     abs_a, abs_b = abs(a), abs(b)  # |y|, carried over from the step that reached y
     while idx < n:
         remainder = t_end - t
@@ -175,15 +174,17 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, linear=False):
             h = remainder  # take the whole remainder rather than leave a sliver below h_min
         if h < h_min:
             raise IntegrationError("step size underflow", t)
-        if linear:
-            if h != h_built:  # one-entry cache: h is h_cap on almost every step; a basis vector per column
-                h_built = h
-                (d00, d10), _, (e00, e10) = _stages(rhs, 0.0, (1.0 + 0.0j, 0.0j), rhs(0.0, 1.0 + 0.0j, 0.0j), h)
-                (d01, d11), _, (e01, e11) = _stages(rhs, 0.0, (0.0j, 1.0 + 0.0j), rhs(0.0, 0.0j, 1.0 + 0.0j), h)
-            da, db = d00 * a + d01 * b, d10 * a + d11 * b
-            err_a, err_b = e00 * a + e01 * b, e10 * a + e11 * b
+        if h != h_built:  # one-entry cache: h is h_cap on almost every step; a basis vector per column
+            h_built = h
+            (d00, d10), (e00, e10) = _stages(rhs, (1.0 + 0.0j, 0.0j), h)
+            (d01, d11), (e01, e11) = _stages(rhs, (0.0j, 1.0 + 0.0j), h)
+        if frame_freq:  # U(t) D U(t)^+ y: column 1 takes e^{-i omega t} into row 0, column 0 e^{+i omega t} into row 1
+            phase = cmath.rect(1.0, -frame_freq * t)  # one cos/sin pair
+            ra, rb = a * phase.conjugate(), b * phase
         else:
-            (da, db), f_new, (err_a, err_b) = _stages(rhs, t, (a, b), f, h)
+            ra, rb = a, b
+        da, db = d00 * a + d01 * rb, d10 * ra + d11 * b
+        err_a, err_b = e00 * a + e01 * rb, e10 * ra + e11 * b
         a1, b1 = a + da, b + db
         abs_a1, abs_b1 = abs(a1), abs(b1)
         scale_a = abs_tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
@@ -192,15 +193,14 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, linear=False):
         if err <= 1.0:
             # force exact arrival: t + h may round to just below t_end
             t_new = t_end if h == remainder else t + h
-            if t_next <= t_new:
-                if linear:  # M y serves only the interpolant
-                    f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
+            if t_next <= t_new:  # the interpolant's derivatives
+                f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
                 y, y_new = (a, b), (a1, b1)
                 while t_next <= t_new:
                     out[:, idx] = _hermite(y, f, y_new, f_new, h, min(1.0, (t_next - t) / h))
                     idx += 1
                     t_next = sample_ts[idx]
-            t, a, b, f, abs_a, abs_b = t_new, a1, b1, f_new, abs_a1, abs_b1
+            t, a, b, abs_a, abs_b = t_new, a1, b1, abs_a1, abs_b1
             if h < h_cap:  # at h_cap, min(h_cap, h * max(1.0, factor)) is h_cap
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
                 h = min(h_cap, h * max(1.0, factor))
@@ -218,7 +218,7 @@ def _check_grid(t_grid) -> np.ndarray:
     return ts
 
 
-def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, norm_freq: float, p: DriveParams, linear=False):
+def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, norm_freq: float, p: DriveParams, frame_freq=0.0):
     """Run the DP5(4) stepper with the step caps for this route.
 
     ``content_freq`` bounds the solution's angular frequencies for the Hermite cap, and ``norm_freq``
@@ -239,7 +239,7 @@ def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, norm_freq: flo
         steps = t_end / h_cap if h_cap > 0.0 else math.inf  # a float division: an overflow gives inf
         need = f"at least {steps:.3g} steps, over {_MAX_STEPS}" if steps < math.inf else f"more than {_MAX_STEPS} steps"
         raise ValueError(f"integrating to t = {t_end!r} needs {need}")
-    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap, linear)
+    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap, frame_freq)
 
 
 def _norm_guard(survival, transition, ts, s: IntegratorSettings, label: str):
@@ -272,7 +272,7 @@ def evolve_instantaneous_basis(
     def rhs(t, a, b):
         return 0.5j * (drift * a + coupling * b), 0.5j * (coupling * a - drift * b)
 
-    samples = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, 0.5 * p.omega_bar, p, linear=True)
+    samples = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, 0.5 * p.omega_bar, p)
     survival = np.abs(samples[0]) ** 2
     transition = np.abs(samples[1]) ** 2
     _norm_guard(survival, transition, ts, settings, "instantaneous-basis")
@@ -294,13 +294,13 @@ def evolve_lab_frame(
     omega = p.omega
 
     def rhs(t, u, v):
-        off = off_mag * complex(math.cos(omega * t), -math.sin(omega * t))
+        off = cmath.rect(off_mag, -omega * t)
         return -1j * (diag * u + off * v), -1j * (off.conjugate() * u - diag * v)
 
-    start = eigensystem_at(p, 0.0).vec_minus
-    # Solution frequencies are bounded by omega/2 + omega_bar/2 <= omega + omega0/2.
+    y0 = tuple(eigensystem_at(p, 0.0).vec_minus.tolist())  # Python complex scalars
+    # H turns at omega (module docstring); solution frequencies are at most omega/2 + omega_bar/2 <= omega + omega0/2.
     bound = 0.5 * p.omega + 0.5 * p.omega_bar
-    samples = _run(rhs, ts, (complex(start[0]), complex(start[1])), settings, p.omega + 0.5 * p.omega0, bound, p)
+    samples = _run(rhs, ts, y0, settings, p.omega + 0.5 * p.omega0, bound, p, p.omega)
     survival, transition = _eigen_projections(p, ts, lambda block: samples[:, block].T)
     _norm_guard(survival, transition, ts, settings, "lab-frame")
     return TimeSeries(times=ts, survival=survival, transition=transition, method="lab-frame")

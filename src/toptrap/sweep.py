@@ -210,7 +210,7 @@ def _oracle_series(omega0, omega, theta, t):
     survival = np.empty(len(t))
     transition = np.empty(len(t))
     unique, inverse = np.unique(np.stack([omega0, omega, theta]), axis=1, return_inverse=True)
-    for k, (o0, om, th) in enumerate(unique.T):
+    for k, (o0, om, th) in enumerate(unique.T.tolist()):  # Python floats: the stepper's scalars are not numpy's
         points = np.flatnonzero(inverse == k)
         points = points[np.argsort(t[points], kind="stable")]
         series = evolve_instantaneous_basis(DriveParams(o0, om, th), t[points])

@@ -6,6 +6,7 @@ import types
 
 import numpy as np
 import pytest
+import staged_reference
 
 from toptrap import integrate
 from toptrap.closed_form import survival_probability, transition_probability
@@ -120,68 +121,91 @@ class TestLabFrame:
         np.testing.assert_allclose(series.survival, 1.0, atol=1e-10)
 
     def test_samples_pinned_bit_for_bit(self):
-        """The lab frame takes the seven stages at every step: its samples must not move by a bit."""
+        """The lab frame steps with the cached matrices turned by U(t): its samples must not move by a bit."""
         series = evolve_lab_frame(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11))
         assert [v.hex() for v in series.survival.tolist()] == [
-            "0x1.0000000000000p+0", "0x1.4e4c83404a19cp-1", "0x1.abad4c307b123p-4", "0x1.10a4db1899385p-3",
-            "0x1.658870419f860p-1", "0x1.fec8a351fbcefp-1", "0x1.365bdf256101ap-1", "0x1.463f93641c561p-4",
-            "0x1.52f82348b8706p-3", "0x1.7bd5db74de7afp-1", "0x1.fb2593c119444p-1",
+            "0x1.0000000000000p+0", "0x1.4e4c83404a19cp-1", "0x1.abad4c307b126p-4", "0x1.10a4db1899385p-3",
+            "0x1.658870419f860p-1", "0x1.fec8a351fbcf1p-1", "0x1.365bdf256101ap-1", "0x1.463f93641c561p-4",
+            "0x1.52f82348b870dp-3", "0x1.7bd5db74de7b0p-1", "0x1.fb2593c119448p-1",
         ]  # fmt: skip
         assert [v.hex() for v in series.transition.tolist()] == [
-            "0x0.0p+0", "0x1.6366f97f6bb95p-2", "0x1.ca8a5679f0797p-1", "0x1.bbd6c939d963cp-1",
-            "0x1.34ef1f7cbfe5ep-2", "0x1.375cae0363259p-9", "0x1.934841b53bba8p-2", "0x1.d7380d937af59p-1",
-            "0x1.ab41f72dcff9cp-1", "0x1.085449163e4c3p-2", "0x1.369b0fb9ab33ap-7",
+            "0x0.0p+0", "0x1.6366f97f6bb93p-2", "0x1.ca8a5679f0795p-1", "0x1.bbd6c939d963cp-1",
+            "0x1.34ef1f7cbfe5ep-2", "0x1.375cae0363258p-9", "0x1.934841b53bba8p-2", "0x1.d7380d937af61p-1",
+            "0x1.ab41f72dcff9ep-1", "0x1.085449163e4bcp-2", "0x1.369b0fb9ab361p-7",
         ]  # fmt: skip
+
+
+BUILD_CALLS = 2 * 7  # rhs calls per build of D and E: the seven stages, on each basis vector
+
+
+def count_sqrt(monkeypatch, module) -> list:
+    """Record every ``math.sqrt`` argument in ``module``: each step attempt takes one error norm, so one sqrt."""
+    norms = []
+    counting = {**vars(math), "sqrt": lambda x: norms.append(x) or math.sqrt(x)}
+    monkeypatch.setattr(module, "math", types.SimpleNamespace(**counting))
+    return norms
+
+
+def recorded_solve(monkeypatch, route, p, ts, settings=integrate.DEFAULT_SETTINGS):
+    """Run ``route`` and return the arguments it passed to the stepper, with the stepper's samples."""
+    solves = []
+    stepper = integrate._integrate_dp45
+
+    def recording(*args):
+        solves.append((args, stepper(*args)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(integrate, "_integrate_dp45", recording)
+    route(p, ts, settings)
+    [(args, samples)] = solves
+    return args, samples
 
 
 class TestCachedStepMatrices:
-    """The instantaneous basis steps with R(hM) and E(hM) built from the stages; the staged loop that
-    the lab frame takes, run on the same rhs, is the reference."""
+    """Both ODE routes step with D(h) and E(h) built from the stages at t = 0, turned by the drive's rotation in
+    the lab frame; the staged loop of ``staged_reference``, run on the same rhs, is the reference."""
 
-    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
-    @pytest.mark.parametrize(
-        "p",
-        [
-            pytest.param(DriveParams(1.0, 1.001, 0.01), id="near-resonant"),
-            pytest.param(DriveParams(1.0, 1.5, 1e-3), id="small-theta"),
-            pytest.param(DriveParams(1.0, 1.5, math.pi - 1e-3), id="theta-near-pi"),
-            pytest.param(DriveParams(1.0, 50.0, 1.0), id="omega-above-omega0"),
-        ],
-    )
-    def test_matrices_match_the_stages(self, monkeypatch, p, rel_tol):
-        solves, stage_hs, norms = [], [], []
-        stepper, stages = integrate._integrate_dp45, integrate._stages
+    DRIVES = [
+        pytest.param(DriveParams(1.0, 1.001, 0.01), id="near-resonant"),
+        pytest.param(DriveParams(1.0, 1.5, 1e-3), id="small-theta"),
+        pytest.param(DriveParams(1.0, 1.5, math.pi - 1e-3), id="theta-near-pi"),
+        pytest.param(DriveParams(1.0, 50.0, 1.0), id="omega-above-omega0"),
+    ]
 
-        def recorded(*args):
-            solves.append((args, stepper(*args)))
-            return solves[-1][1]
-
-        monkeypatch.setattr(integrate, "_integrate_dp45", recorded)
-        monkeypatch.setattr(integrate, "_stages", lambda rhs, t, y, f, h: stage_hs.append(h) or stages(rhs, t, y, f, h))
-        # one error norm, so one math.sqrt, per step attempt
-        counting = {**vars(math), "sqrt": lambda x: norms.append(x) or math.sqrt(x)}
-        monkeypatch.setattr(integrate, "math", types.SimpleNamespace(**counting))
+    @staticmethod
+    def check_against_the_stages(monkeypatch, route, p, rel_tol, frame_freq):
+        stage_hs = []
+        stages = integrate._stages
+        monkeypatch.setattr(integrate, "_stages", lambda rhs, y, h: stage_hs.append(h) or stages(rhs, y, h))
+        cached_norms, staged_norms = count_sqrt(monkeypatch, integrate), count_sqrt(monkeypatch, staged_reference)
         ts = np.linspace(0.0, 3 * 2 * math.pi / p.omega_bar, 41)
-        evolve_instantaneous_basis(p, ts, IntegratorSettings(rel_tol=rel_tol, abs_tol=rel_tol / 100))
-        [((rhs, sample_ts, y0, rel, abs_tol, h_cap, linear), cached)] = solves
-        builds, cached_norms = stage_hs[::2], norms.copy()
-        assert linear
+        settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=rel_tol / 100)
+        args, cached = recorded_solve(monkeypatch, route, p, ts, settings)
+        builds = stage_hs[::2]
+        assert args[-1] == frame_freq
         assert stage_hs[1::2] == builds  # each build runs the stages on both basis vectors
         assert len(set(builds)) == len(builds)  # and happens once per distinct h
-        stage_hs.clear()
-        norms.clear()
-        staged = stepper(rhs, sample_ts, y0, rel, abs_tol, h_cap)
-        assert len(norms) == len(stage_hs) == len(cached_norms) > len(builds)
+        staged = staged_reference.staged_dp45(*args[:-1])
+        assert len(staged_norms) == len(cached_norms) > len(builds)
         np.testing.assert_allclose(cached, staged, rtol=0.0, atol=1e-12)
-        # E(hM) y is the staged error estimate: the scaled errors agree far inside the accept threshold 1
-        np.testing.assert_allclose(np.sqrt(cached_norms), np.sqrt(norms), rtol=0.0, atol=1e-6)
+        # E(h) y, turned by U(t) in the lab frame, is the staged error estimate: the scaled errors agree far
+        # inside the accept threshold 1
+        np.testing.assert_allclose(np.sqrt(cached_norms), np.sqrt(staged_norms), rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("p", DRIVES)
+    def test_matrices_match_the_stages(self, monkeypatch, p, rel_tol):
+        self.check_against_the_stages(monkeypatch, evolve_instantaneous_basis, p, rel_tol, 0.0)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("p", DRIVES)
+    def test_turned_matrices_match_the_lab_stages(self, monkeypatch, p, rel_tol):
+        self.check_against_the_stages(monkeypatch, evolve_lab_frame, p, rel_tol, p.omega)
 
     @pytest.mark.parametrize("route, attempts", [(evolve_instantaneous_basis, 383), (evolve_lab_frame, 1200)])
     def test_step_attempts_pinned(self, monkeypatch, route, attempts):
         """Each step attempt takes one error norm, so one math.sqrt: the step sequence must not change."""
-        norms = []
-        counting = {**vars(math), "sqrt": lambda x: norms.append(x) or math.sqrt(x)}
-        monkeypatch.setattr(integrate, "math", types.SimpleNamespace(**counting))
+        norms = count_sqrt(monkeypatch, integrate)
         route(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11))
         assert len(norms) == attempts
 
@@ -189,12 +213,19 @@ class TestCachedStepMatrices:
         """Over 100 Rabi periods (about 19,000 steps) the cached solve stays with the staged one.  Caching R
         itself, not R - I, rounds every step alike and drifted 3e-13 away on this drive."""
         p = DriveParams(2.0, 1.0, 2.0)
-        solves = []
-        stepper = integrate._integrate_dp45
-        monkeypatch.setattr(integrate, "_integrate_dp45", lambda *args: solves.append(args) or stepper(*args))
-        evolve_instantaneous_basis(p, np.linspace(0.0, 100 * 2 * math.pi / p.omega_bar, 11))
-        [args] = solves
-        np.testing.assert_allclose(stepper(*args), stepper(*args[:-1]), rtol=0.0, atol=1e-13)
+        ts = np.linspace(0.0, 100 * 2 * math.pi / p.omega_bar, 11)
+        args, cached = recorded_solve(monkeypatch, evolve_instantaneous_basis, p, ts)
+        np.testing.assert_allclose(cached, staged_reference.staged_dp45(*args[:-1]), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+    def test_both_routes_stay_with_the_staged_loop_over_250_rabi_periods(self, monkeypatch, route, rel_tol):
+        """The lab step from t is the t = 0 step turned by U(t): exact, so no error grows with t or with omega t."""
+        p = DriveParams(1.0, 0.5, 2.5)
+        ts = np.linspace(0.0, 250 * 2 * math.pi / p.omega_bar, 11)
+        settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=rel_tol / 100)
+        args, cached = recorded_solve(monkeypatch, route, p, ts, settings)
+        np.testing.assert_allclose(cached, staged_reference.staged_dp45(*args[:-1]), rtol=0.0, atol=1e-12)
 
 
 class TestRotatingFramePropagator:
@@ -311,7 +342,7 @@ class TestFailureModes:
             route(DriveParams(1.0, 1.5, 1.0), np.array([0.0, 1.0, 2.0]))
         assert err.value.t == 1.0
 
-    def test_last_step_takes_the_whole_remainder(self):
+    def test_last_step_takes_the_whole_remainder(self, monkeypatch):
         """Ten steps of 0.2 sum to a few ulp short of 2; the tenth must still arrive at 2."""
         calls = 0
 
@@ -320,8 +351,10 @@ class TestFailureModes:
             calls += 1
             return 0.5j * (0.3 * a + 0.8 * b), 0.5j * (0.8 * a - 0.3 * b)
 
+        norms = count_sqrt(monkeypatch, integrate)
         out = _integrate_dp45(rhs, np.array([0.0, 2.0]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, 0.2)
-        assert calls == 1 + 6 * 10
+        assert len(norms) == 10  # ten step attempts: no sliver step after the tenth
+        assert calls == BUILD_CALLS * 2 + 2  # builds for 0.2 and the remainder 0.2 + 2 ulp; f at the sample step
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
@@ -373,7 +406,7 @@ class TestNormLossCap:
 
 
 class TestStepperOrder:
-    def test_fifth_order_error_reduction(self):
+    def test_fifth_order_error_reduction(self, monkeypatch):
         """Unit tolerances accept every step, so h stays at the cap and the order shows."""
         p = DriveParams(1.0, 1.5, math.pi / 4)
         t_end = 4.0
@@ -389,8 +422,11 @@ class TestStepperOrder:
         def error(h):
             nonlocal calls
             calls = 0
+            norms = count_sqrt(monkeypatch, integrate)
             alpha = _integrate_dp45(rhs, np.array([0.0, t_end]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, h)[0, -1]
-            assert calls == 1 + 6 * round(t_end / h)  # FSAL: six new stages per accepted step
+            assert len(norms) == round(t_end / h)  # every attempt accepted
+            # builds for h and for the last step's remainder, a few ulp off h; f at the one sample step
+            assert calls == BUILD_CALLS * 2 + 2
             return abs(abs(alpha) ** 2 - exact)
 
         assert error(0.2) / error(0.1) >= 16.0

@@ -9,6 +9,9 @@ OverflowError, and no text outside that function spells the ``must keep ... fini
 
 No module uses ``functools.cached_property``: on Python 3.11 it takes a lock on every first read, and
 ``spin._cached`` caches the same way without one.
+
+Every module-level private name (``_name``, not ``__dunder__``) is read somewhere in the package: a stand-in for
+vulture's unused-code report, which keeps leftovers of removed code paths out.
 """
 
 import ast
@@ -72,3 +75,34 @@ def test_no_module_uses_functools_cached_property():
         or isinstance(node, ast.Attribute) and node.attr == "cached_property"
     ]
     assert uses == []
+
+
+def bound_at_module_level(node) -> list[str]:
+    """The names a module-level statement binds: a def or class, or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+
+
+def unused_private_names() -> list[str]:
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):  # imported by another module
+            read.add(node.name)
+    return [
+        f"{name}:{node.lineno}: {bound}"
+        for name, tree in trees.items()
+        for node in tree.body
+        for bound in bound_at_module_level(node)
+        if bound.startswith("_") and not bound.startswith("__") and bound not in read
+    ]
+
+
+def test_no_unused_private_name():
+    assert unused_private_names() == []

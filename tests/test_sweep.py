@@ -190,6 +190,21 @@ class TestRunSweep:
         )
         assert np.array_equal(run_sweep(spec).table, run_sweep(spec).table)
 
+    def test_oracle_drives_hold_python_floats(self, monkeypatch):
+        """numpy float64 drive values would make every oracle step run on numpy.complex128, nearly 2x slower."""
+        drives = []
+        evolve = sweep_mod.evolve_instantaneous_basis
+        monkeypatch.setattr(sweep_mod, "evolve_instantaneous_basis", lambda p, ts: drives.append(p) or evolve(p, ts))
+        spec = SweepSpec(
+            axes=(Axis("omega", np.array([0.7, 1.5])), Axis("theta", np.array([0.4, 0.9])), Axis.linear("t", 0, 2, 5)),
+            quantities=("survival",),
+            fixed={"omega0": 1.0},
+            oracle=True,
+        )
+        run_sweep(spec)
+        assert len(drives) == 4
+        assert {type(value) for p in drives for value in (p.omega0, p.omega, p.theta)} == {float}
+
     def test_oracle_mismatch_names_the_worst_point(self, monkeypatch):
         def bumped(p, t_grid, settings=None):
             """The closed form plus 1e-6 theta sin(t): worst at the largest theta and t = 1.5."""
