@@ -56,7 +56,7 @@ def _broadcast_terms(omega0, omega, theta, t):
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar or phase raises instead
         wb = omega_bar_of(omega0, omega, theta)
         check_finite("omega_bar", wb, omega0=omega0, omega=omega)
-        half = 0.5 * wb * t
+        half = np.asarray(0.5 * wb * t)  # an array even for 0-d inputs: probabilities reuses its buffer
     check_finite("the phase wbar t/2", half, t=t)
     sin_half = np.sin(0.5 * theta)
     drift = (omega0 - omega) + 2.0 * omega * (sin_half * sin_half)
@@ -78,12 +78,15 @@ def _scalar_terms(p: DriveParams, t):
     return math.cos(half), math.sin(half), p.drift / wb, p.coupling / wb
 
 
-def probabilities(omega0, omega, theta, t):
+def probabilities(omega0, omega, theta, t, out=(None, None)):
     """Survival and transition probabilities, broadcast over all four inputs.
 
     cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2) and its complement
     (coupling/wbar)^2 sin^2(wbar t/2), as arrays of the broadcast shape;
     exactly 1 and 0 where the spin never flips (coupling = 0 or wbar = 0).
+
+    ``out``: (survival, transition) float arrays of the broadcast shape to fill
+    and return, with the bits of the call without them; a None is allocated.
 
     Raises:
         ValueError: naming the parameter, unless every value is finite with
@@ -91,14 +94,18 @@ def probabilities(omega0, omega, theta, t):
             omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
     """
     half, drift_ratio, coupling_ratio, uncoupled = _broadcast_terms(omega0, omega, theta, t)
+    survival, transition = out
     sin2 = np.sin(half)
     sin2 *= sin2
-    survival = np.cos(half)  # built in place: one more live full-grid array re-faults heap pages per call
-    survival *= survival
-    survival += drift_ratio * drift_ratio * sin2  # sums of squares: rounding can only overshoot 1
-    survival = np.minimum(survival, 1.0)
-    transition = np.minimum(coupling_ratio * coupling_ratio * sin2, 1.0)  # exactly 0 at coupling = 0
-    return np.where(uncoupled, 1.0, survival), transition
+    survival = np.cos(half, out=np.empty_like(half) if survival is None else survival)
+    survival *= survival  # the phase is spent: an unrequested transition takes its buffer
+    transition = np.multiply(coupling_ratio * coupling_ratio, sin2, out=half if transition is None else transition)
+    np.minimum(transition, 1.0, out=transition)  # exactly 0 at coupling = 0
+    sin2 *= drift_ratio * drift_ratio
+    survival += sin2  # sums of squares: rounding can only overshoot 1
+    np.minimum(survival, 1.0, out=survival)
+    np.copyto(survival, 1.0, where=uncoupled)
+    return survival, transition
 
 
 def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:

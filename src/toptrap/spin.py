@@ -32,11 +32,12 @@ def omega_bar_of(omega0, omega, theta):
 
     Evaluated as hypot(omega0 - omega, 2 sqrt(omega0 omega) sin(theta/2)),
     which is free of cancellation, symmetric under omega0 <-> omega, and
-    exactly zero iff omega0 == omega and theta == 0; below the smallest normal
-    float (bits lost, or 0), sqrt(omega0 omega) is taken as sqrt(omega0) sqrt(omega).
+    exactly zero iff omega0 == omega and theta == 0; outside the normal floats (bits
+    lost, 0 or inf), sqrt(omega0 omega) is taken as sqrt(omega0) sqrt(omega).
     """
     product = np.multiply(omega0, omega)
-    root = np.where(product < sys.float_info.min, np.sqrt(omega0) * np.sqrt(omega), np.sqrt(product))
+    normal = (product >= sys.float_info.min) & (product <= sys.float_info.max)
+    root = np.where(normal, np.sqrt(product), np.sqrt(omega0) * np.sqrt(omega))
     return np.hypot(omega0 - omega, 2.0 * root * np.sin(0.5 * theta))
 
 
@@ -116,10 +117,11 @@ class DriveParams:
         (``math.hypot`` differs in the last bit); a raising call caches nothing.
 
         Raises:
-            ValueError: naming omega0 and omega where omega0 * omega overflows it.
+            ValueError: naming omega0 and omega where wbar overflows.
         """
         product = self.omega0 * self.omega
-        root = math.sqrt(product) if product >= sys.float_info.min else math.sqrt(self.omega0) * math.sqrt(self.omega)
+        normal = sys.float_info.min <= product <= sys.float_info.max
+        root = math.sqrt(product) if normal else math.sqrt(self.omega0) * math.sqrt(self.omega)
         wb = float(np.hypot(self.omega0 - self.omega, 2.0 * root * math.sin(0.5 * self.theta)))
         if not math.isfinite(wb):
             check_finite("omega_bar", wb, omega0=self.omega0, omega=self.omega)

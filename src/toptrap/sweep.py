@@ -7,7 +7,9 @@ evaluated with the closed-form module; when ``oracle`` is set, survival and
 transition pick up companion columns from the instantaneous-basis ODE
 integration and the run aborts if any point disagrees beyond
 ``ORACLE_TOL``.  No grid of inputs is built: each axis reaches the kernels
-along its own grid dimension, and only the outputs hold one value per point.
+along its own grid dimension.  The table is allocated once, column-major, and
+every column is written in place as one contiguous block, the closed-form
+survival and transition by the kernel itself.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Row-major table over the grid: axis columns first, then quantities.
+    """One table row per grid point, axis columns first; column-major, so ``column`` is a contiguous view.
 
     ``params``: the fixed inputs, the tool, method and oracle, a canned figure's name and description."""
 
@@ -164,37 +166,39 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             omega0 = x * omega
         check_finite("omega0 = x * omega", omega0, x=x, omega=omega)
 
-    out = {a.name: inputs[a.name] for a in spec.axes}
     pair = ("survival", "transition")
+    columns = [a.name for a in spec.axes]
+    for q in spec.quantities:
+        columns += [q, f"{q}_ode"] if spec.oracle and q in pair else [q]
+    table = np.empty((len(columns),) + shape)  # C-ordered by column: returned transposed, column-major
+    col = {name: table[j, ...] for j, name in enumerate(columns)}  # [j, ...]: an array even for a 0-d grid
     if any(q in pair for q in spec.quantities):
-        closed = dict(zip(pair, probabilities(omega0, omega, theta, t)))
+        probabilities(omega0, omega, theta, t, out=(col.get("survival"), col.get("transition")))
     if spec.oracle:
         flat = (v.reshape(-1) for v in np.broadcast_arrays(omega0, omega, theta, t))
         ode = dict(zip(pair, _oracle_series(*flat)))
     for q in spec.quantities:
         if q in pair:
-            out[q] = closed[q]
             if spec.oracle:
-                out[f"{q}_ode"] = ode[q].reshape(closed[q].shape)
-                _check_oracle(q, closed[q], out[f"{q}_ode"], spec.axes)
+                col[f"{q}_ode"][...] = ode[q].reshape(shape)
+                _check_oracle(q, col[q], col[f"{q}_ode"], spec.axes)
         elif q == "tau":
             if x is None and not np.all(omega > 0.0):
                 raise ValueError("resurrection undefined: omega must be > 0")
             with np.errstate(over="ignore"):  # a subnormal omega overflows x, named below
                 ratio = x if x is not None else omega0 / omega
             check_finite("x", ratio, omega0=omega0, omega=omega)
-            out[q] = tau_of_ratio(ratio, theta)
+            col[q][...] = tau_of_ratio(ratio, theta)
         else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
             if x is not None:  # omega0 = x * omega is checked only here: tau may take x = 0
                 check_domain("omega0", omega0)
             with np.errstate(all="ignore"):
-                out[q] = 0.5 * omega * np.sin(theta) / omega0 if q == "adiabaticity" else omega_bar_of(omega0, omega, theta)
-            check_finite(q, out[q], omega0=omega0, omega=omega)
+                col[q][...] = 0.5 * omega * np.sin(theta) / omega0 if q == "adiabaticity" else omega_bar_of(omega0, omega, theta)
+            check_finite(q, col[q], omega0=omega0, omega=omega)
+    for a in spec.axes:  # last: the kernel's temporaries are freed before these pages are first touched
+        col[a.name][...] = inputs[a.name]
 
-    table = np.empty(shape + (len(out),))
-    for j, values in enumerate(out.values()):
-        table[..., j] = values
-    table = table.reshape(n, len(out))
+    table = table.reshape(len(columns), n).T
     if not np.all(np.isfinite(table)):
         raise ValueError("sweep produced non-finite values")
     from . import __version__
@@ -202,7 +206,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     params = {**spec.fixed, "tool": f"toptrap {__version__}", "method": "closed-form"}
     if spec.oracle:
         params["oracle"] = "instantaneous-basis"
-    return SweepResult(axes=spec.axes, columns=tuple(out), table=table, params=params)
+    return SweepResult(axes=spec.axes, columns=tuple(columns), table=table, params=params)
 
 
 def _oracle_series(omega0, omega, theta, t):

@@ -222,14 +222,26 @@ class TestEvolve:
 
     @pytest.mark.parametrize("method", ["closed", "ode", "all", "lab"])
     def test_overflowing_omega_bar_is_usage_error(self, method, capsys):
-        """omega0 * omega overflows omega_bar: every route needs it, the lab route for its norm-loss step cap."""
-        message = "omega0 and omega must keep omega_bar finite, got omega0 = 1e+300, omega = 1e+300"
+        """omega_bar overflows: every route needs it, the lab route for its norm-loss step cap."""
+        message = "omega0 and omega must keep omega_bar finite, got omega0 = 1e+308, omega = 1e+308"
         code, out, err = run(
-            ["evolve", "--omega0", "1e300", "--omega", "1e300", "--theta", "1", "--t-max", "1", "--samples", "2",
+            ["evolve", "--omega0", "1e308", "--omega", "1e308", "--theta", repr(math.pi), "--t-max", "1", "--samples", "2",
              "--method", method],
             capsys,
         )
         assert (code, out, err) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+    def test_finite_omega_bar_above_the_largest_product(self, capsys):
+        """omega0 * omega overflows but wbar = 9.6e299 does not: the closed form answers, and the ODE routes
+        refuse a span of some 1e299 Rabi periods up front."""
+        argv = ["evolve", "--omega0", "1e300", "--omega", "1e300", "--theta", "1", "--t-max", "1", "--samples", "2"]
+        code, out, err = run(argv + ["--method", "closed"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        p = DriveParams(1e300, 1e300, 1.0)
+        assert parse_csv(out).rows.tolist() == [[0.0, 1.0, 0.0], [1.0, survival_probability(p, 1.0), transition_probability(p, 1.0)]]
+        for method in ("ode", "lab", "all"):
+            code, out, err = run(argv + ["--method", method], capsys)
+            assert (code, out, err) == (EXIT_USAGE, "", "toptrap: integrating to t = 1.0 needs more than 1000000 steps\n")
 
     def test_long_span_keeps_the_norm(self, capsys):
         """A thousand time units, about 400 Rabi periods: the DP5(4) norm loss grows with the step count, and the

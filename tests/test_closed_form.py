@@ -282,6 +282,25 @@ class TestKernelAgreement:
             np.testing.assert_allclose(np.add(survival, transition), 1.0, rtol=0, atol=1e-14)
         assert np.min(route.survival) < 0.5  # the spin does flip
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.array([[1.0], [2.5]]), np.array([0.0, 0.7, 1.5]), np.array([[[0.0]], [[1.2]]]), np.array([0.0, 3.0, 40.0]).reshape(3, 1, 1, 1)),
+            (1.0, 1.5, 1.0, 2.0),
+            (1.0, 1.0, np.array([0.0, 5e-324, 1.0]), np.array([[0.0], [2.0]])),
+        ],
+        ids=["broadcast", "0-d", "degenerate"],
+    )
+    @pytest.mark.parametrize("given", [(True, True), (True, False), (False, True)], ids=["both", "survival", "transition"])
+    def test_out_gets_the_allocating_bits(self, args, given):
+        """out= writes into and returns the arrays it is given; a None is allocated, as by the call without out."""
+        expected = probabilities(*args)
+        out = tuple(np.full(np.shape(e), np.nan) if wanted else None for e, wanted in zip(expected, given))
+        got = probabilities(*args, out=out)
+        for array, buffer, want in zip(got, out, expected):
+            assert buffer is None or array is buffer
+            assert array.shape == want.shape and array.tobytes() == want.tobytes()
+
     def test_masks_apply_per_point(self):
         survival, transition = probabilities(
             np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.5, 0.0, 1.0, 1.5]), np.array([0.0, 1.0, 5e-324, 1.0]), 2.0
@@ -340,16 +359,16 @@ class TestKernelAgreement:
              "kernel-theta-zero"],
     )
     def test_overflowing_omega_bar_rejected(self, call):
-        """omega0 * omega = inf once made wbar inf and the error blamed t; it names omega0 and omega."""
-        with pytest.raises(ValueError, match=r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+300, omega = 1e\+300$"):
-            call(DriveParams(1e300, 1e300, 1.0))
+        """wbar = 2e308 once made the error blame t; it names omega0 and omega."""
+        with pytest.raises(ValueError, match=r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+308, omega = 1e\+308$"):
+            call(DriveParams(1e308, 1e308, math.pi))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_omega_bar_at_theta_zero(self):
-        """sqrt(omega0 omega) sin(0) = inf * 0 warned "invalid value" before the error; the
-        coupling is 0, so the confinement verdict needs no omega_bar."""
-        p = DriveParams(1e300, 1e300, 0.0)
-        message = r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+300, omega = 1e\+300$"
+        """2 sqrt(omega0 omega) sin(0) = inf * 0 warned "invalid value" before the error (the true wbar is 0);
+        the coupling is 0, so the confinement verdict needs no omega_bar."""
+        p = DriveParams(1e308, 1e308, 0.0)
+        message = r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+308, omega = 1e\+308$"
         for call in (survival_probability, transition_probability):
             with pytest.raises(ValueError, match=message):
                 call(p, 0.0)
@@ -445,9 +464,9 @@ class TestResurrection:
             resurrection_time(DriveParams(1.0, 1.0, 0.0))
 
     def test_overflowing_omega_bar_leaves_tau_finite(self):
-        """omega0 * omega overflows omega_bar, but tau depends only on x and theta."""
-        point = resurrection_time(DriveParams(1e300, 1e300, 1.0))
-        assert point.tau == tau_of_ratio(1.0, 1.0)
+        """omega_bar overflows, but tau depends only on x and theta."""
+        point = resurrection_time(DriveParams(1e308, 1e308, math.pi))
+        assert point.tau == tau_of_ratio(1.0, math.pi)
 
     def test_local_maximum_pi_third(self):
         point = tau_of_ratio(0.5, math.pi / 3)

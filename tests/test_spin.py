@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -98,8 +99,30 @@ class TestDriveParams:
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.omega0 = 2.0
 
+    @pytest.mark.parametrize(
+        "omega0, omega, theta",
+        [
+            (1e300, 1e300, 1.0),
+            (1e300, 3e299, 3.0),
+            (1e-300, 1e-300, 1.0),
+            (1e300, 1e-300, 2.0),
+            (sys.float_info.max, 1.0, 1e-3),  # the largest finite product
+            (sys.float_info.max, math.nextafter(1.0, 2.0), 1e-3),  # the smallest overflowing one
+            (math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.max), 1.0),
+        ],
+    )
+    def test_omega_bar_beyond_the_normal_products(self, omega0, omega, theta):
+        """Where omega0 * omega under- or overflows, wbar is finite, the same bits on both paths, and within an
+        ulp of the rotating-frame propagator's hypot(omega0 sin(theta), omega0 cos(theta) - omega)."""
+        with np.errstate(over="ignore"):
+            expected = float(omega_bar_of(np.full(1, omega0), np.full(1, omega), np.full(1, theta))[0])
+        wb = DriveParams(omega0, omega, theta).omega_bar
+        assert wb.hex() == expected.hex()
+        route = math.hypot(omega0 * math.sin(theta), omega0 * math.cos(theta) - omega)
+        assert abs(wb - route) <= math.ulp(wb)
+
     def test_overflowing_omega_bar_caches_nothing(self):
-        p = DriveParams(1e300, 1e300, 1.0)
+        p = DriveParams(1e308, 1e308, math.pi)
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^omega0 and omega must keep omega_bar finite"):
                 p.omega_bar

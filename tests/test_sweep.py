@@ -1,5 +1,6 @@
 """Tests for the sweep engine and the canned figure datasets."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -226,11 +227,11 @@ class TestRunSweep:
         assert str(info.value) == "survival: closed form and ODE differ by 1.995e-06 (> 1e-08) at theta=2, t=1.5"
 
     def test_overflowing_omega_bar_named(self):
-        """omega0 * omega overflows: a ValueError naming both, and no RuntimeWarning first."""
+        """omega_bar overflows at the first point only: a ValueError naming both, and no RuntimeWarning first."""
         spec = SweepSpec(
-            axes=(Axis("omega", np.array([1e300, 1e299])),), quantities=("omega_bar",), fixed={"omega0": 1e300, "theta": 1.0}
+            axes=(Axis("omega", np.array([1e308, 1e307])),), quantities=("omega_bar",), fixed={"omega0": 1e308, "theta": math.pi}
         )
-        with pytest.raises(ValueError, match=r"omega0 = 1e\+300, omega = 1e\+300"):
+        with pytest.raises(ValueError, match=r"omega0 = 1e\+308, omega = 1e\+308"):
             run_sweep(spec)
 
     @pytest.mark.filterwarnings("error")
@@ -250,11 +251,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="^resurrection undefined: omega must be > 0$"):
             run_sweep(spec)
 
-    def test_peak_memory_near_the_table(self):
-        """Only the outputs are per-point arrays: no meshgrid, no per-point copies of the inputs."""
+    @pytest.mark.parametrize(
+        "quantities",
+        [("survival",), ("survival", "transition"), ("survival", "transition", "omega_bar", "adiabaticity")],
+        ids=["survival", "survival-transition", "four-quantities"],
+    )
+    def test_peak_memory_near_the_table(self, quantities):
+        """Beside the table, only the kernel's phase and sin^2 hold one value per point: no meshgrid, no per-point
+        copies of the inputs, no outputs copied into the table."""
         spec = SweepSpec(
             axes=tuple(Axis.linear(name, 0.1, 3.0, 100) for name in ("omega", "theta", "t")),
-            quantities=("survival", "transition"),
+            quantities=quantities,
             fixed={"omega0": 1.0},
         )
         tracemalloc.start()
@@ -263,7 +270,28 @@ class TestRunSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * table.nbytes
+        grid = 8 * table.shape[0]  # one float per point
+        assert peak <= table.nbytes + 2.1 * grid
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec(
+                axes=(Axis.linear("theta", 0.1, 3.0, 3), Axis.linear("t", 0.0, 9.0, 5)),
+                quantities=("transition", "tau", "survival"),
+                fixed={"omega0": 1.0, "omega": 0.8},
+            ),
+            SweepSpec(quantities=("survival", "omega_bar"), fixed={"omega0": 1.0, "omega": 1.5, "theta": 1.0, "t": 2.0}),
+        ],
+        ids=["two-axes", "no-axes"],
+    )
+    def test_columns_are_contiguous_views(self, spec):
+        """The table is column-major: every column is one contiguous block of it."""
+        result = run_sweep(spec)
+        assert result.table.flags.f_contiguous
+        for name in result.columns:
+            column = result.column(name)
+            assert column.flags.c_contiguous and np.shares_memory(column, result.table)
 
     @pytest.mark.parametrize(
         "axis, fixed, quantity, message",
@@ -414,6 +442,36 @@ class TestBroadcastGrid:
         assert result.params == params
         assert result.table.shape == table.shape
         assert result.table.tobytes() == table.tobytes()
+
+
+class TestPinnedBits:
+    """sha256 of whole tables, row by row, as the row-major sweep made them: the kernel's bits stay put."""
+
+    @pytest.mark.parametrize(
+        "which, shape, digest",
+        [
+            ("fig1", (6004, 3), "2a6122ab4ae3bf07f8ce32484b170c5ad310c05887e3823b542e3caa7b04bcde"),
+            ("fig2", (6004, 3), "e6a2c260da75f8db8f945a8bb5e9cb779b89ecf7342e32e538deaacfcc6a4cd8"),
+            ("fig3", (802, 3), "9403d16654fcb09314f833c7eaac21e6f9f87f5716bbfc178c84a1370625cd85"),
+        ],
+        ids=["fig1", "fig2", "fig3"],
+    )
+    def test_figure_tables(self, which, shape, digest):
+        table = figure_dataset(which).table
+        assert table.shape == shape
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+
+    def test_oracle_table(self):
+        spec = SweepSpec(
+            axes=(Axis.linear("theta", 0.2, 3.0, 3), Axis.linear("t", 0.0, 9.0, 5)),
+            quantities=("survival", "transition"),
+            fixed={"omega0": 1.0, "omega": 1.5},
+            oracle=True,
+        )
+        result = run_sweep(spec)
+        assert result.columns == ("theta", "t", "survival", "survival_ode", "transition", "transition_ode")
+        assert result.table.shape == (15, 6)
+        assert hashlib.sha256(result.table.tobytes()).hexdigest() == "9585ee809f9948ac6b693c731f80592f6977ab72151c79d4741300aad164a0b6"
 
 
 class TestFigureDatasets:
