@@ -359,7 +359,7 @@ class TestKernelAgreement:
              "kernel-theta-zero"],
     )
     def test_overflowing_omega_bar_rejected(self, call):
-        """wbar = 2e308 once made the error blame t; it names omega0 and omega."""
+        """An overflowing wbar (2e308 here) once made the error blame t; it names omega0 and omega."""
         with pytest.raises(ValueError, match=r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+308, omega = 1e\+308$"):
             call(DriveParams(1e308, 1e308, math.pi))
 

@@ -112,8 +112,8 @@ class TestDriveParams:
         ],
     )
     def test_omega_bar_beyond_the_normal_products(self, omega0, omega, theta):
-        """Where omega0 * omega under- or overflows, wbar is finite, the same bits on both paths, and within an
-        ulp of the rotating-frame propagator's hypot(omega0 sin(theta), omega0 cos(theta) - omega)."""
+        """At and beyond both ends of the normal products omega0 * omega, wbar is finite, the same bits on both
+        paths, and within an ulp of the rotating-frame propagator's hypot(omega0 sin(theta), omega0 cos(theta) - omega)."""
         with np.errstate(over="ignore"):
             expected = float(omega_bar_of(np.full(1, omega0), np.full(1, omega), np.full(1, theta))[0])
         wb = DriveParams(omega0, omega, theta).omega_bar
