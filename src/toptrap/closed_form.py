@@ -53,13 +53,12 @@ def _broadcast_terms(omega0, omega, theta, t):
     """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the zero-coupling mask;
     a zero wbar divides as 1, so there the ratios only multiply sin 0 = 0."""
     omega0, omega, theta, t = map(check_domain, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar or phase raises instead
-        wb = omega_bar_of(omega0, omega, theta)
-        check_finite("omega_bar", wb, omega0=omega0, omega=omega)
+    wb = omega_bar_of(omega0, omega, theta)
+    with np.errstate(over="ignore"):  # an overflowing phase raises instead
         half = np.asarray(0.5 * wb * t)  # an array even for 0-d inputs: probabilities reuses its buffer
     check_finite("the phase wbar t/2", half, t=t)
     sin_half = np.sin(0.5 * theta)
-    drift = (omega0 - omega) + 2.0 * omega * (sin_half * sin_half)
+    drift = 2.0 * ((omega0 - omega) * 0.5 + omega * (sin_half * sin_half))  # as DriveParams.drift
     coupling = omega * np.sin(theta)
     wb = np.where(wb == 0.0, 1.0, wb)
     return half, drift / wb, coupling / wb, coupling == 0.0

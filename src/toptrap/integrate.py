@@ -261,7 +261,7 @@ def evolve_instantaneous_basis(
         settings: tolerances.
 
     Raises:
-        ValueError: if the solve would exceed the step limit or omega0 * omega overflows omega_bar.
+        ValueError: if the solve would exceed the step limit or omega_bar overflows.
         IntegrationError: on step-size underflow or norm loss beyond
             10 * rel_tol.
     """
@@ -314,15 +314,16 @@ def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:
     whose exponential follows from the Rodrigues expansion
     exp(-i a (m.sigma)) = cos(a) I - i sin(a) (m.sigma); transforming back
     multiplies by diag(e^{-i omega t / 2}, e^{+i omega t / 2}).  An array ``t`` gives a stack
-    of shape ``t.shape + (2, 2)``; an overflowing phase is a ValueError naming the inputs.
+    of shape ``t.shape + (2, 2)``; an overflowing omega_bar or phase is a ValueError naming the inputs.
     """
     t = check("t", *FINITE, t)
     ax = p.omega0 * math.sin(p.theta)
     az = p.omega0 * math.cos(p.theta) - p.omega
-    wb = math.hypot(ax, az)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite wb or phase is named below
-        # m.sigma for the unit axis m; with wb == 0 the sine vanishes, so any axis does
-        m_sigma = np.array([[az, ax], [ax, -az]]) / wb if wb > 0.0 else np.zeros((2, 2))
+    wb = math.hypot(ax, az)  # its own hypot, not omega_bar_of: this route checks the closed form
+    check_finite("omega_bar", wb, omega0=p.omega0, omega=p.omega)
+    # m.sigma for the unit axis m; with wb == 0 the sine vanishes, so any axis does
+    m_sigma = np.array([[az, ax], [ax, -az]]) / wb if wb > 0.0 else np.zeros((2, 2))
+    with np.errstate(over="ignore"):  # an infinite phase is named below
         half = 0.5 * wb * t
         phase = p.omega * t
     check_finite("the phase wbar t/2", half, omega0=p.omega0, omega=p.omega, t=t)

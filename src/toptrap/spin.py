@@ -30,15 +30,19 @@ import numpy as np
 def omega_bar_of(omega0, omega, theta):
     """Effective Rabi frequency sqrt(omega0^2 + omega^2 - 2 omega0 omega cos theta), broadcast.
 
-    Evaluated as hypot(omega0 - omega, 2 sqrt(omega0 omega) sin(theta/2)),
-    which is free of cancellation, symmetric under omega0 <-> omega, and
-    exactly zero iff omega0 == omega and theta == 0; outside the normal floats (bits
-    lost, 0 or inf), sqrt(omega0 omega) is taken as sqrt(omega0) sqrt(omega).
+    Evaluated as hypot(omega0 - omega, sqrt(omega0 omega) * 2 sin(theta/2)), which is free of cancellation,
+    symmetric under omega0 <-> omega, and exactly zero iff omega0 == omega and theta == 0.  The one out-of-range
+    rule: outside the normal floats (bits lost, 0 or inf), sqrt(omega0 omega) is sqrt(omega0) sqrt(omega), which is
+    finite and never doubled, so theta = 0 gives |omega0 - omega|.  A ValueError names omega0 and omega where wbar
+    overflows.
     """
-    product = np.multiply(omega0, omega)
-    normal = (product >= sys.float_info.min) & (product <= sys.float_info.max)
-    root = np.where(normal, np.sqrt(product), np.sqrt(omega0) * np.sqrt(omega))
-    return np.hypot(omega0 - omega, 2.0 * root * np.sin(0.5 * theta))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar raises below
+        product = np.multiply(omega0, omega)
+        normal = (product >= sys.float_info.min) & (product <= sys.float_info.max)
+        root = np.where(normal, np.sqrt(product), np.sqrt(omega0) * np.sqrt(omega))
+        wb = np.hypot(omega0 - omega, root * (2.0 * np.sin(0.5 * theta)))
+    check_finite("omega_bar", wb, omega0=omega0, omega=omega)
+    return wb
 
 
 # Named (rule, test) pairs for check, then the drive domain: a rule per input; nan fails every test.
@@ -70,7 +74,7 @@ def check_domain(name, value):
 
 def check_finite(quantity, values, **inputs):
     """Raise ValueError naming the ``inputs`` at the first point where ``quantity`` ``values`` is not finite
-    (omega_bar: omega0 * omega overflows)."""
+    (e.g. an omega_bar above the largest float)."""
     bad = ~np.isfinite(values)
     if np.any(bad):
         got = ", ".join(f"{name} = {float(np.broadcast_to(v, np.shape(values))[bad][0])!r}" for name, v in inputs.items())
@@ -113,29 +117,27 @@ class DriveParams:
     def omega_bar(self) -> float:
         """Effective Rabi frequency; zero only for omega0 == omega, theta == 0.
 
-        Computed once per instance, as :func:`omega_bar_of` but by ``math`` save for ``np.hypot``
-        (``math.hypot`` differs in the last bit); a raising call caches nothing.
+        Computed once per instance with the bits of :func:`omega_bar_of`, which takes every drive but those with a
+        normal product omega0 omega: there ``math`` does all but ``np.hypot`` (``math.hypot`` differs in the last
+        bit), which cannot overflow (2 sqrt(omega0 omega) <= 2.7e154).  A raising call caches nothing.
 
         Raises:
             ValueError: naming omega0 and omega where wbar overflows.
         """
         product = self.omega0 * self.omega
-        normal = sys.float_info.min <= product <= sys.float_info.max
-        root = math.sqrt(product) if normal else math.sqrt(self.omega0) * math.sqrt(self.omega)
-        wb = float(np.hypot(self.omega0 - self.omega, 2.0 * root * math.sin(0.5 * self.theta)))
-        if not math.isfinite(wb):
-            check_finite("omega_bar", wb, omega0=self.omega0, omega=self.omega)
-        return wb
+        if sys.float_info.min <= product <= sys.float_info.max:
+            return float(np.hypot(self.omega0 - self.omega, 2.0 * math.sqrt(product) * math.sin(0.5 * self.theta)))
+        return float(omega_bar_of(self.omega0, self.omega, self.theta))
 
     @_cached
     def drift(self) -> float:
         """Diagonal rate omega0 - omega cos(theta) of the amplitude equations, computed once per instance.
 
-        Grouped as (omega0 - omega) + 2 omega sin^2(theta/2) so that the
-        ratio drift/omega_bar stays accurate when both are small.
+        Grouped as (omega0 - omega) + 2 omega sin^2(theta/2), so drift/omega_bar stays accurate when both are small,
+        and summed at half scale, so 2 omega sin^2(theta/2) cannot overflow where drift (<= omega_bar) is finite.
         """
         sin_half = math.sin(0.5 * self.theta)
-        return (self.omega0 - self.omega) + 2.0 * self.omega * (sin_half * sin_half)
+        return 2.0 * ((self.omega0 - self.omega) * 0.5 + self.omega * (sin_half * sin_half))
 
     @_cached
     def coupling(self) -> float:
@@ -182,13 +184,9 @@ def hamiltonian_at(p: DriveParams, t) -> np.ndarray:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-modulus component is real >= 0."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return v
-    return v * (pivot.conjugate() / mag)
+    """Rotate the global phase so the largest-modulus component of the unit ``eigh`` column ``v`` is real > 0."""
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return v * (pivot.conjugate() / abs(pivot))
 
 
 def eigensystem_at(p: DriveParams, t: float) -> EigenPair:

@@ -26,6 +26,12 @@ from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_fini
 
 AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
+# Per group of quantities: the inputs it reads, then those of them that x = omega0/omega stands in for.
+_INPUTS = {
+    ("survival", "transition"): (("theta", "t", "omega"), ("omega0",)),
+    ("adiabaticity", "omega_bar"): (("theta", "omega"), ("omega0",)),
+    ("tau",): (("theta",), ("omega0", "omega")),
+}
 MAX_GRID_POINTS = 10_000_000
 GRID_SIZE = (f"in [2, {MAX_GRID_POINTS}]", lambda n: (n >= 2) & (n <= MAX_GRID_POINTS))  # points on one axis or t grid
 ORACLE_TOL = 1e-8
@@ -105,25 +111,12 @@ class SweepSpec:
         self._require(provided)
 
     def _require(self, provided: set):
-        def need(names, why):
-            missing = [n for n in names if n not in provided]
-            if missing:
-                raise ValueError(f"{why} requires {missing}; give them as axes or fixed values")
-
-        wants_probability = any(q in ("survival", "transition") for q in self.quantities)
-        if wants_probability:
-            need(["theta", "t", "omega"], "survival/transition")
-            if "x" not in provided:
-                need(["omega0"], "survival/transition")
-        if any(q in ("adiabaticity", "omega_bar") for q in self.quantities):
-            need(["theta", "omega"], "adiabaticity/omega_bar")
-            if "x" not in provided:
-                need(["omega0"], "adiabaticity/omega_bar")
-        if "tau" in self.quantities:
-            need(["theta"], "tau")
-            if "x" not in provided:
-                need(["omega0", "omega"], "tau")
-        if self.oracle and not wants_probability:
+        for group, (reads, x_stands_for) in _INPUTS.items():
+            if any(q in group for q in self.quantities):
+                for names in (reads, () if "x" in provided else x_stands_for):
+                    if missing := [n for n in names if n not in provided]:
+                        raise ValueError(f"{'/'.join(group)} requires {missing}; give them as axes or fixed values")
+        if self.oracle and not any(q in ("survival", "transition") for q in self.quantities):
             raise ValueError("oracle columns apply only to survival/transition sweeps")
 
 

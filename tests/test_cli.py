@@ -231,6 +231,25 @@ class TestEvolve:
         )
         assert (code, out, err) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
+    @pytest.mark.parametrize("method", ["closed", "ode", "all", "lab"])
+    def test_overflowing_hypot_is_usage_error(self, method, capsys):
+        """The split root is finite and np.hypot overflows: the report alone reaches stderr, no RuntimeWarning."""
+        message = "omega0 and omega must keep omega_bar finite, got omega0 = 1.7e+308, omega = 3e+307"
+        argv = ["evolve", "--omega0", "1.7e308", "--omega", "3e307", "--theta", repr(math.pi), "--t-max", "1",
+                "--samples", "2", "--method", method]  # fmt: skip
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+    def test_drift_near_the_largest_float(self, capsys):
+        """drift = 1.36e308 once overflowed as 2 omega sin^2(theta/2): survival nan at t = 0, and
+        survival + transition 1.2 elsewhere.  Now the rows follow the rotating-frame propagator."""
+        argv = ["evolve", "--omega0", "1e300", "--omega", "1.7e308", "--theta", "2.5", "--t-max", "3e-308", "--samples", "4"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rows = parse_csv(out).rows
+        route = evolve_rotating_frame(DriveParams(1e300, 1.7e308, 2.5), rows[:, 0])
+        np.testing.assert_allclose(rows[:, 1], route.survival, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows[:, 2], route.transition, rtol=0, atol=1e-12)
+
     def test_finite_omega_bar_above_the_largest_product(self, capsys):
         """omega0 * omega overflows but wbar = 9.6e299 does not: the closed form answers, and the ODE routes
         refuse a span of some 1e299 Rabi periods up front."""
@@ -242,6 +261,18 @@ class TestEvolve:
         for method in ("ode", "lab", "all"):
             code, out, err = run(argv + ["--method", method], capsys)
             assert (code, out, err) == (EXIT_USAGE, "", "toptrap: integrating to t = 1.0 needs more than 1000000 steps\n")
+
+    def test_omega_bar_at_theta_zero_above_the_largest_product(self, capsys):
+        """2 sqrt(omega0 omega) = 2e308 overflows, but at theta = 0 wbar = |omega0 - omega| = 0: the closed form
+        answers survival 1, and the ODE routes refuse the span up front."""
+        argv = ["evolve", "--omega0", "1e308", "--omega", "1e308", "--theta", "0", "--t-max", "1", "--samples", "2"]
+        code, out, err = run(argv + ["--method", "closed"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert parse_csv(out).rows.tolist() == [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+        ode = "toptrap: integrating to t = 1.0 needs at least 1.59e+308 steps, over 1000000\n"
+        lab = "toptrap: integrating to t = 1.0 needs more than 1000000 steps\n"
+        for method, err in (("ode", ode), ("lab", lab), ("all", ode)):
+            assert run(argv + ["--method", method], capsys) == (EXIT_USAGE, "", err)
 
     def test_long_span_keeps_the_norm(self, capsys):
         """A thousand time units, about 400 Rabi periods: the DP5(4) norm loss grows with the step count, and the

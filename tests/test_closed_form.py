@@ -21,7 +21,7 @@ from toptrap.closed_form import (
 )
 from toptrap.geometry import confinement_advisor
 from toptrap.integrate import evolve_instantaneous_basis, evolve_rotating_frame
-from toptrap.spin import DriveParams
+from toptrap.spin import DriveParams, omega_bar_of
 from toptrap.sweep import Axis, SweepSpec, run_sweep
 
 RNG = np.random.default_rng(7)
@@ -282,6 +282,43 @@ class TestKernelAgreement:
             np.testing.assert_allclose(np.add(survival, transition), 1.0, rtol=0, atol=1e-14)
         assert np.min(route.survival) < 0.5  # the spin does flip
 
+    def test_drift_near_the_largest_float_follows_the_route(self):
+        """2 omega sin^2(theta/2) = 3.06e308 once overflowed although drift = 1.36e308 is below wbar = 1.7e308:
+        survival was nan at t = 0 and survival + transition 1.2 elsewhere."""
+        fixed = {"omega0": 1e300, "omega": 1.7e308, "theta": 2.5}
+        p = DriveParams(**fixed)
+        ts = np.linspace(0.0, 3e-308, 4)
+        route = evolve_rotating_frame(p, ts)
+        sweep = run_sweep(SweepSpec(axes=(Axis("t", ts),), quantities=("survival", "transition"), fixed=fixed))
+        calls = [
+            ([survival_probability(p, t) for t in ts.tolist()], [transition_probability(p, t) for t in ts.tolist()]),
+            (survival_probability(p, ts), transition_probability(p, ts)),
+            probabilities(p.omega0, p.omega, p.theta, ts),
+            (sweep.column("survival"), sweep.column("transition")),
+        ]
+        for survival, transition in calls:
+            np.testing.assert_allclose(survival, route.survival, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(transition, route.transition, rtol=0, atol=1e-12)
+        assert p.drift == pytest.approx(p.omega0 - p.omega * math.cos(p.theta), rel=1e-15)
+
+    def test_subnormal_detuning_gives_the_same_bits_on_every_path(self):
+        """omega0 - omega = 3 * 5e-324 does not halve exactly in the half-scale drift sum; the scalar and
+        broadcast paths round it alike, and both follow the rotating-frame propagator."""
+        omega = 4e-308
+        p = DriveParams(omega + 3 * 5e-324, omega, 1.0)
+        assert (p.omega0 - p.omega) * 0.5 * 2.0 != p.omega0 - p.omega
+        ts = np.array([0.0, 2e307, 5e307])
+        survival, transition = probabilities(p.omega0, p.omega, p.theta, ts)
+        assert survival.tolist() == [survival_probability(p, t) for t in ts.tolist()]
+        assert transition.tolist() == [transition_probability(p, t) for t in ts.tolist()]
+        amplitudes = amplitudes_at(p, ts)
+        for k, t in enumerate(ts.tolist()):
+            assert (amplitudes.alpha[k], amplitudes.beta[k]) == astuple(amplitudes_at(p, t))
+        route = evolve_rotating_frame(p, ts)
+        np.testing.assert_allclose(survival, route.survival, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(transition, route.transition, rtol=0, atol=1e-12)
+        assert 0.1 < np.min(survival) < 0.9  # the spin does flip
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -353,7 +390,7 @@ class TestKernelAgreement:
             lambda p: survival_probability(p, np.array([0.0, 1.0])),
             lambda p: amplitudes_at(p, np.array([0.0, 1.0])),
             lambda p: probabilities(p.omega0, p.omega, p.theta, 0.0),
-            lambda p: probabilities(np.array([1.0, p.omega0]), p.omega, 0.0, np.array([[0.0], [1.0]])),
+            lambda p: probabilities(p.omega0, p.omega, np.array([0.0, p.theta]), np.array([[0.0], [1.0]])),
         ],
         ids=["scalar-survival", "scalar-transition", "scalar-amplitudes", "array-survival", "array-amplitudes", "kernel",
              "kernel-theta-zero"],
@@ -365,13 +402,13 @@ class TestKernelAgreement:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_omega_bar_at_theta_zero(self):
-        """2 sqrt(omega0 omega) sin(0) = inf * 0 warned "invalid value" before the error (the true wbar is 0);
-        the coupling is 0, so the confinement verdict needs no omega_bar."""
+        """2 sqrt(omega0 omega) = 2e308 once overflowed before it met sin(0) = 0, and the nan refused the drive;
+        the true wbar, |omega0 - omega| = 0, is found on every path, and the spin never flips."""
         p = DriveParams(1e308, 1e308, 0.0)
-        message = r"^omega0 and omega must keep omega_bar finite, got omega0 = 1e\+308, omega = 1e\+308$"
-        for call in (survival_probability, transition_probability):
-            with pytest.raises(ValueError, match=message):
-                call(p, 0.0)
+        assert p.omega_bar == 0.0 and omega_bar_of(p.omega0, p.omega, np.array([0.0])).tolist() == [0.0]
+        assert (survival_probability(p, 1.0), transition_probability(p, 1.0)) == (1.0, 0.0)
+        survival, transition = probabilities(p.omega0, p.omega, p.theta, np.array([0.0, 1.0]))
+        assert (survival.tolist(), transition.tolist()) == ([1.0, 1.0], [0.0, 0.0])
         report = confinement_advisor(p, escape_time=1.0)
         assert report.confined and report.resurrection_time == math.inf
 

@@ -1,6 +1,7 @@
 """Tests for the ODE routes and the rotating-frame propagator."""
 
 import math
+import re
 import tracemalloc
 import types
 
@@ -66,6 +67,12 @@ class TestGridValidation:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             evolve_lab_frame(DriveParams(1, 1, 1), [-1.0, 0.0])
+
+    @pytest.mark.parametrize("grid", [[[0.0, 1.0], [2.0, 3.0]], []], ids=["2-d", "empty"])
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame])
+    def test_grid_must_be_a_non_empty_1d_array(self, route, grid):
+        with pytest.raises(ValueError, match="^t_grid must be a non-empty 1-d array$"):
+            route(DriveParams(1, 1, 1), grid)
 
 
 class TestInstantaneousBasis:
@@ -240,6 +247,16 @@ class TestRotatingFramePropagator:
     def test_nonfinite_time_rejected(self):
         with pytest.raises(ValueError, match="nan"):
             rotating_frame_propagator(DriveParams(1.0, 1.5, 1.0), np.array([0.0, math.nan]))
+
+    @pytest.mark.parametrize(
+        "call", [lambda p: rotating_frame_propagator(p, 0.0), lambda p: evolve_rotating_frame(p, [0.0, 1.0])],
+        ids=["propagator", "series"],
+    )
+    def test_overflowing_omega_bar_named(self, call):
+        """hypot(omega0 sin(theta), omega0 cos(theta) - omega) = inf once made the report blame the phase at t = 0."""
+        message = "omega0 and omega must keep omega_bar finite, got omega0 = 1.7e+308, omega = 3e+307"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(DriveParams(1.7e308, 3e307, math.pi))
 
     def test_identity_at_time_zero(self):
         u = rotating_frame_propagator(DriveParams(1.0, 1.5, 1.0), 0.0)

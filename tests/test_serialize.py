@@ -199,6 +199,19 @@ class TestSvg:
             assert 1 <= len(ticks) <= TICKS + 1
             assert all(lo <= v <= hi for v in ticks)
 
+    @pytest.mark.parametrize(
+        "xs, ys, window",
+        [([2.0, 2.0], [0.0, 1.0], (2.0, 3.0, -0.05, 1.05)), ([0.0, 1.0], [0.5, 0.5], (0.0, 1.0, 0.45, 1.55))],
+        ids=["flat-x", "flat-y"],
+    )
+    def test_flat_series_window_widened_by_one(self, xs, ys, window):
+        """A flat series would divide by a zero-width window; its axis spans one unit from the value, y then padded 5%."""
+        root = ET.fromstring(render_line_chart([ChartSeries("s", np.array(xs), np.array(ys))]))
+        got = tuple(float(root.get(f"data-{name}")) for name in ("x-min", "x-max", "y-min", "y-max"))
+        assert got == pytest.approx(window, rel=0, abs=1e-15)
+        points = [tuple(map(float, raw.split(","))) for raw in next(root.iter(f"{SVG_NS}polyline")).get("points").split()]
+        assert len(points) == 2 and all(math.isfinite(v) for point in points for v in point)
+
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             render_line_chart([])

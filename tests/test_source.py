@@ -7,6 +7,10 @@ name listed in ``__all__`` counts as used, and an import statement marked ``# no
 A derived value leaving the float range has one report, ``spin.check_finite``: no module catches an
 OverflowError, and no text outside that function spells the ``must keep ... finite`` message.
 
+The out-of-range rule of omega_bar (sqrt(omega0) sqrt(omega) where omega0 omega leaves the normal floats) and
+its overflow report live in ``spin.omega_bar_of``: ``DriveParams.omega_bar`` keeps one normal-product test and no
+report, and only the rotating-frame propagator, an independent route, reports its own omega_bar.
+
 No module uses ``functools.cached_property``: on Python 3.11 it takes a lock on every first read, and
 ``spin._cached`` caches the same way without one.
 
@@ -64,6 +68,30 @@ def test_must_keep_message_only_in_check_finite():
     inside = {f"spin.py:{number}" for number in range(check_finite.lineno, check_finite.end_lineno + 1)}
     found = _lines_mentioning("must keep")
     assert found and set(found) <= inside
+
+
+def _definition(module: str, *path: str):
+    """The def or class that ``path`` names in ``module``, from its top level down."""
+    node = ast.parse((SRC / module).read_text())
+    for name in path:
+        node = next(child for child in node.body if getattr(child, "name", None) == name)
+    return node
+
+
+def _lines_of(module: str, *path: str) -> set[str]:
+    node = _definition(module, *path)
+    return {f"{module}:{number}" for number in range(node.lineno, node.end_lineno + 1)}
+
+
+def test_omega_bar_rule_and_report_only_in_omega_bar_of():
+    omega_bar_of = _lines_of("spin.py", "omega_bar_of")
+    reports = set(_lines_mentioning('check_finite("omega_bar"'))
+    assert reports & omega_bar_of and reports <= omega_bar_of | _lines_of("integrate.py", "rotating_frame_propagator")
+    splits = set(_lines_mentioning("sqrt(omega0)") + _lines_mentioning("sqrt(self.omega0)"))
+    assert splits and splits <= omega_bar_of
+    nodes = list(ast.walk(_definition("spin.py", "DriveParams", "omega_bar")))
+    assert sum(isinstance(node, ast.Compare) for node in nodes) == 1
+    assert "check_finite" not in {getattr(node, "id", getattr(node, "attr", None)) for node in nodes}
 
 
 def test_no_module_uses_functools_cached_property():

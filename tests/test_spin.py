@@ -128,6 +128,18 @@ class TestDriveParams:
                 p.omega_bar
         assert "omega_bar" not in vars(p)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: DriveParams(1.7e308, 3e307, math.pi).omega_bar, lambda: omega_bar_of(1.7e308, 3e307, math.pi)],
+        ids=["DriveParams", "omega_bar_of"],
+    )
+    def test_overflowing_hypot_reported_without_a_warning(self, call):
+        """The split root 7.1e307 is finite and np.hypot overflows: outside np.errstate its RuntimeWarning came first."""
+        message = "omega0 and omega must keep omega_bar finite, got omega0 = 1.7e+308, omega = 3e+307"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     @pytest.mark.parametrize(
         "args, message",
         [

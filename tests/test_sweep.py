@@ -81,6 +81,28 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(quantities=("tau",), fixed={"x": 0.5, "theta": 1.0}, oracle=True)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"quantities": ()}, "at least one quantity is required"),
+            ({"fixed": {"omega0": 1, "omega": 1, "theta": 1, "t": 0, "phi": 1}}, "unknown fixed parameter 'phi'"),
+            ({"axes": (Axis.linear("t", 0.0, 1.0, 2),), "fixed": {"omega0": 1, "omega": 1, "theta": 1, "t": 0}},
+             "'t' is both an axis and a fixed parameter"),
+            ({"fixed": {"omega0": 1, "omega": 1, "t": 0}}, "survival/transition requires ['theta']; give them as axes or fixed values"),
+            ({"fixed": {"omega": 1, "theta": 1, "t": 0}}, "survival/transition requires ['omega0']; give them as axes or fixed values"),
+            ({"quantities": ("omega_bar",), "fixed": {"x": 1}}, "adiabaticity/omega_bar requires ['theta', 'omega']; give them as axes or fixed values"),
+            ({"quantities": ("adiabaticity",), "fixed": {"omega": 1, "theta": 1}}, "adiabaticity/omega_bar requires ['omega0']; give them as axes or fixed values"),
+            ({"quantities": ("tau",), "fixed": {"theta": 1}}, "tau requires ['omega0', 'omega']; give them as axes or fixed values"),
+            ({"quantities": ("tau",), "fixed": {"x": 1}}, "tau requires ['theta']; give them as axes or fixed values"),
+        ],
+        ids=["no-quantity", "unknown-fixed", "axis-and-fixed", "probability", "probability-drive", "omega-bar", "adiabaticity-drive",
+             "tau-drive", "tau"],
+    )  # fmt: skip
+    def test_spec_errors_named(self, kwargs, message):
+        """Each refusal's message; x = omega0/omega stands in for omega0, and for omega too where tau reads only x."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(**kwargs)
+
     def test_repeated_quantity_rejected(self):
         with pytest.raises(ValueError, match="'survival' is repeated"):
             SweepSpec(quantities=("survival", "transition", "survival"), fixed={"omega0": 1, "omega": 1, "theta": 1, "t": 0})
