@@ -23,9 +23,9 @@ from .integrate import (
     evolve_lab_frame,
     evolve_rotating_frame,
 )
-from .serialize import ChartSeries, Table, render_line_chart, table_from_sweep, to_csv, to_json
+from .serialize import ChartSeries, Table, render_line_chart, to_csv, to_json
 from .spin import FINITE, POSITIVE, DriveParams, adiabaticity_matrix_element, adiabaticity_parameter, check
-from .sweep import GRID_SIZE, OracleMismatchError, figure_dataset
+from .sweep import GRID_SIZE, OracleMismatchError, SweepResult, figure_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -247,6 +247,11 @@ def _cmd_tau(args) -> int:
     table = Table(columns=("x", "theta", "tau"), rows=rows, params=params, axes=(("x", xs),))
     _emit_table(table, args, _theta_curves(thetas, xs, curves), title="Resurrection time", **_TAU_LABELS)
     return EXIT_OK
+
+
+def table_from_sweep(result: SweepResult) -> Table:
+    axes = tuple((a.name, a.values) for a in result.axes)
+    return Table(columns=result.columns, rows=result.table, params=dict(result.params), axes=axes)
 
 
 def _cmd_fig(args) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, check, check_domain, check_finite, omega_bar_of
+from .spin import DriveParams, check, check_domain, check_finite, chord, omega_bar_of
 
 
 @dataclass(frozen=True)
@@ -145,25 +145,28 @@ def transition_probability(p: DriveParams, t):
     return min(coupling_ratio * coupling_ratio * (s * s), 1.0)
 
 
-def tau_of_ratio(x, theta):
+def tau_of_ratio(x, theta, one_minus_x=None):
     """Resurrection time in drive-period units as a function of x = omega0/omega.
 
-    Accepts scalar or array ``x`` (and broadcastable ``theta``).  The
-    denominator is evaluated as (1-x)^2 + 4 x sin^2(theta/2), which is exact
-    at x = 0 (tau = 1) and never goes negative in floating point.
+    Accepts scalar or array ``x`` (and broadcastable ``theta``).  The denominator is evaluated as
+    (1-x)^2 + x (2 sin(theta/2))^2, exact at x = 0 (tau = 1) and never negative; at x = 1, where it underflows below
+    theta = 1e-154, tau is 1/(2 sin(theta/2)).  A drive passes ``one_minus_x`` = (omega - omega0)/omega, free of
+    the rounding of x, which costs up to thousands of ulp near x = 1.
 
     Raises:
         ValueError: naming x or theta unless x is finite and >= 0, theta in [0, pi]
-            and (1 - x)^2 finite (x below about 1.3e154); at x = 1, theta = 0 (no flip).
+            and (1 - x)^2 finite (x below about 1.3e154); at x = 1, theta = 0 (no flip); naming theta where tau
+            overflows (x = 1, theta below 5.6e-309).
     """
-    xs = check_domain("x", x)
-    d, sin_half = 1.0 - xs, np.sin(0.5 * check_domain("theta", theta))
-    with np.errstate(over="ignore", invalid="ignore"):  # d * d or 4 x overflowing (inf * 0 at theta = 0) raises below
-        d2 = d * d + 4.0 * xs * (sin_half * sin_half)
+    xs, theta = check_domain("x", x), check_domain("theta", theta)
+    d, c = 1.0 - xs if one_minus_x is None else one_minus_x, chord(theta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflowing d * d or 1/c raises below
+        d2 = d * d + xs * (c * c)
+        tau = np.where(d == 0.0, 1.0 / c, 1.0 / np.sqrt(d2))  # d = 0 only at x = 1: 1/c, the bits of 1/sqrt(c^2)
     check_finite("(1 - x)^2", d2, x=xs)
-    if np.any(d2 == 0.0):
+    if np.any((d == 0.0) & (c == 0.0)):
         raise ValueError("resurrection undefined: no flip occurs (omega0 == omega, theta == 0)")
-    tau = 1.0 / np.sqrt(d2)
+    check_finite("tau", tau, theta=theta)
     return tau.item() if tau.ndim == 0 else tau
 
 
@@ -177,7 +180,7 @@ def resurrection_time(p: DriveParams) -> ResurrectionPoint:
     if p.omega <= 0.0:
         raise ValueError("resurrection undefined: omega must be > 0")
     x = p.omega0 / p.omega
-    return ResurrectionPoint(x=x, tau=float(tau_of_ratio(x, p.theta)), theta=p.theta)
+    return ResurrectionPoint(x=x, tau=float(tau_of_ratio(x, p.theta, (p.omega - p.omega0) / p.omega)), theta=p.theta)
 
 
 def tau_extremum(theta: float) -> tuple[float, float] | None:

@@ -94,7 +94,7 @@ class ConfinementReport:
     """Escape time versus resurrection time 2 pi / omega_bar.
 
     ``resurrection_time`` is infinite when the spin never flips (zero
-    coupling), in which case ``ratio`` is 0 and the verdict is confined.
+    coupling) or 2 pi / omega_bar overflows, in which case ``ratio`` is 0 and the verdict is confined.
     """
 
     confined: bool
@@ -204,8 +204,8 @@ def confinement_advisor(p: DriveParams, escape_time: float) -> ConfinementReport
     """Judge confinement: flipped atoms that cannot escape within one
     resurrection time 2 pi / omega_bar are recaptured.
 
-    With zero coupling (theta in {0, pi} or omega = 0) the spin never flips
-    and the verdict is confined for any escape time.
+    With zero coupling (theta in {0, pi} or omega = 0) the spin never flips, nor in any time a float holds where
+    2 pi / omega_bar overflows, and the verdict is confined for any escape time.
 
     Args:
         p: drive parameters.
@@ -214,11 +214,11 @@ def confinement_advisor(p: DriveParams, escape_time: float) -> ConfinementReport
     """
     if not 0.0 < escape_time < math.inf:
         check("escape_time", *POSITIVE, escape_time)
-    if p.coupling == 0.0 or p.omega_bar == 0.0:
+    t_res = 2.0 * math.pi / p.omega_bar if p.coupling and p.omega_bar else math.inf
+    if t_res == math.inf:
         return ConfinementReport(
             confined=True, escape_time=escape_time, resurrection_time=math.inf, ratio=0.0
         )
-    t_res = 2.0 * math.pi / p.omega_bar
     return ConfinementReport(
         confined=bool(escape_time > t_res),
         escape_time=escape_time,

@@ -148,11 +148,12 @@ def _stages(rhs, y, h):
     return (da, db), (err_a, err_b)
 
 
-def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0):
+def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0, **drive):
     """Adaptive DP5(4) from t = 0 through sample_ts[-1]; returns 2xN complex samples.
 
     ``rhs(t, a, b) -> (da, db)`` is linear in (a, b) and works on plain complex scalars, several times faster than
     ndarray arithmetic for 2 components.  It is constant for ``frame_freq`` 0, else turns at it (module docstring).
+    Stage sums beyond the float range, which no step size brings back, are a ValueError naming the ``drive`` inputs.
     """
     n = len(sample_ts)
     out = np.empty((2, n), dtype=complex)
@@ -178,6 +179,9 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0)
             h_built = h
             (d00, d10), (e00, e10) = _stages(rhs, (1.0 + 0.0j, 0.0j), h)
             (d01, d11), (e01, e11) = _stages(rhs, (0.0j, 1.0 + 0.0j), h)
+            sums = (d00, d10, d01, d11, e00, e10, e01, e11)
+            if not all(map(cmath.isfinite, sums)):  # rates near the largest float times tableau weights up to 11.6
+                check_finite("the DP5(4) stage sums", sums, **drive)
         if frame_freq:  # U(t) D U(t)^+ y: column 1 takes e^{-i omega t} into row 0, column 0 e^{+i omega t} into row 1
             phase = cmath.rect(1.0, -frame_freq * t)  # one cos/sin pair
             ra, rb = a * phase.conjugate(), b * phase
@@ -239,7 +243,7 @@ def _run(rhs, ts, y0, s: IntegratorSettings, content_freq: float, norm_freq: flo
         steps = t_end / h_cap if h_cap > 0.0 else math.inf  # a float division: an overflow gives inf
         need = f"at least {steps:.3g} steps, over {_MAX_STEPS}" if steps < math.inf else f"more than {_MAX_STEPS} steps"
         raise ValueError(f"integrating to t = {t_end!r} needs {need}")
-    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap, frame_freq)
+    return _integrate_dp45(rhs, ts, y0, s.rel_tol, s.abs_tol, h_cap, frame_freq, omega0=p.omega0, omega=p.omega)
 
 
 def _norm_guard(survival, transition, ts, s: IntegratorSettings, label: str):

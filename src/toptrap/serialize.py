@@ -23,7 +23,6 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from . import __version__
-from .sweep import SweepResult
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 720, 480  # chart size, px
@@ -42,11 +41,6 @@ class Table:
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
-
-
-def table_from_sweep(result: SweepResult) -> Table:
-    axes = tuple((a.name, a.values) for a in result.axes)
-    return Table(columns=result.columns, rows=result.table, params=dict(result.params), axes=axes)
 
 
 def to_csv(table: Table) -> str:

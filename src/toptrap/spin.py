@@ -27,10 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def chord(theta, sin=np.sin):
+    """2 sin(theta/2), as theta - 2 (theta/2 - sin(theta/2)): that difference is exact (Sterbenz), so these are the bits
+    of 2 sin(theta/2) wherever theta/2 is a float, and theta itself for a subnormal theta, whose half may round."""
+    half = 0.5 * theta
+    return theta - 2.0 * (half - sin(half))
+
+
 def omega_bar_of(omega0, omega, theta):
     """Effective Rabi frequency sqrt(omega0^2 + omega^2 - 2 omega0 omega cos theta), broadcast.
 
-    Evaluated as hypot(omega0 - omega, sqrt(omega0 omega) * 2 sin(theta/2)), which is free of cancellation,
+    Evaluated as hypot(omega0 - omega, sqrt(omega0 omega) * chord(theta)), which is free of cancellation,
     symmetric under omega0 <-> omega, and exactly zero iff omega0 == omega and theta == 0.  The one out-of-range
     rule: outside the normal floats (bits lost, 0 or inf), sqrt(omega0 omega) is sqrt(omega0) sqrt(omega), which is
     finite and never doubled, so theta = 0 gives |omega0 - omega|.  A ValueError names omega0 and omega where wbar
@@ -40,7 +47,7 @@ def omega_bar_of(omega0, omega, theta):
         product = np.multiply(omega0, omega)
         normal = (product >= sys.float_info.min) & (product <= sys.float_info.max)
         root = np.where(normal, np.sqrt(product), np.sqrt(omega0) * np.sqrt(omega))
-        wb = np.hypot(omega0 - omega, root * (2.0 * np.sin(0.5 * theta)))
+        wb = np.hypot(omega0 - omega, root * chord(theta))
     check_finite("omega_bar", wb, omega0=omega0, omega=omega)
     return wb
 
@@ -126,7 +133,7 @@ class DriveParams:
         """
         product = self.omega0 * self.omega
         if sys.float_info.min <= product <= sys.float_info.max:
-            return float(np.hypot(self.omega0 - self.omega, 2.0 * math.sqrt(product) * math.sin(0.5 * self.theta)))
+            return float(np.hypot(self.omega0 - self.omega, math.sqrt(product) * chord(self.theta, math.sin)))
         return float(omega_bar_of(self.omega0, self.omega, self.theta))
 
     @_cached

@@ -1,15 +1,12 @@
 """Parameter sweeps over the drive parameters, with optional ODE oracle columns.
 
-A sweep is a cartesian grid over up to three named axes drawn from
-``omega0``, ``omega``, ``theta``, ``t`` and ``x`` (the ratio omega0/omega),
-with the remaining inputs supplied as fixed values.  Quantities are
-evaluated with the closed-form module; when ``oracle`` is set, survival and
-transition pick up companion columns from the instantaneous-basis ODE
-integration and the run aborts if any point disagrees beyond
-``ORACLE_TOL``.  No grid of inputs is built: each axis reaches the kernels
-along its own grid dimension.  The table is allocated once, column-major, and
-every column is written in place as one contiguous block, the closed-form
-survival and transition by the kernel itself.
+A sweep is a cartesian grid over up to three named axes drawn from ``omega0``, ``omega``, ``theta``, ``t`` and ``x``
+(the ratio omega0/omega), with the remaining inputs supplied as fixed values.  Quantities are evaluated with the
+closed-form module; when ``oracle`` is set, survival and transition pick up companion columns from the
+instantaneous-basis ODE integration and the run aborts if any point disagrees beyond ``ORACLE_TOL``.  No grid of
+inputs is built: each axis reaches the kernels along its own grid dimension.  The table is allocated once,
+column-major, and every column is written in place as one contiguous block: the closed-form survival and transition
+by the kernel itself, their ODE companions by the oracle, which groups the points by drive with one sort.
 """
 
 from __future__ import annotations
@@ -168,20 +165,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if any(q in pair for q in spec.quantities):
         probabilities(omega0, omega, theta, t, out=(col.get("survival"), col.get("transition")))
     if spec.oracle:
-        flat = (v.reshape(-1) for v in np.broadcast_arrays(omega0, omega, theta, t))
-        ode = dict(zip(pair, _oracle_series(*flat)))
+        _oracle_series(omega0, omega, theta, t, col.get("survival_ode"), col.get("transition_ode"))
     for q in spec.quantities:
         if q in pair:
             if spec.oracle:
-                col[f"{q}_ode"][...] = ode[q].reshape(shape)
                 _check_oracle(q, col[q], col[f"{q}_ode"], spec.axes)
         elif q == "tau":
             if x is None and not np.all(omega > 0.0):
                 raise ValueError("resurrection undefined: omega must be > 0")
             with np.errstate(over="ignore"):  # a subnormal omega overflows x, named below
-                ratio = x if x is not None else omega0 / omega
+                ratio, one_minus_x = (x, None) if x is not None else (omega0 / omega, (omega - omega0) / omega)
             check_finite("x", ratio, omega0=omega0, omega=omega)
-            col[q][...] = tau_of_ratio(ratio, theta)
+            col[q][...] = tau_of_ratio(ratio, theta, one_minus_x)
         else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
             if x is not None:  # omega0 = x * omega is checked only here: tau may take x = 0
                 check_domain("omega0", omega0)
@@ -202,18 +197,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(axes=spec.axes, columns=tuple(columns), table=table, params=params)
 
 
-def _oracle_series(omega0, omega, theta, t):
-    """ODE survival/transition per point, integrating once per (omega0, omega, theta) combo."""
-    survival = np.empty(len(t))
-    transition = np.empty(len(t))
-    unique, inverse = np.unique(np.stack([omega0, omega, theta]), axis=1, return_inverse=True)
-    for k, (o0, om, th) in enumerate(unique.T.tolist()):  # Python floats: the stepper's scalars are not numpy's
-        points = np.flatnonzero(inverse == k)
-        points = points[np.argsort(t[points], kind="stable")]
-        series = evolve_instantaneous_basis(DriveParams(o0, om, th), t[points])
-        survival[points] = series.survival
-        transition[points] = series.transition
-    return survival, transition
+def _oracle_series(omega0, omega, theta, t, survival, transition):
+    """Solve the ODE into the C-contiguous grid arrays ``survival``, ``transition`` (None: scratch), once per drive.
+
+    One lexsort orders the points by (omega0, omega, theta), then by t, ties in index order: each run of equal drives
+    is one solve over its ascending times."""
+    grid = np.stack(np.broadcast_arrays(omega0, omega, theta, t)).reshape(4, -1)
+    order = np.lexsort(grid[::-1])  # the last key, omega0, sorts first
+    grid = grid[:, order]
+    starts = (np.flatnonzero(np.any(grid[:3, 1:] != grid[:3, :-1], axis=0)) + 1).tolist()
+    survival, transition = (np.empty(len(order)) if c is None else c.reshape(-1) for c in (survival, transition))
+    for lo, hi in zip([0, *starts], [*starts, len(order)]):
+        o0, om, th, _ = grid[:, lo].tolist()  # Python floats: the stepper's scalars are not numpy's
+        series = evolve_instantaneous_basis(DriveParams(o0, om, th), grid[3, lo:hi])
+        survival[order[lo:hi]], transition[order[lo:hi]] = series.survival, series.transition
 
 
 def _check_oracle(quantity, closed, oracle, axes):

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from test_serialize import reference_csv, reference_json
-from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main, table_from_sweep
 from toptrap.closed_form import survival_probability, tau_of_ratio, transition_probability
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
-from toptrap.serialize import Table, parse_csv, table_from_sweep
+from toptrap.serialize import Table, parse_csv
 from toptrap.spin import DriveParams
 from toptrap.sweep import MAX_GRID_POINTS, figure_dataset
 
@@ -249,6 +249,38 @@ class TestEvolve:
         route = evolve_rotating_frame(DriveParams(1e300, 1.7e308, 2.5), rows[:, 0])
         np.testing.assert_allclose(rows[:, 1], route.survival, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rows[:, 2], route.transition, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "drive, method",
+        [
+            (("1e300", "1.7e308", "2.5", "3e-308"), "ode"),
+            (("1e300", "1.7e308", "2.5", "3e-308"), "all"),
+            (("4e307", "1", "1", "1e-306"), "ode"),
+            (("4e307", "1", "1", "1e-306"), "lab"),
+        ],
+    )
+    def test_overflowing_stage_sums_are_usage_error(self, drive, method, capsys):
+        """Rates near the largest float times DP5(4) weights up to 25360/2187 overflow at every step size: once
+        rejected down to a step-size underflow at t = 0 (exit 3), now refused before any step."""
+        omega0, omega, theta, t_max = drive
+        argv = ["evolve", "--omega0", omega0, "--omega", omega, "--theta", theta, "--t-max", t_max, "--samples", "4"]
+        named = f"omega0 = {float(omega0)!r}, omega = {float(omega)!r}"
+        message = f"toptrap: omega0 and omega must keep the DP5(4) stage sums finite, got {named}\n"
+        assert run(argv + ["--method", method], capsys) == (EXIT_USAGE, "", message)
+        code, out, err = run(argv + ["--method", "closed"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert parse_csv(out).rows.shape == (4, 3)
+
+    @pytest.mark.parametrize("method", ["ode", "lab"])
+    def test_stage_sums_just_inside_the_float_range(self, method, capsys):
+        """At omega0 = 3e307 every stage sum stays finite: both ODE routes solve and follow the propagator."""
+        argv = ["evolve", "--omega0", "3e307", "--omega", "1", "--theta", "1", "--t-max", "1e-306", "--samples", "4"]
+        code, out, err = run(argv + ["--method", method], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rows = parse_csv(out).rows
+        route = evolve_rotating_frame(DriveParams(3e307, 1.0, 1.0), rows[:, 0])
+        np.testing.assert_allclose(rows[:, 1], route.survival, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rows[:, 2], route.transition, rtol=0, atol=1e-9)
 
     def test_finite_omega_bar_above_the_largest_product(self, capsys):
         """omega0 * omega overflows but wbar = 9.6e299 does not: the closed form answers, and the ODE routes

@@ -60,11 +60,10 @@ class TestAmplitudes:
         assert amps.beta == 0.0j
 
     def test_subnormal_angle_near_degeneracy(self):
-        # sin(theta/2) underflows to 0 here while sin(theta) does not, so
-        # omega_bar is exactly 0 with a non-zero coupling; the phase wbar t/2
-        # is then 0, and the ratios, divided by 1 there, only multiply sin 0 = 0
+        # theta/2 rounds to 0 here, but omega_bar takes 2 sin(theta/2) as theta itself: the exact 5e-324, with a
+        # non-zero coupling; the phase wbar t/2 underflows to 0, so the ratios only multiply sin 0 = 0
         p = DriveParams(1.0, 1.0, 5e-324)
-        assert p.omega_bar == 0.0 and p.coupling != 0.0
+        assert p.omega_bar == 5e-324 and p.coupling != 0.0
         assert survival_probability(p, 3.0) == 1.0
         assert transition_probability(p, 3.0) == 0.0
         amps = amplitudes_at(p, 3.0)

@@ -258,7 +258,7 @@ class TestConfinement:
         assert report.ratio == 0.0
 
     def test_degenerate_drive_confined(self):
-        # omega_bar underflows to exactly 0 at subnormal theta
+        # omega_bar = 5e-324 at subnormal theta: 2 pi / omega_bar overflows, no flip in any time a float holds
         report = confinement_advisor(DriveParams(1.0, 1.0, 5e-324), escape_time=1.0)
         assert report.confined and report.resurrection_time == math.inf
 

@@ -158,8 +158,8 @@ def recorded_solve(monkeypatch, route, p, ts, settings=integrate.DEFAULT_SETTING
     solves = []
     stepper = integrate._integrate_dp45
 
-    def recording(*args):
-        solves.append((args, stepper(*args)))
+    def recording(*args, **drive):
+        solves.append((args, stepper(*args, **drive)))
         return solves[-1][1]
 
     monkeypatch.setattr(integrate, "_integrate_dp45", recording)
@@ -327,12 +327,23 @@ class TestCrossMethodAgreement:
 class TestFailureModes:
     def test_step_underflow_reports_failing_time(self):
         def hopeless(t, a, b):
-            return math.nan * a, math.nan * b
+            """Finite stage sums at every step size, and an error estimate above 1 at every step size above h_min."""
+            return 1j * 1e30 * a, -1j * 1e30 * b
 
         with pytest.raises(IntegrationError) as err:
             _integrate_dp45(hopeless, np.array([0.0, 1.0]), (1.0 + 0j, 0.0j), 1e-10, 1e-12, 0.1)
         assert err.value.t == 0.0
         assert "underflow" in str(err.value)
+
+    @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
+    def test_overflowing_stage_sums_refused_before_any_step(self, monkeypatch, route):
+        """At omega0 = 4e307 the stage sums overflow at every step size: a ValueError naming the drive, raised at
+        the first build, where error control once shrank h down to an IntegrationError by underflow."""
+        norms = count_sqrt(monkeypatch, integrate)
+        message = r"omega0 and omega must keep the DP5\(4\) stage sums finite, got omega0 = 4e\+307, omega = 1.0$"
+        with pytest.raises(ValueError, match=message):
+            route(DriveParams(4e307, 1.0, 1.0), np.linspace(0.0, 1e-306, 4))
+        assert norms == []  # one error norm per step attempt: none was made
 
     def test_norm_guard_trips_on_bad_series(self):
         settings = IntegratorSettings()
@@ -349,8 +360,8 @@ class TestFailureModes:
         """A stepper that hands back one NaN sample trips either ODE route's norm guard, at that sample."""
         stepper = integrate._integrate_dp45
 
-        def one_nan(*args):
-            out = stepper(*args)
+        def one_nan(*args, **drive):
+            out = stepper(*args, **drive)
             out[:, 1] = math.nan
             return out
 

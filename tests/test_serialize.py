@@ -12,13 +12,13 @@ import pytest
 from hypothesis.extra.numpy import arrays
 
 from toptrap import __version__
+from toptrap.cli import table_from_sweep
 from toptrap.serialize import (
     TICKS,
     ChartSeries,
     Table,
     parse_csv,
     render_line_chart,
-    table_from_sweep,
     to_csv,
     to_json,
 )

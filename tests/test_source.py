@@ -16,6 +16,8 @@ No module uses ``functools.cached_property``: on Python 3.11 it takes a lock on 
 
 Every module-level private name (``_name``, not ``__dunder__``) is read somewhere in the package: a stand-in for
 vulture's unused-code report, which keeps leftovers of removed code paths out.
+
+``serialize`` is a leaf: it imports no sibling module, so the writers and the parser depend on no result type.
 """
 
 import ast
@@ -134,3 +136,26 @@ def unused_private_names() -> list[str]:
 
 def test_no_unused_private_name():
     assert unused_private_names() == []
+
+
+def imported_names(module: str) -> list[str]:
+    """Dotted names of what ``module`` imports, relative imports resolved: ``from .sweep import X`` gives
+    ``toptrap.sweep`` and ``toptrap.sweep.X``."""
+    names = []
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["toptrap" if node.level else "", node.module]))
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return names
+
+
+def sibling_imports(module: str) -> list[str]:
+    siblings = {f"toptrap.{path.stem}" for path in SRC.glob("*.py")} - {"toptrap.__init__"}
+    return [name for name in imported_names(module) if ".".join(name.split(".")[:2]) in siblings]
+
+
+def test_serialize_imports_no_sibling_module():
+    assert "toptrap.sweep" in sibling_imports("cli.py")  # the check sees relative imports
+    assert sibling_imports("serialize.py") == []

@@ -20,6 +20,7 @@ from toptrap.closed_form import (
     tau_of_ratio,
     transition_probability,
 )
+from toptrap.integrate import evolve_instantaneous_basis
 from toptrap.spin import DriveParams, adiabaticity_parameter, omega_bar_of
 from toptrap.sweep import (
     AXIS_NAMES,
@@ -389,11 +390,12 @@ def reference_sweep(spec):
                 raise ValueError("resurrection undefined: omega must be > 0")
             with np.errstate(over="ignore"):
                 ratio = x if x is not None else omega0 / omega
+                one_minus_x = None if x is not None else (omega - omega0) / omega
             bad = ~np.isfinite(ratio)
             if np.any(bad):
                 o0, om = float(omega0[bad][0]), float(omega[bad][0])
                 raise ValueError(f"omega0 and omega must keep x finite, got omega0 = {o0!r}, omega = {om!r}")
-            values = np.asarray(tau_of_ratio(ratio, theta))
+            values = np.asarray(tau_of_ratio(ratio, theta, one_minus_x))
         elif q == "adiabaticity":
             with np.errstate(all="ignore"):
                 values = 0.5 * omega * np.sin(theta) / omega0
@@ -464,6 +466,72 @@ class TestBroadcastGrid:
         assert result.params == params
         assert result.table.shape == table.shape
         assert result.table.tobytes() == table.tobytes()
+
+
+def solved_by_hand(spec, result):
+    """Survival and transition columns from one direct solve per distinct drive over its times in ascending order,
+    ties in row order, with the number of drives."""
+    inputs = {name: np.full(len(result.table), float(value)) for name, value in spec.fixed.items()}
+    inputs.update((a.name, result.column(a.name)) for a in spec.axes)
+    if "x" in inputs:
+        inputs["omega0"] = inputs["x"] * inputs["omega"]
+    drives = {}
+    for row, drive in enumerate(zip(*(inputs[name].tolist() for name in ("omega0", "omega", "theta")))):
+        drives.setdefault(drive, []).append(row)
+    expected = np.empty((2, len(result.table)))
+    for drive, rows in drives.items():
+        rows.sort(key=lambda row: inputs["t"][row])  # a stable sort
+        series = evolve_instantaneous_basis(DriveParams(*drive), inputs["t"][rows])
+        expected[:, rows] = series.survival, series.transition
+    return expected, len(drives)
+
+
+class TestOracleGrouping:
+    """The oracle sorts the grid's points once, by drive and then by t: each run of equal drives is one solve, written
+    straight into the table's ``_ode`` columns, with the bits of a direct solve over that drive's sorted times."""
+
+    PAIR = ("survival", "transition")
+    SPECS = [
+        pytest.param(
+            SweepSpec(axes=(Axis.linear("t", 0.0, 7.0, 9), Axis("theta", np.array([0.3, 1.1, 2.5]))),
+                      quantities=PAIR, fixed={"omega0": 1.0, "omega": 1.5}, oracle=True),
+            3, id="t-first",
+        ),
+        pytest.param(
+            SweepSpec(axes=(Axis("omega", np.array([0.7, 1.5])), Axis("t", np.array([3.0, 0.5, 3.0, 1.25, 0.0, 0.5]))),
+                      quantities=PAIR, fixed={"omega0": 1.0, "theta": 0.9}, oracle=True),
+            2, id="unsorted-tied-t",
+        ),
+        pytest.param(
+            SweepSpec(axes=(Axis("omega", np.array([0.7, 1.5, 0.7])), Axis("theta", np.array([0.4, 2.0])),
+                            Axis.linear("t", 0.0, 4.0, 6)),
+                      quantities=PAIR, fixed={"omega0": 1.0}, oracle=True),
+            4, id="repeated-omega",
+        ),
+        pytest.param(
+            SweepSpec(axes=(Axis("x", np.array([0.5, 1.0, 2.0, 4.0])),),
+                      quantities=PAIR, fixed={"omega": 1.3, "theta": 0.7, "t": 2.5}, oracle=True),
+            4, id="x-fixed-t",
+        ),
+        pytest.param(
+            SweepSpec(axes=(Axis("theta", np.array([0.3, 1.2])), Axis.linear("t", 0.0, 5.0, 7)),
+                      quantities=("transition",), fixed={"omega0": 1.0, "omega": 1.5}, oracle=True),
+            2, id="transition-only",
+        ),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("spec, drives", SPECS)
+    def test_columns_are_direct_solves(self, monkeypatch, spec, drives):
+        solves = []
+        evolve = sweep_mod.evolve_instantaneous_basis
+        monkeypatch.setattr(sweep_mod, "evolve_instantaneous_basis", lambda p, ts: solves.append(p) or evolve(p, ts))
+        result = run_sweep(spec)
+        expected, distinct = solved_by_hand(spec, result)
+        assert len(solves) == distinct == drives
+        ode = [q for q in self.PAIR if f"{q}_ode" in result.columns]
+        assert ode == list(spec.quantities)
+        for q in ode:
+            assert result.column(f"{q}_ode").tobytes() == expected[self.PAIR.index(q)].tobytes()
 
 
 class TestPinnedBits:
