@@ -17,6 +17,9 @@ units of the drive period this is
 which for theta <= pi/2 peaks at x = cos(theta) with value 1/sin(theta)
 and for theta > pi/2 decreases monotonically from tau(0) = 1.
 
+Since drift^2 + coupling^2 = wbar^2, the survival is also 1 - (coupling/wbar)^2 sin^2(wbar t/2), the complement
+of the transition: one sine and no cosine, accurate in absolute terms but not relative to its size near 0.
+
 :func:`probabilities` broadcasts this over arrays of (omega0, omega, theta,
 t); the :class:`DriveParams` functions take scalar or array t.  Squares are
 x * x, correctly rounded unlike ``pow``, so every call shape gives the same bits.
@@ -50,22 +53,18 @@ class ResurrectionPoint:
 
 
 def _broadcast_terms(omega0, omega, theta, t):
-    """Validated broadcast wbar t/2, drift/wbar, coupling/wbar and the zero-coupling mask;
-    a zero wbar divides as 1, so there the ratios only multiply sin 0 = 0."""
+    """Validated broadcast wbar t/2, an array of the broadcast shape, and coupling/wbar; a zero wbar divides as 1, so
+    there the ratio only multiplies sin 0 = 0."""
     omega0, omega, theta, t = map(check_domain, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
     wb = omega_bar_of(omega0, omega, theta)
     with np.errstate(over="ignore"):  # an overflowing phase raises instead
-        half = np.asarray(0.5 * wb * t)  # an array even for 0-d inputs: probabilities reuses its buffer
+        half = np.asarray(0.5 * wb * t)  # an array even for 0-d inputs: probabilities takes its sine in place
     check_finite("the phase wbar t/2", half, t=t)
-    sin_half = np.sin(0.5 * theta)
-    drift = 2.0 * ((omega0 - omega) * 0.5 + omega * (sin_half * sin_half))  # as DriveParams.drift
-    coupling = omega * np.sin(theta)
-    wb = np.where(wb == 0.0, 1.0, wb)
-    return half, drift / wb, coupling / wb, coupling == 0.0
+    return half, omega * np.sin(theta) / np.where(wb == 0.0, 1.0, wb)
 
 
 def _scalar_terms(p: DriveParams, t):
-    """cos, sin of wbar t/2, drift/wbar and coupling/wbar by ``math`` for scalar ``t``; a zero wbar divides as 1."""
+    """wbar t/2 by ``math`` for scalar ``t``, and wbar, a zero one as 1."""
     t = float(t)
     if not 0.0 <= t < math.inf:
         check_domain("t", t)
@@ -73,16 +72,21 @@ def _scalar_terms(p: DriveParams, t):
     half = 0.5 * wb * t
     if not math.isfinite(half):
         check_finite("the phase wbar t/2", half, t=t)
-    wb = wb or 1.0
-    return math.cos(half), math.sin(half), p.drift / wb, p.coupling / wb
+    return half, wb or 1.0
+
+
+def _scalar_transition(p: DriveParams, t) -> float:
+    half, wb = _scalar_terms(p, t)
+    ratio, s = p.coupling / wb, math.sin(half)
+    return min(ratio * ratio * (s * s), 1.0)
 
 
 def probabilities(omega0, omega, theta, t, out=(None, None)):
     """Survival and transition probabilities, broadcast over all four inputs.
 
-    cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2) and its complement
-    (coupling/wbar)^2 sin^2(wbar t/2), as arrays of the broadcast shape;
-    exactly 1 and 0 where the spin never flips (coupling = 0 or wbar = 0).
+    The transition (coupling/wbar)^2 sin^2(wbar t/2), clamped to 1, and the survival 1 - transition, as arrays of the
+    broadcast shape: one sine per point.  Exactly 1 and 0 where the spin never flips (coupling = 0 or wbar = 0).
+    The survival is accurate in absolute terms, to 2 eps (1 + |wbar t/2|), not relative to its size near 0.
 
     ``out``: (survival, transition) float arrays of the broadcast shape to fill
     and return, with the bits of the call without them; a None is allocated.
@@ -92,19 +96,15 @@ def probabilities(omega0, omega, theta, t, out=(None, None)):
             omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0, and naming
             omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
     """
-    half, drift_ratio, coupling_ratio, uncoupled = _broadcast_terms(omega0, omega, theta, t)
+    half, coupling_ratio = _broadcast_terms(omega0, omega, theta, t)
     survival, transition = out
-    sin2 = np.sin(half)
+    sin2 = np.sin(half, out=half)
     sin2 *= sin2
-    survival = np.cos(half, out=np.empty_like(half) if survival is None else survival)
-    survival *= survival  # the phase is spent: an unrequested transition takes its buffer
-    transition = np.multiply(coupling_ratio * coupling_ratio, sin2, out=half if transition is None else transition)
+    transition = np.multiply(coupling_ratio * coupling_ratio, sin2, out=sin2 if transition is None else transition)
     np.minimum(transition, 1.0, out=transition)  # exactly 0 at coupling = 0
-    sin2 *= drift_ratio * drift_ratio
-    survival += sin2  # sums of squares: rounding can only overshoot 1
-    np.minimum(survival, 1.0, out=survival)
-    np.copyto(survival, 1.0, where=uncoupled)
-    return survival, transition
+    if survival is None:  # the spent phase buffer, unless the transition took it
+        survival = np.empty_like(half) if transition is half else half
+    return np.subtract(1.0, transition, out=survival), transition
 
 
 def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
@@ -114,23 +114,23 @@ def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
         ValueError: for negative or non-finite ``t``.
     """
     if isinstance(t, float) or np.ndim(t) == 0:
-        c, s, drift_ratio, coupling_ratio = _scalar_terms(p, t)
-        return SpinAmplitudes(alpha=c + 1j * drift_ratio * s, beta=1j * coupling_ratio * s)
-    half, drift_ratio, coupling_ratio, _ = _broadcast_terms(p.omega0, p.omega, p.theta, t)
-    sin_half = np.sin(half)
-    return SpinAmplitudes(alpha=np.cos(half) + 1j * drift_ratio * sin_half, beta=1j * coupling_ratio * sin_half)
+        half, wb = _scalar_terms(p, t)
+        c, s = math.cos(half), math.sin(half)
+    else:
+        half, _ = _broadcast_terms(p.omega0, p.omega, p.theta, t)
+        wb, c, s = p.omega_bar or 1.0, np.cos(half), np.sin(half)
+    return SpinAmplitudes(alpha=c + 1j * (p.drift / wb) * s, beta=1j * (p.coupling / wb) * s)
 
 
 def survival_probability(p: DriveParams, t):
     """Probability of still being a weak-field seeker at time ``t``.
 
-    cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2); identically 1 when the
-    spin never flips (coupling = 0, i.e. theta = 0 or omega = 0, or wbar = 0).
+    1 - (coupling/wbar)^2 sin^2(wbar t/2), equal to cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2); identically 1
+    when the spin never flips (coupling = 0, i.e. theta = 0 or omega = 0, or wbar = 0).  Accurate in absolute terms.
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[0]
-    c, s, drift_ratio, _ = _scalar_terms(p, t)
-    return 1.0 if p.coupling == 0.0 else min(c * c + drift_ratio * drift_ratio * (s * s), 1.0)
+    return 1.0 - _scalar_transition(p, t)
 
 
 def transition_probability(p: DriveParams, t):
@@ -141,8 +141,7 @@ def transition_probability(p: DriveParams, t):
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[1]
-    _, s, _, coupling_ratio = _scalar_terms(p, t)
-    return min(coupling_ratio * coupling_ratio * (s * s), 1.0)
+    return _scalar_transition(p, t)
 
 
 def tau_of_ratio(x, theta, one_minus_x=None):

@@ -125,15 +125,16 @@ class DriveParams:
         """Effective Rabi frequency; zero only for omega0 == omega, theta == 0.
 
         Computed once per instance with the bits of :func:`omega_bar_of`, which takes every drive but those with a
-        normal product omega0 omega: there ``math`` does all but ``np.hypot`` (``math.hypot`` differs in the last
-        bit), which cannot overflow (2 sqrt(omega0 omega) <= 2.7e154).  A raising call caches nothing.
+        normal product omega0 omega: there ``math`` does the rest and ``abs(complex(a, b))`` the libm ``hypot`` that
+        ``np.hypot`` calls (not ``math.hypot``, off in the last bit), which cannot overflow (2 sqrt(omega0 omega)
+        <= 2.7e154).  A raising call caches nothing.
 
         Raises:
             ValueError: naming omega0 and omega where wbar overflows.
         """
         product = self.omega0 * self.omega
         if sys.float_info.min <= product <= sys.float_info.max:
-            return float(np.hypot(self.omega0 - self.omega, math.sqrt(product) * chord(self.theta, math.sin)))
+            return abs(complex(self.omega0 - self.omega, math.sqrt(product) * chord(self.theta, math.sin)))
         return float(omega_bar_of(self.omega0, self.omega, self.theta))
 
     @_cached
@@ -261,8 +262,8 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         pair = eigensystem_at(p, t)
         element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))
         gap = pair.value_plus - pair.value_minus
-        gap2 = gap * gap
-        result = float(element / gap2)
+        gap2 = gap * gap  # below the normals it has lost bits: there the element is divided by the gap twice
+        result = float(element / gap2 if gap2 >= sys.float_info.min else element / gap / gap)
     check_finite("the squared gap", gap2, omega0=p.omega0)  # first: an infinite gap2 makes the result 0
     check_finite("the matrix element", result, omega0=p.omega0, omega=p.omega, dt=dt)
     return result

@@ -8,7 +8,8 @@ omega / wbar, and the transition probability as (coupling/wbar)^2 sin^2(wbar t/2
 * ``omega_bar_of``, ``tau_of_ratio`` and ``resurrection_time``: within 3 ulp of the exact value.
 
 A ValueError passes only where the exact value, or a phase or square the function documents as its limit, leaves
-the float range.  Near-resonant, small-theta and underflow drives are pinned as examples.
+the float range.  Near-resonant, small-theta and underflow drives are pinned as examples, and so are drives whose
+survival dips to about 0, where 1 - transition is accurate in absolute terms only.
 """
 
 import math
@@ -132,6 +133,11 @@ class TestTau:
 
 
 class TestProbabilities:
+    # Survival dips to about 0 at t = pi/wbar where drift = omega0 - omega cos(theta) is about 0: taken as
+    # 1 - transition it is accurate in absolute terms there, not relative to its size.
+    @hyp.example(omega0=0.5, omega=1.0, theta=math.pi / 3, rabi_phase=math.pi)
+    @hyp.example(omega0=math.cos(math.pi / 2 - 1e-6), omega=1.0, theta=math.pi / 2 - 1e-6, rabi_phase=math.pi)
+    @hyp.example(omega0=1e-12, omega=1.0, theta=math.pi / 2, rabi_phase=math.pi)
     @over_drives(rabi_phase=(st.floats(min_value=0.0, max_value=1e6), 2.5))
     def test_within_phase_conditioning(self, omega0, omega, theta, rabi_phase):
         """t in units of 1/wbar, so any phase up to 10^6 (and t = 0), as far as t stays a float."""

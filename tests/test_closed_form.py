@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import toptrap.closed_form
 import toptrap.spin
 from toptrap.closed_form import (
     amplitudes_at,
@@ -411,6 +412,45 @@ class TestKernelAgreement:
         report = confinement_advisor(p, escape_time=1.0)
         assert report.confined and report.resurrection_time == math.inf
 
+    @pytest.mark.parametrize(
+        "omega0, omega, theta",
+        [(1.0, 1.5, 1.0), (0.5, 1.0, math.pi / 3), (1.0, 0.5, 0.3), (1.0, 1.0, 0.0), (1e-200, 1e-200, 1.0), (1e300, 1.7e308, 2.5)],
+    )
+    def test_survival_is_one_minus_transition_on_every_call_shape(self, omega0, omega, theta):
+        """Python float, 0-d, n-d, out= and a run_sweep cell: the survival is 1 - transition, bit for bit."""
+        p = DriveParams(omega0, omega, theta)
+        ts = np.linspace(0.0, 7.0 / max(p.omega_bar, 1e-300), 8)
+        shapes = [
+            (survival_probability(p, t), transition_probability(p, t)) for t in [*ts.tolist(), np.array(ts[3]), np.float64(ts[5])]
+        ]
+        out = (np.empty((2, 4)), np.empty((2, 4)))
+        fixed = {"omega0": omega0, "omega": omega, "theta": theta}
+        sweep = run_sweep(SweepSpec(axes=(Axis("t", ts),), quantities=("survival", "transition"), fixed=fixed))
+        shapes += [
+            (survival_probability(p, ts.reshape(2, 4)), transition_probability(p, ts.reshape(2, 4))),
+            probabilities(omega0, omega, np.array([theta, theta]).reshape(2, 1), ts.reshape(2, 4)),
+            probabilities(omega0, omega, theta, ts.reshape(2, 4), out=out),
+            probabilities(omega0, omega, theta, ts, out=(None, np.empty(8))),
+            probabilities(omega0, omega, theta, ts, out=(np.empty(8), None)),
+            (sweep.column("survival"), sweep.column("transition")),
+        ]
+        for survival, transition in shapes:
+            assert np.asarray(survival).tobytes() == np.subtract(1.0, transition).tobytes()
+
+    def test_one_sine_and_no_cosine_per_point(self, monkeypatch):
+        """probabilities takes one sine over the grid, in place, and no cosine; the only other sine is over theta."""
+        calls = []
+        for name in ("sin", "cos"):
+
+            def counting(x, *args, _name=name, _ufunc=getattr(np, name), **kwargs):
+                calls.append((_name, np.shape(x)))
+                return _ufunc(x, *args, **kwargs)
+
+            monkeypatch.setattr(toptrap.closed_form.np, name, counting)
+        survival, transition = probabilities(1.0, 1.5, np.linspace(0.0, math.pi, 3).reshape(3, 1), np.linspace(0.0, 9.0, 50))
+        assert survival.shape == transition.shape == (3, 50)
+        assert calls == [("sin", (3, 1)), ("sin", (3, 50))]
+
     @pytest.mark.parametrize("t", [2.5, np.float64(2.5), np.array(2.5), 2])
     def test_scalar_time_types_agree(self, t):
         """A Python float skips np.ndim; numpy scalars, 0-d arrays and ints take it, to the same result."""
@@ -424,13 +464,13 @@ class TestKernelAgreement:
     def test_omega_bar_evaluated_once_per_drive(self, monkeypatch):
         """Survival, transition, amplitudes and the confinement verdict on one DriveParams share one omega_bar."""
         calls = []
-        hypot = toptrap.spin.np.hypot
+        chord = toptrap.spin.chord
 
-        def counting_hypot(*args):
+        def counting_chord(*args):
             calls.append(args)
-            return hypot(*args)
+            return chord(*args)
 
-        monkeypatch.setattr(toptrap.spin.np, "hypot", counting_hypot)
+        monkeypatch.setattr(toptrap.spin, "chord", counting_chord)
         p = DriveParams(1.0, 1.5, 1.0)
         survival_probability(p, 2.0)
         transition_probability(p, 2.0)

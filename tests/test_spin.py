@@ -87,6 +87,24 @@ class TestDriveParams:
         scalar = [DriveParams(*args).omega_bar for args in zip(omega0.tolist(), omega.tolist(), theta.tolist())]
         assert [v.hex() for v in scalar] == [v.hex() for v in expected]
 
+    def test_scalar_omega_bar_bit_for_bit_over_the_whole_range(self):
+        """Rates over 1e+-300, and products omega0 omega at both ends of the normals: the scalar path's
+        abs(complex(a, b)) gives omega_bar_of's np.hypot bits there too."""
+        rng = np.random.default_rng(5)
+        n = 20000
+        omega = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        edge = np.where(rng.random(n) < 0.5, sys.float_info.min * rng.uniform(1.0, 1.001, n), sys.float_info.max * rng.uniform(0.999, 1.0, n))
+        with np.errstate(over="ignore"):
+            omega0 = np.where(np.arange(n) % 2 == 0, 10.0 ** rng.uniform(-300.0, 300.0, n), edge / omega)
+            omega0 = np.where(np.isfinite(omega0) & (omega0 > 0.0), omega0, 1.0)
+            products = omega0 * omega
+        theta = rng.uniform(0.0, math.pi, n)
+        assert np.sum((products >= sys.float_info.min) & (products < 1.001 * sys.float_info.min)) > 1000
+        assert np.sum(products > 0.999 * sys.float_info.max) > 1000
+        expected = omega_bar_of(omega0, omega, theta).tolist()
+        scalar = [DriveParams(*args).omega_bar for args in zip(omega0.tolist(), omega.tolist(), theta.tolist())]
+        assert [v.hex() for v in scalar] == [v.hex() for v in expected]
+
     def test_derived_rates_cached_without_changing_the_dataclass(self):
         p = DriveParams(1.0, 1.5, 1.0)
         before = (repr(p), hash(p))
@@ -263,6 +281,12 @@ class TestAdiabaticity:
         for p in (DriveParams(100.0, 1.0, math.pi / 2), DriveParams(2.0, 3.0, 1.1), DriveParams(0.3, 0.2, 2.5)):
             fd = adiabaticity_matrix_element(p)
             assert fd == pytest.approx(adiabaticity_parameter(p), rel=1e-7, abs=1e-12)
+
+    @pytest.mark.parametrize("omega0", [1e-160, 1e-162, 1e-200])
+    def test_matrix_element_below_the_normal_squared_gaps(self, omega0):
+        """gap^2 = omega0^2 is subnormal or 0 here: dividing by it was 1.1e-5 off at 1e-160 and refused below."""
+        p = DriveParams(omega0, 1e-3, 1.0)
+        assert adiabaticity_matrix_element(p) == pytest.approx(adiabaticity_parameter(p), rel=1e-9)
 
     def test_time_independence(self):
         p = DriveParams(1.0, 1.5, 1.0)
