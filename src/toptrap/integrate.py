@@ -28,8 +28,8 @@ step and add up).  The instantaneous-basis M is constant.  The lab M turns with 
 for U(t) = diag(e^{-i omega t/2}, e^{i omega t/2}), constant within a step, so the step from t is U(t) (I + D) U(t)^+,
 e^{-+i omega t} on the off-diagonals of D and E.  Each step is two 2x2 mat-vecs; f = M y is formed only at samples.
 
-The lab-frame and rotating-frame routes project onto eigenvectors found by
-numerical diagonalisation, one batched ``np.linalg.eigh`` per block of samples.
+The lab and rotating routes project onto the known eigenvectors of H(t), which no omega0 enters, so none underflows:
+for s = sin(theta/2), c = cos(theta/2), the weak-field seeker (s, -c e^{i omega t}), strong-field (c, s e^{i omega t}).
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, eigensystem_at, hamiltonian_at
+# eigensystem_at is unused here but kept: bench/spans.py wraps it at this module.
+from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, eigensystem_at  # noqa: F401
 
 _MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
 _MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
@@ -283,14 +284,11 @@ def evolve_instantaneous_basis(
     return TimeSeries(times=ts, survival=survival, transition=transition, method="instantaneous-basis")
 
 
-def evolve_lab_frame(
-    p: DriveParams, t_grid, settings: IntegratorSettings = DEFAULT_SETTINGS
-) -> TimeSeries:
-    """Integrate i d psi/dt = H(t) psi from the weak-field seeker at t = 0.
+def evolve_lab_frame(p: DriveParams, t_grid, settings: IntegratorSettings = DEFAULT_SETTINGS) -> TimeSeries:
+    """Integrate i d psi/dt = H(t) psi from the weak-field seeker (s, -c) at t = 0.
 
-    Survival and transition are the squared projections onto the
-    instantaneous eigenvectors at each sample time, so the result is
-    independent of any eigenvector phase convention.
+    Survival and transition are the squared projections onto the instantaneous eigenvectors at each sample time, so
+    the result is independent of any eigenvector phase convention.
     """
     ts = _check_grid(t_grid)
     diag = 0.5 * p.omega0 * math.cos(p.theta)
@@ -301,11 +299,11 @@ def evolve_lab_frame(
         off = cmath.rect(off_mag, -omega * t)
         return -1j * (diag * u + off * v), -1j * (off.conjugate() * u - diag * v)
 
-    y0 = tuple(eigensystem_at(p, 0.0).vec_minus.tolist())  # Python complex scalars
+    start = (math.sin(0.5 * p.theta), -math.cos(0.5 * p.theta))
     # H turns at omega (module docstring); solution frequencies are at most omega/2 + omega_bar/2 <= omega + omega0/2.
     bound = 0.5 * p.omega + 0.5 * p.omega_bar
-    samples = _run(rhs, ts, y0, settings, p.omega + 0.5 * p.omega0, bound, p, p.omega)
-    survival, transition = _eigen_projections(p, ts, lambda block: samples[:, block].T)
+    samples = _run(rhs, ts, start, settings, p.omega + 0.5 * p.omega0, bound, p, p.omega)
+    survival, transition = _projections(p, ts, lambda block: samples[:, block].T)
     _norm_guard(survival, transition, ts, settings, "lab-frame")
     return TimeSeries(times=ts, survival=survival, transition=transition, method="lab-frame")
 
@@ -337,25 +335,27 @@ def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:
     return frame[..., :, None] * core
 
 
-def _eigen_projections(p: DriveParams, ts: np.ndarray, state_at):
-    """Squared projections (survival, transition) onto the instantaneous eigenvectors.
+def _projections(p: DriveParams, ts: np.ndarray, state_at):
+    """Squared projections (survival, transition) onto the eigenvectors of the module docstring, block by block.
 
-    ``state_at(block)`` returns the (n, 2) states at ``ts[block]``.  One
-    batched ``np.linalg.eigh`` per block diagonalises the Hamiltonians; it
-    sorts eigenvalues ascending, so column 0 is the weak-field seeker.
-    Squared moduli do not depend on the eigenvector phases.
+    The (n, 2) states (u, v) of ``state_at(block)`` give |s u - c w|^2 and |c u + s w|^2, for w = v e^{-i omega t}.
     """
+    s, c = math.sin(0.5 * p.theta), math.cos(0.5 * p.theta)
     probs = np.empty((2, len(ts)))
     for lo in range(0, len(ts), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        vectors = np.linalg.eigh(hamiltonian_at(p, ts[block]))[1]
-        probs[:, block] = np.abs(np.einsum("nji,nj->in", vectors.conj(), state_at(block))) ** 2
+        with np.errstate(over="ignore"):  # an infinite phase is named below
+            phase = p.omega * ts[block]
+        check_finite("the phase omega t", phase, omega=p.omega, t=ts[block])  # before state_at, which names wbar t/2
+        u, v = state_at(block).T
+        w = v * np.exp(-1j * phase)
+        probs[:, block] = np.abs([s * u - c * w, c * u + s * w]) ** 2
     return probs
 
 
 def evolve_rotating_frame(p: DriveParams, t_grid) -> TimeSeries:
     """Probability series from the exact propagator; no ODE solve involved."""
     ts = _check_grid(t_grid)
-    start = eigensystem_at(p, 0.0).vec_minus
-    survival, transition = _eigen_projections(p, ts, lambda block: rotating_frame_propagator(p, ts[block]) @ start)
+    start = [math.sin(0.5 * p.theta), -math.cos(0.5 * p.theta)]  # the weak-field seeker at t = 0
+    survival, transition = _projections(p, ts, lambda block: rotating_frame_propagator(p, ts[block]) @ start)
     return TimeSeries(times=ts, survival=survival, transition=transition, method="rotating-frame")

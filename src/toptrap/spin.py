@@ -221,8 +221,13 @@ def adiabaticity_parameter(p: DriveParams) -> float:
     Evolution is adiabatic when this is much less than one; note that the
     angle enters on equal footing with the frequency ratio, so a slow drive
     is sufficient but not necessary.
+
+    Raises:
+        ValueError: naming omega0 and omega where the parameter overflows.
     """
-    return 0.5 * p.omega * math.sin(p.theta) / p.omega0
+    parameter = 0.5 * p.omega * math.sin(p.theta) / p.omega0
+    check_finite("the adiabaticity parameter", parameter, omega0=p.omega0, omega=p.omega)
+    return parameter
 
 
 def default_fd_step(p: DriveParams) -> float:
@@ -248,8 +253,9 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
 
     Raises:
         ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming t and dt where
-            t +/- dt overflows, omega, t and dt where the phase omega (t +/- dt) does, omega0 where the
-            squared gap does, and omega0, omega, dt where the element does.
+            t +/- dt overflows, omega, t and dt where the phase omega (t +/- dt) does, t and dt where t +/- dt
+            rounds to t (the difference would be 0), omega0 where the squared gap overflows, and omega0, omega,
+            dt where the element does.
     """
     if dt is None:
         dt = default_fd_step(p)
@@ -258,6 +264,7 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         ends = np.add(check("t", *FINITE, t), [-dt, dt])
         check_finite("t +/- dt", ends, t=t, dt=dt)
         check_finite("the phase omega (t +/- dt)", p.omega * ends, omega=p.omega, t=t, dt=dt)
+        check("dt", f"large enough that t +/- dt differs from t = {t!r}", lambda v: (t - v != t) & (t + v != t), dt)
         h_dot = (hamiltonian_at(p, ends[1]) - hamiltonian_at(p, ends[0])) / (2.0 * dt)
         pair = eigensystem_at(p, t)
         element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))

@@ -81,6 +81,17 @@ class TestEvolve:
         assert "survival_closed" in table.columns and "survival_rot" in table.columns
         assert table.rows.shape == (2001, 9)
 
+    @pytest.mark.parametrize("omega0", ["1e-310", "1e-315", "1e-320", "5e-324"])
+    def test_subnormal_omega0_passes_cross_method_check(self, omega0, capsys):
+        """H(t) underflows below the normal floats; the lab and rotating routes project onto a basis free of omega0."""
+        argv = ["evolve", "--omega0", omega0, "--omega", "3.9587", "--theta", "2.2958", "--t-max", "1"]
+        code, out, err = run(argv + ["--samples", "101", "--method", "all"], capsys)
+        assert code == EXIT_OK, err
+        table = parse_csv(out)
+        for name in ("lab", "rot"):
+            delta = np.abs(table.column(f"survival_{name}") - table.column("survival_closed"))
+            assert np.max(delta) <= 1e-12, name
+
     def test_bad_theta_is_usage_error(self, capsys):
         code, _, err = run(
             ["evolve", "--omega0", "1", "--omega", "1", "--theta", "4.0", "--t-max", "1", "--samples", "2"],
@@ -433,6 +444,30 @@ class TestTau:
         assert [dash for _, dash in svg_curves(out_path)] == [None, "6,4", None]
 
 
+LARGEST = "1.7976931348623157e+308"
+
+
+class TestGrids:
+    """The time and ratio grids are built without a leaked RuntimeWarning; a grid that overflows names its flags."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1", "--t-max", LARGEST, "--samples", "4"], EXIT_OK),
+            (["tau", "--theta", "1", "--x-max", LARGEST, "--steps", "4"], EXIT_USAGE),  # tau_of_ratio refuses x
+        ],
+    )
+    def test_grid_to_the_largest_float_warns_nothing(self, argv, code, capsys):
+        assert run(argv, capsys)[0] == code
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_grid_names_the_flags(self, capsys):
+        argv = ["tau", "--theta", "1", "--x-min=-1e308", "--x-max", "1e308", "--steps", "4"]
+        message = "x-min and x-max must keep the grid finite, got x-min = -1e+308, x-max = 1e+308"
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+
 class TestFig:
     def test_fig1_row_count(self, capsys):
         code, out, _ = run(["fig", "fig1"], capsys)
@@ -680,6 +715,23 @@ class TestAdiabatic:
         """omega (t + dt) overflows at t = 0: the message names omega and the given t and dt, not t + dt."""
         argv = ["adiabatic", "--omega0", "1", "--omega", "10", "--theta", "1", "--t", "0", "--dt", "1e308"]
         message = "omega and t and dt must keep the phase omega (t +/- dt) finite, got omega = 10.0, t = 0.0, dt = 1e+308"
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+    def test_overflowing_parameter_names_omega0_and_omega(self, capsys):
+        """The parameter omega sin(theta) / (2 omega0) overflows: no Infinity reaches the JSON report."""
+        argv = ["adiabatic", "--omega0", "3.47066335873237e-270", "--omega", "4.6747883941380365e+144"]
+        argv += ["--theta", "1.9158013801054554", "--t", "1", "--format", "json"]
+        message = (
+            "omega0 and omega must keep the adiabaticity parameter finite, "
+            "got omega0 = 3.47066335873237e-270, omega = 4.6747883941380365e+144"
+        )
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+    def test_step_lost_against_t_names_t_and_dt(self, capsys):
+        """The default dt, 1e-6 of 2 pi / omega, rounds away against t = 1: the difference quotient would be 0."""
+        argv = ["adiabatic", "--omega0", "1", "--omega", "4.6747883941380365e+144", "--theta", "1.9158013801054554"]
+        argv += ["--t", "1", "--format", "json"]
+        message = "dt must be large enough that t +/- dt differs from t = 1.0, got 1.3440576936184753e-150"
         assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
 

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 import staged_reference
 
-from toptrap import integrate
+from toptrap import integrate, spin
 from toptrap.closed_form import survival_probability, transition_probability
 from toptrap.integrate import (
     IntegrationError,
     IntegratorSettings,
     TimeSeries,
-    _eigen_projections,
     _integrate_dp45,
     _norm_guard,
+    _projections,
     evolve_instantaneous_basis,
     evolve_lab_frame,
     evolve_rotating_frame,
@@ -131,14 +131,14 @@ class TestLabFrame:
         """The lab frame steps with the cached matrices turned by U(t): its samples must not move by a bit."""
         series = evolve_lab_frame(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11))
         assert [v.hex() for v in series.survival.tolist()] == [
-            "0x1.0000000000000p+0", "0x1.4e4c83404a19cp-1", "0x1.abad4c307b126p-4", "0x1.10a4db1899385p-3",
-            "0x1.658870419f860p-1", "0x1.fec8a351fbcf1p-1", "0x1.365bdf256101ap-1", "0x1.463f93641c561p-4",
-            "0x1.52f82348b870dp-3", "0x1.7bd5db74de7b0p-1", "0x1.fb2593c119448p-1",
+            "0x1.0000000000000p+0", "0x1.4e4c83404a1a0p-1", "0x1.abad4c307b126p-4", "0x1.10a4db1899385p-3",
+            "0x1.658870419f861p-1", "0x1.fec8a351fbcefp-1", "0x1.365bdf256101bp-1", "0x1.463f93641c566p-4",
+            "0x1.52f82348b8710p-3", "0x1.7bd5db74de7b0p-1", "0x1.fb2593c119444p-1",
         ]  # fmt: skip
         assert [v.hex() for v in series.transition.tolist()] == [
-            "0x0.0p+0", "0x1.6366f97f6bb93p-2", "0x1.ca8a5679f0795p-1", "0x1.bbd6c939d963cp-1",
-            "0x1.34ef1f7cbfe5ep-2", "0x1.375cae0363258p-9", "0x1.934841b53bba8p-2", "0x1.d7380d937af61p-1",
-            "0x1.ab41f72dcff9ep-1", "0x1.085449163e4bcp-2", "0x1.369b0fb9ab361p-7",
+            "0x0.0p+0", "0x1.6366f97f6bb91p-2", "0x1.ca8a5679f0795p-1", "0x1.bbd6c939d963cp-1",
+            "0x1.34ef1f7cbfe5ep-2", "0x1.375cae036324bp-9", "0x1.934841b53bba8p-2", "0x1.d7380d937af61p-1",
+            "0x1.ab41f72dcff9cp-1", "0x1.085449163e4c1p-2", "0x1.369b0fb9ab35ap-7",
         ]  # fmt: skip
 
 
@@ -295,8 +295,22 @@ class TestProjection:
         ts = np.linspace(0.0, 12.0, 40)
         states = RNG.normal(size=(40, 2)) + 1j * RNG.normal(size=(40, 2))
         states /= np.linalg.norm(states, axis=1, keepdims=True)
-        probs = _eigen_projections(p, ts, lambda block: states[block])
+        probs = _projections(p, ts, lambda block: states[block])
         np.testing.assert_allclose(probs, reference_projections(p, ts, states), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("route", [evolve_lab_frame, evolve_rotating_frame])
+    def test_routes_diagonalise_nothing(self, monkeypatch, route):
+        """The routes project onto the known eigenbasis: eigh, einsum, hamiltonian_at and eigensystem_at stay unused."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numerical eigensystem called")
+
+        numerical = [(np.linalg, "eigh"), (np, "einsum"), (spin, "hamiltonian_at"), (integrate, "eigensystem_at")]
+        for owner, name in numerical:
+            monkeypatch.setattr(owner, name, refuse)
+        p = DriveParams(1.0, 1.5, 1.0)
+        ts = np.linspace(0.0, 10.0, 101)
+        np.testing.assert_allclose(route(p, ts).survival, survival_probability(p, ts), rtol=0, atol=1e-8)
 
     def test_rotating_frame_peak_memory_stays_blocked(self):
         ts = np.linspace(0.0, 50.0, 400_000)
@@ -322,6 +336,19 @@ class TestCrossMethodAgreement:
             evolve_rotating_frame(p, ts),
         ):
             assert np.max(np.abs(series.survival - closed)) <= 1e-8
+
+
+class TestSubnormalOmega0:
+    """H(t) underflows to zero below the normal floats, but its eigenbasis does not depend on omega0."""
+
+    @pytest.mark.parametrize("omega0", [1e-310, 1e-315, 1e-320, 5e-324])
+    @pytest.mark.parametrize("route", [evolve_lab_frame, evolve_rotating_frame])
+    def test_routes_match_closed_form(self, omega0, route):
+        p = DriveParams(omega0, 3.9587, 2.2958)
+        ts = np.linspace(0.0, 1.0, 51)
+        series = route(p, ts)
+        np.testing.assert_allclose(series.survival, survival_probability(p, ts), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(series.transition, transition_probability(p, ts), rtol=0, atol=1e-12)
 
 
 class TestFailureModes:

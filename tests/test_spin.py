@@ -309,6 +309,16 @@ class TestAdiabaticity:
         with pytest.raises(ValueError, match="omega0"):
             adiabaticity_matrix_element(DriveParams(omega0, omega, 1.0))
 
+    def test_parameter_overflow_names_omega0_and_omega(self):
+        with pytest.raises(ValueError, match="^omega0 and omega must keep the adiabaticity parameter finite, got omega0"):
+            adiabaticity_parameter(DriveParams(1e-300, 1e300, 1.0))
+
+    @pytest.mark.parametrize("t, dt", [(1e20, None), (1.0, 1e-16)])
+    def test_step_lost_against_t_refused(self, t, dt):
+        """Where t + dt or t - dt rounds to t (both here, then only t + dt) the element would come out wrong or 0."""
+        with pytest.raises(ValueError, match=re.escape(f"dt must be large enough that t +/- dt differs from t = {t!r}")):
+            adiabaticity_matrix_element(DriveParams(1.0, 1.5, 1.0), t, dt)
+
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
             adiabaticity_matrix_element(DriveParams(1.0, 1.0, 1.0), 0.0, 0.0)

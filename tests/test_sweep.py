@@ -127,6 +127,20 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="12000000"):
             run_sweep(spec)
 
+    def test_non_finite_table_refused(self, monkeypatch):
+        """The last guard: a kernel that writes a NaN into the table is refused, not returned."""
+        kernel = sweep_mod.probabilities
+
+        def nan_writing(*args, out):
+            kernel(*args, out=out)
+            out[0][..., 0] = math.nan
+
+        monkeypatch.setattr(sweep_mod, "probabilities", nan_writing)
+        fixed = {"omega0": 1.0, "omega": 1.5, "theta": 1.0}
+        spec = SweepSpec(axes=(Axis.linear("t", 0.0, 9.0, 5),), quantities=("survival",), fixed=fixed)
+        with pytest.raises(ValueError, match="^sweep produced non-finite values$"):
+            run_sweep(spec)
+
     def test_determinism(self):
         spec = SweepSpec(
             axes=(Axis.linear("theta", 0.1, 3.0, 7), Axis.linear("t", 0.0, 9.0, 11)),
