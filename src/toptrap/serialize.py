@@ -15,6 +15,7 @@ on the root element so consumers can map pixels back to data coordinates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,13 +44,35 @@ class Table:
         return self.rows[:, self.columns.index(name)]
 
 
+def _axis_text(column: np.ndarray, values: np.ndarray, text: list[str], template: str) -> list[str]:
+    """``column`` written as ``text[i]`` wherever it holds ``values[i]``, bit for bit, and by ``template`` elsewhere."""
+    bits, want = values.view(np.int64), column.view(np.int64)  # bits keep -0.0 and NaN payloads apart
+    if np.array_equal(bits, want):
+        return text
+    order = np.argsort(bits)
+    at = order[np.searchsorted(bits[order], want).clip(max=len(bits) - 1)]
+    gathered, off = np.array(text, dtype=object)[at], bits[at] != want
+    gathered[off] = [template % v for v in column[off].tolist()]
+    return gathered.tolist()
+
+
+def _rows(table: Table, template: str, axes: dict, join) -> map:
+    """Row texts, by the row template ``join`` makes of one template per column.  A column named in ``axes`` (name ->
+    non-empty float64 values and their text) is written as that text, any other column by ``template``."""
+    named = list(zip(table.columns, table.rows.T))
+    lists = [_axis_text(column, *axes[name], template) if name in axes else column.tolist() for name, column in named]
+    return map(join(["%s" if name in axes else template for name, _ in named]).__mod__, zip(*lists))
+
+
 def to_csv(table: Table) -> str:
+    """CSV lists no axes, so it formats an axis only where a like-named column holds more values than the axis."""
     lines = [f"# toptrap {__version__}"]
     for key, value in table.params.items():
         lines.append(f"# {key} = {value}")
     lines.append(",".join(table.columns))
-    fmt = ",".join(["%.17g"] * table.rows.shape[1])
-    lines.extend(fmt % tuple(row) for row in table.rows.tolist())
+    axes = ((name, np.asarray(v, float)) for name, v in table.axes if name in table.columns)
+    text = {name: (v, ["%.17g" % x for x in v.tolist()]) for name, v in axes if 0 < len(v) < len(table.rows)}
+    lines.extend(_rows(table, "%.17g", text, ",".join))
     return "\n".join(lines) + "\n"
 
 
@@ -73,26 +96,30 @@ def parse_csv(text: str) -> Table:
             lines.append(line)
     if columns is None:
         raise ValueError("no column header found in CSV text")
-    data = np.array(list(map(float, ",".join(lines).split(","))) if lines else [], dtype=float)
+    blocks = (",".join(lines[i : i + 4096]).split(",") for i in range(0, len(lines), 4096))  # float() keeps the bits
+    data = np.fromiter(map(float, itertools.chain.from_iterable(blocks)), float, len(lines) * len(columns))
     return Table(columns=columns, rows=data.reshape(len(lines), len(columns)), params=params)
 
 
-def _json_array(items: list[str], indent: str) -> str:
+def _json_array(items, indent: str) -> str:
     """Formatted ``items`` in the ``json.dumps(indent=2)`` layout of an array whose brackets sit at ``indent``."""
-    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+    body = f",\n{indent}  ".join(items)  # every item is non-empty text, so only no items give no body
+    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
 
 
-def _json_floats(items: list, template: str, indent: str) -> str:
-    """:func:`_json_array` of ``template % item`` per item; repr's nan and inf become json's NaN and Infinity."""
-    return _json_array([template % item for item in items], indent).replace("nan", "NaN").replace("inf", "Infinity")
+def _json_floats(items, indent: str) -> str:
+    """:func:`_json_array` of ``items``, repr's text of floats; its nan and inf become json's NaN and Infinity."""
+    return _json_array(items, indent).replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def to_json(table: Table) -> str:
     """``json.dumps(payload, indent=2)`` of the schema above; floats are written by ``repr``, as json writes them."""
     params = json.dumps({"tool": f"toptrap {__version__}", **table.params}, indent=2).replace("\n", "\n  ")
     columns = json.dumps(list(table.columns), indent=2).replace("\n", "\n  ")
-    axes = [_AXIS % (json.dumps(name), _json_floats(np.asarray(v).tolist(), "%r", "      ")) for name, v in table.axes]
-    data = _json_floats(list(map(tuple, table.rows.tolist())), _json_array(["%r"] * table.rows.shape[1], "    "), "  ")
+    texts = [(name, np.asarray(v), ["%r" % x for x in np.asarray(v).tolist()]) for name, v in table.axes]
+    axes = [_AXIS % (json.dumps(name), _json_floats(text, "      ")) for name, _, text in texts]
+    float_axes = {name: (v, text) for name, v, text in texts if len(v) and v.dtype == np.float64}  # repr(3) != repr(3.0)
+    data = _json_floats(_rows(table, "%r", float_axes, lambda templates: _json_array(templates, "    ")), "  ")
     return f'{{\n  "params": {params},\n  "axes": {_json_array(axes, "  ")},\n  "columns": {columns},\n  "data": {data}\n}}\n'
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import toptrap.cli
 from test_serialize import reference_csv, reference_json
 from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main, table_from_sweep
 from toptrap.closed_form import survival_probability, tau_of_ratio, transition_probability
@@ -408,6 +410,15 @@ class TestTau:
         assert code == EXIT_OK
         assert parse_csv(out).rows.shape == (401, 3)
 
+    def test_peak_flat_to_rounding_over_the_grid(self, capsys):
+        """At theta = pi/2, x* = cos(theta) = 6.1e-17, and tau differs from tau* = 1 by at most one ulp over the
+        whole grid, so its argmax, 16 steps from x*, is rounding noise: the grid point at x*, one ulp below the
+        maximum, passes.  It was an integrity failure."""
+        argv = ["tau", "--theta", "1.5707963267948966", "--x-min", "3.321433360419354e-297"]
+        code, out, _ = run(argv + ["--x-max", "1.2896444575545145e-09", "--steps", "19"], capsys)
+        assert code == EXIT_OK
+        assert parse_csv(out).rows.shape == (19, 3)
+
     def test_displaced_peak_is_integrity_failure(self, monkeypatch, capsys):
         """A tau curve whose peak sits five grid steps from the analytic x* exits 3."""
         step = 4.0 / 400
@@ -780,6 +791,37 @@ class TestGeometry:
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
+
+    def test_parser_built_once_and_reused_cleanly(self, monkeypatch, capsys):
+        """The parser is built on the first call of a process and serves every later call: no flag, default or
+        appended value of one call reaches the next, and usage errors and --version behave as on a new parser."""
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        toptrap.cli._parser.cache_clear()
+        try:
+            evolve = ["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1", "--t-max", "2", "--samples", "3"]
+            code, out, _ = run(evolve + ["--method", "all", "--format", "json"], capsys)
+            assert code == EXIT_OK and len(json.loads(out)["columns"]) == 9
+            first = len(built)
+            assert first == 6  # toptrap and its five subcommands
+            code, _, err = run(["tau", "--theta"], capsys)
+            assert code == EXIT_USAGE
+            assert err.startswith("usage: toptrap tau") and "--theta: expected one argument" in err
+            code, out, err = run(["--version"], capsys)
+            assert (code, err) == (EXIT_OK, "") and out.startswith("toptrap ")
+            code, out, _ = run(evolve, capsys)  # --method closed and --format csv again
+            assert code == EXIT_OK and parse_csv(out).columns == ("t", "survival", "transition")
+            for thetas in (["1", "2"], ["1"]):
+                code, out, _ = run(["tau", "--steps", "3"] + [arg for t in thetas for arg in ("--theta", t)], capsys)
+                assert code == EXIT_OK and len(parse_csv(out).rows) == 3 * len(thetas)
+            assert len(built) == first
+        finally:
+            toptrap.cli._parser.cache_clear()  # later tests build their own, unpatched parser
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
