@@ -174,11 +174,13 @@ def resurrection_time(p: DriveParams) -> ResurrectionPoint:
 
     Raises:
         ValueError: if omega = 0 (no drive period to measure against) or
-            omega0 == omega at theta == 0 (no flip occurs).
+            omega0 == omega at theta == 0 (no flip occurs); naming omega0
+            and omega where x = omega0/omega overflows.
     """
     if p.omega <= 0.0:
         raise ValueError("resurrection undefined: omega must be > 0")
     x = p.omega0 / p.omega
+    check_finite("x", x, omega0=p.omega0, omega=p.omega)
     return ResurrectionPoint(x=x, tau=float(tau_of_ratio(x, p.theta, (p.omega - p.omega0) / p.omega)), theta=p.theta)
 
 

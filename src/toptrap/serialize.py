@@ -190,6 +190,8 @@ def render_line_chart(
     def py(y):
         return top + (y_hi - y) / (y_hi - y_lo) * plot_h
 
+    names = ("x-min", "x-max", "y-min", "y-max", "plot-left", "plot-top", "plot-width", "plot-height")
+    window = dict(zip(names, (x_lo, x_hi, y_lo, y_hi, left, top, plot_w, plot_h)))
     root = ET.Element(
         "svg",
         {
@@ -197,14 +199,7 @@ def render_line_chart(
             "width": str(WIDTH),
             "height": str(HEIGHT),
             "viewBox": f"0 0 {WIDTH} {HEIGHT}",
-            "data-x-min": repr(x_lo),
-            "data-x-max": repr(x_hi),
-            "data-y-min": repr(y_lo),
-            "data-y-max": repr(y_hi),
-            "data-plot-left": repr(left),
-            "data-plot-top": repr(top),
-            "data-plot-width": repr(plot_w),
-            "data-plot-height": repr(plot_h),
+            **{f"data-{name}": repr(value) for name, value in window.items()},
         },
     )
     ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(WIDTH), "height": str(HEIGHT), "fill": "white"})
@@ -236,23 +231,20 @@ def render_line_chart(
         node = ET.SubElement(root, "text", attrs)
         node.text = content
 
+    def line(x1, y1, x2, y2, stroke, **extra):
+        ends = {"x1": f"{x1:.1f}", "y1": f"{y1:.1f}", "x2": f"{x2:.1f}", "y2": f"{y2:.1f}"}
+        ET.SubElement(root, "line", {**ends, "stroke": stroke, **extra})
+
     for tick in _nice_ticks(x_lo, x_hi):
         x = px(tick)
-        ET.SubElement(
-            root,
-            "line",
-            {"x1": f"{x:.1f}", "y1": f"{top + plot_h:.1f}", "x2": f"{x:.1f}", "y2": f"{top + plot_h + 5:.1f}", "stroke": "#333333"},
-        )
+        line(x, top + plot_h, x, top + plot_h + 5, "#333333")
         text(x, top + plot_h + 18, _format_tick(tick), size=11)
     for tick in _nice_ticks(y_lo, y_hi):
         y = py(tick)
-        ET.SubElement(
-            root,
-            "line",
-            {"x1": f"{left - 5:.1f}", "y1": f"{y:.1f}", "x2": f"{left:.1f}", "y2": f"{y:.1f}", "stroke": "#333333"},
-        )
+        line(left - 5, y, left, y, "#333333")
         text(left - 8, y + 4, _format_tick(tick), size=11, anchor="end")
 
+    dashes = [{"stroke-dasharray": s.dash} if s.dash else {} for s in series]
     for k, s in enumerate(series):
         attrs = {
             "fill": "none",
@@ -260,28 +252,15 @@ def render_line_chart(
             "stroke-width": "1.5",
             "class": "curve",
             "points": " ".join(map("%.3f,%.3f".__mod__, zip(px(s.x).tolist(), py(s.y).tolist()))),
+            **dashes[k],
         }
-        if s.dash:
-            attrs["stroke-dasharray"] = s.dash
         ET.SubElement(root, "polyline", attrs)
 
     legend_x = left + plot_w - 150.0
     legend_y = top + 14.0
     for k, s in enumerate(series):
         y = legend_y + 16.0 * k
-        ET.SubElement(
-            root,
-            "line",
-            {
-                "x1": f"{legend_x:.1f}",
-                "y1": f"{y - 4:.1f}",
-                "x2": f"{legend_x + 24:.1f}",
-                "y2": f"{y - 4:.1f}",
-                "stroke": PALETTE[k % len(PALETTE)],
-                "stroke-width": "1.5",
-                **({"stroke-dasharray": s.dash} if s.dash else {}),
-            },
-        )
+        line(legend_x, y - 4, legend_x + 24, y - 4, PALETTE[k % len(PALETTE)], **{"stroke-width": "1.5", **dashes[k]})
         text(legend_x + 30, y, s.label, size=11, anchor="start")
 
     if title:

@@ -57,7 +57,10 @@ class Axis:
     @classmethod
     def linear(cls, name: str, start: float, stop: float, steps: int) -> "Axis":
         cls._check_range(name, start, stop, steps, FINITE)
-        return cls(name, np.linspace(start, stop, steps))
+        with np.errstate(over="ignore", invalid="ignore"):  # stop - start may overflow: named below
+            values = np.linspace(start, stop, steps)
+        check_finite("the grid", values, **{f"axis {name!r} start": start, f"axis {name!r} stop": stop})
+        return cls(name, values)
 
     @classmethod
     def log(cls, name: str, start: float, stop: float, steps: int) -> "Axis":

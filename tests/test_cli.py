@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -650,6 +651,14 @@ PINNED = {
         evolve_all_result,
     ),
 }
+# sha256 of each PINNED command's --format svg file: the renderer's whole output, markup and numbers, bit for bit
+SVG_SHA256 = {
+    "fig1": "a15a8c16b0db915bfc2d4149f36668df8279c9bd49d17fa67450f6e9a0d0a68c",
+    "fig2": "8da881e9e57c5f0dd7c9566cecc460ec07fbfc575db6493bf2f2b6d53f451e2d",
+    "fig3": "15e10f4d7b2960b766b0b2f6272965fc44922b26e576c3b8b0227c4731704e52",
+    "tau": "32394a477d02fe70f4ad5d7356625a03b8289b21f9785e8a0ebe7ea032d8c01d",
+    "evolve-all": "ee0fa22b3d9979779f4b483da22bb327f243d5d972be34b83bb7ce47120f7ec9",
+}
 
 
 class TestBytes:
@@ -682,6 +691,12 @@ class TestBytes:
             for xs, ys in curves
         ]
         assert [line.get("points") for line in root.iter(f"{SVG_NS}polyline")] == want
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_svg_bytes(self, name, tmp_path, capsys):
+        path = tmp_path / "chart.svg"
+        assert run(PINNED[name][0] + ["--format", "svg", "--out", str(path)], capsys)[0] == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SVG_SHA256[name]
 
 
 class TestAdiabatic:

@@ -17,7 +17,7 @@ import pytest
 
 from toptrap import spin
 from toptrap.cli import EXIT_OK, EXIT_USAGE, main
-from toptrap.closed_form import probabilities, survival_probability, tau_extremum, tau_of_ratio
+from toptrap.closed_form import probabilities, resurrection_time, survival_probability, tau_extremum, tau_of_ratio
 from toptrap.geometry import (
     FieldVector,
     TrapConfig,
@@ -131,6 +131,17 @@ SCALE_LIBRARY = [
         lambda: tau_of_ratio(np.array([1.0, 2e154]), 0.5), "x must keep (1 - x)^2 finite, got x = 2e+154", id="tau-(1-x)^2"
     ),
     pytest.param(
+        lambda: resurrection_time(DriveParams(1.0, 5e-324, 1.0)),
+        "omega0 and omega must keep x finite, got omega0 = 1.0, omega = 5e-324",
+        id="resurrection_time-x",
+    ),
+    pytest.param(
+        lambda: Axis.linear("x", -1e308, 1e308, 3),
+        "axis 'x' start and axis 'x' stop must keep the grid finite, "
+        "got axis 'x' start = -1e+308, axis 'x' stop = 1e+308",
+        id="Axis.linear-grid",
+    ),
+    pytest.param(
         lambda: FieldVector(1e154, 1e154, 0.0).magnitude(),
         "bx and by and bz must keep |B| finite, got bx = 1e+154, by = 1e+154, bz = 0.0",
         id="|B|",
@@ -142,7 +153,8 @@ SCALE_LIBRARY = [
     ),
     pytest.param(
         lambda: adiabaticity_matrix_element(DriveParams(1e300, 1e300, 1.0)),
-        "omega0 must keep the squared gap finite, got omega0 = 1e+300",
+        "omega0 and omega and dt must keep the matrix element finite, "
+        "got omega0 = 1e+300, omega = 1e+300, dt = 6.283185307179586e-306",
         id="squared-gap",
     ),
     pytest.param(
@@ -225,6 +237,7 @@ def test_cli_rule_is_usage_error(call, value, message, capsys):
     assert (captured.out, captured.err) == ("", f"toptrap: {message}\n")
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning in place of the report fails the case
 @pytest.mark.parametrize("call, message", SCALE_LIBRARY)
 def test_library_scale_raised_by_check_finite(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:

@@ -288,6 +288,18 @@ class TestAdiabaticity:
         p = DriveParams(omega0, 1e-3, 1.0)
         assert adiabaticity_matrix_element(p) == pytest.approx(adiabaticity_parameter(p), rel=1e-9)
 
+    @pytest.mark.parametrize("omega0", [1e155, 1e200, 1e300])
+    def test_matrix_element_above_the_finite_squared_gaps(self, omega0):
+        """gap^2 = omega0^2 overflows here, where the element divided by the gap twice is still a normal float."""
+        p = DriveParams(omega0, 1e-3, 1.0)
+        assert adiabaticity_matrix_element(p) == pytest.approx(adiabaticity_parameter(p), rel=1e-9)
+
+    def test_quotient_divided_by_the_spacing_of_the_rounded_ends(self):
+        """Both steps round t -/+ dt to 1 - 2^-53 and 1 + 2^-52, so both give one quotient: divided by 2 dt, not by
+        that spacing, they gave 1.1689 and 1.0789."""
+        p = DriveParams(1.0, 1.5, 1.0)
+        assert adiabaticity_matrix_element(p, 1.0, 1.2e-16) == adiabaticity_matrix_element(p, 1.0, 1.3e-16)
+
     def test_time_independence(self):
         p = DriveParams(1.0, 1.5, 1.0)
         a = adiabaticity_matrix_element(p, 0.2, 1e-5)
@@ -305,7 +317,7 @@ class TestAdiabaticity:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("omega0, omega", [(1e300, 1e300), (1e150, 1e300)])
     def test_overflow_rejected_naming_omega0(self, omega0, omega):
-        """The squared gap (first case) or the difference quotient (second) overflows."""
+        """The difference quotient overflows (both cases), and with it the element."""
         with pytest.raises(ValueError, match="omega0"):
             adiabaticity_matrix_element(DriveParams(omega0, omega, 1.0))
 
