@@ -25,8 +25,8 @@ from .integrate import (
     evolve_rotating_frame,
 )
 from .serialize import ChartSeries, Table, render_line_chart, to_csv, to_json
-from .spin import FINITE, POSITIVE, DriveParams, adiabaticity_matrix_element, adiabaticity_parameter, check, check_finite
-from .sweep import GRID_SIZE, OracleMismatchError, SweepResult, figure_dataset
+from .spin import POSITIVE, DriveParams, adiabaticity_matrix_element, adiabaticity_parameter, check
+from .sweep import OracleMismatchError, SweepResult, figure_dataset, grid_values
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -147,11 +147,8 @@ def _theta_curves(thetas, x, ys) -> list[ChartSeries]:
 
 def _cmd_evolve(args) -> int:
     p = DriveParams(args.omega0, args.omega, args.theta)
-    check("samples", *GRID_SIZE, args.samples)
-    check("t-max", *POSITIVE, args.t_max)
+    ts = grid_values(0.0, args.t_max, args.samples, ("samples", "t", "t-max"), "0")
     settings = IntegratorSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    with np.errstate(over="ignore"):  # linspace's last step may overflow; it then sets the finite t-max itself
-        ts = np.linspace(0.0, args.t_max, args.samples)
 
     runners = {
         "closed": lambda: (survival_probability(p, ts), transition_probability(p, ts)),
@@ -214,12 +211,7 @@ def _pair(series):
 def _cmd_tau(args) -> int:
     thetas = list(args.theta)
     check("theta", "in (0, pi]", lambda v: (v > 0.0) & (v <= math.pi), thetas)
-    check("steps", *GRID_SIZE, args.steps)
-    check("x-min", *FINITE, args.x_min)
-    check("x-max", f"finite and > x-min = {args.x_min!r}", lambda v: (v > args.x_min) & (v < math.inf), args.x_max)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in evolve, but x-max - x-min may overflow: named below
-        xs = np.linspace(args.x_min, args.x_max, args.steps)
-    check_finite("the grid", xs, **{"x-min": args.x_min, "x-max": args.x_max})
+    xs = grid_values(args.x_min, args.x_max, args.steps, ("steps", "x-min", "x-max"))
     step = xs[1] - xs[0]
     curves = tau_of_ratio(xs, np.array(thetas)[:, None])
     for theta, taus in zip(thetas, curves):

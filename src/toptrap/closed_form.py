@@ -169,19 +169,22 @@ def tau_of_ratio(x, theta, one_minus_x=None):
     return tau.item() if tau.ndim == 0 else tau
 
 
-def resurrection_time(p: DriveParams) -> ResurrectionPoint:
-    """Resurrection time of the flipped state, in units of the drive period.
-
-    Raises:
-        ValueError: if omega = 0 (no drive period to measure against) or
-            omega0 == omega at theta == 0 (no flip occurs); naming omega0
-            and omega where x = omega0/omega overflows.
-    """
-    if p.omega <= 0.0:
+def tau_of_drive(omega0, omega, theta):
+    """x = omega0/omega and its :func:`tau_of_ratio`, broadcast, with 1 - x as (omega - omega0)/omega.  A ValueError
+    if any omega = 0 (no drive period to measure against), naming omega0 and omega where x overflows, or from
+    :func:`tau_of_ratio` (e.g. omega0 == omega at theta == 0: no flip occurs)."""
+    if not np.all(np.greater(omega, 0.0)):
         raise ValueError("resurrection undefined: omega must be > 0")
-    x = p.omega0 / p.omega
-    check_finite("x", x, omega0=p.omega0, omega=p.omega)
-    return ResurrectionPoint(x=x, tau=float(tau_of_ratio(x, p.theta, (p.omega - p.omega0) / p.omega)), theta=p.theta)
+    with np.errstate(over="ignore"):  # a subnormal omega overflows x, named below
+        x, one_minus_x = np.divide(omega0, omega), np.divide(omega - omega0, omega)
+    check_finite("x", x, omega0=omega0, omega=omega)
+    return x, tau_of_ratio(x, theta, one_minus_x)
+
+
+def resurrection_time(p: DriveParams) -> ResurrectionPoint:
+    """Resurrection time of the flipped state, in units of the drive period; raises as :func:`tau_of_drive`."""
+    x, tau = tau_of_drive(p.omega0, p.omega, p.theta)
+    return ResurrectionPoint(x=float(x), tau=float(tau), theta=p.theta)
 
 
 def tau_extremum(theta: float) -> tuple[float, float] | None:

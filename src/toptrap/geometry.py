@@ -215,12 +215,8 @@ def confinement_advisor(p: DriveParams, escape_time: float) -> ConfinementReport
     if not 0.0 < escape_time < math.inf:
         check("escape_time", *POSITIVE, escape_time)
     t_res = 2.0 * math.pi / p.omega_bar if p.coupling and p.omega_bar else math.inf
-    if t_res == math.inf:
-        return ConfinementReport(
-            confined=True, escape_time=escape_time, resurrection_time=math.inf, ratio=0.0
-        )
     return ConfinementReport(
-        confined=bool(escape_time > t_res),
+        confined=t_res == math.inf or escape_time > t_res,
         escape_time=escape_time,
         resurrection_time=t_res,
         ratio=escape_time / t_res,

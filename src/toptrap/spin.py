@@ -242,11 +242,10 @@ def default_fd_step(p: DriveParams) -> float:
 def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None = None) -> float:
     """Evaluate |<-(t)| dH/dt |+(t)>| / (E+ - E-)^2 by central differences.
 
-    The squared gap makes the ratio dimensionless; for this drive it is
-    independent of ``t`` and converges quadratically in ``dt`` to
-    ``adiabaticity_parameter(p)``.  The difference of H is divided by the
-    spacing of the rounded ends t +/- dt, which is 2 dt only where both
-    round exactly (always at t = 0).
+    The squared gap makes the ratio dimensionless; for this drive it is independent of ``t`` and converges
+    quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  The real element of H(t + dt) - H(t - dt) is divided
+    by the gap, by the spacing of the rounded ends t +/- dt (2 dt only where both round exactly, always at t = 0) and
+    by the gap again, one at a time: no complex divide (by a reciprocal) and no squared gap leaves the float range.
 
     Args:
         p: drive parameters.
@@ -256,7 +255,8 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
     Raises:
         ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming t and dt where
             t +/- dt overflows, omega, t and dt where the phase omega (t +/- dt) does, t and dt where t +/- dt
-            rounds to t (the difference would be 0), and omega0, omega, dt where the element does.
+            rounds to t (the difference would be 0), and omega0, omega, dt where the element overflows, or is below
+            the smallest normal float while the coupling is not 0 (its bits are lost).
     """
     if dt is None:
         dt = default_fd_step(p)
@@ -266,10 +266,11 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         check_finite("t +/- dt", ends, t=t, dt=dt)
         check_finite("the phase omega (t +/- dt)", p.omega * ends, omega=p.omega, t=t, dt=dt)
         check("dt", f"large enough that t +/- dt differs from t = {t!r}", lambda v: (t - v != t) & (t + v != t), dt)
-        h_dot = (hamiltonian_at(p, ends[1]) - hamiltonian_at(p, ends[0])) / (ends[1] - ends[0])
         pair = eigensystem_at(p, t)
-        element = abs(np.vdot(pair.vec_minus, h_dot @ pair.vec_plus))
+        delta_h = hamiltonian_at(p, ends[1]) - hamiltonian_at(p, ends[0])
         gap = pair.value_plus - pair.value_minus
-        result = float(element / gap / gap)  # gap * gap would leave the float range for omega0 outside 1e-154..1e154
+        result = float(abs(np.vdot(pair.vec_minus, delta_h @ pair.vec_plus)) / gap / (ends[1] - ends[0]) / gap)
+    if result < sys.float_info.min and p.coupling:  # a flipping drive's element has lost its bits: refused below
+        result = math.nan
     check_finite("the matrix element", result, omega0=p.omega0, omega=p.omega, dt=dt)
     return result

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
-from .closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability  # noqa: F401
+from .closed_form import probabilities, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
 from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, omega_bar_of
 
@@ -56,22 +56,32 @@ class Axis:
 
     @classmethod
     def linear(cls, name: str, start: float, stop: float, steps: int) -> "Axis":
-        cls._check_range(name, start, stop, steps, FINITE)
-        with np.errstate(over="ignore", invalid="ignore"):  # stop - start may overflow: named below
-            values = np.linspace(start, stop, steps)
-        check_finite("the grid", values, **{f"axis {name!r} start": start, f"axis {name!r} stop": stop})
-        return cls(name, values)
+        return cls._spaced(name, start, stop, steps)
 
     @classmethod
     def log(cls, name: str, start: float, stop: float, steps: int) -> "Axis":
-        cls._check_range(name, start, stop, steps, POSITIVE)
-        return cls(name, np.geomspace(start, stop, steps))
+        return cls._spaced(name, start, stop, steps, log=True)
 
-    @staticmethod
-    def _check_range(name, start, stop, steps, start_rule):
-        check(f"axis {name!r} steps", *GRID_SIZE, steps)
-        check(f"axis {name!r} start", *start_rule, start)
-        check(f"axis {name!r} stop", f"finite and > start = {start!r}", lambda v: (v > start) & (v < math.inf), stop)
+    @classmethod
+    def _spaced(cls, name, start, stop, steps, log=False):
+        names = [f"axis {name!r} {end}" for end in ("steps", "start", "stop")]
+        return cls(name, grid_values(start, stop, steps, names, f"start = {start!r}", log))
+
+
+def grid_values(start, stop, steps, names, low=None, log=False):
+    """``steps`` values from ``start`` to ``stop``, evenly spaced or, if ``log``, geometrically: the one grid rule.
+
+    ``names``: what the messages call the steps, the start (finite, and > 0 for a log grid) and the stop, which must
+    be > ``low``, by default ``<start name> = <start>``.  ``linspace`` overflows where stop - start does: the grid
+    report names both ends."""
+    steps_name, start_name, stop_name = names
+    check(steps_name, *GRID_SIZE, steps)
+    check(start_name, *(POSITIVE if log else FINITE), start)
+    check(stop_name, f"finite and > {low or f'{start_name} = {start!r}'}", lambda v: (v > start) & (v < math.inf), stop)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+        values = (np.geomspace if log else np.linspace)(start, stop, steps)
+    check_finite("the grid", values, **{start_name: start, stop_name: stop})
+    return values
 
 
 @dataclass(frozen=True)
@@ -174,12 +184,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if spec.oracle:
                 _check_oracle(q, col[q], col[f"{q}_ode"], spec.axes)
         elif q == "tau":
-            if x is None and not np.all(omega > 0.0):
-                raise ValueError("resurrection undefined: omega must be > 0")
-            with np.errstate(over="ignore"):  # a subnormal omega overflows x, named below
-                ratio, one_minus_x = (x, None) if x is not None else (omega0 / omega, (omega - omega0) / omega)
-            check_finite("x", ratio, omega0=omega0, omega=omega)
-            col[q][...] = tau_of_ratio(ratio, theta, one_minus_x)
+            col[q][...] = tau_of_ratio(x, theta) if x is not None else tau_of_drive(omega0, omega, theta)[1]
         else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
             if x is not None:  # omega0 = x * omega is checked only here: tau may take x = 0
                 check_domain("omega0", omega0)

@@ -724,12 +724,27 @@ class TestAdiabatic:
         assert "0.75" in out
         assert "NOT adiabatic" in out
 
-
     def test_overflow_is_usage_error(self, capsys):
-        code, out, err = run(["adiabatic", "--omega0", "1e300", "--omega", "1e300", "--theta", "1"], capsys)
+        code, out, err = run(["adiabatic", "--omega0", "1e-300", "--omega", "1e300", "--theta", "1"], capsys)
         assert code == EXIT_USAGE
         assert out == ""
         assert "omega0" in err
+
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            "--omega0 4.0266671566387116e-261 --omega 1.6839658029233765e-117 --theta 1.8926637372142934",
+            "--omega0 1e306 --omega 1 --theta 1",
+            "--omega0 1e300 --omega 1e300 --theta 1",
+        ],
+        ids=["element-was-0", "omega0-1e306", "omega0-omega-1e300"],
+    )
+    def test_element_matches_the_parameter(self, drive, capsys):
+        """The complex difference of H over a tiny spacing underflowed to 0 (first) or overflowed, refused (others)."""
+        code, out, _ = run(["adiabatic", *drive.split(), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["matrix_element"] == pytest.approx(payload["parameter"], rel=1e-9)
 
     def test_overflowing_shifted_time_names_t_and_dt(self, capsys):
         """t + dt overflows: the message names the given t and dt, not an infinite t."""

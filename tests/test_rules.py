@@ -152,9 +152,9 @@ SCALE_LIBRARY = [
         id="k",
     ),
     pytest.param(
-        lambda: adiabaticity_matrix_element(DriveParams(1e300, 1e300, 1.0)),
+        lambda: adiabaticity_matrix_element(DriveParams(1e-300, 1e300, 1.0)),
         "omega0 and omega and dt must keep the matrix element finite, "
-        "got omega0 = 1e+300, omega = 1e+300, dt = 6.283185307179586e-306",
+        "got omega0 = 1e-300, omega = 1e+300, dt = 6.283185307179586e-306",
         id="squared-gap",
     ),
     pytest.param(

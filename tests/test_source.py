@@ -18,6 +18,10 @@ Every module-level private name (``_name``, not ``__dunder__``) is read somewher
 vulture's unused-code report, which keeps leftovers of removed code paths out.
 
 ``serialize`` is a leaf: it imports no sibling module, so the writers and the parser depend on no result type.
+
+Two rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
+t and x grids): no other code calls ``np.linspace`` or reports the grid.  ``closed_form.tau_of_drive`` is the only code that
+refuses omega = 0 for tau and reports an overflowing x = omega0/omega.
 """
 
 import ast
@@ -159,3 +163,18 @@ def sibling_imports(module: str) -> list[str]:
 def test_serialize_imports_no_sibling_module():
     assert "toptrap.sweep" in sibling_imports("cli.py")  # the check sees relative imports
     assert sibling_imports("serialize.py") == []
+
+
+@pytest.mark.parametrize(
+    "text, module, owner",
+    [
+        ("np.linspace", "sweep.py", "grid_values"),
+        ('check_finite("the grid"', "sweep.py", "grid_values"),
+        ("resurrection undefined: omega must be > 0", "closed_form.py", "tau_of_drive"),
+        ('check_finite("x"', "closed_form.py", "tau_of_drive"),
+    ],
+    ids=["linspace", "grid-report", "omega-refusal", "x-report"],
+)
+def test_rule_only_in_its_owner(text, module, owner):
+    found = _lines_mentioning(text)
+    assert len(found) == 1 and set(found) <= _lines_of(module, owner)

@@ -24,6 +24,7 @@ RNG = np.random.default_rng(42)
 finite_omega0 = st.floats(1e-3, 1e3, allow_nan=False)
 finite_omega = st.floats(0.0, 1e3, allow_nan=False)
 finite_theta = st.floats(0.0, math.pi, allow_nan=False)
+log_uniform_rates = st.floats(-300.0, 308.0).map(lambda exponent: 10.0**exponent)  # 1e-300 to 1e308
 
 
 class TestDriveParams:
@@ -315,11 +316,37 @@ class TestAdiabaticity:
         assert order >= 1.9
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("omega0, omega", [(1e300, 1e300), (1e150, 1e300)])
+    @pytest.mark.parametrize("omega0, omega", [(1e-300, 1e300), (1e-150, 1e300)])
     def test_overflow_rejected_naming_omega0(self, omega0, omega):
-        """The difference quotient overflows (both cases), and with it the element."""
+        """The element itself overflows: about 4.2e599 and 4.2e449."""
         with pytest.raises(ValueError, match="omega0"):
             adiabaticity_matrix_element(DriveParams(omega0, omega, 1.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega0, omega", [(1e300, 1e300), (1e150, 1e300), (1e306, 1.0), (1.7e308, 1e308)])
+    def test_matrix_element_where_the_complex_quotient_overflowed(self, omega0, omega):
+        """The complex difference of H over the spacing overflowed here (numpy divides by the reciprocal of the
+        spacing, inf below 5.6e-309), so these finite elements were refused."""
+        p = DriveParams(omega0, omega, 1.0)
+        assert adiabaticity_matrix_element(p) == pytest.approx(adiabaticity_parameter(p), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.example(omega0=4.0266671566387116e-261, omega=1.6839658029233765e-117, theta=1.8926637372142934)
+    @hyp.example(omega0=1e306, omega=1.0, theta=1.0)
+    @hyp.example(omega0=1e300, omega=1e300, theta=1.0)
+    @hyp.given(log_uniform_rates, log_uniform_rates, st.floats(0.01, math.pi - 0.01))
+    def test_matrix_element_matches_a_normal_parameter(self, omega0, omega, theta):
+        """Over the float range, the default-step element is within 1e-9 of every normal parameter.  The examples
+        are the CLI drives of TestAdiabatic::test_element_matches_the_parameter: an element 0 against 2e143, then two
+        refused, at 4.2e-307 and 0.42."""
+        p = DriveParams(omega0, omega, theta)
+        try:
+            parameter = adiabaticity_parameter(p)
+        except ValueError:  # the parameter overflows
+            return
+        if parameter >= sys.float_info.min:
+            assert adiabaticity_matrix_element(p) == pytest.approx(parameter, rel=1e-9)
 
     def test_parameter_overflow_names_omega0_and_omega(self):
         with pytest.raises(ValueError, match="^omega0 and omega must keep the adiabaticity parameter finite, got omega0"):

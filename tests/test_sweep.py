@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -53,6 +54,12 @@ class TestAxis:
             Axis.linear("t", 0.0, 1.0, 1)
         with pytest.raises(ValueError):
             Axis.log("omega", 0.0, 1.0, 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_axis_up_to_the_largest_float(self):
+        """geomspace's power overflows for the last value, which it then sets to the stop: no RuntimeWarning."""
+        log = Axis.log("omega", 1e-300, sys.float_info.max, 5)
+        assert log.values[0] == 1e-300 and log.values[-1] == sys.float_info.max and np.all(np.isfinite(log.values))
 
 
 class TestSweepSpec:
