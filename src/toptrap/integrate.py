@@ -26,7 +26,13 @@ Both ODE routes are linear, y' = M(t) y, so a DP5(4) step of size h is y + D y w
 the basis vectors from t = 0 once per new step size, give D and E (D, not R = I + D: R's rounding would recur every
 step and add up).  The instantaneous-basis M is constant.  The lab M turns with the drive, M(t + s) = U(t) M(s) U(t)^+
 for U(t) = diag(e^{-i omega t/2}, e^{i omega t/2}), constant within a step, so the step from t is U(t) (I + D) U(t)^+,
-e^{-+i omega t} on the off-diagonals of D and E.  Each step is two 2x2 mat-vecs; f = M y is formed only at samples.
+e^{-+i omega t} on the off-diagonals of D and E.  A step is one or two 2x2 mat-vecs; f = M y is formed only at samples.
+
+At h = h_cap an accepted step leaves h alone, so one bound per build can *certify* the step size: its steps skip E y,
+the scales and the norm.  As scale_a >= abs_tol + rel_tol |a|, |err_a| / scale_a <= |e00| / rel_tol + |e01| g / abs_tol
+= q_a (b alike) while |y| <= g.  |(I + D) y|^2 = |y|^2 + y^+ K y for K = D + D^+ + D^+ D; with growth = _MAX_STEPS
+(Gershgorin's bound on K + a rounding slack) <= 1, g = |y| (1 + 2 growth) >= |y| e^growth over 2 * _MAX_STEPS steps.
+0.5 (q_a^2 + q_b^2) < _CERTAIN certifies; 2^-1060 / abs_tol on each q covers products rounded below the normal range.
 
 The lab and rotating routes project onto the known eigenvectors of H(t), which no omega0 enters, so none underflows:
 for s = sin(theta/2), c = cos(theta/2), the weak-field seeker (s, -c e^{i omega t}), strong-field (c, s e^{i omega t}).
@@ -46,6 +52,7 @@ from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_fini
 _MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
 _MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
 _BLOCK = 4096  # samples per batched projection: its temporaries stay at a few MB
+_CERTAIN = 1.0 - 1e-6  # a squared norm bound below this certifies a step size; rounding moves either by far less
 
 
 class IntegrationError(RuntimeError):
@@ -69,13 +76,24 @@ class IntegratorSettings:
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """Counts of one DP5(4) solve: step attempts, rejected attempts, builds of D and E, and certified builds."""
+
+    attempts: int
+    rejected: int
+    builds: int
+    certified_builds: int
+
+
+@dataclass(frozen=True)
 class TimeSeries:
-    """Sampled survival/transition probabilities from one method."""
+    """Sampled survival/transition probabilities from one method; ``stats`` for the ODE routes, else None."""
 
     times: np.ndarray
     survival: np.ndarray
     transition: np.ndarray
     method: str
+    stats: SolverStats | None = None
 
     def __post_init__(self):
         if not (len(self.times) == len(self.survival) == len(self.transition)):
@@ -149,8 +167,22 @@ def _stages(rhs, y, h):
     return (da, db), (err_a, err_b)
 
 
+def _certified(sums, y_norm, rel_tol, abs_tol):
+    """Whether the D and E of ``sums`` pass every step's error norm from |y| = y_norm on (module docstring)."""
+    d00, d10, d01, d11, e00, e10, e01, e11 = sums
+    n00, n10, n01, n11 = map(abs, sums[:4])
+    k01 = abs(d01 + d10.conjugate() + d00.conjugate() * d01 + d10.conjugate() * d11)
+    top = max(2.0 * d00.real + n00 * n00 + n10 * n10, 2.0 * d11.real + n01 * n01 + n11 * n11) + k01
+    size = 1.0 + n00 + n01 + n10 + n11
+    growth = _MAX_STEPS * (abs(top) + 1e-14 * size * size)  # abs: a shrinking step still starts from y_norm
+    g = y_norm * (1.0 + 2.0 * growth)  # no float power, which raises OverflowError
+    q_a = abs(e00) / rel_tol + (abs(e01) * g + 2.0**-1060) / abs_tol
+    q_b = abs(e11) / rel_tol + (abs(e10) * g + 2.0**-1060) / abs_tol
+    return 0.5 * (q_a * q_a + q_b * q_b) < _CERTAIN and growth <= 1.0
+
+
 def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0, **drive):
-    """Adaptive DP5(4) from t = 0 through sample_ts[-1]; returns 2xN complex samples.
+    """Adaptive DP5(4) from t = 0 through sample_ts[-1]; returns 2xN complex samples and the solve's SolverStats.
 
     ``rhs(t, a, b) -> (da, db)`` is linear in (a, b) and works on plain complex scalars, several times faster than
     ndarray arithmetic for 2 components.  It is constant for ``frame_freq`` 0, else turns at it (module docstring).
@@ -169,7 +201,7 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
     t_next = sample_ts[idx]
     h_min = 1e-14 * t_end
     h, h_built = min(h_cap, t_end), None
-    abs_a, abs_b = abs(a), abs(b)  # |y|, carried over from the step that reached y
+    attempts = rejected = builds = certified_builds = 0
     while idx < n:
         remainder = t_end - t
         if remainder - h < h_min:
@@ -183,19 +215,24 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
             sums = (d00, d10, d01, d11, e00, e10, e01, e11)
             if not all(map(cmath.isfinite, sums)):  # rates near the largest float times tableau weights up to 11.6
                 check_finite("the DP5(4) stage sums", sums, **drive)
+            abs_a, abs_b = abs_a1, abs_b1 = abs(a), abs(b)  # |y|, carried by accepted steps: stale after certified ones
+            certified = h == h_cap and _certified(sums, math.hypot(abs_a, abs_b), rel_tol, abs_tol)
+            builds, certified_builds = builds + 1, certified_builds + certified
+        attempts += 1
         if frame_freq:  # U(t) D U(t)^+ y: column 1 takes e^{-i omega t} into row 0, column 0 e^{+i omega t} into row 1
             phase = cmath.rect(1.0, -frame_freq * t)  # one cos/sin pair
             ra, rb = a * phase.conjugate(), b * phase
         else:
             ra, rb = a, b
         da, db = d00 * a + d01 * rb, d10 * ra + d11 * b
-        err_a, err_b = e00 * a + e01 * rb, e10 * ra + e11 * b
         a1, b1 = a + da, b + db
-        abs_a1, abs_b1 = abs(a1), abs(b1)
-        scale_a = abs_tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
-        scale_b = abs_tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
-        err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
-        if err <= 1.0:
+        if not certified:
+            err_a, err_b = e00 * a + e01 * rb, e10 * ra + e11 * b
+            abs_a1, abs_b1 = abs(a1), abs(b1)
+            scale_a = abs_tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
+            scale_b = abs_tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
+            err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
+        if certified or err <= 1.0:
             # force exact arrival: t + h may round to just below t_end
             t_new = t_end if h == remainder else t + h
             if t_next <= t_new:  # the interpolant's derivatives
@@ -210,8 +247,9 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
                 h = min(h_cap, h * max(1.0, factor))
         else:
+            rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
-    return out
+    return out, SolverStats(attempts, rejected, builds, certified_builds)
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -277,11 +315,11 @@ def evolve_instantaneous_basis(
     def rhs(t, a, b):
         return 0.5j * (drift * a + coupling * b), 0.5j * (coupling * a - drift * b)
 
-    samples = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, 0.5 * p.omega_bar, p)
+    samples, stats = _run(rhs, ts, (1.0 + 0.0j, 0.0j), settings, 0.5 * p.omega_bar, 0.5 * p.omega_bar, p)
     survival = np.abs(samples[0]) ** 2
     transition = np.abs(samples[1]) ** 2
     _norm_guard(survival, transition, ts, settings, "instantaneous-basis")
-    return TimeSeries(times=ts, survival=survival, transition=transition, method="instantaneous-basis")
+    return TimeSeries(times=ts, survival=survival, transition=transition, method="instantaneous-basis", stats=stats)
 
 
 def evolve_lab_frame(p: DriveParams, t_grid, settings: IntegratorSettings = DEFAULT_SETTINGS) -> TimeSeries:
@@ -302,10 +340,10 @@ def evolve_lab_frame(p: DriveParams, t_grid, settings: IntegratorSettings = DEFA
     start = (math.sin(0.5 * p.theta), -math.cos(0.5 * p.theta))
     # H turns at omega (module docstring); solution frequencies are at most omega/2 + omega_bar/2 <= omega + omega0/2.
     bound = 0.5 * p.omega + 0.5 * p.omega_bar
-    samples = _run(rhs, ts, start, settings, p.omega + 0.5 * p.omega0, bound, p, p.omega)
+    samples, stats = _run(rhs, ts, start, settings, p.omega + 0.5 * p.omega0, bound, p, p.omega)
     survival, transition = _projections(p, ts, lambda block: samples[:, block].T)
     _norm_guard(survival, transition, ts, settings, "lab-frame")
-    return TimeSeries(times=ts, survival=survival, transition=transition, method="lab-frame")
+    return TimeSeries(times=ts, survival=survival, transition=transition, method="lab-frame", stats=stats)
 
 
 def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:

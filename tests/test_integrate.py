@@ -1,10 +1,13 @@
 """Tests for the ODE routes and the rotating-frame propagator."""
 
+import itertools
 import math
 import re
 import tracemalloc
 import types
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import staged_reference
@@ -14,6 +17,7 @@ from toptrap.closed_form import survival_probability, transition_probability
 from toptrap.integrate import (
     IntegrationError,
     IntegratorSettings,
+    SolverStats,
     TimeSeries,
     _integrate_dp45,
     _norm_guard,
@@ -146,15 +150,32 @@ BUILD_CALLS = 2 * 7  # rhs calls per build of D and E: the seven stages, on each
 
 
 def count_sqrt(monkeypatch, module) -> list:
-    """Record every ``math.sqrt`` argument in ``module``: each step attempt takes one error norm, so one sqrt."""
+    """Record every ``math.sqrt`` argument in ``module``: each step attempt that forms the error norm takes one sqrt
+    (in ``integrate``, every attempt at a step size that is not certified; in ``staged_reference``, every attempt)."""
     norms = []
     counting = {**vars(math), "sqrt": lambda x: norms.append(x) or math.sqrt(x)}
     monkeypatch.setattr(module, "math", types.SimpleNamespace(**counting))
     return norms
 
 
+class RecordingMargin(float):
+    """A stand-in for ``integrate._CERTAIN`` that records each squared-norm bound compared with it: ``bound < margin``
+    asks this subclass's ``margin > bound`` first."""
+
+    def __gt__(self, bound):
+        self.bounds.append(bound)
+        return float(self) > bound
+
+
+def record_bounds(monkeypatch) -> list:
+    margin = RecordingMargin(integrate._CERTAIN)
+    margin.bounds = []
+    monkeypatch.setattr(integrate, "_CERTAIN", margin)
+    return margin.bounds
+
+
 def recorded_solve(monkeypatch, route, p, ts, settings=integrate.DEFAULT_SETTINGS):
-    """Run ``route`` and return the arguments it passed to the stepper, with the stepper's samples."""
+    """Run ``route``; return the arguments it passed to the stepper, the stepper's samples and the series' stats."""
     solves = []
     stepper = integrate._integrate_dp45
 
@@ -163,9 +184,10 @@ def recorded_solve(monkeypatch, route, p, ts, settings=integrate.DEFAULT_SETTING
         return solves[-1][1]
 
     monkeypatch.setattr(integrate, "_integrate_dp45", recording)
-    route(p, ts, settings)
-    [(args, samples)] = solves
-    return args, samples
+    series = route(p, ts, settings)
+    [(args, (samples, stats))] = solves
+    assert series.stats is stats
+    return args, samples, stats
 
 
 class TestCachedStepMatrices:
@@ -181,23 +203,38 @@ class TestCachedStepMatrices:
 
     @staticmethod
     def check_against_the_stages(monkeypatch, route, p, rel_tol, frame_freq):
-        stage_hs = []
-        stages = integrate._stages
+        stage_hs, staged_hs = [], []
+        stages, staged_step = integrate._stages, staged_reference.staged_step
         monkeypatch.setattr(integrate, "_stages", lambda rhs, y, h: stage_hs.append(h) or stages(rhs, y, h))
+        monkeypatch.setattr(staged_reference, "staged_step", lambda *a: staged_hs.append(a[-1]) or staged_step(*a))
         cached_norms, staged_norms = count_sqrt(monkeypatch, integrate), count_sqrt(monkeypatch, staged_reference)
+        bounds = record_bounds(monkeypatch)
         ts = np.linspace(0.0, 3 * 2 * math.pi / p.omega_bar, 41)
         settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=rel_tol / 100)
-        args, cached = recorded_solve(monkeypatch, route, p, ts, settings)
+        args, cached, stats = recorded_solve(monkeypatch, route, p, ts, settings)
         builds = stage_hs[::2]
         assert args[-1] == frame_freq
         assert stage_hs[1::2] == builds  # each build runs the stages on both basis vectors
-        assert len(set(builds)) == len(builds)  # and happens once per distinct h
+        assert len(set(builds)) == len(builds) == stats.builds  # and happens once per distinct h
         staged = staged_reference.staged_dp45(*args[:-1])
-        assert len(staged_norms) == len(cached_norms) > len(builds)
+        assert stats.attempts == len(staged_norms) == len(staged_hs) > len(builds)
         np.testing.assert_allclose(cached, staged, rtol=0.0, atol=1e-12)
-        # E(h) y, turned by U(t) in the lab frame, is the staged error estimate: the scaled errors agree far
-        # inside the accept threshold 1
-        np.testing.assert_allclose(np.sqrt(cached_norms), np.sqrt(staged_norms), rtol=0.0, atol=1e-6)
+        # A run of one h in the staged loop is one build.  A bound is recorded at each build at h_cap; where it
+        # certifies, every staged norm of the run lies below it, and elsewhere E(h) y, turned by U(t) in the lab
+        # frame, is the staged error estimate: the scaled errors agree far inside the accept threshold 1.
+        h_cap, bounds, exact, certified = args[5], iter(bounds), [], 0
+        runs = itertools.groupby(zip(staged_hs, staged_norms), key=lambda pair: pair[0])
+        for h, run in runs:
+            norms = [norm for _, norm in run]
+            bound = next(bounds) if h == h_cap else math.inf
+            if bound < float(integrate._CERTAIN):  # float(): no record of this comparison
+                certified += 1
+                assert max(norms) < bound
+            else:
+                exact += norms
+        assert next(bounds, None) is None and certified == stats.certified_builds
+        assert len(cached_norms) == len(exact)
+        np.testing.assert_allclose(np.sqrt(cached_norms), np.sqrt(exact), rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("p", DRIVES)
@@ -210,18 +247,16 @@ class TestCachedStepMatrices:
         self.check_against_the_stages(monkeypatch, evolve_lab_frame, p, rel_tol, p.omega)
 
     @pytest.mark.parametrize("route, attempts", [(evolve_instantaneous_basis, 383), (evolve_lab_frame, 1200)])
-    def test_step_attempts_pinned(self, monkeypatch, route, attempts):
-        """Each step attempt takes one error norm, so one math.sqrt: the step sequence must not change."""
-        norms = count_sqrt(monkeypatch, integrate)
-        route(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11))
-        assert len(norms) == attempts
+    def test_step_attempts_pinned(self, route, attempts):
+        """The step sequence must not change."""
+        assert route(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11)).stats.attempts == attempts
 
     def test_no_drift_over_a_long_solve(self, monkeypatch):
         """Over 100 Rabi periods (about 19,000 steps) the cached solve stays with the staged one.  Caching R
         itself, not R - I, rounds every step alike and drifted 3e-13 away on this drive."""
         p = DriveParams(2.0, 1.0, 2.0)
         ts = np.linspace(0.0, 100 * 2 * math.pi / p.omega_bar, 11)
-        args, cached = recorded_solve(monkeypatch, evolve_instantaneous_basis, p, ts)
+        args, cached, _ = recorded_solve(monkeypatch, evolve_instantaneous_basis, p, ts)
         np.testing.assert_allclose(cached, staged_reference.staged_dp45(*args[:-1]), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
@@ -231,7 +266,7 @@ class TestCachedStepMatrices:
         p = DriveParams(1.0, 0.5, 2.5)
         ts = np.linspace(0.0, 250 * 2 * math.pi / p.omega_bar, 11)
         settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=rel_tol / 100)
-        args, cached = recorded_solve(monkeypatch, route, p, ts, settings)
+        args, cached, _ = recorded_solve(monkeypatch, route, p, ts, settings)
         np.testing.assert_allclose(cached, staged_reference.staged_dp45(*args[:-1]), rtol=0.0, atol=1e-12)
 
 
@@ -388,9 +423,9 @@ class TestFailureModes:
         stepper = integrate._integrate_dp45
 
         def one_nan(*args, **drive):
-            out = stepper(*args, **drive)
+            out, stats = stepper(*args, **drive)
             out[:, 1] = math.nan
-            return out
+            return out, stats
 
         monkeypatch.setattr(integrate, "_integrate_dp45", one_nan)
         with pytest.raises(IntegrationError, match="norm deviation nan") as err:
@@ -406,9 +441,8 @@ class TestFailureModes:
             calls += 1
             return 0.5j * (0.3 * a + 0.8 * b), 0.5j * (0.8 * a - 0.3 * b)
 
-        norms = count_sqrt(monkeypatch, integrate)
-        out = _integrate_dp45(rhs, np.array([0.0, 2.0]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, 0.2)
-        assert len(norms) == 10  # ten step attempts: no sliver step after the tenth
+        out, stats = _integrate_dp45(rhs, np.array([0.0, 2.0]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, 0.2)
+        assert stats.attempts == 10  # no sliver step after the tenth
         assert calls == BUILD_CALLS * 2 + 2  # builds for 0.2 and the remainder 0.2 + 2 ulp; f at the sample step
         assert np.all(np.isfinite(out))
 
@@ -460,6 +494,82 @@ class TestNormLossCap:
             route(DriveParams(1e300, 1e-10, 1.0), [0.0, 1e300])
 
 
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda exponent: 10.0**exponent)
+
+
+class TestCertifiedStepSizes:
+    """At a certified step size every step is accepted without its error norm (module docstring of ``integrate``).
+    With the margin at 0 nothing is certified, so every step forms the norm: samples, refusals and step counts must
+    not move."""
+
+    @staticmethod
+    def solve(route, p, ts, settings, cap_scale):
+        stepper = integrate._integrate_dp45
+
+        def scaled_cap(rhs, ts, y0, rel_tol, abs_tol, h_cap, *rest, **drive):
+            return stepper(rhs, ts, y0, rel_tol, abs_tol, h_cap * cap_scale, *rest, **drive)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate, "_integrate_dp45", scaled_cap)
+            try:
+                series = route(p, ts, settings)
+            except (ValueError, IntegrationError) as err:
+                return repr(err), None
+        return [series.survival.tobytes(), series.transition.tobytes()], series.stats
+
+    def check_both_ways(self, route, p, ts, settings, cap_scale=1.0) -> SolverStats | None:
+        """The route with its step cap times ``cap_scale``: above 1, the error norm at the cap can reject."""
+        samples, stats = self.solve(route, p, ts, settings, cap_scale)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate, "_CERTAIN", 0.0)
+            exact_samples, exact_stats = self.solve(route, p, ts, settings, cap_scale)
+        assert samples == exact_samples
+        if stats is not None:
+            assert exact_stats == SolverStats(stats.attempts, stats.rejected, stats.builds, 0)
+        return stats
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(
+        ratio=log_uniform(1e-2, 1e2),
+        theta=st.floats(0.0, math.pi),
+        rel_tol=log_uniform(1e-13, 1e-5),
+        abs_ratio=log_uniform(1e-4, 1.0),
+        periods=log_uniform(0.1, 20.0),
+        route=st.sampled_from([evolve_instantaneous_basis, evolve_lab_frame]),
+        cap_scale=st.one_of(st.just(1.0), log_uniform(1.0, 1e3)),
+    )
+    def test_certificate_moves_no_bit(self, ratio, theta, rel_tol, abs_ratio, periods, route, cap_scale):
+        """Rabi periods, but at most ten periods of the fastest frequency: a near-resonant drive at small theta
+        would otherwise take millions of steps.  The routes' own caps keep the error norm at h_cap far below 1, so
+        raised caps are drawn too: there the norm rejects steps at h_cap, and a bound that certified them would
+        change the solve."""
+        p = DriveParams(1.0, ratio, theta)
+        rabi_span = periods * 2.0 * math.pi / p.omega_bar if p.omega_bar > 0.0 else math.inf
+        t_end = min(rabi_span, 10 * 2.0 * math.pi / max(1.0, ratio))
+        settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=min(rel_tol, abs_ratio * rel_tol))
+        self.check_both_ways(route, p, np.linspace(0.0, t_end, 7), settings, cap_scale)
+
+    def test_certified_drive(self, monkeypatch):
+        """All steps but the last, the remainder, are at the certified h_cap: one error norm in 1,200 attempts."""
+        norms = count_sqrt(monkeypatch, integrate)
+        stats = self.check_both_ways(
+            evolve_lab_frame, DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11), integrate.DEFAULT_SETTINGS
+        )
+        assert stats == SolverStats(attempts=1200, rejected=0, builds=2, certified_builds=1)
+        assert len(norms) == 1200 + 1  # the margin-0 solve forms all 1,200 norms, the certified one only the last
+
+    def test_uncertified_drive_forms_every_norm(self, monkeypatch):
+        """At rel_tol 1e-6 the error matrix at h_cap is too large for the bound: every attempt forms the norm."""
+        norms = count_sqrt(monkeypatch, integrate)
+        bounds = record_bounds(monkeypatch)
+        p, settings = DriveParams(1.0, 50.0, 1.0), IntegratorSettings(rel_tol=1e-6, abs_tol=1e-8)
+        stats = evolve_instantaneous_basis(p, np.linspace(0.0, 3 * 2 * math.pi / p.omega_bar, 41), settings).stats
+        assert stats == SolverStats(attempts=57, rejected=0, builds=2, certified_builds=0)
+        assert len(norms) == stats.attempts
+        assert len(bounds) == 1 and bounds[0] >= 1.0  # the one build at h_cap
+
+
 class TestStepperOrder:
     def test_fifth_order_error_reduction(self, monkeypatch):
         """Unit tolerances accept every step, so h stays at the cap and the order shows."""
@@ -477,9 +587,9 @@ class TestStepperOrder:
         def error(h):
             nonlocal calls
             calls = 0
-            norms = count_sqrt(monkeypatch, integrate)
-            alpha = _integrate_dp45(rhs, np.array([0.0, t_end]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, h)[0, -1]
-            assert len(norms) == round(t_end / h)  # every attempt accepted
+            samples, stats = _integrate_dp45(rhs, np.array([0.0, t_end]), (1.0 + 0.0j, 0.0j), 1.0, 1.0, h)
+            assert stats.attempts == round(t_end / h) and stats.rejected == 0
+            alpha = samples[0, -1]
             # builds for h and for the last step's remainder, a few ulp off h; f at the one sample step
             assert calls == BUILD_CALLS * 2 + 2
             return abs(abs(alpha) ** 2 - exact)

@@ -22,6 +22,10 @@ vulture's unused-code report, which keeps leftovers of removed code paths out.
 Two rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
 t and x grids): no other code calls ``np.linspace`` or reports the grid.  ``closed_form.tau_of_drive`` is the only code that
 refuses omega = 0 for tau and reports an overflowing x = omega0/omega.
+
+The DP5(4) stepper has one step path.  Certified step sizes skip the error norm inside it, so the error-norm
+expression and the D and E mat-vecs each appear once in the package, in ``integrate._integrate_dp45``: a second,
+"fast" step loop would repeat them.
 """
 
 import ast
@@ -178,3 +182,13 @@ def test_serialize_imports_no_sibling_module():
 def test_rule_only_in_its_owner(text, module, owner):
     found = _lines_mentioning(text)
     assert len(found) == 1 and set(found) <= _lines_of(module, owner)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["math.sqrt(0.5 *", "d00 * a + d01 * rb", "e00 * a + e01 * rb"],
+    ids=["error-norm", "step-mat-vec", "error-mat-vec"],
+)
+def test_one_step_path(text):
+    found = _lines_mentioning(text)
+    assert len(found) == 1 and set(found) <= _lines_of("integrate.py", "_integrate_dp45")
