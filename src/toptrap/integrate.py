@@ -29,10 +29,19 @@ for U(t) = diag(e^{-i omega t/2}, e^{i omega t/2}), constant within a step, so t
 e^{-+i omega t} on the off-diagonals of D and E.  A step is one or two 2x2 mat-vecs; f = M y is formed only at samples.
 
 At h = h_cap an accepted step leaves h alone, so one bound per build can *certify* the step size: its steps skip E y,
-the scales and the norm.  As scale_a >= abs_tol + rel_tol |a|, |err_a| / scale_a <= |e00| / rel_tol + |e01| g / abs_tol
-= q_a (b alike) while |y| <= g.  |(I + D) y|^2 = |y|^2 + y^+ K y for K = D + D^+ + D^+ D; with growth = _MAX_STEPS
-(Gershgorin's bound on K + a rounding slack) <= 1, g = |y| (1 + 2 growth) >= |y| e^growth over 2 * _MAX_STEPS steps.
-0.5 (q_a^2 + q_b^2) < _CERTAIN certifies; 2^-1060 / abs_tol on each q covers products rounded below the normal range.
+the scales and the norm.  As scale_a >= abs_tol + rel_tol |a|, |err_a| / scale_a <= |e00| / rel_tol + |e01| g /
+(abs_tol + rel_tol |a|) (b alike) while |y| <= g.  |(I + D) y|^2 = |y|^2 + y^+ K y for K = D + D^+ + D^+ D; Gershgorin's
+upper and lower bounds on K plus a rounding slack, times _MAX_STEPS, are growth <= 1 and shrink, so over 2 * _MAX_STEPS
+steps g = |y| (1 + 2 growth) >= |y| e^growth and g_low = |y| max(0, 1 - 2 shrink) <= |y| sqrt(1 - 2 shrink) bound |y|.
+So |a| or |b| is at least g_low / sqrt(2): the norm floor.  Its off-diagonal term is *narrow*, over abs_tol + rel_tol
+g_low / sqrt(2), the other's *wide*, over abs_tol, and 0.5 max((q_a + narrow_a)^2 + (q_b + wide_b)^2, (q_a + wide_a)^2 +
+(q_b + narrow_b)^2) < _CERTAIN certifies, for q = |e00| / rel_tol, |e11| / rel_tol; 2^-1060 on each off-diagonal term
+covers products rounded below the normal range.
+
+Each step attempt takes the remainder rule, the underflow check and the cache of D and E; at h_cap the step itself then
+runs on until the step holding the next sample, a rejection, or t_tail = t_end - 4 h_cap - 2 h_min, before which the
+remainder rule cannot fire.  Below the cap, and in the last steps, a run is one attempt.  A solve is refused after
+2 * _MAX_STEPS attempts, the step count that g assumes.
 
 The lab and rotating routes project onto the known eigenvectors of H(t), which no omega0 enters, so none underflows:
 for s = sin(theta/2), c = cos(theta/2), the weak-field seeker (s, -c e^{i omega t}), strong-field (c, s e^{i omega t}).
@@ -56,7 +65,7 @@ _CERTAIN = 1.0 - 1e-6  # a squared norm bound below this certifies a step size; 
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow or a violated integration invariant."""
+    """Step-size underflow, a solve over its work budget, or a violated integration invariant."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} (t = {t!r})")
@@ -172,13 +181,18 @@ def _certified(sums, y_norm, rel_tol, abs_tol):
     d00, d10, d01, d11, e00, e10, e01, e11 = sums
     n00, n10, n01, n11 = map(abs, sums[:4])
     k01 = abs(d01 + d10.conjugate() + d00.conjugate() * d01 + d10.conjugate() * d11)
-    top = max(2.0 * d00.real + n00 * n00 + n10 * n10, 2.0 * d11.real + n01 * n01 + n11 * n11) + k01
+    k00, k11 = 2.0 * d00.real + n00 * n00 + n10 * n10, 2.0 * d11.real + n01 * n01 + n11 * n11
     size = 1.0 + n00 + n01 + n10 + n11
-    growth = _MAX_STEPS * (abs(top) + 1e-14 * size * size)  # abs: a shrinking step still starts from y_norm
+    growth = _MAX_STEPS * (abs(max(k00, k11) + k01) + 1e-14 * size * size)  # abs: a shrinking step starts from y_norm
+    shrink = _MAX_STEPS * (abs(min(k00, k11) - k01) + 1e-14 * size * size)  # abs: a growing step ends above it
     g = y_norm * (1.0 + 2.0 * growth)  # no float power, which raises OverflowError
-    q_a = abs(e00) / rel_tol + (abs(e01) * g + 2.0**-1060) / abs_tol
-    q_b = abs(e11) / rel_tol + (abs(e10) * g + 2.0**-1060) / abs_tol
-    return 0.5 * (q_a * q_a + q_b * q_b) < _CERTAIN and growth <= 1.0
+    floor = abs_tol + rel_tol * y_norm * max(0.0, 1.0 - 2.0 * shrink) * 0.5**0.5  # the larger component's scale
+    q_a, q_b = abs(e00) / rel_tol, abs(e11) / rel_tol
+    off_a, off_b = abs(e01) * g + 2.0**-1060, abs(e10) * g + 2.0**-1060
+    narrow_a, narrow_b = q_a + off_a / floor, q_b + off_b / floor
+    wide_a, wide_b = q_a + off_a / abs_tol, q_b + off_b / abs_tol
+    bound = 0.5 * max(narrow_a * narrow_a + wide_b * wide_b, wide_a * wide_a + narrow_b * narrow_b)
+    return bound < _CERTAIN and growth <= 1.0
 
 
 def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0, **drive):
@@ -189,20 +203,22 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
     Stage sums beyond the float range, which no step size brings back, are a ValueError naming the ``drive`` inputs.
     """
     n = len(sample_ts)
-    out = np.empty((2, n), dtype=complex)
     sample_ts = sample_ts.tolist()  # Python floats: the same values, without numpy-scalar arithmetic per step
     t_end = sample_ts[-1]
     sample_ts.append(math.inf)  # a sentinel: the next sample time is always sample_ts[idx]
     t, (a, b) = 0.0, y0
     idx = 0
     while sample_ts[idx] <= t:
-        out[:, idx] = y0
         idx += 1
+    values = [y0] * idx  # the samples, written to an array once
     t_next = sample_ts[idx]
     h_min = 1e-14 * t_end
+    t_tail = t_end - 4.0 * h_cap - 2.0 * h_min  # from t < t_tail a step of h_cap leaves over 3 h_cap + h_min
     h, h_built = min(h_cap, t_end), None
     attempts = rejected = builds = certified_builds = 0
     while idx < n:
+        if attempts > 2 * _MAX_STEPS:  # the step count that the certificate's g assumes
+            raise IntegrationError(f"more than {2 * _MAX_STEPS} step attempts", t)
         remainder = t_end - t
         if remainder - h < h_min:
             h = remainder  # take the whole remainder rather than leave a sliver below h_min
@@ -218,28 +234,33 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
             abs_a, abs_b = abs_a1, abs_b1 = abs(a), abs(b)  # |y|, carried by accepted steps: stale after certified ones
             certified = h == h_cap and _certified(sums, math.hypot(abs_a, abs_b), rel_tol, abs_tol)
             builds, certified_builds = builds + 1, certified_builds + certified
-        attempts += 1
-        if frame_freq:  # U(t) D U(t)^+ y: column 1 takes e^{-i omega t} into row 0, column 0 e^{+i omega t} into row 1
-            phase = cmath.rect(1.0, -frame_freq * t)  # one cos/sin pair
-            ra, rb = a * phase.conjugate(), b * phase
-        else:
-            ra, rb = a, b
-        da, db = d00 * a + d01 * rb, d10 * ra + d11 * b
-        a1, b1 = a + da, b + db
-        if not certified:
-            err_a, err_b = e00 * a + e01 * rb, e10 * ra + e11 * b
-            abs_a1, abs_b1 = abs(a1), abs(b1)
-            scale_a = abs_tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
-            scale_b = abs_tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
-            err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
-        if certified or err <= 1.0:
+        t_stop = min(t_next, t_tail) if h == h_cap else -math.inf  # the run's end (module docstring)
+        while True:
+            attempts += 1
+            if frame_freq:  # U(t) D U(t)^+ y: e^{-i omega t} takes column 1 into row 0, e^{+i omega t} column 0 into 1
+                phase = cmath.rect(1.0, -frame_freq * t)  # one cos/sin pair
+                ra, rb = a * phase.conjugate(), b * phase
+            else:
+                ra, rb = a, b
+            da, db = d00 * a + d01 * rb, d10 * ra + d11 * b
+            a1, b1 = a + da, b + db
+            if not certified:
+                err_a, err_b = e00 * a + e01 * rb, e10 * ra + e11 * b
+                abs_a1, abs_b1 = abs(a1), abs(b1)
+                scale_a = abs_tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
+                scale_b = abs_tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
+                err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
             # force exact arrival: t + h may round to just below t_end
             t_new = t_end if h == remainder else t + h
+            if t_new >= t_stop or not (certified or err <= 1.0):
+                break
+            t, a, b, abs_a, abs_b = t_new, a1, b1, abs_a1, abs_b1
+        if certified or err <= 1.0:
             if t_next <= t_new:  # the interpolant's derivatives
                 f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
                 y, y_new = (a, b), (a1, b1)
                 while t_next <= t_new:
-                    out[:, idx] = _hermite(y, f, y_new, f_new, h, min(1.0, (t_next - t) / h))
+                    values.append(_hermite(y, f, y_new, f_new, h, min(1.0, (t_next - t) / h)))
                     idx += 1
                     t_next = sample_ts[idx]
             t, a, b, abs_a, abs_b = t_new, a1, b1, abs_a1, abs_b1
@@ -249,7 +270,7 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
         else:
             rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
-    return out, SolverStats(attempts, rejected, builds, certified_builds)
+    return np.array(values, dtype=complex).T, SolverStats(attempts, rejected, builds, certified_builds)
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -305,7 +326,7 @@ def evolve_instantaneous_basis(
 
     Raises:
         ValueError: if the solve would exceed the step limit or omega_bar overflows.
-        IntegrationError: on step-size underflow or norm loss beyond
+        IntegrationError: on step-size underflow, more than 2 * 10^6 step attempts, or norm loss beyond
             10 * rel_tol.
     """
     ts = _check_grid(t_grid)

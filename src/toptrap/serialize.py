@@ -217,7 +217,7 @@ def render_line_chart(
         },
     )
 
-    def text(x, y, content, size=12, anchor="middle", extra=None):
+    def text(x, y, content, size, anchor="middle", extra=None):
         attrs = {
             "x": f"{x:.1f}",
             "y": f"{y:.1f}",

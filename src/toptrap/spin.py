@@ -234,9 +234,11 @@ def default_fd_step(p: DriveParams) -> float:
     """Central-difference step used by :func:`adiabaticity_matrix_element`.
 
     1e-6 of the shortest drive period balances truncation against round-off
-    at double precision.
+    at double precision.  A step beyond the float range is a ValueError naming omega0 and omega.
     """
-    return 1e-6 * 2.0 * math.pi / max(p.omega, p.omega0)
+    step = 1e-6 * 2.0 * math.pi / max(p.omega, p.omega0)
+    check_finite("the default step dt", step, omega0=p.omega0, omega=p.omega)
+    return step
 
 
 def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None = None) -> float:
@@ -253,10 +255,11 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         dt: finite-difference step; defaults to :func:`default_fd_step`.
 
     Raises:
-        ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming t and dt where
-            t +/- dt overflows, omega, t and dt where the phase omega (t +/- dt) does, t and dt where t +/- dt
-            rounds to t (the difference would be 0), and omega0, omega, dt where the element overflows, or is below
-            the smallest normal float while the coupling is not 0 (its bits are lost).
+        ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming omega0 and omega where
+            the default dt overflows, t and dt where t +/- dt overflows, omega, t and dt where the phase
+            omega (t +/- dt) does, t and dt where t +/- dt rounds to t (the difference would be 0), and omega0,
+            omega, dt where the element overflows, or is below the smallest normal float while the coupling is not 0
+            (its bits are lost).
     """
     if dt is None:
         dt = default_fd_step(p)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -113,6 +114,22 @@ class TestEvolve:
         )
         assert code == EXIT_INTEGRITY
         assert "integrity" in err
+
+    @pytest.mark.parametrize("column", ["survival", "transition"])
+    @pytest.mark.parametrize("route", ["evolve_instantaneous_basis", "evolve_lab_frame", "evolve_rotating_frame"])
+    def test_one_column_of_one_route_off_is_integrity_failure(self, monkeypatch, route, column, capsys):
+        """The cross-method check reads both columns of every route: 1e-3 off in one of them exits 3."""
+        solve = getattr(toptrap.cli, route)
+
+        def shifted(*args):
+            series = solve(*args)
+            return dataclasses.replace(series, **{column: getattr(series, column) + 1e-3})
+
+        monkeypatch.setattr(toptrap.cli, route, shifted)
+        argv = ["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1", "--t-max", "2", "--samples", "5"]
+        code, out, err = run(argv + ["--method", "all"], capsys)
+        assert (code, out) == (EXIT_INTEGRITY, "")
+        assert "cross-method disagreement 1.000e-03 exceeds 1e-06" in err
 
     def test_contradictory_tolerances_are_usage_error(self, capsys):
         code, _, err = run(
@@ -768,6 +785,22 @@ class TestAdiabatic:
         )
         assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
+    @pytest.mark.parametrize("drive", ["1e-315 1e-316 1", "5e-324 5e-324 1.5"])
+    def test_overflowing_default_step_names_omega0_and_omega(self, drive, capsys):
+        """The default dt, 1e-6 of 2 pi / max(omega0, omega), overflows: the report names the drive, not --dt."""
+        omega0, omega, theta = drive.split()
+        argv = ["adiabatic", "--omega0", omega0, "--omega", omega, "--theta", theta]
+        message = f"omega0 and omega must keep the default step dt finite, got omega0 = {omega0}, omega = {omega}"
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+
+    def test_json_report_bytes(self, capsys):
+        argv = ["adiabatic", "--omega0", "1", "--omega", "5", "--theta", "0", "--format", "json"]
+        expected = (
+            '{\n  "omega0": 1.0,\n  "omega": 5.0,\n  "theta": 0.0,\n  "parameter": 0.0,\n  "matrix_element": 0.0,\n'
+            '  "threshold": 0.1,\n  "adiabatic": true\n}\n'
+        )
+        assert run(argv, capsys) == (EXIT_OK, expected, "")
+
     def test_step_lost_against_t_names_t_and_dt(self, capsys):
         """The default dt, 1e-6 of 2 pi / omega, rounds away against t = 1: the difference quotient would be 0."""
         argv = ["adiabatic", "--omega0", "1", "--omega", "4.6747883941380365e+144", "--theta", "1.9158013801054554"]
@@ -796,6 +829,14 @@ class TestGeometry:
         assert payload["k"] == pytest.approx(4.637e-21, rel=1e-12)
         assert payload["omega_osc"] == pytest.approx(179.26082152674113, rel=1e-12)
         assert payload["satisfied"] is True
+
+    def test_json_report_bytes(self, capsys):
+        expected = (
+            '{\n  "r0": 0.001,\n  "k": 4.637e-21,\n  "omega_osc": 179.26082152674113,\n  "omega": 43982.29715,\n'
+            '  "omega0_ref": 44000000.0,\n  "ratio_low": 245.35365159775844,\n  "ratio_high": 1000.4024994406187,\n'
+            '  "margin": 10.0,\n  "satisfied": true\n}\n'
+        )
+        assert run(self.ARGS + ["--format", "json"], capsys) == (EXIT_OK, expected, "")
 
     def test_invalid_config(self, capsys):
         bad = list(self.ARGS)

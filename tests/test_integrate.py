@@ -1,5 +1,6 @@
 """Tests for the ODE routes and the rotating-frame propagator."""
 
+import cmath
 import itertools
 import math
 import re
@@ -397,6 +398,27 @@ class TestFailureModes:
         assert err.value.t == 0.0
         assert "underflow" in str(err.value)
 
+    def test_corrupt_error_estimate_is_refused_not_run_out(self, monkeypatch):
+        """With the last error weight -1/41 for -1/40 the estimate is first order: h shrinks to about 3e-9 and the
+        span would take some 10^8 attempts.  The work budget refuses the solve after 2 * _MAX_STEPS of them."""
+        monkeypatch.setattr(integrate, "_E7", -1 / 41)
+        with pytest.raises(IntegrationError, match=r"^more than 2000000 step attempts \(t = ") as err:
+            evolve_instantaneous_basis(DriveParams(1.0, 1.5, 1.0), np.array([0.0, 0.1]))
+        assert 0.0 < err.value.t < 0.1
+
+    def test_work_budget_refuses_a_long_solve(self):
+        """A span of 2.5 * 10^6 steps at the cap, which ``_run`` refuses before stepping, called directly: the run
+        that passes 2 * _MAX_STEPS attempts ends at its sample, and the solve is refused there."""
+        h_cap = 1e-3
+        ts = np.linspace(0.0, 2.5e6 * h_cap, 26)  # a sample every 10^5 steps
+
+        def rhs(t, a, b):
+            return 0.5j * (0.3 * a + 0.8 * b), 0.5j * (0.8 * a - 0.3 * b)
+
+        with pytest.raises(IntegrationError, match=r"^more than 2000000 step attempts") as err:
+            _integrate_dp45(rhs, ts, (1.0 + 0.0j, 0.0j), 1e-10, 1e-12, h_cap)
+        assert 2e6 * h_cap <= err.value.t < 2.1e6 * h_cap
+
     @pytest.mark.parametrize("route", [evolve_instantaneous_basis, evolve_lab_frame])
     def test_overflowing_stage_sums_refused_before_any_step(self, monkeypatch, route):
         """At omega0 = 4e307 the stage sums overflow at every step size: a ValueError naming the drive, raised at
@@ -559,6 +581,64 @@ class TestCertifiedStepSizes:
         assert stats == SolverStats(attempts=1200, rejected=0, builds=2, certified_builds=1)
         assert len(norms) == 1200 + 1  # the margin-0 solve forms all 1,200 norms, the certified one only the last
 
+    def test_norm_floor_certifies_the_default_drive(self, monkeypatch):
+        """|y| stays near 1, so |a| or |b| stays near 1/sqrt(2) or above and its error term is scaled by
+        rel_tol / sqrt(2), not abs_tol: the instantaneous cap of (1, 1.5, 1) is certified, one norm in 383 attempts."""
+        norms = count_sqrt(monkeypatch, integrate)
+        p, ts = DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 10.0, 11)
+        stats = self.check_both_ways(evolve_instantaneous_basis, p, ts, integrate.DEFAULT_SETTINGS)
+        assert stats == SolverStats(attempts=383, rejected=0, builds=2, certified_builds=1)
+        assert len(norms) == 383 + 1  # the margin-0 solve forms all 383 norms, the certified one only the last
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(
+        theta=st.floats(0.3, 1.5),
+        detuning=log_uniform(1e-7, 1e-1),
+        sign=st.sampled_from([-1.0, 1.0]),
+        rel_tol=log_uniform(1e-13, 1e-5),
+        abs_ratio=log_uniform(1e-8, 1.0),
+        periods=st.floats(0.5, 3.0),
+        route=st.sampled_from([evolve_instantaneous_basis, evolve_lab_frame]),
+        cap_scale=log_uniform(1.0, 4.0),
+    )
+    def test_norm_floor_near_resonance(self, theta, detuning, sign, rel_tol, abs_ratio, periods, route, cap_scale):
+        """Near resonance, omega cos(theta) = omega0, the survival amplitude |a| passes near 0 and the other
+        component carries the norm floor; raised caps make the error norm reject there."""
+        p = DriveParams(1.0, (1.0 + sign * detuning) / math.cos(theta), theta)
+        t_end = min(periods * 2.0 * math.pi / p.omega_bar, 10 * 2.0 * math.pi / p.omega)
+        settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_ratio * rel_tol)
+        self.check_both_ways(route, p, np.linspace(0.0, t_end, 7), settings, cap_scale)
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(
+        rates=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4),
+        h=log_uniform(1e-2, 1.0),
+        rel_tol=log_uniform(1e-13, 1e-3),
+        abs_ratio=log_uniform(1e-12, 1.0),
+    )
+    def test_bound_covers_every_state_of_the_build(self, rates, h, rel_tol, abs_ratio):
+        """For any linear y' = M y, the bound recorded at a build from |y| = 1 lies above the error norm of the first
+        step from every state of norm 1, also from |a| = 0 or |b| = 0, where one error term is scaled by abs_tol
+        alone.  A general M, unlike the routes' anti-Hermitian ones, makes |e01| and |e10| differ."""
+        m00, m01, m10, m11 = rates
+
+        def rhs(t, a, b):
+            return m00 * a + m01 * b, m10 * a + m11 * b
+
+        def first_norm(squared):  # the first attempt's squared error norm ends the solve
+            raise StopIteration(squared)
+
+        ts, abs_tol, margin = np.array([0.0, h]), abs_ratio * rel_tol, RecordingMargin(0.0)  # nothing certified
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate, "math", types.SimpleNamespace(**{**vars(math), "sqrt": first_norm}))
+            patch.setattr(integrate, "_CERTAIN", margin)
+            for phi, psi in itertools.product(np.linspace(0.0, 0.5 * math.pi, 17), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
+                margin.bounds = []
+                y0 = (complex(math.cos(phi)), cmath.rect(math.sin(phi), psi))
+                with pytest.raises(StopIteration) as norm:
+                    _integrate_dp45(rhs, ts, y0, rel_tol, abs_tol, h)
+                assert norm.value.value <= margin.bounds[0]  # the one build, at h_cap
+
     def test_uncertified_drive_forms_every_norm(self, monkeypatch):
         """At rel_tol 1e-6 the error matrix at h_cap is too large for the bound: every attempt forms the norm."""
         norms = count_sqrt(monkeypatch, integrate)
@@ -568,6 +648,31 @@ class TestCertifiedStepSizes:
         assert stats == SolverStats(attempts=57, rejected=0, builds=2, certified_builds=0)
         assert len(norms) == stats.attempts
         assert len(bounds) == 1 and bounds[0] >= 1.0  # the one build at h_cap
+
+
+class TestRuns:
+    """At h_cap the stepper runs from sample to sample; the remainder rule and exact arrival act in the last four
+    steps, which are taken one attempt at a time."""
+
+    @pytest.mark.parametrize(
+        "h_cap, ts",
+        [
+            (0.25, [0.0, 1.3, 1.5, 3.999, 4.0, 4.1, 4.5, 4.75, 4.9, 5.0]),  # exact step ends: samples on them
+            (0.1, [0.0, 0.35, 1.55, 1.6, 1.65, 1.75, 1.95, 2.0]),  # twenty steps of 0.1 round short of 2
+        ],
+        ids=["binary-steps", "rounded-steps"],
+    )
+    def test_exact_arrival_with_samples_in_the_tail(self, h_cap, ts):
+        """t_end is 20 steps of h_cap; samples sit inside runs, on step ends and in the last four steps."""
+
+        def rhs(t, a, b):
+            return 0.05j * (0.3 * a + 0.8 * b), 0.05j * (0.8 * a - 0.3 * b)
+
+        ts, y0 = np.array(ts), (1.0 + 0.0j, 0.0j)
+        out, stats = _integrate_dp45(rhs, ts, y0, 1e-10, 1e-12, h_cap)
+        assert (stats.attempts, stats.rejected, stats.certified_builds) == (20, 0, 1)  # no sliver step
+        reference = staged_reference.staged_dp45(rhs, ts, y0, 1e-10, 1e-12, h_cap)
+        np.testing.assert_allclose(out, reference, rtol=0.0, atol=1e-14)
 
 
 class TestStepperOrder:
