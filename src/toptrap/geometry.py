@@ -71,7 +71,7 @@ class FieldVector:
 def _magnitude(bx: float, by: float, bz: float) -> float:
     """sqrt(bx^2 + by^2 + bz^2); a ValueError naming bx, by and bz where it overflows."""
     b = math.sqrt(bx * bx + by * by + bz * bz)
-    if b == math.inf:
+    if not b < math.inf:  # inf or nan
         check_finite("|B|", b, bx=bx, by=by, bz=bz)
     return b
 
@@ -102,6 +102,12 @@ class ConfinementReport:
     resurrection_time: float
     ratio: float
 
+    def __init__(self, confined: bool, escape_time: float, resurrection_time: float, ratio: float):
+        # dataclass's own __init__ without its object.__setattr__ per frozen field, as in DriveParams.
+        state = self.__dict__
+        state["confined"], state["escape_time"], state["resurrection_time"], state["ratio"] = (
+            confined, escape_time, resurrection_time, ratio)
+
 
 def _components(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[float, float, float]:
     """Field components (bx, by, bz) of :func:`field_at` as a tuple, without building a FieldVector."""
@@ -110,7 +116,7 @@ def _components(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[
         for name, value in (("x", x), ("y", y), ("z", z), ("t", t)):
             check(name, *FINITE, value)
         check_finite("the phase omega t", phase, omega=c.omega, t=t)
-    return c.a0 * x + c.b0 * math.cos(phase), c.a0 * y + c.b0 * math.sin(phase), -2.0 * c.a0 * z
+    return c.a0 * x + c.b0 * math.cos(phase), c.a0 * y + c.b0 * math.sin(phase), -2.0 * (c.a0 * z)  # no inf * 0
 
 
 def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVector:
@@ -152,12 +158,15 @@ def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> fl
     Raises:
         ValueError: on (or numerically at) the circle of death, where the
             field magnitude vanishes and the Larmor frequency is undefined,
-            and naming the field components where the magnitude overflows.
+            naming the field components where the magnitude overflows, and gamma and |B| where omega0 does.
     """
     b = _magnitude(*_components(c, x, y, z, t))
     if b <= ZERO_FIELD_RTOL * c.b0:
         raise ValueError("Larmor frequency undefined at field zero")
-    return abs(c.gamma) * b
+    omega0 = abs(c.gamma) * b
+    if omega0 == math.inf:
+        check_finite("the Larmor frequency", omega0, gamma=c.gamma, **{"|B|": b})
+    return omega0
 
 
 def field_angle_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> float:
@@ -211,13 +220,20 @@ def confinement_advisor(p: DriveParams, escape_time: float) -> ConfinementReport
         p: drive parameters.
         escape_time: user-supplied time for a strong-field seeker to leave
             the trap region, seconds; no kinematic model is assumed.
+
+    Raises:
+        ValueError: if escape_time is not finite and > 0, and naming it and the drive where the ratio overflows.
     """
     if not 0.0 < escape_time < math.inf:
         check("escape_time", *POSITIVE, escape_time)
     t_res = 2.0 * math.pi / p.omega_bar if p.coupling and p.omega_bar else math.inf
+    ratio = escape_time / t_res
+    if ratio == math.inf:
+        drive = {"omega0": p.omega0, "omega": p.omega, "theta": p.theta}
+        check_finite("escape_time/resurrection_time", ratio, escape_time=escape_time, **drive)
     return ConfinementReport(
         confined=t_res == math.inf or escape_time > t_res,
         escape_time=escape_time,
         resurrection_time=t_res,
-        ratio=escape_time / t_res,
+        ratio=ratio,
     )

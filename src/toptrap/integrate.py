@@ -52,6 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -270,7 +271,8 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
         else:
             rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
-    return np.array(values, dtype=complex).T, SolverStats(attempts, rejected, builds, certified_builds)
+    samples = np.fromiter(chain.from_iterable(values), complex, 2 * n).reshape(n, 2).T  # no array per 2-tuple
+    return samples, SolverStats(attempts, rejected, builds, certified_builds)
 
 
 def _check_grid(t_grid) -> np.ndarray:

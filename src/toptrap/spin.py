@@ -114,11 +114,14 @@ class DriveParams:
     omega: float
     theta: float
 
-    def __post_init__(self):
-        # DOMAIN's three rules as one chained test, the fast path; DOMAIN names a bad value.
-        if not (0.0 < self.omega0 < math.inf and 0.0 <= self.omega < math.inf and 0.0 <= self.theta <= math.pi):
-            for name in ("omega0", "omega", "theta"):
-                check_domain(name, getattr(self, name))
+    def __init__(self, omega0: float, omega: float, theta: float):
+        # dataclass's own __init__ without its object.__setattr__ per frozen field: the fields go straight into
+        # __dict__.  DOMAIN's three rules as one chained test, the fast path; DOMAIN names a bad value.
+        if not (0.0 < omega0 < math.inf and 0.0 <= omega < math.inf and 0.0 <= theta <= math.pi):
+            for name, value in (("omega0", omega0), ("omega", omega), ("theta", theta)):
+                check_domain(name, value)
+        state = self.__dict__
+        state["omega0"], state["omega"], state["theta"] = omega0, omega, theta
 
     @_cached
     def omega_bar(self) -> float:

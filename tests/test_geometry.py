@@ -1,5 +1,6 @@
 """Tests for the trap field, derived scales and the confinement verdict."""
 
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from toptrap.geometry import (
+    ZERO_FIELD_RTOL,
     ConfinementReport,
     FieldVector,
     TrapConfig,
@@ -188,6 +190,18 @@ class TestLarmorAndAngle:
         with pytest.raises(ValueError, match="^field angle undefined at field zero$"):
             field_angle_at(CONFIG, x, y, 0.0)
 
+    def test_zero_field_boundary(self):
+        """|B| exactly ZERO_FIELD_RTOL b0 counts as the field zero; one ulp of z further out it does not."""
+        config = TestOverflow.UNIT
+        assert field_at(config, -1.0, 0.0, -5e-13, 0.0).magnitude() == ZERO_FIELD_RTOL * config.b0 == 1e-12
+        with pytest.raises(ValueError, match="^Larmor frequency undefined at field zero$"):
+            larmor_at(config, -1.0, 0.0, 0.0, -5e-13)
+        with pytest.raises(ValueError, match="^field angle undefined at field zero$"):
+            field_angle_at(config, -1.0, 0.0, 0.0, -5e-13)
+        z = math.nextafter(-5e-13, -1.0)
+        assert larmor_at(config, -1.0, 0.0, 0.0, z) == 1.0000000000000002e-12
+        assert field_angle_at(config, -1.0, 0.0, 0.0, z) == 0.0
+
 
 class TestOverflow:
     """A trap or point whose field or scales overflow is a ValueError naming the inputs, not an
@@ -203,11 +217,27 @@ class TestOverflow:
             (lambda c: FieldVector(1e200, 0.0, -0.0).magnitude(), "bx = 1e+200, by = 0.0, bz = -0.0"),
             # each square is finite, their sum is not
             (lambda c: FieldVector(1e154, 1e154, 0.0).magnitude(), "bx = 1e+154, by = 1e+154, bz = 0.0"),
+            # a0 above half the largest float: bz = -2 (a0 z) is -0.0 at z = 0, not (-2 a0) z = -inf * 0 = nan
+            (lambda c: larmor_at(dataclasses.replace(c, a0=1e308), 10.0, 0.0, 0.0), "bx = inf, by = 0.0, bz = -0.0"),
+            (
+                lambda c: field_angle_at(dataclasses.replace(c, a0=1e308), 10.0, 0.0, 0.0),
+                "bx = inf, by = 0.0, bz = -0.0",
+            ),
+            (lambda c: FieldVector(math.nan, 0.0, 0.0).magnitude(), "bx = nan, by = 0.0, bz = 0.0"),
         ],
     )
     def test_field_magnitude(self, call, got):
         with pytest.raises(ValueError, match=f"^bx and by and bz must keep \\|B\\| finite, got {re.escape(got)}$"):
             call(self.UNIT)
+
+    def test_gradient_beyond_half_the_largest_float_keeps_bz(self):
+        field = field_at(dataclasses.replace(self.UNIT, a0=1e308), 10.0, 0.0, 0.0, 0.0)
+        assert (field.bx, field.by, field.bz) == (math.inf, 0.0, 0.0) and math.copysign(1.0, field.bz) == -1.0
+
+    def test_larmor_frequency(self):
+        message = "gamma and |B| must keep the Larmor frequency finite, got gamma = 1e+300, |B| = 10000000001.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            larmor_at(dataclasses.replace(self.UNIT, gamma=1e300), 1e10, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -283,6 +313,31 @@ class TestConfinement:
         with pytest.raises(ValueError, match="omega0 = 1e\\+308, omega = 1e\\+308"):
             confinement_advisor(DriveParams(1e308, 1e308, math.pi), escape_time=1.0)
 
+    def test_overflowing_ratio_is_value_error(self):
+        message = (
+            "escape_time and omega0 and omega and theta must keep escape_time/resurrection_time finite, "
+            "got escape_time = 1e+150, omega0 = 1e+300, omega = 3.141592653589793, theta = 1e-150"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            confinement_advisor(DriveParams(1e300, math.pi, 1e-150), escape_time=1e150)
+
     def test_report_type(self):
         report = confinement_advisor(DriveParams(1.0, 1.5, 1.0), escape_time=10.0)
         assert isinstance(report, ConfinementReport)
+
+    def test_report_is_the_frozen_dataclass(self):
+        """The hand-written __init__ leaves the dataclass's fields, repr, ==, hash and frozenness as they were."""
+        names = ["confined", "escape_time", "resurrection_time", "ratio"]
+        generated = dataclasses.make_dataclass(
+            "ConfinementReport", list(zip(names, (bool, float, float, float))), frozen=True
+        )
+        values = (False, 3.0, 3.4852841228119935, 0.8607619620920727)
+        report = ConfinementReport(*values)
+        assert [f.name for f in dataclasses.fields(report)] == list(vars(report)) == names
+        assert repr(report) == repr(generated(*values))
+        assert hash(report) == hash(generated(*values)) == hash(values)
+        assert report == ConfinementReport(**dict(zip(names, values)))
+        assert report != ConfinementReport(True, *values[1:])
+        assert report == confinement_advisor(DriveParams(1.0, 1.5, math.pi / 2), escape_time=3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.confined = True

@@ -620,6 +620,29 @@ class TestCertifiedStepSizes:
         """For any linear y' = M y, the bound recorded at a build from |y| = 1 lies above the error norm of the first
         step from every state of norm 1, also from |a| = 0 or |b| = 0, where one error term is scaled by abs_tol
         alone.  A general M, unlike the routes' anti-Hermitian ones, makes |e01| and |e10| differ."""
+        for squared_norm, bound in self.first_norms_and_bounds(rates, h, rel_tol, abs_ratio * rel_tol):
+            assert squared_norm <= bound
+
+    @pytest.mark.parametrize(
+        "rates, h, rel_tol, abs_tol, least",
+        [
+            ((0.018j, -5.5e-7 - 2e-7j, 1.3e-10 - 4.8e-11j, 0.044j), 0.5, 1e-3, 2e-8, 0.5),
+            ((-0.9967j, 1.75e-9 - 4.7e-9j, -2.27e-7 + 8.2e-7j, -0.26j), 0.0116, 2e-9, 3.4e-14, 0.999),
+        ],
+        ids=["min-term-undercuts-twice", "tight"],
+    )
+    def test_bound_is_tight_where_the_norm_floor_acts(self, rates, h, rel_tol, abs_tol, least):
+        """With a unitary diagonal and tiny, unequal off-diagonal rates, K is near 0, so the norm floor applies, and
+        at or next to (0, 1) or (1, 0) the realised err^2 comes within a factor ``least`` of the bound: the larger of its two
+        terms, which the other (the min) would undercut."""
+        pairs = self.first_norms_and_bounds(rates, h, rel_tol, abs_tol)
+        ratios = [squared_norm / bound for squared_norm, bound in pairs]
+        assert least <= max(ratios) <= 1.0
+
+    @staticmethod
+    def first_norms_and_bounds(rates, h, rel_tol, abs_tol):
+        """For y' = M y with M = [[m00, m01], [m10, m11]] = ``rates`` and nothing certified: from (1, 0), (0, 1) and
+        states of norm 1 between them, the first step's squared error norm and the bound recorded at its build."""
         m00, m01, m10, m11 = rates
 
         def rhs(t, a, b):
@@ -628,16 +651,19 @@ class TestCertifiedStepSizes:
         def first_norm(squared):  # the first attempt's squared error norm ends the solve
             raise StopIteration(squared)
 
-        ts, abs_tol, margin = np.array([0.0, h]), abs_ratio * rel_tol, RecordingMargin(0.0)  # nothing certified
+        angles = itertools.product(np.linspace(0.0, 0.5 * math.pi, 17), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        states = [(1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)]
+        states += [(complex(math.cos(phi)), cmath.rect(math.sin(phi), psi)) for phi, psi in angles]
+        pairs, margin = [], RecordingMargin(0.0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(integrate, "math", types.SimpleNamespace(**{**vars(math), "sqrt": first_norm}))
             patch.setattr(integrate, "_CERTAIN", margin)
-            for phi, psi in itertools.product(np.linspace(0.0, 0.5 * math.pi, 17), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
+            for y0 in states:
                 margin.bounds = []
-                y0 = (complex(math.cos(phi)), cmath.rect(math.sin(phi), psi))
                 with pytest.raises(StopIteration) as norm:
-                    _integrate_dp45(rhs, ts, y0, rel_tol, abs_tol, h)
-                assert norm.value.value <= margin.bounds[0]  # the one build, at h_cap
+                    _integrate_dp45(rhs, np.array([0.0, h]), y0, rel_tol, abs_tol, h)
+                pairs.append((norm.value.value, margin.bounds[0]))  # the one build, at h_cap
+        return pairs
 
     def test_uncertified_drive_forms_every_norm(self, monkeypatch):
         """At rel_tol 1e-6 the error matrix at h_cap is too large for the bound: every attempt forms the norm."""

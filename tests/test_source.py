@@ -23,12 +23,18 @@ Two rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.
 t and x grids): no other code calls ``np.linspace`` or reports the grid.  ``closed_form.tau_of_drive`` is the only code that
 refuses omega = 0 for tau and reports an overflowing x = omega0/omega.
 
+A frozen dataclass with a hand-written ``__init__`` (one that stores its fields straight into ``__dict__``, without
+dataclass's ``object.__setattr__`` per field) takes exactly its fields, in order: a field added to the class without
+its ``__init__`` fails here, not in a ``repr`` or a ``dataclasses.replace``.
+
 The DP5(4) stepper has one step path.  Certified step sizes skip the error norm inside it, so the error-norm
 expression and the D and E mat-vecs each appear once in the package, in ``integrate._integrate_dp45``: a second,
 "fast" step loop would repeat them.
 """
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -192,3 +198,30 @@ def test_rule_only_in_its_owner(text, module, owner):
 def test_one_step_path(text):
     found = _lines_mentioning(text)
     assert len(found) == 1 and set(found) <= _lines_of("integrate.py", "_integrate_dp45")
+
+
+def hand_written_frozen_inits() -> list[tuple[type, list[str]]]:
+    """(class, the names its ``__init__`` takes after self) for each frozen dataclass in the package that writes its
+    own ``__init__``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            frozen = [
+                decorator
+                for decorator in getattr(node, "decorator_list", [])
+                if isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "dataclass"
+                if any(k.arg == "frozen" and getattr(k.value, "value", False) is True for k in decorator.keywords)
+            ]
+            init = [child for child in getattr(node, "body", []) if getattr(child, "name", None) == "__init__"]
+            if frozen and init:
+                args = init[0].args
+                cls = getattr(importlib.import_module(f"toptrap.{path.stem}"), node.name)
+                found.append((cls, [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs][1:]))
+    return found
+
+
+def test_hand_written_frozen_init_takes_exactly_the_fields():
+    found = hand_written_frozen_inits()
+    assert {cls.__name__ for cls, _ in found} >= {"DriveParams", "ConfinementReport"}
+    for cls, names in found:
+        assert names == [field.name for field in dataclasses.fields(cls)], cls.__name__

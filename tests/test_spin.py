@@ -1,7 +1,9 @@
 """Tests for the two-level drive model: Hamiltonian, eigensystem, adiabaticity."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import sys
 
@@ -117,6 +119,34 @@ class TestDriveParams:
         assert [f.name for f in dataclasses.fields(p)] == ["omega0", "omega", "theta"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.omega0 = 2.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: DriveParams(theta=1.0, omega0=1.0, omega=1.5),
+            dataclasses.replace,
+            lambda p: dataclasses.replace(DriveParams(1.0, 2.5, 1.0), omega=1.5),
+            lambda p: pickle.loads(pickle.dumps(p)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["keywords", "replace", "replace-a-field", "pickle", "copy", "deepcopy"],
+    )
+    def test_every_construction_keeps_the_cached_rates_out(self, build):
+        """Built by keyword, by ``dataclasses.replace`` (also from a drive with other cached rates) or by a pickle or
+        copy round trip of a drive whose rates are cached: the fields in order, the dataclass's repr, == and hash of
+        an uncached drive, the drive's own rates, and frozen."""
+        p = DriveParams(1.0, 1.5, 1.0)
+        rates = (p.omega_bar, p.drift, p.coupling)
+        q = build(p)
+        uncached = DriveParams(1.0, 1.5, 1.0)
+        assert list(vars(q))[:3] == [f.name for f in dataclasses.fields(q)] == ["omega0", "omega", "theta"]
+        assert repr(q) == repr(uncached) == "DriveParams(omega0=1.0, omega=1.5, theta=1.0)"
+        assert hash(q) == hash(uncached) == hash((1.0, 1.5, 1.0))
+        assert q == uncached and uncached == q and q != DriveParams(1.0, 1.5, 1.5)
+        assert (q.omega_bar, q.drift, q.coupling) == rates
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.theta = 2.0
 
     @pytest.mark.parametrize(
         "omega0, omega, theta",
