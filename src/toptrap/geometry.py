@@ -120,8 +120,12 @@ def _components(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[
 
 
 def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVector:
-    """Trap field at position (x, y, z) metres and time t seconds."""
-    return FieldVector(*_components(c, x, y, z, t))
+    """Trap field at position (x, y, z) metres and time t seconds; a ValueError naming a0, b0 and the position where
+    a component overflows."""
+    field = _components(c, x, y, z, t)
+    if not math.isfinite(sum(field)):  # a component overflows (or only their sum: then check_finite finds none)
+        check_finite("the field", field, a0=c.a0, b0=c.b0, x=x, y=y, z=z)
+    return FieldVector(*field)
 
 
 def zero_locus(c: TrapConfig, t: float) -> np.ndarray:
@@ -158,14 +162,15 @@ def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> fl
     Raises:
         ValueError: on (or numerically at) the circle of death, where the
             field magnitude vanishes and the Larmor frequency is undefined,
-            naming the field components where the magnitude overflows, and gamma and |B| where omega0 does.
+            naming the field components where the magnitude overflows, and gamma and |B| where omega0 overflows
+            or underflows to 0.
     """
     b = _magnitude(*_components(c, x, y, z, t))
     if b <= ZERO_FIELD_RTOL * c.b0:
         raise ValueError("Larmor frequency undefined at field zero")
     omega0 = abs(c.gamma) * b
-    if omega0 == math.inf:
-        check_finite("the Larmor frequency", omega0, gamma=c.gamma, **{"|B|": b})
+    if not 0.0 < omega0 < math.inf:  # overflows, or underflows to 0 with an infinite Larmor period
+        check_finite("the Larmor frequency" if omega0 else "the Larmor period", math.inf, gamma=c.gamma, **{"|B|": b})
     return omega0
 
 

@@ -14,13 +14,15 @@ the closed form:
   frame co-rotating with the drive, where the Hamiltonian is static and a
   single 2x2 matrix exponential (Rodrigues form) suffices.
 
-The ODE routes use an embedded Dormand-Prince 5(4) pair with cubic Hermite
-dense output.  Because reported samples come from the interpolant, the step
-size is capped so the Hermite error (h Omega)^4 / 384 stays inside the
-budget 2*rel_tol + abs_tol, with Omega a bound on the solution's angular
-content supplied by each route; tolerances therefore hold at every sample,
-independent of the output grid.  A further cap keeps the norm that DP5(4) loses at every
-step, (h Omega)^6 / 1800, within 2*rel_tol over the whole span.
+The ODE routes use an embedded Dormand-Prince 5(4) pair with cubic Hermite dense output.  Because reported samples
+come from the interpolant, the step size is capped so the Hermite error (h Omega)^4 / 384 stays inside the budget
+2*rel_tol + abs_tol, with Omega a bound on the solution's angular content supplied by each route; tolerances therefore
+hold at every sample, independent of the output grid.  A further cap keeps the norm that DP5(4) loses at every step,
+(h Omega)^6 / 1800, within 2*rel_tol over the whole span.  The caps hold the error norm below 1, so there is no
+step-size controller: every step is h_cap or the remainder to t_end, and a step whose error norm is not <= 1 (NaN too)
+is an IntegrationError at its t, since error control would need a step below the route's cap.  Below the normal floats
+a rate product rounds by up to 5e-324 whatever its size, so E y carries about h 5e-324 that no step size removes (the
+solve's rounding, t_end 5e-324, is the same at any h): the norm's absolute tolerance is at least h * _ROUNDING.
 
 Both ODE routes are linear, y' = M(t) y, so a DP5(4) step of size h is y + D y with error E y.  The stages, run on
 the basis vectors from t = 0 once per new step size, give D and E (D, not R = I + D: R's rounding would recur every
@@ -28,7 +30,7 @@ step and add up).  The instantaneous-basis M is constant.  The lab M turns with 
 for U(t) = diag(e^{-i omega t/2}, e^{i omega t/2}), constant within a step, so the step from t is U(t) (I + D) U(t)^+,
 e^{-+i omega t} on the off-diagonals of D and E.  A step is one or two 2x2 mat-vecs; f = M y is formed only at samples.
 
-At h = h_cap an accepted step leaves h alone, so one bound per build can *certify* the step size: its steps skip E y,
+h leaves h_cap only for the remainder, so one bound per build can *certify* the step size: its steps skip E y,
 the scales and the norm.  As scale_a >= abs_tol + rel_tol |a|, |err_a| / scale_a <= |e00| / rel_tol + |e01| g /
 (abs_tol + rel_tol |a|) (b alike) while |y| <= g.  |(I + D) y|^2 = |y|^2 + y^+ K y for K = D + D^+ + D^+ D; Gershgorin's
 upper and lower bounds on K plus a rounding slack, times _MAX_STEPS, are growth <= 1 and shrink, so over 2 * _MAX_STEPS
@@ -38,10 +40,9 @@ g_low / sqrt(2), the other's *wide*, over abs_tol, and 0.5 max((q_a + narrow_a)^
 (q_b + narrow_b)^2) < _CERTAIN certifies, for q = |e00| / rel_tol, |e11| / rel_tol; 2^-1060 on each off-diagonal term
 covers products rounded below the normal range.
 
-Each step attempt takes the remainder rule, the underflow check and the cache of D and E; at h_cap the step itself then
-runs on until the step holding the next sample, a rejection, or t_tail = t_end - 4 h_cap - 2 h_min, before which the
-remainder rule cannot fire.  Below the cap, and in the last steps, a run is one attempt.  A solve is refused after
-2 * _MAX_STEPS attempts, the step count that g assumes.
+Each run of steps takes the remainder rule and the cache of D and E; at h_cap the step itself then runs on until the
+step holding the next sample or t_tail = t_end - 4 h_cap - 2 h_min, before which the remainder rule cannot fire.  In the
+last steps a run is one step.  A solve is refused after 2 * _MAX_STEPS step attempts, the step count that g assumes.
 
 The lab and rotating routes project onto the known eigenvectors of H(t), which no omega0 enters, so none underflows:
 for s = sin(theta/2), c = cos(theta/2), the weak-field seeker (s, -c e^{i omega t}), strong-field (c, s e^{i omega t}).
@@ -62,11 +63,12 @@ from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_fini
 _MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
 _MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
 _BLOCK = 4096  # samples per batched projection: its temporaries stay at a few MB
+_ROUNDING = 16 * 5e-324  # E y's rounding per unit of h where rate products fall below the normal floats, with margin
 _CERTAIN = 1.0 - 1e-6  # a squared norm bound below this certifies a step size; rounding moves either by far less
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow, a solve over its work budget, or a violated integration invariant."""
+    """A step whose error norm exceeds 1, a solve over its work budget, or a violated integration invariant."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} (t = {t!r})")
@@ -87,10 +89,9 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Counts of one DP5(4) solve: step attempts, rejected attempts, builds of D and E, and certified builds."""
+    """Counts of one DP5(4) solve: step attempts, builds of D and E, and certified builds."""
 
     attempts: int
-    rejected: int
     builds: int
     certified_builds: int
 
@@ -112,9 +113,8 @@ class TimeSeries:
 
 DEFAULT_SETTINGS = IntegratorSettings()
 
-# Dormand-Prince 5(4) tableau.  The propagated solution is 5th order; the
-# difference to the embedded 4th-order solution drives step control; stage 7,
-# the derivative at the step's end, enters only the error estimate.
+# Dormand-Prince 5(4) tableau.  The propagated solution is 5th order; the difference to the embedded 4th-order one is
+# the error estimate that checks each step; stage 7, the derivative at the step's end, enters only that estimate.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -131,11 +131,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     11 / 84 - 187 / 2100,
     -1 / 40,
 )
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-
 
 def _hermite(y0, f0, y1, f1, h, u):
     """Cubic Hermite value at fraction u of a step of size h."""
@@ -197,11 +192,11 @@ def _certified(sums, y_norm, rel_tol, abs_tol):
 
 
 def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0, **drive):
-    """Adaptive DP5(4) from t = 0 through sample_ts[-1]; returns 2xN complex samples and the solve's SolverStats.
+    """DP5(4) at h_cap from t = 0 through sample_ts[-1]; returns 2xN complex samples and the solve's SolverStats.
 
     ``rhs(t, a, b) -> (da, db)`` is linear in (a, b) and works on plain complex scalars, several times faster than
     ndarray arithmetic for 2 components.  It is constant for ``frame_freq`` 0, else turns at it (module docstring).
-    Stage sums beyond the float range, which no step size brings back, are a ValueError naming the ``drive`` inputs.
+    Stage sums beyond the float range are a ValueError naming the ``drive`` inputs; an error norm over 1 is refused.
     """
     n = len(sample_ts)
     sample_ts = sample_ts.tolist()  # Python floats: the same values, without numpy-scalar arithmetic per step
@@ -216,15 +211,13 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
     h_min = 1e-14 * t_end
     t_tail = t_end - 4.0 * h_cap - 2.0 * h_min  # from t < t_tail a step of h_cap leaves over 3 h_cap + h_min
     h, h_built = min(h_cap, t_end), None
-    attempts = rejected = builds = certified_builds = 0
+    attempts = builds = certified_builds = 0
     while idx < n:
         if attempts > 2 * _MAX_STEPS:  # the step count that the certificate's g assumes
             raise IntegrationError(f"more than {2 * _MAX_STEPS} step attempts", t)
         remainder = t_end - t
         if remainder - h < h_min:
             h = remainder  # take the whole remainder rather than leave a sliver below h_min
-        if h < h_min:
-            raise IntegrationError("step size underflow", t)
         if h != h_built:  # one-entry cache: h is h_cap on almost every step; a basis vector per column
             h_built = h
             (d00, d10), (e00, e10) = _stages(rhs, (1.0 + 0.0j, 0.0j), h)
@@ -232,8 +225,9 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
             sums = (d00, d10, d01, d11, e00, e10, e01, e11)
             if not all(map(cmath.isfinite, sums)):  # rates near the largest float times tableau weights up to 11.6
                 check_finite("the DP5(4) stage sums", sums, **drive)
-            abs_a, abs_b = abs_a1, abs_b1 = abs(a), abs(b)  # |y|, carried by accepted steps: stale after certified ones
+            abs_a, abs_b = abs_a1, abs_b1 = abs(a), abs(b)  # |y|, carried by checked steps: stale after certified ones
             certified = h == h_cap and _certified(sums, math.hypot(abs_a, abs_b), rel_tol, abs_tol)
+            tol = max(abs_tol, h * _ROUNDING)  # the rounding that no step size removes (module docstring)
             builds, certified_builds = builds + 1, certified_builds + certified
         t_stop = min(t_next, t_tail) if h == h_cap else -math.inf  # the run's end (module docstring)
         while True:
@@ -248,31 +242,27 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
             if not certified:
                 err_a, err_b = e00 * a + e01 * rb, e10 * ra + e11 * b
                 abs_a1, abs_b1 = abs(a1), abs(b1)
-                scale_a = abs_tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
-                scale_b = abs_tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
+                scale_a = tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
+                scale_b = tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
                 err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
+                if not err <= 1.0:  # a NaN too
+                    message = f"error norm {err:.3g} above 1: error control would need a step below the route's cap"
+                    raise IntegrationError(message, t)
             # force exact arrival: t + h may round to just below t_end
             t_new = t_end if h == remainder else t + h
-            if t_new >= t_stop or not (certified or err <= 1.0):
+            if t_new >= t_stop:
                 break
             t, a, b, abs_a, abs_b = t_new, a1, b1, abs_a1, abs_b1
-        if certified or err <= 1.0:
-            if t_next <= t_new:  # the interpolant's derivatives
-                f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
-                y, y_new = (a, b), (a1, b1)
-                while t_next <= t_new:
-                    values.append(_hermite(y, f, y_new, f_new, h, min(1.0, (t_next - t) / h)))
-                    idx += 1
-                    t_next = sample_ts[idx]
-            t, a, b, abs_a, abs_b = t_new, a1, b1, abs_a1, abs_b1
-            if h < h_cap:  # at h_cap, min(h_cap, h * max(1.0, factor)) is h_cap
-                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
-                h = min(h_cap, h * max(1.0, factor))
-        else:
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
+        if t_next <= t_new:  # the interpolant's derivatives
+            f, f_new = rhs(t, a, b), rhs(t_new, a1, b1)
+            y, y_new = (a, b), (a1, b1)
+            while t_next <= t_new:
+                values.append(_hermite(y, f, y_new, f_new, h, min(1.0, (t_next - t) / h)))
+                idx += 1
+                t_next = sample_ts[idx]
+        t, a, b, abs_a, abs_b = t_new, a1, b1, abs_a1, abs_b1
     samples = np.fromiter(chain.from_iterable(values), complex, 2 * n).reshape(n, 2).T  # no array per 2-tuple
-    return samples, SolverStats(attempts, rejected, builds, certified_builds)
+    return samples, SolverStats(attempts, builds, certified_builds)
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -328,8 +318,8 @@ def evolve_instantaneous_basis(
 
     Raises:
         ValueError: if the solve would exceed the step limit or omega_bar overflows.
-        IntegrationError: on step-size underflow, more than 2 * 10^6 step attempts, or norm loss beyond
-            10 * rel_tol.
+        IntegrationError: on a step whose error norm exceeds 1, more than 2 * 10^6 step attempts, or norm loss
+            beyond 10 * rel_tol.
     """
     ts = _check_grid(t_grid)
     drift = p.drift

@@ -3,7 +3,9 @@
 This is the loop that ``toptrap.integrate`` ran for the lab frame before both ODE routes stepped with cached step
 matrices: the stages and the non-cached branch of the step loop, copied unchanged, with the derivative at each
 accepted point carried into the next step (FSAL).  It needs no property of the rhs beyond the signature
-``rhs(t, a, b) -> (da, db)``, so the tests compare the cached stepper with it on both routes.
+``rhs(t, a, b) -> (da, db)``, so the tests compare the cached stepper with it on both routes.  It keeps the adaptive
+step-size controller that the package dropped (its three constants are defined here): at the routes' caps the
+controller never acts, so the reference and the package take the same steps.
 """
 
 import math
@@ -41,12 +43,13 @@ from toptrap.integrate import (
     _E5,
     _E6,
     _E7,
-    _MAX_FACTOR,
-    _MIN_FACTOR,
-    _SAFETY,
     IntegrationError,
     _hermite,
 )
+
+_SAFETY = 0.9  # the step-size controller's constants
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
 
 
 def staged_step(rhs, t, y, f, h):

@@ -18,7 +18,7 @@ import pytest
 import toptrap.cli
 from test_serialize import reference_csv, reference_json
 from toptrap.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main, table_from_sweep
-from toptrap.closed_form import survival_probability, tau_of_ratio, transition_probability
+from toptrap.closed_form import survival_probability, tau_extremum, tau_of_ratio, transition_probability
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
 from toptrap.serialize import Table, parse_csv
 from toptrap.spin import DriveParams
@@ -302,6 +302,14 @@ class TestEvolve:
         assert (code, err) == (EXIT_OK, "")
         assert parse_csv(out).rows.shape == (4, 3)
 
+    def test_tolerance_out_of_reach_at_the_cap_is_integrity_failure(self, capsys):
+        """rel_tol 1e-30 is far below what a DP5(4) step at the route's cap can meet: the first step is refused at
+        t = 0, where error control once shrank h for seconds before its work budget refused the solve."""
+        argv = ["evolve", "--omega0", "1", "--omega", "1.5", "--theta", "1", "--t-max", "1e-3", "--samples", "3"]
+        code, out, err = run(argv + ["--method", "all", "--rel-tol", "1e-30", "--abs-tol", "1e-31"], capsys)
+        message = "error norm 3.24e+07 above 1: error control would need a step below the route's cap (t = 0.0)"
+        assert (code, out, err) == (EXIT_INTEGRITY, "", f"toptrap: integrity failure: {message}\n")
+
     @pytest.mark.parametrize("method", ["ode", "lab"])
     def test_stage_sums_just_inside_the_float_range(self, method, capsys):
         """At omega0 = 3e307 every stage sum stays finite: both ODE routes solve and follow the propagator."""
@@ -444,6 +452,20 @@ class TestTau:
         code, out, err = run(["tau", "--theta", "1"], capsys)
         assert (code, out) == (EXIT_INTEGRITY, "")
         assert "disagrees with analytic x* 0.540302 by more than one grid step 0.01" in err
+
+    @pytest.mark.parametrize(
+        "edge, offset, expected",
+        [("x-min", 0.5, EXIT_INTEGRITY), ("x-min", 1.5, EXIT_OK), ("x-max", 0.5, EXIT_INTEGRITY), ("x-max", 1.5, EXIT_OK)],
+        ids=["below-x-min-checked", "below-x-min-skipped", "above-x-max-checked", "above-x-max-skipped"],
+    )
+    def test_peak_check_reaches_one_step_past_the_window(self, monkeypatch, edge, offset, expected, capsys):
+        """x* is checked while it lies within one grid step outside [x-min, x-max]: half a step outside, a curve that
+        peaks at the far end of the grid exits 3; a step and a half outside, the check is skipped."""
+        x_star, step = tau_extremum(1.0)[0], 0.01
+        x_min = x_star + offset * step if edge == "x-min" else x_star - offset * step - 10 * step
+        monkeypatch.setattr("toptrap.cli.tau_of_ratio", lambda x, theta: np.abs(x - x_star) + 0.0 * theta)
+        argv = ["tau", "--theta", "1", "--x-min", repr(x_min), "--x-max", repr(x_min + 10 * step), "--steps", "11"]
+        assert run(argv, capsys)[0] == expected
 
     def test_steps_capped_before_allocation(self, no_grids, capsys):
         code, _, err = run(["tau", "--theta", "1.0", "--steps", str(MAX_GRID_POINTS + 1)], capsys)

@@ -147,6 +147,16 @@ SCALE_LIBRARY = [
         id="|B|",
     ),
     pytest.param(
+        lambda: field_at(TrapConfig(a0=1e308, b0=1, omega=1, gamma=1, mu=1, mass=1), 10.0, 0.0, 0.0, 0.0),
+        "a0 and b0 and x and y and z must keep the field finite, got a0 = 1e+308, b0 = 1.0, x = 10.0, y = 0.0, z = 0.0",
+        id="field",
+    ),
+    pytest.param(
+        lambda: larmor_at(TrapConfig(a0=1, b0=0.25, omega=1, gamma=5e-324, mu=1, mass=1), 0.0, 0.0, 0.0),
+        "gamma and |B| must keep the Larmor period finite, got gamma = 5e-324, |B| = 0.25",
+        id="larmor-underflows",
+    ),
+    pytest.param(
         lambda: spring_constant(TrapConfig(1e200, 1, 1, 1, 1, 1)),
         "mu and a0 and b0 must keep k finite, got mu = 1.0, a0 = 1e+200, b0 = 1.0",
         id="k",

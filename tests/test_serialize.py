@@ -18,6 +18,7 @@ from toptrap.serialize import (
     TICKS,
     ChartSeries,
     Table,
+    _nice_ticks,
     parse_csv,
     render_line_chart,
     to_csv,
@@ -247,6 +248,20 @@ class TestSvg:
         for ticks, lo, hi in ((x_ticks, left, left + pw), (y_ticks, top, top + ph)):
             assert 1 <= len(ticks) <= TICKS + 1
             assert all(lo <= v <= hi for v in ticks)
+
+    @pytest.mark.parametrize(
+        "lo, hi, ticks",
+        [
+            (1.0, 1.0 + 4 * TICKS * 2.0**-52, [1.0, 1.000000000000002, 1.000000000000004]),
+            (1.0, 1.0 + (4 * TICKS - 1) * 2.0**-52, [1.0]),
+            (1e10 - 10.0, 1e10, [9999999990.0, 9999999992.0, 9999999994.0, 9999999996.0, 9999999998.0, 1e10]),
+        ],
+        ids=["4-TICKS-ulp-wide", "one-ulp-narrower", "slack-rounds-away"],
+    )
+    def test_nice_ticks_at_their_edges(self, lo, hi, ticks):
+        """A range of 4 TICKS ulp gets round ticks, one ulp less only lo.  At 1e10 the 1e-9 step of slack rounds away
+        in hi + 1e-9 step, so the tick on hi is kept only by the <= of the loop."""
+        assert _nice_ticks(lo, hi) == ticks
 
     @pytest.mark.parametrize(
         "xs, ys, window",

@@ -27,6 +27,9 @@ A frozen dataclass with a hand-written ``__init__`` (one that stores its fields 
 dataclass's ``object.__setattr__`` per field) takes exactly its fields, in order: a field added to the class without
 its ``__init__`` fails here, not in a ``repr`` or a ``dataclasses.replace``.
 
+The DP5(4) stepper has no step-size controller: ``_integrate_dp45`` sets h only to ``min(h_cap, t_end)`` and to the
+remainder, and no module raises an error norm to a power, as a controller's step factor does.
+
 The DP5(4) stepper has one step path.  Certified step sizes skip the error norm inside it, so the error-norm
 expression and the D and E mat-vecs each appear once in the package, in ``integrate._integrate_dp45``: a second,
 "fast" step loop would repeat them.
@@ -225,3 +228,30 @@ def test_hand_written_frozen_init_takes_exactly_the_fields():
     assert {cls.__name__ for cls, _ in found} >= {"DriveParams", "ConfinementReport"}
     for cls, names in found:
         assert names == [field.name for field in dataclasses.fields(cls)], cls.__name__
+
+
+def assigned_values(function, name: str) -> list[str]:
+    """The source of each value that ``function`` gives ``name``, in plain, tuple and augmented assignments."""
+    values = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == name:
+            values.append(ast.unparse(node))
+        for target in getattr(node, "targets", []):
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            else:  # one target, or a tuple unpacked from one value
+                pairs = [(name_node, node.value) for name_node in ast.walk(target)]
+            values += [ast.unparse(value) for name_node, value in pairs if getattr(name_node, "id", None) == name]
+    return values
+
+
+def test_no_step_size_update():
+    stepper = _definition("integrate.py", "_integrate_dp45")
+    assert sorted(assigned_values(stepper, "h")) == ["min(h_cap, t_end)", "remainder"]
+    powers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and getattr(node.left, "id", "").startswith("err")
+    ]
+    assert powers == [] and _lines_mentioning("err**") == []
