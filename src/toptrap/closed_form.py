@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveParams, check, check_domain, check_finite, chord, omega_bar_of
+from .spin import FLOAT_MAX, DriveParams, check, check_domain, check_finite, chord, omega_bar_of
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,14 @@ def _broadcast_terms(omega0, omega, theta, t):
 
 
 def _scalar_terms(p: DriveParams, t):
-    """wbar t/2 by ``math`` for scalar ``t``, and wbar, a zero one as 1."""
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        check_domain("t", t)
-    wb = p.omega_bar
-    half = 0.5 * wb * t
-    if not math.isfinite(half):
-        check_finite("the phase wbar t/2", half, t=t)
-    return half, wb or 1.0
-
-
-def _scalar_transition(p: DriveParams, t) -> float:
-    half, wb = _scalar_terms(p, t)
+    """By ``math`` for scalar ``t``: the transition (coupling/wbar)^2 sin^2(wbar t/2) clamped to 1, wbar t/2, and
+    wbar, a zero one as 1.  A bad t, or a phase that overflows, is named by :func:`_broadcast_terms`."""
+    if not (0.0 <= t <= FLOAT_MAX and (half := 0.5 * p.omega_bar * float(t)) < math.inf):
+        _broadcast_terms(p.omega0, p.omega, p.theta, t)  # raises
+    wb = p.omega_bar or 1.0
     ratio, s = p.coupling / wb, math.sin(half)
-    return min(ratio * ratio * (s * s), 1.0)
+    transition = ratio * ratio * (s * s)
+    return transition if transition < 1.0 else 1.0, half, wb
 
 
 def probabilities(omega0, omega, theta, t, out=(None, None)):
@@ -114,7 +107,7 @@ def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
         ValueError: for negative or non-finite ``t``.
     """
     if isinstance(t, float) or np.ndim(t) == 0:
-        half, wb = _scalar_terms(p, t)
+        _, half, wb = _scalar_terms(p, t)
         c, s = math.cos(half), math.sin(half)
     else:
         half, _ = _broadcast_terms(p.omega0, p.omega, p.theta, t)
@@ -130,7 +123,7 @@ def survival_probability(p: DriveParams, t):
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[0]
-    return 1.0 - _scalar_transition(p, t)
+    return 1.0 - _scalar_terms(p, t)[0]
 
 
 def transition_probability(p: DriveParams, t):
@@ -141,7 +134,7 @@ def transition_probability(p: DriveParams, t):
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[1]
-    return _scalar_transition(p, t)
+    return _scalar_terms(p, t)[0]
 
 
 def tau_of_ratio(x, theta, one_minus_x=None):

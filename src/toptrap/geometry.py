@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import FINITE, POSITIVE, DriveParams, check, check_finite
+from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, check, check_finite
 
 #: Fields smaller than this fraction of b0 count as "on the circle of death".
 ZERO_FIELD_RTOL = 1e-12
@@ -52,7 +52,7 @@ class TrapConfig:
 
     def __post_init__(self):
         for name in ("a0", "b0", "omega", "gamma", "mu", "mass"):
-            rule = ("finite and != 0", lambda v: np.isfinite(v) & (v != 0.0)) if name == "gamma" else POSITIVE
+            rule = ("finite and != 0", lambda v: (abs(v) <= FLOAT_MAX) & (v != 0.0)) if name == "gamma" else POSITIVE
             check(name, *rule, getattr(self, name))
 
 
@@ -65,15 +65,11 @@ class FieldVector:
     bz: float
 
     def magnitude(self) -> float:
-        return _magnitude(self.bx, self.by, self.bz)
-
-
-def _magnitude(bx: float, by: float, bz: float) -> float:
-    """sqrt(bx^2 + by^2 + bz^2); a ValueError naming bx, by and bz where it overflows."""
-    b = math.sqrt(bx * bx + by * by + bz * bz)
-    if not b < math.inf:  # inf or nan
-        check_finite("|B|", b, bx=bx, by=by, bz=bz)
-    return b
+        """sqrt(bx^2 + by^2 + bz^2); a ValueError naming bx, by and bz where it overflows."""
+        b = math.sqrt(self.bx * self.bx + self.by * self.by + self.bz * self.bz)
+        if not b < math.inf:  # inf or nan
+            check_finite("|B|", b, bx=self.bx, by=self.by, bz=self.bz)
+        return b
 
 
 @dataclass(frozen=True)
@@ -109,20 +105,22 @@ class ConfinementReport:
             confined, escape_time, resurrection_time, ratio)
 
 
-def _components(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[float, float, float]:
-    """Field components (bx, by, bz) of :func:`field_at` as a tuple, without building a FieldVector."""
+def _field(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[float, float, float, float]:
+    """Field components (bx, by, bz) of :func:`field_at` and |B| with the bits of ``FieldVector.magnitude``, without
+    building a FieldVector.  |B| is unchecked: inf or nan where it overflows, which that method reports."""
     phase = c.omega * t
     if not math.isfinite(x + y + z + phase):  # one test for x, y, z, t and omega t; an overflowing sum passes below
         for name, value in (("x", x), ("y", y), ("z", z), ("t", t)):
             check(name, *FINITE, value)
         check_finite("the phase omega t", phase, omega=c.omega, t=t)
-    return c.a0 * x + c.b0 * math.cos(phase), c.a0 * y + c.b0 * math.sin(phase), -2.0 * (c.a0 * z)  # no inf * 0
+    bx, by, bz = c.a0 * x + c.b0 * math.cos(phase), c.a0 * y + c.b0 * math.sin(phase), -2.0 * (c.a0 * z)  # no inf * 0
+    return bx, by, bz, math.sqrt(bx * bx + by * by + bz * bz)
 
 
 def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVector:
     """Trap field at position (x, y, z) metres and time t seconds; a ValueError naming a0, b0 and the position where
     a component overflows."""
-    field = _components(c, x, y, z, t)
+    field = _field(c, x, y, z, t)[:3]
     if not math.isfinite(sum(field)):  # a component overflows (or only their sum: then check_finite finds none)
         check_finite("the field", field, a0=c.a0, b0=c.b0, x=x, y=y, z=z)
     return FieldVector(*field)
@@ -131,7 +129,7 @@ def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVect
 def zero_locus(c: TrapConfig, t: float) -> np.ndarray:
     """Position of the instantaneous field zero: radius b0/a0, opposite the bias."""
     r0 = circle_of_death_radius(c)
-    _components(c, 0.0, 0.0, 0.0, t)  # names a bad t or omega t as field_at does
+    _field(c, 0.0, 0.0, 0.0, t)  # names a bad t or omega t as field_at does
     return np.array([-r0 * math.cos(c.omega * t), -r0 * math.sin(c.omega * t), 0.0])
 
 
@@ -165,8 +163,9 @@ def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> fl
             naming the field components where the magnitude overflows, and gamma and |B| where omega0 overflows
             or underflows to 0.
     """
-    b = _magnitude(*_components(c, x, y, z, t))
-    if b <= ZERO_FIELD_RTOL * c.b0:
+    bx, by, bz, b = _field(c, x, y, z, t)
+    if not ZERO_FIELD_RTOL * c.b0 < b < math.inf:  # |B| overflows (reported by magnitude) or vanishes
+        FieldVector(bx, by, bz).magnitude()
         raise ValueError("Larmor frequency undefined at field zero")
     omega0 = abs(c.gamma) * b
     if not 0.0 < omega0 < math.inf:  # overflows, or underflows to 0 with an infinite Larmor period
@@ -181,9 +180,9 @@ def field_angle_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) 
         ValueError: at the field zero, where the direction is undefined, and
             naming the field components where the magnitude overflows.
     """
-    bx, by, bz = _components(c, x, y, z, t)
-    b = _magnitude(bx, by, bz)
-    if b <= ZERO_FIELD_RTOL * c.b0:
+    bx, by, bz, b = _field(c, x, y, z, t)
+    if not ZERO_FIELD_RTOL * c.b0 < b < math.inf:  # |B| overflows (reported by magnitude) or vanishes
+        FieldVector(bx, by, bz).magnitude()
         raise ValueError("field angle undefined at field zero")
     return math.acos(bz / b)
 
@@ -195,7 +194,7 @@ def hierarchy_check(c: TrapConfig, margin: float = 10.0) -> HierarchyReport:
     hierarchy is the conventional sufficient trapping condition; the spin
     dynamics elsewhere in this package quantifies when it can be relaxed.
     """
-    check("margin", "finite and >= 1", lambda v: (v >= 1.0) & (v < math.inf), margin)
+    check("margin", "finite and >= 1", lambda v: (v >= 1.0) & (v <= FLOAT_MAX), margin)
     osc = oscillation_frequency(c)
     omega0_ref = abs(c.gamma) * c.b0
     check_finite("omega0_ref", omega0_ref, gamma=c.gamma, b0=c.b0)
@@ -229,16 +228,11 @@ def confinement_advisor(p: DriveParams, escape_time: float) -> ConfinementReport
     Raises:
         ValueError: if escape_time is not finite and > 0, and naming it and the drive where the ratio overflows.
     """
-    if not 0.0 < escape_time < math.inf:
+    if not 0.0 < escape_time <= FLOAT_MAX:
         check("escape_time", *POSITIVE, escape_time)
     t_res = 2.0 * math.pi / p.omega_bar if p.coupling and p.omega_bar else math.inf
     ratio = escape_time / t_res
     if ratio == math.inf:
         drive = {"omega0": p.omega0, "omega": p.omega, "theta": p.theta}
         check_finite("escape_time/resurrection_time", ratio, escape_time=escape_time, **drive)
-    return ConfinementReport(
-        confined=t_res == math.inf or escape_time > t_res,
-        escape_time=escape_time,
-        resurrection_time=t_res,
-        ratio=ratio,
-    )
+    return ConfinementReport(t_res == math.inf or escape_time > t_res, escape_time, t_res, ratio)

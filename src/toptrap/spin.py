@@ -27,6 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max  # the normal floats; no float lies between FLOAT_MAX and inf
+
+
 def chord(theta, sin=np.sin):
     """2 sin(theta/2), as theta - 2 (theta/2 - sin(theta/2)): that difference is exact (Sterbenz), so these are the bits
     of 2 sin(theta/2) wherever theta/2 is a float, and theta itself for a subnormal theta, whose half may round."""
@@ -45,17 +48,18 @@ def omega_bar_of(omega0, omega, theta):
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing wbar raises below
         product = np.multiply(omega0, omega)
-        normal = (product >= sys.float_info.min) & (product <= sys.float_info.max)
+        normal = (product >= FLOAT_MIN) & (product <= FLOAT_MAX)
         root = np.where(normal, np.sqrt(product), np.sqrt(omega0) * np.sqrt(omega))
         wb = np.hypot(omega0 - omega, root * chord(theta))
     check_finite("omega_bar", wb, omega0=omega0, omega=omega)
     return wb
 
 
-# Named (rule, test) pairs for check, then the drive domain: a rule per input; nan fails every test.
-FINITE = ("finite", np.isfinite)
-POSITIVE = ("finite and > 0", lambda v: (v > 0.0) & (v < math.inf))
-NON_NEGATIVE = ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf))
+# Named (rule, test) pairs for check, then the drive domain: a rule per input; nan fails every test.  Bounded by
+# FLOAT_MAX, not inf, so a Python int beyond the float range fails its test rather than overflowing a conversion.
+FINITE = ("finite", lambda v: abs(v) <= FLOAT_MAX)
+POSITIVE = ("finite and > 0", lambda v: (v > 0.0) & (v <= FLOAT_MAX))
+NON_NEGATIVE = ("finite and >= 0", lambda v: (v >= 0.0) & (v <= FLOAT_MAX))
 DOMAIN = {
     "omega0": POSITIVE,
     "omega": NON_NEGATIVE,
@@ -91,7 +95,8 @@ def check_finite(quantity, values, **inputs):
 class _cached:
     """A value computed on first read and stored in the instance ``__dict__``, where later reads find it
     before this non-data descriptor: ``functools.cached_property`` as of Python 3.12, without the lock that
-    3.11's version takes on every first read.  A raising read stores nothing."""
+    3.11's version takes on every first read.  A raising read stores nothing.  A value that ``__init__`` already
+    stored is found in ``__dict__`` and never computed here."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -108,6 +113,10 @@ class DriveParams:
         omega0: Larmor angular frequency, rad/s (> 0).
         omega: rotation angular frequency of the drive, rad/s (>= 0).
         theta: polar angle between the field and the z axis, rad, in [0, pi].
+
+    The rates ``coupling`` = omega sin(theta) (zero means the spin never flips), ``omega_bar`` and ``drift`` are
+    read as attributes and kept in the instance ``__dict__``, outside the fields: ``__init__`` stores ``coupling``,
+    and ``omega_bar`` where omega0 omega is a normal float; the others are computed on first read.
     """
 
     omega0: float
@@ -115,29 +124,31 @@ class DriveParams:
     theta: float
 
     def __init__(self, omega0: float, omega: float, theta: float):
-        # dataclass's own __init__ without its object.__setattr__ per frozen field: the fields go straight into
-        # __dict__.  DOMAIN's three rules as one chained test, the fast path; DOMAIN names a bad value.
-        if not (0.0 < omega0 < math.inf and 0.0 <= omega < math.inf and 0.0 <= theta <= math.pi):
+        # dataclass's own __init__ without its object.__setattr__ per frozen field: the fields, then the rates, go
+        # straight into __dict__.  DOMAIN's three rules as one chained test, the fast path; DOMAIN names a bad value.
+        if not (0.0 < omega0 <= FLOAT_MAX and 0.0 <= omega <= FLOAT_MAX and 0.0 <= theta <= math.pi):
             for name, value in (("omega0", omega0), ("omega", omega), ("theta", theta)):
                 check_domain(name, value)
         state = self.__dict__
         state["omega0"], state["omega"], state["theta"] = omega0, omega, theta
+        state["coupling"] = omega * math.sin(theta)
+        # omega_bar_of's bits where omega0 omega is a normal float: there ``math`` does the rest and ``abs(complex(a,
+        # b))`` the libm ``hypot`` that ``np.hypot`` calls (not ``math.hypot``, off in the last bit), which cannot
+        # overflow (2 sqrt(omega0 omega) <= 2.7e154).  Other drives compute it on first read, through _cached.
+        product = omega0 * omega
+        if FLOAT_MIN <= product <= FLOAT_MAX:
+            state["omega_bar"] = abs(complex(omega0 - omega, math.sqrt(product) * chord(theta, math.sin)))
 
     @_cached
     def omega_bar(self) -> float:
         """Effective Rabi frequency; zero only for omega0 == omega, theta == 0.
 
-        Computed once per instance with the bits of :func:`omega_bar_of`, which takes every drive but those with a
-        normal product omega0 omega: there ``math`` does the rest and ``abs(complex(a, b))`` the libm ``hypot`` that
-        ``np.hypot`` calls (not ``math.hypot``, off in the last bit), which cannot overflow (2 sqrt(omega0 omega)
-        <= 2.7e154).  A raising call caches nothing.
+        Computed once per instance with the bits of :func:`omega_bar_of`: by ``__init__`` where omega0 omega is a
+        normal float, and here, on first read, for the other drives.  A raising read caches nothing.
 
         Raises:
             ValueError: naming omega0 and omega where wbar overflows.
         """
-        product = self.omega0 * self.omega
-        if sys.float_info.min <= product <= sys.float_info.max:
-            return abs(complex(self.omega0 - self.omega, math.sqrt(product) * chord(self.theta, math.sin)))
         return float(omega_bar_of(self.omega0, self.omega, self.theta))
 
     @_cached
@@ -149,11 +160,6 @@ class DriveParams:
         """
         sin_half = math.sin(0.5 * self.theta)
         return 2.0 * ((self.omega0 - self.omega) * 0.5 + self.omega * (sin_half * sin_half))
-
-    @_cached
-    def coupling(self) -> float:
-        """Off-diagonal rate omega sin(theta), computed once per instance; zero means the spin never flips."""
-        return self.omega * math.sin(self.theta)
 
 
 @dataclass(frozen=True)
@@ -276,7 +282,7 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         delta_h = hamiltonian_at(p, ends[1]) - hamiltonian_at(p, ends[0])
         gap = pair.value_plus - pair.value_minus
         result = float(abs(np.vdot(pair.vec_minus, delta_h @ pair.vec_plus)) / gap / (ends[1] - ends[0]) / gap)
-    if result < sys.float_info.min and p.coupling:  # a flipping drive's element has lost its bits: refused below
+    if result < FLOAT_MIN and p.coupling:  # a flipping drive's element has lost its bits: refused below
         result = math.nan
     check_finite("the matrix element", result, omega0=p.omega0, omega=p.omega, dt=dt)
     return result

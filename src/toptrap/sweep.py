@@ -19,7 +19,7 @@ import numpy as np
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
 from .closed_form import probabilities, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
-from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, omega_bar_of
+from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, check, check_domain, check_finite, omega_bar_of
 
 AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
@@ -77,7 +77,7 @@ def grid_values(start, stop, steps, names, low=None, log=False):
     steps_name, start_name, stop_name = names
     check(steps_name, *GRID_SIZE, steps)
     check(start_name, *(POSITIVE if log else FINITE), start)
-    check(stop_name, f"finite and > {low or f'{start_name} = {start!r}'}", lambda v: (v > start) & (v < math.inf), stop)
+    check(stop_name, f"finite and > {low or f'{start_name} = {start!r}'}", lambda v: (v > start) & (v <= FLOAT_MAX), stop)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
         values = (np.geomspace if log else np.linspace)(start, stop, steps)
     check_finite("the grid", values, **{start_name: start, stop_name: stop})

@@ -1,7 +1,8 @@
 """The drive domain contract: every entry point rejects an out-of-domain input with one message.
 
 omega0 > 0, omega >= 0, theta in [0, pi], t >= 0 and x = omega0/omega >= 0, all finite; a value
-outside reads ``<name> must be <rule>, got <value>`` from whichever entry point reads it.
+outside reads ``<name> must be <rule>, got <value>`` from whichever entry point reads it.  A Python int beyond the
+float range (10**400) is outside too: it is named as an int, not left to overflow a float conversion.
 """
 
 import math
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from toptrap.closed_form import amplitudes_at, probabilities, survival_probability, tau_of_ratio, transition_probability
+from toptrap.geometry import TrapConfig, confinement_advisor, hierarchy_check
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
-from toptrap.spin import DOMAIN, DriveParams
+from toptrap.spin import DOMAIN, FINITE, DriveParams, check, check_domain
 from toptrap.sweep import QUANTITIES, Axis, SweepSpec, run_sweep
 
 RULES = {
@@ -25,8 +27,11 @@ RULES = {
 GOOD = {"omega0": 1.0, "omega": 1.5, "theta": 1.0, "t": 2.0, "x": 0.5}
 FINITE_BAD = [("omega0", 0.0), ("omega0", -1.0), ("omega", -1.0), ("theta", -0.1), ("theta", 3.2), ("t", -1.0), ("x", -0.5)]
 NON_FINITE_BAD = [(name, value) for name in RULES for value in (math.nan, math.inf)]
+HUGE = 10**400  # a Python int that no float holds
+HUGE_BAD = [(name, HUGE) for name in RULES]
 DRIVE = {"omega0": GOOD["omega0"], "omega": GOOD["omega"], "theta": GOOD["theta"]}
 P = DriveParams(**DRIVE)
+UNIT_TRAP = dict(a0=1.0, b0=1.0, omega=1.0, gamma=1.0, mu=1.0, mass=1.0)
 
 
 def _drive(v):
@@ -44,6 +49,7 @@ DIRECT = {
     "transition-array": (("t",), lambda v: transition_probability(P, np.array([1.0, v["t"]]))),
     "amplitudes-array": (("t",), lambda v: amplitudes_at(P, np.array([1.0, v["t"]]))),
     "tau_of_ratio": (("x", "theta"), lambda v: tau_of_ratio(v["x"], v["theta"])),
+    "check_domain": (("t", "x"), lambda v: [check_domain(name, v[name]) for name in ("t", "x")]),
     "evolve_instantaneous_basis": (("t",), lambda v: evolve_instantaneous_basis(P, np.array([v["t"], 3.0]))),
     "evolve_lab_frame": (("t",), lambda v: evolve_lab_frame(P, np.array([v["t"], 3.0]))),
     "evolve_rotating_frame": (("t",), lambda v: evolve_rotating_frame(P, np.array([v["t"], 3.0]))),
@@ -62,9 +68,10 @@ def _message(name, value):
 @pytest.mark.parametrize(
     "entry, name, value",
     [
-        pytest.param(entry, name, value, id=f"{entry}-{name}={value}")
+        pytest.param(entry, name, value, id=f"{entry}-{name}={'10**400' if value == HUGE else value}")
         for entry, (reads, _) in DIRECT.items()
-        for name, value in FINITE_BAD + NON_FINITE_BAD
+        # HUGE only where the call passes the value as given: inside a float array it is an object array (not covered)
+        for name, value in FINITE_BAD + NON_FINITE_BAD + ([] if "array" in entry or "evolve" in entry else HUGE_BAD)
         if name in reads
     ],
 )
@@ -107,3 +114,21 @@ def test_drive_fast_path_accepts_what_the_table_accepts(drive):
             DriveParams(**drive)
     else:
         assert DriveParams(**drive).omega0 == drive["omega0"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: confinement_advisor(P, HUGE), f"escape_time must be finite and > 0, got {HUGE}"),
+        (lambda: check("x", *FINITE, HUGE), f"x must be finite, got {HUGE}"),
+        (lambda: check("x", *FINITE, -HUGE), f"x must be finite, got {-HUGE}"),
+        (lambda: TrapConfig(**{**UNIT_TRAP, "gamma": HUGE}), f"gamma must be finite and != 0, got {HUGE}"),
+        (lambda: hierarchy_check(TrapConfig(**UNIT_TRAP), margin=HUGE), f"margin must be finite and >= 1, got {HUGE}"),
+        (lambda: Axis.linear("t", 0.0, HUGE, 3), f"axis 't' stop must be finite and > start = 0.0, got {HUGE}"),
+    ],
+    ids=["escape_time", "finite", "finite-negative", "gamma", "margin", "grid-stop"],
+)
+def test_int_beyond_the_float_range_is_named(call, message):
+    """The rules compare with the largest float, not with inf, which every Python int is below."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from toptrap import geometry
+from toptrap.closed_form import probabilities, survival_probability, transition_probability
 from toptrap.geometry import (
     ZERO_FIELD_RTOL,
     ConfinementReport,
@@ -23,7 +24,7 @@ from toptrap.geometry import (
     spring_constant,
     zero_locus,
 )
-from toptrap.spin import DriveParams
+from toptrap.spin import FLOAT_MAX, FLOAT_MIN, DriveParams, omega_bar_of
 
 RNG = np.random.default_rng(5)
 
@@ -232,9 +233,11 @@ class TestOverflow:
             call(self.UNIT)
 
     def test_gradient_beyond_half_the_largest_float_keeps_bz(self):
-        """The components that larmor_at and field_angle_at read: bz = -0.0 beside bx = inf (field_at reports it)."""
-        bx, by, bz = geometry._components(dataclasses.replace(self.UNIT, a0=1e308), 10.0, 0.0, 0.0, 0.0)
+        """The components and |B| that larmor_at and field_angle_at read: bz = -0.0 beside bx = inf (field_at reports
+        it), and |B| = inf, which their failing branch reports."""
+        bx, by, bz, b = geometry._field(dataclasses.replace(self.UNIT, a0=1e308), 10.0, 0.0, 0.0, 0.0)
         assert (bx, by, bz) == (math.inf, 0.0, 0.0) and math.copysign(1.0, bz) == -1.0
+        assert b == math.inf
 
     def test_larmor_frequency(self):
         message = "gamma and |B| must keep the Larmor frequency finite, got gamma = 1e+300, |B| = 10000000001.0"
@@ -343,3 +346,79 @@ class TestConfinement:
         assert report == confinement_advisor(DriveParams(1.0, 1.5, math.pi / 2), escape_time=3.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.confined = True
+
+
+class TestAtomPathBits:
+    """The per-atom scalar path (larmor_at, field_angle_at, DriveParams, scalar survival and transition,
+    confinement_advisor) gives the bits of the reference routes on 10^4 seeded atoms: cloud points within 0.5 r0 of
+    CONFIG's axis (one in ten above the field zero, where theta is 0 or pi), and drives whose product omega0 omega
+    lies below, inside, at the edges of and above the normal floats."""
+
+    RNG_SEED = 29
+
+    @classmethod
+    def cloud(cls, n=5000):
+        rng = np.random.default_rng(cls.RNG_SEED)
+        r0 = CONFIG.b0 / CONFIG.a0
+        radius, angle = 0.5 * r0 * np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2.0 * math.pi, n)
+        x, y = radius * np.cos(angle), radius * np.sin(angle)
+        z, t = rng.uniform(-2.0 * r0, 2.0 * r0, n), rng.uniform(0.0, 2.0 * math.pi / CONFIG.omega, n)
+        x[::10], y[::10], t[::10] = -r0, 0.0, 0.0  # bx = by = 0: the field points along -z or +z
+        return x.tolist(), y.tolist(), z.tolist(), t.tolist()
+
+    @classmethod
+    def extreme_drives(cls, n=5000):
+        rng = np.random.default_rng(cls.RNG_SEED + 1)
+        omega0, omega = 10.0 ** rng.uniform(-300.0, 300.0, n), 10.0 ** rng.uniform(-300.0, 300.0, n)
+        low, high = slice(0, n // 4), slice(n // 4, n // 2)  # products straddling FLOAT_MIN and FLOAT_MAX
+        omega[low], omega[high] = 10.0 ** rng.uniform(-8.0, 0.0, n // 4), 10.0 ** rng.uniform(0.0, 8.0, n // 4)
+        omega0[low], omega0[high] = FLOAT_MIN / omega[low], FLOAT_MAX / omega[high]
+        omega[: n // 2] *= rng.uniform(0.999, 1.001, n // 2)
+        theta = rng.uniform(0.0, math.pi, n)
+        theta[::10], theta[5::10] = 0.0, math.pi
+        omega[::20] = omega0[::20]  # omega0 == omega at theta = 0: omega_bar = 0
+        with np.errstate(over="ignore", under="ignore"):
+            products = omega0 * omega
+        assert np.sum(products < FLOAT_MIN) > 500 and np.sum(products > FLOAT_MAX) > 500
+        assert np.sum((products >= FLOAT_MIN) & (products <= FLOAT_MAX)) > 2000
+        return omega0.tolist(), omega.tolist(), theta.tolist()
+
+    def test_larmor_and_angle_match_the_field(self):
+        larmor, angle, larmor_ref, angle_ref = [], [], [], []
+        for x, y, z, t in zip(*self.cloud()):
+            field = field_at(CONFIG, x, y, z, t)
+            b = field.magnitude()
+            larmor.append(larmor_at(CONFIG, x, y, t, z))
+            angle.append(field_angle_at(CONFIG, x, y, t, z))
+            larmor_ref.append(abs(CONFIG.gamma) * b)
+            angle_ref.append(math.acos(field.bz / b))
+        assert [v.hex() for v in larmor] == [v.hex() for v in larmor_ref]
+        assert [v.hex() for v in angle] == [v.hex() for v in angle_ref]
+        assert {0.0, math.pi} <= set(angle)
+
+    def test_drive_rates_probabilities_and_verdict_match_the_references(self):
+        x, y, z, t = self.cloud()
+        cloud = [(larmor_at(CONFIG, *a), CONFIG.omega, field_angle_at(CONFIG, *a)) for a in zip(x, y, t, z)]
+        omega0, omega, theta = map(list, zip(*cloud))
+        for values, extra in zip((omega0, omega, theta), self.extreme_drives()):
+            values += extra
+        rng = np.random.default_rng(self.RNG_SEED + 2)
+        wb = omega_bar_of(np.array(omega0), np.array(omega), np.array(theta))
+        with np.errstate(divide="ignore", over="ignore"):  # t of order 1/omega_bar, capped at 1e300
+            times = np.where(wb > 0.0, np.minimum(rng.uniform(0.0, 20.0, wb.size) / wb, 1e300), rng.uniform(0.0, 1.0, wb.size))
+        times[: len(cloud)] = rng.uniform(0.0, 1e-4, len(cloud))
+        escapes = rng.uniform(1e-5, 1e-3, wb.size).tolist()
+        survival_ref, transition_ref = probabilities(np.array(omega0), np.array(omega), np.array(theta), times)
+        got, ref = [], []
+        for w0, w, th, wbar, t, escape in zip(omega0, omega, theta, wb.tolist(), times.tolist(), escapes):
+            p = DriveParams(w0, w, th)
+            report = confinement_advisor(p, escape)
+            sin_half = math.sin(0.5 * th)
+            t_res = 2.0 * math.pi / wbar if w * math.sin(th) and wbar else math.inf
+            got.append((p.omega_bar, p.coupling, p.drift, report.resurrection_time, report.ratio))
+            ref.append((wbar, w * math.sin(th), 2.0 * ((w0 - w) * 0.5 + w * (sin_half * sin_half)), t_res, escape / t_res))
+            got[-1] += (survival_probability(p, t), transition_probability(p, t))
+            assert report.confined == (t_res == math.inf or escape > t_res)
+        ref = [row + pair for row, pair in zip(ref, zip(survival_ref.tolist(), transition_ref.tolist()))]
+        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in ref]
+        assert sum(row[3] == math.inf for row in ref) > 500  # theta in {0, pi}, omega_bar = 0, or 2 pi/omega_bar overflows

@@ -8,8 +8,9 @@ A derived value leaving the float range has one report, ``spin.check_finite``: n
 OverflowError, and no text outside that function spells the ``must keep ... finite`` message.
 
 The out-of-range rule of omega_bar (sqrt(omega0) sqrt(omega) where omega0 omega leaves the normal floats) and
-its overflow report live in ``spin.omega_bar_of``: ``DriveParams.omega_bar`` keeps one normal-product test and no
-report, and only the rotating-frame propagator, an independent route, reports its own omega_bar.
+its overflow report live in ``spin.omega_bar_of``: ``DriveParams.__init__`` keeps one normal-product test beside its
+domain test, ``DriveParams.omega_bar`` none, neither a report, and only the rotating-frame propagator, an independent
+route, reports its own omega_bar.
 
 No module uses ``functools.cached_property``: on Python 3.11 it takes a lock on every first read, and
 ``spin._cached`` caches the same way without one.
@@ -33,14 +34,22 @@ remainder, and no module raises an error norm to a power, as a controller's step
 The DP5(4) stepper has one step path.  Certified step sizes skip the error norm inside it, so the error-norm
 expression and the D and E mat-vecs each appear once in the package, in ``integrate._integrate_dp45``: a second,
 "fast" step loop would repeat them.
+
+One atom of a cloud scan (``larmor_at``, ``field_angle_at``, ``DriveParams``, scalar ``survival_probability`` and
+``transition_probability``, ``confinement_advisor``) makes at most 12 Python-level calls: one helper call per public
+function, rates stored at construction, and no call into ``check`` or a report on a good input.
 """
 
 import ast
 import dataclasses
 import importlib
+import math
+import sys
 from pathlib import Path
 
 import pytest
+
+from toptrap import closed_form, geometry, spin
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toptrap"
 
@@ -108,9 +117,12 @@ def test_omega_bar_rule_and_report_only_in_omega_bar_of():
     assert reports & omega_bar_of and reports <= omega_bar_of | _lines_of("integrate.py", "rotating_frame_propagator")
     splits = set(_lines_mentioning("sqrt(omega0)") + _lines_mentioning("sqrt(self.omega0)"))
     assert splits and splits <= omega_bar_of
-    nodes = list(ast.walk(_definition("spin.py", "DriveParams", "omega_bar")))
-    assert sum(isinstance(node, ast.Compare) for node in nodes) == 1
-    assert "check_finite" not in {getattr(node, "id", getattr(node, "attr", None)) for node in nodes}
+    init = list(ast.walk(_definition("spin.py", "DriveParams", "__init__")))
+    getter = list(ast.walk(_definition("spin.py", "DriveParams", "omega_bar")))
+    compares = [node for node in init + getter if isinstance(node, ast.Compare)]
+    normal_tests = [node for node in compares if "product" in {getattr(name, "id", None) for name in ast.walk(node)}]
+    assert len(compares) == 4 and len(normal_tests) == 1 and normal_tests[0] in init  # three domain rules, one normal
+    assert "check_finite" not in {getattr(node, "id", getattr(node, "attr", None)) for node in init + getter}
 
 
 def test_no_module_uses_functools_cached_property():
@@ -255,3 +267,24 @@ def test_no_step_size_update():
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and getattr(node.left, "id", "").startswith("err")
     ]
     assert powers == [] and _lines_mentioning("err**") == []
+
+
+def test_atom_path_call_budget():
+    config = geometry.TrapConfig(a0=1.0, b0=1e-3, omega=2.0 * math.pi * 7e3, gamma=4.4e10, mu=9.274e-24, mass=1.443e-25)
+
+    def atom(x=2e-4, y=1e-4, z=3e-4, t=1e-5, dwell=5e-5, escape=1e-4):
+        omega0 = geometry.larmor_at(config, x, y, t, z)
+        theta = geometry.field_angle_at(config, x, y, t, z)
+        p = spin.DriveParams(omega0, config.omega, theta)
+        closed_form.survival_probability(p, dwell)
+        closed_form.transition_probability(p, dwell)
+        return geometry.confinement_advisor(p, escape).confined
+
+    atom()
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_qualname) if event == "call" else None)
+    try:
+        atom()
+    finally:
+        sys.setprofile(None)
+    assert calls[0].endswith("atom") and len(calls) - 1 <= 12, calls
