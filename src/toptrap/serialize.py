@@ -15,7 +15,6 @@ on the root element so consumers can map pixels back to data coordinates.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,17 +70,17 @@ def to_csv(table: Table) -> str:
         lines.append(f"# {key} = {value}")
     lines.append(",".join(table.columns))
     axes = ((name, np.asarray(v, float)) for name, v in table.axes if name in table.columns)
-    text = {name: (v, ["%.17g" % x for x in v.tolist()]) for name, v in axes if 0 < len(v) < len(table.rows)}
+    text = {name: (v, list(map("%.17g".__mod__, v.tolist()))) for name, v in axes if 0 < len(v) < len(table.rows)}
     lines.extend(_rows(table, "%.17g", text, ",".join))
     return "\n".join(lines) + "\n"
 
 
 def parse_csv(text: str) -> Table:
-    """Inverse of :func:`to_csv`; header-echo values come back as strings, and a row of the wrong width is a ValueError."""
-    params = {}
-    columns: tuple[str, ...] | None = None
-    lines = []
-    for number, line in enumerate(text.splitlines(), 1):
+    """Inverse of :func:`to_csv`, header-echo values as strings.  Up to the first data line come ``#`` lines (``key =
+    value`` ones are params), blank lines and the column row.  numpy's reader takes the rest with ``float()``'s bits,
+    skipping empty lines and ``#`` comments; a row of the wrong width, then a value it refuses, is a ValueError."""
+    params, columns, lines = {}, None, text.splitlines()
+    for start, line in enumerate(lines):
         if line.startswith("#"):
             key, equals, value = line[1:].partition("=")
             if equals:
@@ -90,15 +89,36 @@ def parse_csv(text: str) -> Table:
             continue
         elif columns is None:
             columns = tuple(part.strip() for part in line.split(","))
-        elif line.count(",") != len(columns) - 1:
-            raise ValueError(f"CSV line {number} has {line.count(',') + 1} fields, the header has {len(columns)}")
         else:
-            lines.append(line)
-    if columns is None:
-        raise ValueError("no column header found in CSV text")
-    blocks = (",".join(lines[i : i + 4096]).split(",") for i in range(0, len(lines), 4096))  # float() keeps the bits
-    data = np.fromiter(map(float, itertools.chain.from_iterable(blocks)), float, len(lines) * len(columns))
-    return Table(columns=columns, rows=data.reshape(len(lines), len(columns)), params=params)
+            break
+    else:  # no data line, which numpy's reader would warn of
+        if columns is None:
+            raise ValueError("no column header found in CSV text")
+        return Table(columns=columns, rows=np.empty((0, len(columns))), params=params)
+    try:
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2, skiprows=start)
+    except ValueError as error:
+        raise (_refusal(lines, start, len(columns)) or error) from None
+    if rows.shape[1] != len(columns):
+        raise _refusal(lines, start, len(columns))
+    return Table(columns=columns, rows=rows, params=params)
+
+
+def _refusal(lines: list[str], start: int, width: int) -> ValueError | None:
+    """The error for the first data line from ``lines[start]`` on of the wrong width, else for the first value numpy's
+    reader refuses; as that reader does, it reads a line up to its ``#`` and skips it if that leaves nothing."""
+    cut = ((number, line.partition("#")[0]) for number, line in enumerate(lines[start:], start + 1))
+    data = [(number, line.split(",")) for number, line in cut if line]
+    for number, fields in data:
+        if len(fields) != width:
+            return ValueError(f"CSV line {number} has {len(fields)} fields, the header has {width}")
+    for number, fields in data:
+        for index, value in enumerate(fields, 1):
+            try:
+                np.loadtxt([value or " "], delimiter=",")  # alone, "" is an empty line; " " fails as "" does
+            except ValueError:
+                return ValueError(f"CSV line {number}, field {index}: could not convert string to float: {value!r}")
+    return None
 
 
 def _json_array(items, indent: str) -> str:
@@ -108,15 +128,17 @@ def _json_array(items, indent: str) -> str:
 
 
 def _json_floats(items, indent: str) -> str:
-    """:func:`_json_array` of ``items``, repr's text of floats; its nan and inf become json's NaN and Infinity."""
-    return _json_array(items, indent).replace("nan", "NaN").replace("inf", "Infinity")
+    """:func:`_json_array` of ``items``, repr's text of floats; its nan and inf, the only reprs holding an "n", become
+    json's NaN and Infinity."""
+    text = _json_array(items, indent)
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
 def to_json(table: Table) -> str:
     """``json.dumps(payload, indent=2)`` of the schema above; floats are written by ``repr``, as json writes them."""
     params = json.dumps({"tool": f"toptrap {__version__}", **table.params}, indent=2).replace("\n", "\n  ")
     columns = json.dumps(list(table.columns), indent=2).replace("\n", "\n  ")
-    texts = [(name, np.asarray(v), ["%r" % x for x in np.asarray(v).tolist()]) for name, v in table.axes]
+    texts = [(name, np.asarray(v), list(map("%r".__mod__, np.asarray(v).tolist()))) for name, v in table.axes]
     axes = [_AXIS % (json.dumps(name), _json_floats(text, "      ")) for name, _, text in texts]
     float_axes = {name: (v, text) for name, v, text in texts if len(v) and v.dtype == np.float64}  # repr(3) != repr(3.0)
     data = _json_floats(_rows(table, "%r", float_axes, lambda templates: _json_array(templates, "    ")), "  ")

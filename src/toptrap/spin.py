@@ -70,11 +70,16 @@ DOMAIN = {
 
 
 def check(name, rule, test, value):
-    """``value`` as a float array; a ValueError reads ``<name> must be <rule>, got <first bad value>``."""
-    is_int = isinstance(value, int)  # tested as an int: it prints as one, and one too large for a float is still named
-    v = value if is_int else np.asarray(value, dtype=float)
+    """``value`` as a float array; a ValueError reads ``<name> must be <rule>, got <first bad value>``.  A Python int is
+    tested as itself, and so are the values of an object array (numpy's dtype for a sequence holding an int beyond
+    int64): it prints as an int, and one too large for a float is named rather than overflowing a conversion.  Values
+    numpy does not cast to float within their kind (complex, strings) are its TypeError."""
+    is_int = isinstance(value, int)
+    v = value if is_int else np.asarray(value)
+    if not is_int and v.dtype != object:
+        v = v.astype(float, casting="same_kind", copy=False)
     if not np.all(ok := test(v)):
-        raise ValueError(f"{name} must be {rule}, got {value if is_int else float(v[~ok][0])!r}")
+        raise ValueError(f"{name} must be {rule}, got {value if is_int else v[~ok].item(0)!r}")
     return np.asarray(v, dtype=float)
 
 

@@ -70,8 +70,8 @@ def _message(name, value):
     [
         pytest.param(entry, name, value, id=f"{entry}-{name}={'10**400' if value == HUGE else value}")
         for entry, (reads, _) in DIRECT.items()
-        # HUGE only where the call passes the value as given: inside a float array it is an object array (not covered)
-        for name, value in FINITE_BAD + NON_FINITE_BAD + ([] if "array" in entry or "evolve" in entry else HUGE_BAD)
+        # HUGE as given, and inside an array, which numpy then holds as an object array
+        for name, value in FINITE_BAD + NON_FINITE_BAD + HUGE_BAD
         if name in reads
     ],
 )
@@ -132,3 +132,14 @@ def test_int_beyond_the_float_range_is_named(call, message):
     """The rules compare with the largest float, not with inf, which every Python int is below."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1j, [1.0, 2j], np.array([0.5j]), "2.5", ["1"]],
+    ids=["complex", "complex-list", "complex-array", "str", "str-list"],
+)
+def test_check_refuses_values_a_float_cast_would_change(value):
+    """A complex number would lose its imaginary part and a string be parsed: numpy's same-kind cast refuses both."""
+    with pytest.raises(TypeError):
+        check("x", *FINITE, value)

@@ -3,7 +3,9 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 from xml.etree import ElementTree as ET
 
 import hypothesis as hyp
@@ -173,7 +175,66 @@ class TestCsv:
             parse_csv(text)
 
 
+class TestCsvReader:
+    """What numpy's reader accepts where it and ``float()`` differ, and the errors for what it refuses."""
+
+    def test_values_keep_the_bits_float_gives(self):
+        big, small = sys.float_info.max, sys.float_info.min
+        edges = [0.0, -0.0, 5e-324, -5e-324, small, -small, big, -big, math.inf, -math.inf]
+        values = np.concatenate([edges, RNG.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64)])
+        texts = ["%.17g" % v for v in values.tolist()]
+        back = parse_csv("v\n" + "\n".join(texts) + "\n").column("v")
+        assert [v.hex() for v in back.tolist()] == [float(text).hex() for text in texts]
+
+    @pytest.mark.parametrize(
+        "text", ["a,b,c\n", "a,b,c", "# toptrap 0\n\na,b,c\n\n# k = v\n"], ids=["bare", "no-newline", "comments"]
+    )
+    def test_header_only_gives_no_rows_and_no_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = parse_csv(text)
+        assert table.columns == ("a", "b", "c") and table.rows.shape == (0, 3) and table.rows.dtype == np.float64
+
+    def test_header_block_runs_to_the_first_data_line(self):
+        """``#`` lines there are params and blank ones are skipped; after it, ``#`` starts a comment."""
+        table = parse_csv("# k = 1\na,b\n  \n# j = 2\n1,2\n\n# i = 3\n3,4 # note\n")
+        assert table.params == {"k": "1", "j": "2"}
+        assert table.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1_0,2\n", "CSV line 2, field 1: could not convert string to float: '1_0'"),
+            ("a,b\n1,2\n   \n3,4\n", "CSV line 3 has 1 fields, the header has 2"),
+            ("a\n1\n \n", "CSV line 3, field 1: could not convert string to float: ' '"),
+            ("# toptrap 0\na,b\n1,2\n3,x\n", "CSV line 4, field 2: could not convert string to float: 'x'"),
+            ("a,b\n1,\n", "CSV line 2, field 2: could not convert string to float: ''"),
+            ("a,b,c\n1,2\n3,4\n", "CSV line 2 has 2 fields, the header has 3"),
+            ("# toptrap 0\n# k = v\n\na,b,c\n1,2\n3,4\n5,6\n", "CSV line 5 has 2 fields, the header has 3"),
+            ("a,b\n1,x\n3,4,5\n", "CSV line 3 has 3 fields, the header has 2"),
+        ],
+        ids=["underscore", "whitespace-line", "whitespace-value", "bad-value", "empty-value", "all-narrower",
+             "all-narrower-after-header-block", "width-first"],
+    )
+    def test_refusal_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_csv(text)
+
+
 class TestJson:
+    def test_non_finite_data_and_axis_pinned(self):
+        """nan, inf and -inf in a data column and in an axis read as json's NaN, Infinity and -Infinity."""
+        rows = np.array([[0.0, math.nan], [0.5, math.inf], [1.0, -math.inf]])
+        axes = (("t", np.array([0.0, 0.5, 1.0])), ("s", np.array([math.nan, -math.inf])))
+        text = to_json(Table(("t", "p"), rows, params={"theta": 1.0}, axes=axes))
+        assert text == (
+            f'{{\n  "params": {{\n    "tool": "toptrap {__version__}",\n    "theta": 1.0\n  }},\n  "axes": [\n'
+            '    {\n      "name": "t",\n      "values": [\n        0.0,\n        0.5,\n        1.0\n      ]\n    },\n'
+            '    {\n      "name": "s",\n      "values": [\n        NaN,\n        -Infinity\n      ]\n    }\n  ],\n'
+            '  "columns": [\n    "t",\n    "p"\n  ],\n  "data": [\n    [\n      0.0,\n      NaN\n    ],\n'
+            '    [\n      0.5,\n      Infinity\n    ],\n    [\n      1.0,\n      -Infinity\n    ]\n  ]\n}\n'
+        )
+
     def test_schema_and_round_trip(self):
         table = table_from_sweep(figure_dataset("fig3"))
         payload = json.loads(to_json(table))
