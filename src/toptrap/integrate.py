@@ -44,8 +44,8 @@ Each run of steps takes the remainder rule and the cache of D and E; at h_cap th
 step holding the next sample or t_tail = t_end - 4 h_cap - 2 h_min, before which the remainder rule cannot fire.  In the
 last steps a run is one step.  A solve is refused after 2 * _MAX_STEPS step attempts, the step count that g assumes.
 
-The lab and rotating routes project onto the known eigenvectors of H(t), which no omega0 enters, so none underflows:
-for s = sin(theta/2), c = cos(theta/2), the weak-field seeker (s, -c e^{i omega t}), strong-field (c, s e^{i omega t}).
+The lab and rotating routes start from the weak-field seeker and project onto the eigenvectors of H(t), both from
+:func:`toptrap.spin.eigenbasis`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from itertools import chain
 import numpy as np
 
 # eigensystem_at is unused here but kept: bench/spans.py wraps it at this module.
-from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, eigensystem_at  # noqa: F401
+from .spin import FINITE, POSITIVE, DriveParams, check, check_domain, check_finite, eigenbasis, eigensystem_at  # noqa: F401
 
 _MAX_STEP = 0.1  # step cap, as a fraction of the shortest drive period
 _MAX_STEPS = 10**6  # solves needing more steps are refused before stepping
@@ -350,7 +350,7 @@ def evolve_lab_frame(p: DriveParams, t_grid, settings: IntegratorSettings = DEFA
         off = cmath.rect(off_mag, -omega * t)
         return -1j * (diag * u + off * v), -1j * (off.conjugate() * u - diag * v)
 
-    start = (math.sin(0.5 * p.theta), -math.cos(0.5 * p.theta))
+    start = eigenbasis(p)[0]
     # H turns at omega (module docstring); solution frequencies are at most omega/2 + omega_bar/2 <= omega + omega0/2.
     bound = 0.5 * p.omega + 0.5 * p.omega_bar
     samples, stats = _run(rhs, ts, start, settings, p.omega + 0.5 * p.omega0, bound, p, p.omega)
@@ -387,26 +387,24 @@ def rotating_frame_propagator(p: DriveParams, t) -> np.ndarray:
 
 
 def _projections(p: DriveParams, ts: np.ndarray, state_at):
-    """Squared projections (survival, transition) onto the eigenvectors of the module docstring, block by block.
+    """Squared projections (survival, transition) onto the eigenvectors of H(t), block by block.
 
-    The (n, 2) states (u, v) of ``state_at(block)`` give |s u - c w|^2 and |c u + s w|^2, for w = v e^{-i omega t}.
+    The (n, 2) states (u, v) of ``state_at(block)`` give |s u - c w|^2 and |c u + s w|^2, for w = v conj(turn) and
+    the pair (s, -c), (c, s) and turn e^{i omega t} of :func:`toptrap.spin.eigenbasis`.
     """
-    s, c = math.sin(0.5 * p.theta), math.cos(0.5 * p.theta)
     probs = np.empty((2, len(ts)))
     for lo in range(0, len(ts), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        with np.errstate(over="ignore"):  # an infinite phase is named below
-            phase = p.omega * ts[block]
-        check_finite("the phase omega t", phase, omega=p.omega, t=ts[block])  # before state_at, which names wbar t/2
+        (s, minus_c), (c, _), turn = eigenbasis(p, ts[block])  # names the phase before state_at names wbar t/2
         u, v = state_at(block).T
-        w = v * np.exp(-1j * phase)
-        probs[:, block] = np.abs([s * u - c * w, c * u + s * w]) ** 2
+        w = v * turn.conj()
+        probs[:, block] = np.abs([s * u + minus_c * w, c * u + s * w]) ** 2
     return probs
 
 
 def evolve_rotating_frame(p: DriveParams, t_grid) -> TimeSeries:
     """Probability series from the exact propagator; no ODE solve involved."""
     ts = _check_grid(t_grid)
-    start = [math.sin(0.5 * p.theta), -math.cos(0.5 * p.theta)]  # the weak-field seeker at t = 0
+    start = eigenbasis(p)[0]  # the weak-field seeker at t = 0
     survival, transition = _projections(p, ts, lambda block: rotating_frame_propagator(p, ts[block]) @ start)
     return TimeSeries(times=ts, survival=survival, transition=transition, method="rotating-frame")

@@ -11,11 +11,6 @@ Conventions (hbar = 1, energies in angular-frequency units):
 instantaneous spectrum is time independent, +-omega0/2; the weak-field
 seeking state ``|->`` carries -omega0/2 and the strong-field seeker ``|+>``
 carries +omega0/2.
-
-Eigenvectors are produced by numerical diagonalisation with a fixed gauge:
-the component of largest modulus is made real and non-negative (ties go to
-the first component).  All probability-level outputs are independent of
-that choice.
 """
 
 from __future__ import annotations
@@ -205,28 +200,26 @@ def hamiltonian_at(p: DriveParams, t) -> np.ndarray:
     return h
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-modulus component of the unit ``eigh`` column ``v`` is real > 0."""
-    pivot = v[int(np.argmax(np.abs(v)))]
-    return v * (pivot.conjugate() / abs(pivot))
+def eigenbasis(p: DriveParams, t=0.0):
+    """The eigenbasis of H(t) as ``(minus, plus, turn)``: the weak-field seeker (s, -c), value -omega0/2, the
+    strong-field seeker (c, s), +omega0/2, for s = sin(theta/2), c = cos(theta/2), and the turn e^{i omega t}, shaped
+    like ``t``, that carries them to ``t``: H(t) = F H(0) F^+ for F = diag(1, turn).  No omega0 enters, so none
+    underflows.  A ValueError names a non-finite ``t``, and omega and t where the phase omega t overflows.
+    """
+    t = check("t", *FINITE, t)
+    with np.errstate(over="ignore"):  # an infinite phase is named below
+        phase = p.omega * t
+    check_finite("the phase omega t", phase, omega=p.omega, t=t)
+    s, c = math.sin(0.5 * p.theta), math.cos(0.5 * p.theta)
+    return (s, -c), (c, s), np.exp(1j * phase)
 
 
 def eigensystem_at(p: DriveParams, t: float) -> EigenPair:
-    """Diagonalise the Hamiltonian at time ``t``.
-
-    Eigenvalues come out as -omega0/2 (weak-field seeker, ``vec_minus``) and
-    +omega0/2 (strong-field seeker, ``vec_plus``); vectors are orthonormal
-    and phase-fixed per the module convention, which keeps them continuous
-    in ``t`` away from isolated convention-switch points.
-    """
-    h = hamiltonian_at(p, t)
-    values, vectors = np.linalg.eigh(h)
-    return EigenPair(
-        value_plus=float(values[1]),
-        value_minus=float(values[0]),
-        vec_plus=_fix_phase(vectors[:, 1]),
-        vec_minus=_fix_phase(vectors[:, 0]),
-    )
+    """The eigensystem at time ``t`` from :func:`eigenbasis`: -omega0/2 and ``vec_minus`` = (s, -c e^{i omega t}), the
+    weak-field seeker, and +omega0/2 and ``vec_plus`` = (c, s e^{i omega t}), the strong-field seeker."""
+    (s, minus_c), (c, _), turn = eigenbasis(p, t)
+    half = 0.5 * p.omega0
+    return EigenPair(half, -half, vec_plus=np.array([c, s * turn]), vec_minus=np.array([s, minus_c * turn]))
 
 
 def adiabaticity_parameter(p: DriveParams) -> float:

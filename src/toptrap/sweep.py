@@ -48,10 +48,9 @@ class Axis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}")
-        values = np.asarray(self.values, dtype=float)
+        values = check(self.name, *FINITE, self.values)  # the values as given: an int beyond the floats is named
         if values.ndim != 1 or len(values) < 2:
             raise ValueError(f"axis {self.name!r} needs at least 2 values")
-        check(self.name, *FINITE, values)
         object.__setattr__(self, "values", values)
 
     @classmethod

@@ -85,18 +85,20 @@ def test_direct_entry_point_names_the_rule(entry, name, value):
 @pytest.mark.parametrize(
     "quantity, name, value",
     [
-        pytest.param(q, name, value, id=f"{q}-{name}={value}")
+        pytest.param(q, name, value, id=f"{q}-{name}={'10**400' if value == HUGE else value}")
         for q in QUANTITIES
-        for name, value in FINITE_BAD
+        for name, value in FINITE_BAD + HUGE_BAD
         if name in SWEEP_INPUTS[q] or name == "x"
     ],
 )
 def test_sweep_names_the_rule(quantity, name, value, as_axis):
-    """Axes and fixed values are checked before any quantity, whichever quantities are asked for."""
+    """Axes and fixed values are checked before any quantity, whichever quantities are asked for.  HUGE fails the
+    first rule that reads it, an axis's or a fixed value's ``finite``, as given: numpy holds it in an object array."""
     names = [("x" if n == "omega0" and name == "x" else n) for n in SWEEP_INPUTS[quantity]]
     fixed = {n: (value if n == name else GOOD[n]) for n in names}
-    axes = (Axis(name, np.array([GOOD[name], fixed.pop(name)])),) if as_axis else ()
-    with pytest.raises(ValueError, match=_message(name, value)):
+    message = f"^{re.escape(f'{name} must be finite, got {HUGE}')}$" if value == HUGE else _message(name, value)
+    with pytest.raises(ValueError, match=message):
+        axes = (Axis(name, np.array([GOOD[name], fixed.pop(name)])),) if as_axis else ()
         run_sweep(SweepSpec(axes=axes, quantities=(quantity,), fixed=fixed))
 
 

@@ -20,9 +20,10 @@ vulture's unused-code report, which keeps leftovers of removed code paths out.
 
 ``serialize`` is a leaf: it imports no sibling module, so the writers and the parser depend on no result type.
 
-Two rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
+Three rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
 t and x grids): no other code calls ``np.linspace`` or reports the grid.  ``closed_form.tau_of_drive`` is the only code that
-refuses omega = 0 for tau and reports an overflowing x = omega0/omega.
+refuses omega = 0 for tau and reports an overflowing x = omega0/omega.  ``spin.eigenbasis`` is the only code that forms
+the half-angle pair sin(theta/2), cos(theta/2) of the eigenvectors, and no module calls ``np.linalg``.
 
 A frozen dataclass with a hand-written ``__init__`` (one that stores its fields straight into ``__dict__``, without
 dataclass's ``object.__setattr__`` per field) takes exactly its fields, in order: a field added to the class without
@@ -88,6 +89,11 @@ def _lines_mentioning(text: str) -> list[str]:
 
 def test_no_module_catches_overflow_error():
     assert _lines_mentioning("except OverflowError") == []
+
+
+def test_no_module_uses_np_linalg():
+    """The eigenbasis is analytic, ``spin.eigenbasis``: eigh is a reference of the tests only."""
+    assert _lines_mentioning("np.linalg") == []
 
 
 def test_must_keep_message_only_in_check_finite():
@@ -197,8 +203,9 @@ def test_serialize_imports_no_sibling_module():
         ('check_finite("the grid"', "sweep.py", "grid_values"),
         ("resurrection undefined: omega must be > 0", "closed_form.py", "tau_of_drive"),
         ('check_finite("x"', "closed_form.py", "tau_of_drive"),
+        ("0.5 * p.theta", "spin.py", "eigenbasis"),
     ],
-    ids=["linspace", "grid-report", "omega-refusal", "x-report"],
+    ids=["linspace", "grid-report", "omega-refusal", "x-report", "half-angle-pair"],
 )
 def test_rule_only_in_its_owner(text, module, owner):
     found = _lines_mentioning(text)

@@ -255,17 +255,19 @@ class TestHamiltonian:
 
 class TestEigensystem:
     def test_theta_zero_vectors(self):
+        """Up to a global phase the basis vectors; in the analytic gauge vec_minus is (0, -e^{i omega t})."""
         pair = eigensystem_at(DriveParams(2.0, 1.0, 0.0), 0.5)
         assert pair.value_plus == pytest.approx(1.0, rel=1e-14)
         assert pair.value_minus == pytest.approx(-1.0, rel=1e-14)
-        np.testing.assert_allclose(pair.vec_plus, [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(pair.vec_minus, [0.0, 1.0], atol=1e-14)
+        assert abs(np.vdot([1.0, 0.0], pair.vec_plus)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot([0.0, 1.0], pair.vec_minus)) == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(pair.vec_minus, [0.0, -np.exp(0.5j)], atol=1e-14)
 
     def test_equator_vectors_up_to_convention(self):
         pair = eigensystem_at(DriveParams(1.0, 2.0, math.pi / 2), 0.0)
         np.testing.assert_allclose(np.abs(pair.vec_plus), [1, 1] / np.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(np.abs(pair.vec_minus), [1, 1] / np.sqrt(2), atol=1e-12)
-        # phase convention: first component real and non-negative on ties
+        # analytic gauge: the first component is real, c for vec_plus and s for vec_minus, so > 0 inside (0, pi)
         assert pair.vec_plus[0].real > 0 and abs(pair.vec_plus[0].imag) < 1e-14
         assert pair.vec_minus[0].real > 0 and abs(pair.vec_minus[0].imag) < 1e-14
 
@@ -282,6 +284,38 @@ class TestEigensystem:
             assert np.linalg.norm(pair.vec_plus) == pytest.approx(1.0, abs=1e-12)
             assert pair.value_plus == pytest.approx(p.omega0 / 2, rel=1e-13)
             assert pair.value_minus == pytest.approx(-p.omega0 / 2, rel=1e-13)
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.example(omega0=5e-324, omega=0.0, theta=0.0, t=0.0)
+    @hyp.example(omega0=2e-323, omega=1.5658050713205374e-17, theta=2.8323526602956717, t=1.0946736026988126e-200)
+    @hyp.example(omega0=sys.float_info.max, omega=sys.float_info.max, theta=math.pi, t=1.0)
+    @hyp.example(omega0=sys.float_info.max, omega=0.0, theta=math.pi / 2, t=sys.float_info.max)
+    @hyp.example(omega0=1.0, omega=5e-324, theta=5e-324, t=sys.float_info.max)
+    @hyp.example(omega0=1.0, omega=1.5, theta=math.pi, t=1e300)
+    @hyp.example(omega0=1.0, omega=2.0, theta=1.0, t=sys.float_info.max)  # the phase overflows
+    @hyp.given(
+        omega0=st.floats(5e-324, sys.float_info.max),
+        omega=st.floats(0.0, sys.float_info.max),
+        theta=st.floats(0.0, math.pi),
+        t=st.floats(0.0, sys.float_info.max),
+    )
+    def test_matches_eigh_over_the_domain(self, omega0, omega, theta, t):
+        """Over DOMAIN, each vector is eigh's up to a phase, |<v_eigh|v>| = 1 to 1e-15, and H v - value v is at
+        H's rounding.  hamiltonian_at forms its own phase, so it is an independent reference.  eigh runs on the
+        unit-gap H (omega0 = 2) at the same omega, theta and t, whose eigenvectors are H's: a subnormal omega0
+        rounds H's entries to 5e-324, which moves eigh's vectors by up to 5e-324/omega0."""
+        p = DriveParams(omega0, omega, theta)
+        try:
+            pair = eigensystem_at(p, t)
+        except ValueError as error:  # the phase omega t overflows: H refuses it in the same words
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                hamiltonian_at(p, t)
+            return
+        _, vectors = np.linalg.eigh(hamiltonian_at(DriveParams(2.0, omega, theta), t))
+        h = hamiltonian_at(p, t)
+        for k, value, vector in ((0, pair.value_minus, pair.vec_minus), (1, pair.value_plus, pair.vec_plus)):
+            assert abs(abs(np.vdot(vectors[:, k], vector)) - 1.0) <= 1e-15
+            assert np.max(np.abs(h @ vector - value * vector)) <= 8 * sys.float_info.epsilon * omega0 + 1e-322
 
     def test_vectors_continuous_in_time(self):
         p = DriveParams(1.0, 1.5, 1.1)
