@@ -108,6 +108,11 @@ def _report_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--out", default=None)
 
 
+def _echo(args) -> dict:
+    """The parameter echo of a table: the parsed arguments, command first, in parser order, without the output flags."""
+    return {name: value for name, value in vars(args).items() if name not in ("out", "format")}
+
+
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -177,18 +182,7 @@ def _cmd_evolve(args) -> int:
                 f"cross-method disagreement {delta:.3e} exceeds {CROSS_METHOD_TOL:.0e}"
             )
 
-    params = {
-        "command": "evolve",
-        "omega0": args.omega0,
-        "omega": args.omega,
-        "theta": args.theta,
-        "t_max": args.t_max,
-        "samples": args.samples,
-        "method": args.method,
-        "rel_tol": args.rel_tol,
-        "abs_tol": args.abs_tol,
-    }
-    table = Table(columns=tuple(columns), rows=np.column_stack(data), params=params, axes=(("t", ts),))
+    table = Table(columns=tuple(columns), rows=np.column_stack(data), params=_echo(args), axes=(("t", ts),))
     series = [ChartSeries(label=f"survival ({name})", x=ts, y=results[name][0]) for name in wanted]
     if len(wanted) == 1:
         series.append(ChartSeries(label="transition", x=ts, y=results[wanted[0]][1], dash="6,4"))
@@ -234,13 +228,7 @@ def _cmd_tau(args) -> int:
         else:
             print(f"theta={theta:.6g}: monotone decreasing, no interior maximum", file=sys.stderr)
 
-    params = {
-        "command": "tau",
-        "theta": ",".join(f"{v:g}" for v in thetas),
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-        "steps": args.steps,
-    }
+    params = {**_echo(args), "theta": ",".join(f"{v:g}" for v in thetas)}
     rows = np.column_stack([np.tile(xs, len(thetas)), np.repeat(thetas, len(xs)), curves.ravel()])
     table = Table(columns=("x", "theta", "tau"), rows=rows, params=params, axes=(("x", xs),))
     _emit_table(table, args, _theta_curves(thetas, xs, curves), title="Resurrection time", **_TAU_LABELS)

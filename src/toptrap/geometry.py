@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, check, check_finite
+from .spin import FINITE, FLOAT_MAX, FLOAT_MIN, POSITIVE, DriveParams, check, check_finite
 
 #: Fields smaller than this fraction of b0 count as "on the circle of death".
 ZERO_FIELD_RTOL = 1e-12
@@ -65,8 +65,9 @@ class FieldVector:
     bz: float
 
     def magnitude(self) -> float:
-        """sqrt(bx^2 + by^2 + bz^2); a ValueError naming bx, by and bz where it overflows."""
-        b = math.sqrt(self.bx * self.bx + self.by * self.by + self.bz * self.bz)
+        """sqrt(bx^2 + by^2 + bz^2) without squaring, so it answers wherever |B| is a float; a ValueError naming bx, by
+        and bz where |B| itself overflows."""
+        b = math.hypot(self.bx, self.by, self.bz)
         if not b < math.inf:  # inf or nan
             check_finite("|B|", b, bx=self.bx, by=self.by, bz=self.bz)
         return b
@@ -106,15 +107,16 @@ class ConfinementReport:
 
 
 def _field(c: TrapConfig, x: float, y: float, z: float, t: float) -> tuple[float, float, float, float]:
-    """Field components (bx, by, bz) of :func:`field_at` and |B| with the bits of ``FieldVector.magnitude``, without
-    building a FieldVector.  |B| is unchecked: inf or nan where it overflows, which that method reports."""
-    phase = c.omega * t
-    if not math.isfinite(x + y + z + phase):  # one test for x, y, z, t and omega t; an overflowing sum passes below
+    """Field components (bx, by, bz) of :func:`field_at` and |B| with the bits of ``FieldVector.magnitude``.  |B| is
+    unchecked: inf or nan where it overflows (that method reports it), short of bits where subnormal (the callers scale
+    the components).  The fast test is ``FINITE``'s, abs(v) <= FLOAT_MAX: an int beyond the floats is not converted."""
+    if not (abs(x) <= FLOAT_MAX and abs(y) <= FLOAT_MAX and abs(z) <= FLOAT_MAX and abs(t) <= FLOAT_MAX
+            and math.isfinite(phase := c.omega * t)):
         for name, value in (("x", x), ("y", y), ("z", z), ("t", t)):
             check(name, *FINITE, value)
         check_finite("the phase omega t", phase, omega=c.omega, t=t)
     bx, by, bz = c.a0 * x + c.b0 * math.cos(phase), c.a0 * y + c.b0 * math.sin(phase), -2.0 * (c.a0 * z)  # no inf * 0
-    return bx, by, bz, math.sqrt(bx * bx + by * by + bz * bz)
+    return bx, by, bz, math.hypot(bx, by, bz)
 
 
 def field_at(c: TrapConfig, x: float, y: float, z: float, t: float) -> FieldVector:
@@ -167,7 +169,7 @@ def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> fl
     if not ZERO_FIELD_RTOL * c.b0 < b < math.inf:  # |B| overflows (reported by magnitude) or vanishes
         FieldVector(bx, by, bz).magnitude()
         raise ValueError("Larmor frequency undefined at field zero")
-    omega0 = abs(c.gamma) * b
+    omega0 = abs(c.gamma) * b if b >= FLOAT_MIN else math.hypot(*(abs(c.gamma) * v for v in (bx, by, bz)))
     if not 0.0 < omega0 < math.inf:  # overflows, or underflows to 0 with an infinite Larmor period
         check_finite("the Larmor frequency" if omega0 else "the Larmor period", math.inf, gamma=c.gamma, **{"|B|": b})
     return omega0
@@ -184,6 +186,8 @@ def field_angle_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) 
     if not ZERO_FIELD_RTOL * c.b0 < b < math.inf:  # |B| overflows (reported by magnitude) or vanishes
         FieldVector(bx, by, bz).magnitude()
         raise ValueError("field angle undefined at field zero")
+    if b < FLOAT_MIN:  # the components scaled by 2^600, exactly, keep the bits that a subnormal |B| has lost
+        bz, b = bz * 2.0**600, math.hypot(bx * 2.0**600, by * 2.0**600, bz * 2.0**600)
     return math.acos(bz / b)
 
 

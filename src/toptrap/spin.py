@@ -237,29 +237,18 @@ def adiabaticity_parameter(p: DriveParams) -> float:
     return parameter
 
 
-def default_fd_step(p: DriveParams) -> float:
-    """Central-difference step used by :func:`adiabaticity_matrix_element`.
-
-    1e-6 of the shortest drive period balances truncation against round-off
-    at double precision.  A step beyond the float range is a ValueError naming omega0 and omega.
-    """
-    step = 1e-6 * 2.0 * math.pi / max(p.omega, p.omega0)
-    check_finite("the default step dt", step, omega0=p.omega0, omega=p.omega)
-    return step
-
-
 def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None = None) -> float:
     """Evaluate |<-(t)| dH/dt |+(t)>| / (E+ - E-)^2 by central differences.
 
     The squared gap makes the ratio dimensionless; for this drive it is independent of ``t`` and converges
     quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  The real element of H(t + dt) - H(t - dt) is divided
-    by the gap, by the spacing of the rounded ends t +/- dt (2 dt only where both round exactly, always at t = 0) and
-    by the gap again, one at a time: no complex divide (by a reciprocal) and no squared gap leaves the float range.
+    by the gap omega0, by the spacing of the rounded ends t +/- dt (2 dt only where both round exactly, as at t = 0)
+    and by omega0 again, one at a time: no complex divide (by a reciprocal) and no squared gap leaves the float range.
 
     Args:
         p: drive parameters.
         t: evaluation time.
-        dt: finite-difference step; defaults to :func:`default_fd_step`.
+        dt: finite-difference step; by default 1e-6 of the shortest drive period, against truncation and round-off.
 
     Raises:
         ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming omega0 and omega where
@@ -269,17 +258,18 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
             (its bits are lost).
     """
     if dt is None:
-        dt = default_fd_step(p)
+        dt = 1e-6 * 2.0 * math.pi / max(p.omega, p.omega0)
+        check_finite("the default step dt", dt, omega0=p.omega0, omega=p.omega)
     check("dt", *POSITIVE, dt)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, named below
         ends = np.add(check("t", *FINITE, t), [-dt, dt])
         check_finite("t +/- dt", ends, t=t, dt=dt)
         check_finite("the phase omega (t +/- dt)", p.omega * ends, omega=p.omega, t=t, dt=dt)
         check("dt", f"large enough that t +/- dt differs from t = {t!r}", lambda v: (t - v != t) & (t + v != t), dt)
-        pair = eigensystem_at(p, t)
-        delta_h = hamiltonian_at(p, ends[1]) - hamiltonian_at(p, ends[0])
-        gap = pair.value_plus - pair.value_minus
-        result = float(abs(np.vdot(pair.vec_minus, delta_h @ pair.vec_plus)) / gap / (ends[1] - ends[0]) / gap)
+        (s, minus_c), (c, _), turn = eigenbasis(p, t)
+        h_low, h_high = hamiltonian_at(p, ends)
+        element = np.vdot(np.array([s, minus_c * turn]), (h_high - h_low) @ np.array([c, s * turn]))
+        result = float(abs(element) / p.omega0 / (ends[1] - ends[0]) / p.omega0)
     if result < FLOAT_MIN and p.coupling:  # a flipping drive's element has lost its bits: refused below
         result = math.nan
     check_finite("the matrix element", result, omega0=p.omega0, omega=p.omega, dt=dt)

@@ -1,0 +1,58 @@
+"""The pure parts of ``tools/bit_diff.py``: outputs as text, the comparison of two trees' items and its report.
+
+Nothing here unpacks a tree or runs a battery; the script is loaded from its file, as ``tools`` is not a package.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bit_diff", ROOT / "tools" / "bit_diff.py")
+bit_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bit_diff)
+
+
+def refuse():
+    raise ValueError("x must be finite, got nan")
+
+
+def test_outcome_is_the_float_hex_or_the_refusal():
+    assert bit_diff.outcome(lambda: 0.1) == (0.1).hex()
+    assert bit_diff.outcome(refuse) == "ValueError: x must be finite, got nan"
+
+
+def test_extreme_grid_has_the_stated_size():
+    grid = (bit_diff.GRID_OMEGA0, bit_diff.GRID_OMEGA, bit_diff.GRID_THETA, bit_diff.GRID_T_DT)
+    assert [len(axis) for axis in grid] == [9, 7, 5, 5]
+
+
+def test_compare_lists_only_differing_outputs_in_order():
+    base = [["a", "0x1.0p+0"], ["b", "ValueError: no"], ["c", "0x1.8p+0"]]
+    change = [["a", "0x1.0p+0"], ["b", "0x0.0p+0"], ["c", "0x1.8000000000001p+0"]]
+    differing = [("b", "ValueError: no", "0x0.0p+0"), ("c", "0x1.8p+0", "0x1.8000000000001p+0")]
+    assert bit_diff.compare(base, change) == differing
+    assert bit_diff.compare(base, base) == []
+
+
+def test_compare_refuses_different_inputs():
+    with pytest.raises(ValueError, match="different inputs"):
+        bit_diff.compare([["a", "x"]], [["b", "x"]])
+
+
+def test_ulps_apart_only_between_finite_floats():
+    assert bit_diff.ulps_apart((1.5).hex(), (1.5 + 2 * 2**-52).hex()) == 2.0
+    assert bit_diff.ulps_apart((0.0).hex(), (5e-324).hex()) == 1.0
+    assert bit_diff.ulps_apart("ValueError: no", (1.0).hex()) is None
+    assert bit_diff.ulps_apart((float("inf")).hex(), (1.0).hex()) is None
+    assert bit_diff.ulps_apart("exit 0, sha256 ab", "exit 0, sha256 cd") is None
+
+
+def test_report_counts_differences_and_shows_the_first():
+    diffs = [(f"k{i}", (1.0).hex(), (1.0 + 2**-52 * (i + 1)).hex()) for i in range(4)]
+    diffs.append(("r", "ValueError: no", "0x0.0p+0"))
+    summary, *shown = bit_diff.report("element", 100, diffs, shown=2)
+    assert summary == "element: 100 compared, 5 differ, widest 4 ulp over 4 float pairs"
+    assert shown == [f"  k0: {(1.0).hex()} -> {(1.0 + 2**-52).hex()}", f"  k1: {(1.0).hex()} -> {(1.0 + 2**-51).hex()}"]
+    assert bit_diff.report("cli", 14, []) == ["cli: 14 compared, 0 differ"]

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from toptrap.closed_form import amplitudes_at, probabilities, survival_probability, tau_of_ratio, transition_probability
-from toptrap.geometry import TrapConfig, confinement_advisor, hierarchy_check
+from toptrap.geometry import (
+    TrapConfig,
+    confinement_advisor,
+    field_angle_at,
+    field_at,
+    hierarchy_check,
+    larmor_at,
+    zero_locus,
+)
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
 from toptrap.spin import DOMAIN, FINITE, DriveParams, check, check_domain
 from toptrap.sweep import QUANTITIES, Axis, SweepSpec, run_sweep
@@ -134,6 +142,32 @@ def test_int_beyond_the_float_range_is_named(call, message):
     """The rules compare with the largest float, not with inf, which every Python int is below."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# position function -> (the names it reads, a call with x, y, z and t taken from a dict)
+POSITION = {
+    "larmor_at": (("x", "y", "z", "t"), lambda c, v: larmor_at(c, v["x"], v["y"], v["t"], v["z"])),
+    "field_angle_at": (("x", "y", "z", "t"), lambda c, v: field_angle_at(c, v["x"], v["y"], v["t"], v["z"])),
+    "field_at": (("x", "y", "z", "t"), lambda c, v: field_at(c, v["x"], v["y"], v["z"], v["t"])),
+    "zero_locus": (("t",), lambda c, v: zero_locus(c, v["t"])),
+}
+POSITION_HUGE_BAD = [(name, value) for name in ("x", "y", "z", "t") for value in (HUGE, -HUGE)]
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [
+        pytest.param(entry, name, value, id=f"{entry}-{name}={'-' if value < 0 else ''}10**400")
+        for entry, (reads, _) in POSITION.items()
+        for name, value in POSITION_HUGE_BAD
+        if name in reads
+    ],
+)
+def test_position_beyond_the_float_range_is_named(entry, name, value):
+    """The trap field compares a position or time with the largest float: an int beyond it is named, not converted
+    (that raised OverflowError)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be finite, got {value}')}$"):
+        POSITION[entry][1](TrapConfig(**UNIT_TRAP), {"x": 0.5, "y": 0.0, "z": 0.0, "t": 0.0, name: value})
 
 
 @pytest.mark.parametrize(

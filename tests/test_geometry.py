@@ -214,11 +214,11 @@ class TestOverflow:
     @pytest.mark.parametrize(
         "call, got",
         [
-            (lambda c: larmor_at(c, 1e200, 0.0, 0.0), "bx = 1e+200, by = 0.0, bz = -0.0"),
-            (lambda c: field_angle_at(c, 1e200, 0.0, 0.0), "bx = 1e+200, by = 0.0, bz = -0.0"),
-            (lambda c: FieldVector(1e200, 0.0, -0.0).magnitude(), "bx = 1e+200, by = 0.0, bz = -0.0"),
-            # each square is finite, their sum is not
-            (lambda c: FieldVector(1e154, 1e154, 0.0).magnitude(), "bx = 1e+154, by = 1e+154, bz = 0.0"),
+            # finite components whose |B|, about 2.1e308, no float holds
+            (lambda c: larmor_at(c, 1.5e308, 1.5e308, 0.0), "bx = 1.5e+308, by = 1.5e+308, bz = -0.0"),
+            (lambda c: field_angle_at(c, 1.5e308, 1.5e308, 0.0), "bx = 1.5e+308, by = 1.5e+308, bz = -0.0"),
+            (lambda c: FieldVector(1.5e308, 1.5e308, -0.0).magnitude(), "bx = 1.5e+308, by = 1.5e+308, bz = -0.0"),
+            (lambda c: FieldVector(1.5e308, 1.5e308, 0.0).magnitude(), "bx = 1.5e+308, by = 1.5e+308, bz = 0.0"),
             # a0 above half the largest float: bz = -2 (a0 z) is -0.0 at z = 0, not (-2 a0) z = -inf * 0 = nan
             (lambda c: larmor_at(dataclasses.replace(c, a0=1e308), 10.0, 0.0, 0.0), "bx = inf, by = 0.0, bz = -0.0"),
             (
@@ -231,6 +231,20 @@ class TestOverflow:
     def test_field_magnitude(self, call, got):
         with pytest.raises(ValueError, match=f"^bx and by and bz must keep \\|B\\| finite, got {re.escape(got)}$"):
             call(self.UNIT)
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            pytest.param(lambda c: larmor_at(c, 1e200, 0.0, 0.0), 1e200, id="larmor_at-1e200"),
+            pytest.param(lambda c: field_angle_at(c, 1e200, 0.0, 0.0), math.pi / 2, id="field_angle_at-1e200"),
+            pytest.param(lambda c: FieldVector(1e200, 0.0, -0.0).magnitude(), 1e200, id="magnitude-1e200"),
+            # sqrt(2) 1e154, correctly rounded
+            pytest.param(lambda c: FieldVector(1e154, 1e154, 0.0).magnitude(), 1.414213562373095e154, id="magnitude-1e154"),
+        ],
+    )
+    def test_field_whose_squares_overflow_answers(self, call, expected):
+        """|B| is found without squaring a component: these fields were once refused as "must keep |B| finite"."""
+        assert call(self.UNIT) == expected
 
     def test_gradient_beyond_half_the_largest_float_keeps_bz(self):
         """The components and |B| that larmor_at and field_angle_at read: bz = -0.0 beside bx = inf (field_at reports

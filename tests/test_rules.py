@@ -142,8 +142,8 @@ SCALE_LIBRARY = [
         id="Axis.linear-grid",
     ),
     pytest.param(
-        lambda: FieldVector(1e154, 1e154, 0.0).magnitude(),
-        "bx and by and bz must keep |B| finite, got bx = 1e+154, by = 1e+154, bz = 0.0",
+        lambda: FieldVector(1.5e308, 1.5e308, 0.0).magnitude(),  # |B| is about 2.1e308
+        "bx and by and bz must keep |B| finite, got bx = 1.5e+308, by = 1.5e+308, bz = 0.0",
         id="|B|",
     ),
     pytest.param(

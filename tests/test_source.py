@@ -20,10 +20,11 @@ vulture's unused-code report, which keeps leftovers of removed code paths out.
 
 ``serialize`` is a leaf: it imports no sibling module, so the writers and the parser depend on no result type.
 
-Three rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
+Four rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
 t and x grids): no other code calls ``np.linspace`` or reports the grid.  ``closed_form.tau_of_drive`` is the only code that
 refuses omega = 0 for tau and reports an overflowing x = omega0/omega.  ``spin.eigenbasis`` is the only code that forms
-the half-angle pair sin(theta/2), cos(theta/2) of the eigenvectors, and no module calls ``np.linalg``.
+the half-angle pair sin(theta/2), cos(theta/2) of the eigenvectors, and no module calls ``np.linalg``.  ``cli._echo`` is
+the only code that reads the parsed arguments as a whole: a table's parameter echo is them, not a copy by hand.
 
 A frozen dataclass with a hand-written ``__init__`` (one that stores its fields straight into ``__dict__``, without
 dataclass's ``object.__setattr__`` per field) takes exactly its fields, in order: a field added to the class without
@@ -204,8 +205,9 @@ def test_serialize_imports_no_sibling_module():
         ("resurrection undefined: omega must be > 0", "closed_form.py", "tau_of_drive"),
         ('check_finite("x"', "closed_form.py", "tau_of_drive"),
         ("0.5 * p.theta", "spin.py", "eigenbasis"),
+        ("vars(args)", "cli.py", "_echo"),
     ],
-    ids=["linspace", "grid-report", "omega-refusal", "x-report", "half-angle-pair"],
+    ids=["linspace", "grid-report", "omega-refusal", "x-report", "half-angle-pair", "parameter-echo"],
 )
 def test_rule_only_in_its_owner(text, module, owner):
     found = _lines_mentioning(text)

@@ -359,6 +359,14 @@ class TestAdiabaticity:
         p = DriveParams(omega0, 1e-3, 1.0)
         assert adiabaticity_matrix_element(p) == pytest.approx(adiabaticity_parameter(p), rel=1e-9)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_uncoupled_drive_at_the_smallest_omega0_is_zero(self, t):
+        """The gap is omega0 itself: as 0.5 omega0 - (-0.5 omega0) it rounded to 0 at 5e-324, and 0 / 0 was refused.
+        The step is given, as the default one, 1e-6 of 2 pi / 5e-324, is beyond the floats."""
+        assert adiabaticity_matrix_element(DriveParams(5e-324, 0.0, 1.0), t, 1e-3) == 0.0
+        with pytest.raises(ValueError, match="^omega0 and omega must keep the default step dt finite"):
+            adiabaticity_matrix_element(DriveParams(5e-324, 0.0, 1.0), t)
+
     def test_quotient_divided_by_the_spacing_of_the_rounded_ends(self):
         """Both steps round t -/+ dt to 1 - 2^-53 and 1 + 2^-52, so both give one quotient: divided by 2 dt, not by
         that spacing, they gave 1.1689 and 1.0789."""

@@ -1,0 +1,197 @@
+"""Bit-for-bit comparison of a base revision with the working tree, battery by battery.
+
+    python3 tools/bit_diff.py --base HEAD~1
+    python3 tools/bit_diff.py --base HEAD~1 --battery element --shown 10
+
+``--base`` is a git revision of the repository this script sits in, unpacked with ``git archive`` into a temporary
+directory; the change is a copy of this checkout's working tree there (both from ``tools/bench_pairs.py``).  Each
+battery runs in a fresh process in each tree: this script, with ``--emit NAME`` and that tree's ``src`` first on
+``PYTHONPATH``, prints every item of the battery as [inputs, output].  An output is the ``float.hex`` of a float, the
+type and message of an exception (a refusal compares as its message), or the exit code and sha256 of the CLI's stdout
+bytes.  For each battery the report gives the number of items compared, the number whose outputs differ, the largest
+distance in ulp between two differing floats, and the first differing inputs.
+
+Batteries:
+
+* ``element``: ``adiabaticity_matrix_element`` on 20,000 seeded random drives (omega0 and omega log-uniform in
+  [1e-3, 1e3], theta uniform in [0, pi], half at t = 0, default dt) and on the 1,575-drive extreme grid below;
+* ``atoms``: the ``field_at`` components, ``larmor_at`` and ``field_angle_at`` on a seeded 100,000-atom cloud in the
+  ``cloud_scan`` trap of ``bench/workloads.py``, drawn as that workload draws its atoms;
+* ``cli``: stdout of fixed ``evolve`` (closed and all), ``tau``, ``fig`` (csv and json) and ``adiabatic`` commands.
+
+Standard library and numpy only.  The script changes nothing in either tree; its directory is removed at exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BATTERIES = ("element", "atoms", "cli")
+
+FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
+GRID_OMEGA0 = (5e-324, 1.5e-323, 1e-310, FLOAT_MIN, 1e-300, 1.0, 1e155, 1e300, 1.7e308)
+GRID_OMEGA = (0.0, 5e-324, 1e-308, 1e-3, 1.0, 1e300, 1.7e308)
+GRID_THETA = (0.0, 1e-8, 1.0, math.pi / 2, math.pi)
+GRID_T_DT = ((0.0, None), (1.0, None), (1e300, None), (0.0, 5e-324), (1.0, 1e-3))
+CLOUD_TRAP = dict(a0=1.0, b0=1e-3, omega=2.0 * math.pi * 7e3, gamma=4.4e10, mu=9.274e-24, mass=1.443e-25)
+DRIVE = ["--omega0", "1", "--omega", "1.5", "--theta", "1"]
+COMMANDS = (
+    ["evolve", *DRIVE, "--t-max", "20", "--samples", "2001"],
+    ["evolve", *DRIVE, "--t-max", "20", "--samples", "2001", "--format", "json"],
+    ["evolve", *DRIVE, "--t-max", "20", "--samples", "201", "--method", "all"],
+    ["tau", "--theta", "0.5", "--theta", "2", "--steps", "101"],
+    ["tau", "--theta", "0.5", "--theta", "2", "--steps", "101", "--format", "json"],
+    *(["fig", which, "--format", fmt] for which in ("fig1", "fig2", "fig3") for fmt in ("csv", "json")),
+    ["adiabatic", *DRIVE],
+    ["adiabatic", "--omega0", "2", "--omega", "0.1", "--theta", "0.3", "--t", "5", "--format", "json"],
+    ["adiabatic", "--omega0", "1e-300", "--omega", "1e-3", "--theta", "1", "--dt", "1e-3"],
+)
+
+
+def outcome(call) -> str:
+    """``call()``'s float as ``float.hex``, or its exception as ``Type: message``."""
+    try:
+        return float(call()).hex()
+    except Exception as exc:  # a refusal is an output to compare
+        return f"{type(exc).__name__}: {exc}"
+
+
+def element_items():
+    import numpy as np
+    from toptrap.spin import DriveParams, adiabaticity_matrix_element
+
+    def element(omega0, omega, theta, t, dt):
+        return outcome(lambda: adiabaticity_matrix_element(DriveParams(omega0, omega, theta), t, dt))
+
+    rng = np.random.default_rng(2024)
+    n = 20_000
+    omega0, omega = 10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-3.0, 3.0, n)
+    theta, t = rng.uniform(0.0, math.pi, n), np.where(np.arange(n) % 2 == 0, 0.0, rng.uniform(0.0, 10.0, n))
+    for drive in zip(omega0.tolist(), omega.tolist(), theta.tolist(), t.tolist()):
+        yield repr(drive), element(*drive, None)
+    for omega0 in GRID_OMEGA0:
+        for omega in GRID_OMEGA:
+            for theta in GRID_THETA:
+                for t, dt in GRID_T_DT:
+                    yield repr((omega0, omega, theta, t, dt)), element(omega0, omega, theta, t, dt)
+
+
+def atom_items():
+    import numpy as np
+    from toptrap.geometry import TrapConfig, field_angle_at, field_at, larmor_at
+
+    config = TrapConfig(**CLOUD_TRAP)
+    rng, r0, n = np.random.default_rng(2024), config.b0 / config.a0, 100_000
+    radius, angle = 0.5 * r0 * np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2.0 * math.pi, n)
+    z, t = rng.uniform(-2.0 * r0, 2.0 * r0, n), rng.uniform(0.0, 2.0 * math.pi / config.omega, n)
+    for x, y, z, t in zip((radius * np.cos(angle)).tolist(), (radius * np.sin(angle)).tolist(), z.tolist(), t.tolist()):
+        field = field_at(config, x, y, z, t)
+        yield repr(("field_at", x, y, z, t)), " ".join(v.hex() for v in (field.bx, field.by, field.bz))
+        yield repr(("larmor_at", x, y, t, z)), outcome(lambda: larmor_at(config, x, y, t, z))
+        yield repr(("field_angle_at", x, y, t, z)), outcome(lambda: field_angle_at(config, x, y, t, z))
+
+
+def cli_items():
+    from toptrap.cli import main
+
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        yield " ".join(argv), f"exit {code}, sha256 {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+EMITTERS = {"element": element_items, "atoms": atom_items, "cli": cli_items}
+
+
+def emit(battery: str):
+    """Print the battery's items as one JSON document, with the file of the toptrap that made them."""
+    import toptrap
+
+    json.dump({"module": toptrap.__file__, "items": list(EMITTERS[battery]())}, sys.stdout)
+
+
+def items_of(tree: str, battery: str) -> list:
+    """The battery's items, emitted by a fresh process on ``tree``'s sources."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit", battery], env=env, cwd=tree,
+                          stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bit_diff: the {battery} battery exited {done.returncode} in {tree}")
+    found = json.loads(done.stdout)
+    if not os.path.realpath(found["module"]).startswith(os.path.realpath(tree) + os.sep):
+        raise SystemExit(f"bit_diff: the {battery} battery in {tree} imported {found['module']}")
+    return found["items"]
+
+
+def ulps_apart(a: str, b: str) -> float | None:
+    """The distance between two ``float.hex`` outputs in ulp of the larger, or None unless both are finite floats."""
+    try:
+        x, y = float.fromhex(a), float.fromhex(b)
+    except (TypeError, ValueError):
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return None
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+def compare(base: list, change: list) -> list[tuple[str, str, str]]:
+    """(inputs, base output, change output) for every item whose outputs differ; both sides must list the same
+    inputs in the same order."""
+    if [key for key, _ in base] != [key for key, _ in change]:
+        raise ValueError("the two trees emitted different inputs")
+    return [(key, old, new) for (key, old), (_, new) in zip(base, change) if old != new]
+
+
+def report(battery: str, count: int, diffs: list[tuple[str, str, str]], shown: int = 5) -> list[str]:
+    """The battery's summary line, then up to ``shown`` differing items as inputs: base -> change."""
+    distances = [d for d in (ulps_apart(old, new) for _, old, new in diffs) if d is not None]
+    widest = f", widest {max(distances):.3g} ulp over {len(distances)} float pairs" if distances else ""
+    lines = [f"{battery}: {count} compared, {len(diffs)} differ{widest}"]
+    lines += [f"  {key}: {old} -> {new}" for key, old, new in diffs[:shown]]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="git revision to compare against, e.g. HEAD~1")
+    parser.add_argument("--battery", action="append", choices=BATTERIES, help="repeatable; default all")
+    parser.add_argument("--shown", type=int, default=5, help="differing items listed per battery (default 5)")
+    parser.add_argument("--emit", choices=BATTERIES, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit)
+        return 0
+    if not args.base:
+        parser.error("--base is required")
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from bench_pairs import copy_worktree, unpack
+
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # run the cleanup below on a kill too
+    scratch = tempfile.mkdtemp(prefix="bit_diff-")
+    try:
+        base = unpack(args.base, os.path.join(scratch, "base"))
+        change = copy_worktree(os.path.join(scratch, "change"))
+        print(f"base {args.base}, change working tree")
+        for battery in args.battery or BATTERIES:
+            old, new = items_of(base, battery), items_of(change, battery)
+            print("\n".join(report(battery, len(old), compare(old, new), args.shown)), flush=True)
+    finally:
+        shutil.rmtree(scratch)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
