@@ -244,7 +244,8 @@ def _integrate_dp45(rhs, sample_ts, y0, rel_tol, abs_tol, h_cap, frame_freq=0.0,
                 abs_a1, abs_b1 = abs(a1), abs(b1)
                 scale_a = tol + rel_tol * (abs_a1 if abs_a1 > abs_a else abs_a)  # max(abs_a, abs_a1), NaN alike
                 scale_b = tol + rel_tol * (abs_b1 if abs_b1 > abs_b else abs_b)
-                err = math.sqrt(0.5 * (abs(err_a / scale_a) ** 2 + abs(err_b / scale_b) ** 2))
+                q_a, q_b = abs(err_a / scale_a), abs(err_b / scale_b)  # squared by *: a float ** 2 raises on overflow
+                err = math.sqrt(0.5 * (q_a * q_a + q_b * q_b))
                 if not err <= 1.0:  # a NaN too
                     message = f"error norm {err:.3g} above 1: error control would need a step below the route's cap"
                     raise IntegrationError(message, t)

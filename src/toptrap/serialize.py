@@ -168,7 +168,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
-    while value <= hi + 1e-9 * step and len(ticks) <= TICKS:
+    while value <= hi + 1e-9 * step and value < math.inf and len(ticks) <= TICKS:  # hi + slack may overflow
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return ticks
@@ -187,20 +187,22 @@ def render_line_chart(
     y_label: str = "",
     annotation: str = "",
 ) -> str:
-    """Render a multi-curve line chart as a standalone SVG document."""
+    """Render a multi-curve line chart as a standalone SVG document.  A window wider than the largest float (either
+    span, y with its 5% pad, or a flat series at the largest float) is a ValueError naming the data's range."""
     if not series:
         raise ValueError("at least one series is required")
-    x_lo = min(float(np.min(s.x)) for s in series)
-    x_hi = max(float(np.max(s.x)) for s in series)
-    y_lo = min(float(np.min(s.y)) for s in series)
-    y_hi = max(float(np.max(s.y)) for s in series)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    x_lo, x_hi = min(float(np.min(s.x)) for s in series), max(float(np.max(s.x)) for s in series)
+    y_lo, y_hi = min(float(np.min(s.y)) for s in series), max(float(np.max(s.y)) for s in series)
+    data = f"x in [{x_lo!r}, {x_hi!r}] and y in [{y_lo!r}, {y_hi!r}]"
+    if x_hi == x_lo:  # one unit wide, or one ulp where adding 1 is lost
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not (x_hi - x_lo < math.inf and y_hi - y_lo < math.inf):
+        raise ValueError(f"cannot chart {data}: the window, y padded by 5%, is wider than the largest float")
 
     left, right, top, bottom = 64.0, 16.0, 34.0, 48.0
     plot_w = WIDTH - left - right

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,19 +93,6 @@ def check_finite(quantity, values, **inputs):
         raise ValueError(f"{' and '.join(inputs)} must keep {quantity} finite, got {got}")
 
 
-class _cached:
-    """A value computed on first read and stored in the instance ``__dict__``, where later reads find it
-    before this non-data descriptor: ``functools.cached_property`` as of Python 3.12, without the lock that
-    3.11's version takes on every first read.  A raising read stores nothing.  A value that ``__init__`` already
-    stored is found in ``__dict__`` and never computed here."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
-
-
 @dataclass(frozen=True)
 class DriveParams:
     """Reduced parameters of the rotating spin drive.
@@ -134,12 +122,12 @@ class DriveParams:
         state["coupling"] = omega * math.sin(theta)
         # omega_bar_of's bits where omega0 omega is a normal float: there ``math`` does the rest and ``abs(complex(a,
         # b))`` the libm ``hypot`` that ``np.hypot`` calls (not ``math.hypot``, off in the last bit), which cannot
-        # overflow (2 sqrt(omega0 omega) <= 2.7e154).  Other drives compute it on first read, through _cached.
+        # overflow (2 sqrt(omega0 omega) <= 2.7e154).  Other drives compute the cached_property on first read.
         product = omega0 * omega
         if FLOAT_MIN <= product <= FLOAT_MAX:
             state["omega_bar"] = abs(complex(omega0 - omega, math.sqrt(product) * chord(theta, math.sin)))
 
-    @_cached
+    @cached_property
     def omega_bar(self) -> float:
         """Effective Rabi frequency; zero only for omega0 == omega, theta == 0.
 
@@ -151,7 +139,7 @@ class DriveParams:
         """
         return float(omega_bar_of(self.omega0, self.omega, self.theta))
 
-    @_cached
+    @cached_property
     def drift(self) -> float:
         """Diagonal rate omega0 - omega cos(theta) of the amplitude equations, computed once per instance.
 

@@ -1,12 +1,21 @@
-"""The pure parts of ``tools/bit_diff.py``: outputs as text, the comparison of two trees' items and its report.
+"""The pure parts of ``tools/bit_diff.py``: outputs as text, the routes battery's emitter, the comparison of two trees'
+items and its report.
 
-Nothing here unpacks a tree or runs a battery; the script is loaded from its file, as ``tools`` is not a package.
+Nothing here unpacks a tree or runs a battery in a subprocess; the script is loaded from its file, as ``tools`` is not
+a package.
 """
 
+import ast
 import importlib.util
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
+from toptrap.spin import DriveParams
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bit_diff", ROOT / "tools" / "bit_diff.py")
@@ -21,6 +30,35 @@ def refuse():
 def test_outcome_is_the_float_hex_or_the_refusal():
     assert bit_diff.outcome(lambda: 0.1) == (0.1).hex()
     assert bit_diff.outcome(refuse) == "ValueError: x must be finite, got nan"
+
+
+def test_outcome_takes_a_text_for_other_results():
+    assert bit_diff.outcome(lambda: [1, 2], text=repr) == "[1, 2]"
+    assert bit_diff.outcome(refuse, text=repr) == "ValueError: x must be finite, got nan"
+
+
+def test_route_items_name_each_route_and_digest_its_probabilities():
+    """Three items per drive, in route order, each the sha256 of the route's survival then transition bytes over
+    ROUTE_SAMPLES samples of ROUTE_PERIODS Rabi periods; the same seed gives the same items."""
+    items = list(bit_diff.route_items(3))
+    assert items == list(bit_diff.route_items(3))
+    routes = (evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame)
+    assert len(items) == 9
+    for (key, output), route in zip(items, routes * 3):
+        name, *drive = ast.literal_eval(key)
+        assert name == route.__name__
+        assert 1e-3 <= drive[0] <= 1e3 and 1e-3 <= drive[1] <= 1e3 and 0.0 <= drive[2] <= math.pi
+        p = DriveParams(*drive)
+        span = bit_diff.ROUTE_PERIODS * 2.0 * math.pi / p.omega_bar
+        series = route(p, np.linspace(0.0, span, bit_diff.ROUTE_SAMPLES))
+        assert re.fullmatch("sha256 [0-9a-f]{64}", output) and output == bit_diff.series_digest(series)
+    assert len({output for _, output in items}) == len(items)
+
+
+def test_series_digest_covers_both_columns_in_order():
+    series = evolve_rotating_frame(DriveParams(1.0, 1.5, 1.0), np.linspace(0.0, 1.0, 5))
+    swapped = type(series)(series.times, series.transition, series.survival, series.method)
+    assert bit_diff.series_digest(series) != bit_diff.series_digest(swapped)
 
 
 def test_extreme_grid_has_the_stated_size():

@@ -310,6 +310,14 @@ class TestEvolve:
         message = "error norm 3.24e+07 above 1: error control would need a step below the route's cap (t = 0.0)"
         assert (code, out, err) == (EXIT_INTEGRITY, "", f"toptrap: integrity failure: {message}\n")
 
+    def test_error_norm_beyond_the_float_range_is_integrity_failure(self, capsys):
+        """At abs_tol 1e-300 the first step's error ratio passes 1.3e154, whose float square raised OverflowError
+        out of ``main``: the norm is now inf, a step the stepper refuses."""
+        argv = ["evolve", "--omega0", "1e-50", "--omega", "1e-50", "--theta", "1", "--t-max", "1", "--samples", "3"]
+        code, out, err = run(argv + ["--method", "ode", "--rel-tol", "1e-200", "--abs-tol", "1e-300"], capsys)
+        message = "error norm inf above 1: error control would need a step below the route's cap (t = 0.0)"
+        assert (code, out, err) == (EXIT_INTEGRITY, "", f"toptrap: integrity failure: {message}\n")
+
     @pytest.mark.parametrize("method", ["ode", "lab"])
     def test_stage_sums_just_inside_the_float_range(self, method, capsys):
         """At omega0 = 3e307 every stage sum stays finite: both ODE routes solve and follow the propagator."""
@@ -483,6 +491,19 @@ class TestTau:
         )
         assert code == EXIT_OK
         assert len(svg_curves(out_path)) == 1
+
+    def test_chart_window_beyond_the_float_range_is_usage_error(self, tmp_path, capsys):
+        """tau reaches 1.79e308 at x = 1, and the 5% pad took the y window to inf: the chart's ticks raised
+        OverflowError out of ``main``, where the csv of the same call is written.  No file is left."""
+        out_path = tmp_path / "tau.svg"
+        argv = ["tau", "--theta", "5.6e-309", "--x-min", "0.9", "--x-max", "1.1", "--steps", "3"]
+        code, out, err = run(argv + ["--format", "svg", "--out", str(out_path)], capsys)
+        refusal = "cannot chart x in [0.9, 1.1] and y in [9.999999999999991, 1.7857142857142864e+308]"
+        assert (code, out) == (EXIT_USAGE, "") and not out_path.exists()
+        assert err.endswith(f"\ntoptrap: {refusal}: the window, y padded by 5%, is wider than the largest float\n")
+        assert err.count("toptrap:") == 1 and "Traceback" not in err
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK and parse_csv(out).column("tau").max() == 1.7857142857142864e308
 
     def test_svg_dashes_only_obtuse_angles(self, tmp_path, capsys):
         out_path = tmp_path / "tau.svg"

@@ -398,6 +398,23 @@ class TestFailureModes:
             _integrate_dp45(hopeless, np.array([0.0, 1.0]), (1.0 + 0j, 0.0j), 1e-10, 1e-12, 0.1)
         assert err.value.t == 0.0
 
+    @pytest.mark.parametrize(
+        "route, drive, tolerances",
+        [
+            (evolve_instantaneous_basis, (1e-50, 1e-50, 1.0), (1e-200, 1e-300)),
+            (evolve_instantaneous_basis, (1e-100, 1e-100, 1.0), (1e-290, 1e-320)),
+            (evolve_lab_frame, (1e-100, 1e-100, 1.0), (1e-290, 1e-320)),
+        ],
+        ids=["instantaneous-1e-50", "instantaneous-1e-100", "lab-1e-100"],
+    )
+    def test_error_norm_beyond_the_float_range_is_refused(self, route, drive, tolerances):
+        """An error ratio above 1.3e154 at these absolute tolerances squares past the largest float: ``** 2`` raised
+        OverflowError out of the solve, and the norm is now inf, which the step refuses."""
+        message = f"^error norm inf above 1: {NEEDS_CONTROL}$"
+        with pytest.raises(IntegrationError, match=message) as err:
+            route(DriveParams(*drive), np.array([0.0, 0.5, 1.0]), IntegratorSettings(*tolerances))
+        assert err.value.t == 0.0
+
     def test_corrupt_error_estimate_is_refused_not_run_out(self, monkeypatch):
         """With the last error weight -1/41 for -1/40 the estimate is first order, far above 1 at the route's cap:
         the first step is refused, where error control once shrank h to about 3e-9 and ran 2 * _MAX_STEPS attempts."""

@@ -30,6 +30,8 @@ from toptrap.sweep import figure_dataset
 
 RNG = np.random.default_rng(3)
 SVG_NS = "{http://www.w3.org/2000/svg}"
+MAX = sys.float_info.max
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # the whole float range, subnormals and -0.0 too
 
 
 def reference_csv(table):
@@ -316,26 +318,65 @@ class TestSvg:
             (1.0, 1.0 + 4 * TICKS * 2.0**-52, [1.0, 1.000000000000002, 1.000000000000004]),
             (1.0, 1.0 + (4 * TICKS - 1) * 2.0**-52, [1.0]),
             (1e10 - 10.0, 1e10, [9999999990.0, 9999999992.0, 9999999994.0, 9999999996.0, 9999999998.0, 1e10]),
+            (0.0, MAX, [0.0, 5e307, 1e308, 1.5e308]),
         ],
-        ids=["4-TICKS-ulp-wide", "one-ulp-narrower", "slack-rounds-away"],
+        ids=["4-TICKS-ulp-wide", "one-ulp-narrower", "slack-rounds-away", "up-to-the-largest-float"],
     )
     def test_nice_ticks_at_their_edges(self, lo, hi, ticks):
         """A range of 4 TICKS ulp gets round ticks, one ulp less only lo.  At 1e10 the 1e-9 step of slack rounds away
-        in hi + 1e-9 step, so the tick on hi is kept only by the <= of the loop."""
+        in hi + 1e-9 step, so the tick on hi is kept only by the <= of the loop.  Up to the largest float, hi + 1e-9
+        step is inf, and the step past 1.5e308 once gave ticks at inf."""
         assert _nice_ticks(lo, hi) == ticks
 
     @pytest.mark.parametrize(
         "xs, ys, window",
-        [([2.0, 2.0], [0.0, 1.0], (2.0, 3.0, -0.05, 1.05)), ([0.0, 1.0], [0.5, 0.5], (0.0, 1.0, 0.45, 1.55))],
-        ids=["flat-x", "flat-y"],
+        [
+            ([2.0, 2.0], [0.0, 1.0], (2.0, 3.0, -0.05, 1.05)),
+            ([0.0, 1.0], [0.5, 0.5], (0.0, 1.0, 0.45, 1.55)),
+            ([2.0**53] * 2, [0.0, 1.0], (2.0**53, 2.0**53 + 2.0, -0.05, 1.05)),
+            ([-(2.0**60)] * 2, [0.0, 1.0], (-(2.0**60), -(2.0**60) + 128.0, -0.05, 1.05)),
+            ([1e300] * 2, [0.0, 1.0], (1e300, math.nextafter(1e300, math.inf), -0.05, 1.05)),
+        ],
+        ids=["flat-x", "flat-y", "flat-x-at-2^53", "flat-x-at-minus-2^60", "flat-x-at-1e300"],
     )
     def test_flat_series_window_widened_by_one(self, xs, ys, window):
-        """A flat series would divide by a zero-width window; its axis spans one unit from the value, y then padded 5%."""
+        """A flat series would divide by a zero-width window; its axis spans one unit from the value, y then padded 5%.
+        From 2^53 on, x + 1 rounds to x, which raised ZeroDivisionError: the axis spans one ulp there."""
         root = ET.fromstring(render_line_chart([ChartSeries("s", np.array(xs), np.array(ys))]))
         got = tuple(float(root.get(f"data-{name}")) for name in ("x-min", "x-max", "y-min", "y-max"))
         assert got == pytest.approx(window, rel=0, abs=1e-15)
         points = [tuple(map(float, raw.split(","))) for raw in next(root.iter(f"{SVG_NS}polyline")).get("points").split()]
         assert len(points) == 2 and all(math.isfinite(v) for point in points for v in point)
+
+    @pytest.mark.parametrize(
+        "xs, ys, data",
+        [
+            ([0.9, 1.0, 1.1], [10.0, 1.7857142857142864e308, 10.0], "[0.9, 1.1] and y in [10.0, 1.7857142857142864e+308]"),
+            ([0.0, 1.0], [-1e308, 1e308], "[0.0, 1.0] and y in [-1e+308, 1e+308]"),
+            ([-1e308, 1e308], [0.0, 1.0], "[-1e+308, 1e+308] and y in [0.0, 1.0]"),
+            ([MAX, MAX], [0.0, 1.0], "[1.7976931348623157e+308, 1.7976931348623157e+308] and y in [0.0, 1.0]"),
+        ],
+        ids=["tau-peak", "y-span", "x-span", "flat-x-at-the-largest-float"],
+    )
+    def test_window_beyond_the_float_range_refused(self, xs, ys, data):
+        """tau reaches 1.79e308 at x = 1, where the 5% pad took the y window to inf and the ticks raised OverflowError;
+        a span that overflows by itself, or the ulp added to a flat x at the largest float, is refused alike."""
+        message = re.escape(f"cannot chart x in {data}: the window, y padded by 5%, is wider than the largest float")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            render_line_chart([ChartSeries("s", np.array(xs), np.array(ys))])
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(st.lists(st.integers(1, 5).flatmap(lambda n: st.tuples(*[arrays(float, n, elements=FINITE)] * 2)),
+                        min_size=1, max_size=3))
+    def test_finite_series_give_a_chart_or_a_refusal(self, pairs):
+        """Finite series from across the float range: a well-formed SVG with no inf or nan in it, or the window's
+        ValueError, nothing else."""
+        try:
+            text = render_line_chart([ChartSeries(f"s{k}", x, y) for k, (x, y) in enumerate(pairs)])
+        except ValueError as refusal:
+            assert str(refusal).startswith("cannot chart x in [")
+        else:
+            assert ET.fromstring(text).tag == f"{SVG_NS}svg" and "inf" not in text and "nan" not in text
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

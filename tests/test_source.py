@@ -12,9 +12,6 @@ its overflow report live in ``spin.omega_bar_of``: ``DriveParams.__init__`` keep
 domain test, ``DriveParams.omega_bar`` none, neither a report, and only the rotating-frame propagator, an independent
 route, reports its own omega_bar.
 
-No module uses ``functools.cached_property``: on Python 3.11 it takes a lock on every first read, and
-``spin._cached`` caches the same way without one.
-
 Every module-level private name (``_name``, not ``__dunder__``) is read somewhere in the package: a stand-in for
 vulture's unused-code report, which keeps leftovers of removed code paths out.
 
@@ -130,17 +127,6 @@ def test_omega_bar_rule_and_report_only_in_omega_bar_of():
     normal_tests = [node for node in compares if "product" in {getattr(name, "id", None) for name in ast.walk(node)}]
     assert len(compares) == 4 and len(normal_tests) == 1 and normal_tests[0] in init  # three domain rules, one normal
     assert "check_finite" not in {getattr(node, "id", getattr(node, "attr", None)) for node in init + getter}
-
-
-def test_no_module_uses_functools_cached_property():
-    uses = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.alias) and node.name == "cached_property"
-        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
-    ]
-    assert uses == []
 
 
 def bound_at_module_level(node) -> list[str]:

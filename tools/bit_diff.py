@@ -7,9 +7,9 @@
 directory; the change is a copy of this checkout's working tree there (both from ``tools/bench_pairs.py``).  Each
 battery runs in a fresh process in each tree: this script, with ``--emit NAME`` and that tree's ``src`` first on
 ``PYTHONPATH``, prints every item of the battery as [inputs, output].  An output is the ``float.hex`` of a float, the
-type and message of an exception (a refusal compares as its message), or the exit code and sha256 of the CLI's stdout
-bytes.  For each battery the report gives the number of items compared, the number whose outputs differ, the largest
-distance in ulp between two differing floats, and the first differing inputs.
+type and message of an exception (a refusal compares as its message), the sha256 of a route's probabilities, or the exit
+code and sha256 of the CLI's stdout bytes.  For each battery the report gives the number of items compared, the number
+whose outputs differ, the largest distance in ulp between two differing floats, and the first differing inputs.
 
 Batteries:
 
@@ -17,6 +17,9 @@ Batteries:
   [1e-3, 1e3], theta uniform in [0, pi], half at t = 0, default dt) and on the 1,575-drive extreme grid below;
 * ``atoms``: the ``field_at`` components, ``larmor_at`` and ``field_angle_at`` on a seeded 100,000-atom cloud in the
   ``cloud_scan`` trap of ``bench/workloads.py``, drawn as that workload draws its atoms;
+* ``routes``: ``evolve_instantaneous_basis``, ``evolve_lab_frame`` and ``evolve_rotating_frame`` at the default
+  tolerances on 1,000 seeded random drives (omega0 and omega log-uniform in [1e-3, 1e3], theta uniform in [0, pi]),
+  each over 64 samples of 3 Rabi periods; an output is the sha256 of the survival and transition bytes;
 * ``cli``: stdout of fixed ``evolve`` (closed and all), ``tau``, ``fig`` (csv and json) and ``adiabatic`` commands.
 
 Standard library and numpy only.  The script changes nothing in either tree; its directory is removed at exit.
@@ -38,13 +41,14 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BATTERIES = ("element", "atoms", "cli")
+BATTERIES = ("element", "atoms", "routes", "cli")
 
 FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
 GRID_OMEGA0 = (5e-324, 1.5e-323, 1e-310, FLOAT_MIN, 1e-300, 1.0, 1e155, 1e300, 1.7e308)
 GRID_OMEGA = (0.0, 5e-324, 1e-308, 1e-3, 1.0, 1e300, 1.7e308)
 GRID_THETA = (0.0, 1e-8, 1.0, math.pi / 2, math.pi)
 GRID_T_DT = ((0.0, None), (1.0, None), (1e300, None), (0.0, 5e-324), (1.0, 1e-3))
+ROUTE_DRIVES, ROUTE_SAMPLES, ROUTE_PERIODS = 1000, 64, 3.0
 CLOUD_TRAP = dict(a0=1.0, b0=1e-3, omega=2.0 * math.pi * 7e3, gamma=4.4e10, mu=9.274e-24, mass=1.443e-25)
 DRIVE = ["--omega0", "1", "--omega", "1.5", "--theta", "1"]
 COMMANDS = (
@@ -60,10 +64,10 @@ COMMANDS = (
 )
 
 
-def outcome(call) -> str:
-    """``call()``'s float as ``float.hex``, or its exception as ``Type: message``."""
+def outcome(call, text=lambda value: float(value).hex()) -> str:
+    """``text`` of ``call()``, by default a float's ``float.hex``, or its exception as ``Type: message``."""
     try:
-        return float(call()).hex()
+        return text(call())
     except Exception as exc:  # a refusal is an output to compare
         return f"{type(exc).__name__}: {exc}"
 
@@ -103,6 +107,25 @@ def atom_items():
         yield repr(("field_angle_at", x, y, t, z)), outcome(lambda: field_angle_at(config, x, y, t, z))
 
 
+def series_digest(series) -> str:
+    """The sha256 of a TimeSeries' survival bytes, then its transition bytes."""
+    return "sha256 " + hashlib.sha256(series.survival.tobytes() + series.transition.tobytes()).hexdigest()
+
+
+def route_items(n: int = ROUTE_DRIVES):
+    import numpy as np
+    from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
+    from toptrap.spin import DriveParams
+
+    rng = np.random.default_rng(2024)
+    omega0, omega = 10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-3.0, 3.0, n)
+    for drive in zip(omega0.tolist(), omega.tolist(), rng.uniform(0.0, math.pi, n).tolist()):
+        p = DriveParams(*drive)
+        ts = np.linspace(0.0, ROUTE_PERIODS * 2.0 * math.pi / p.omega_bar, ROUTE_SAMPLES)
+        for route in (evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame):
+            yield repr((route.__name__, *drive)), outcome(lambda: route(p, ts), series_digest)
+
+
 def cli_items():
     from toptrap.cli import main
 
@@ -113,7 +136,7 @@ def cli_items():
         yield " ".join(argv), f"exit {code}, sha256 {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
 
 
-EMITTERS = {"element": element_items, "atoms": atom_items, "cli": cli_items}
+EMITTERS = {"element": element_items, "atoms": atom_items, "routes": route_items, "cli": cli_items}
 
 
 def emit(battery: str):
