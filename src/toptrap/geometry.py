@@ -157,21 +157,21 @@ def oscillation_frequency(c: TrapConfig) -> float:
 
 
 def larmor_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) -> float:
-    """Local Larmor frequency |gamma| * |B| at (x, y, z), rad/s.
+    """Local Larmor frequency |gamma| * |B| at (x, y, z), rad/s, also where |B| alone is beyond the floats.
 
     Raises:
-        ValueError: on (or numerically at) the circle of death, where the
-            field magnitude vanishes and the Larmor frequency is undefined,
-            naming the field components where the magnitude overflows, and gamma and |B| where omega0 overflows
-            or underflows to 0.
+        ValueError: on (or numerically at) the circle of death, where the field magnitude vanishes and the Larmor
+            frequency is undefined, naming the field components where one is infinite, and gamma and |B| (the
+            components where |B| overflows) where omega0 overflows or underflows to 0.
     """
     bx, by, bz, b = _field(c, x, y, z, t)
-    if not ZERO_FIELD_RTOL * c.b0 < b < math.inf:  # |B| overflows (reported by magnitude) or vanishes
-        FieldVector(bx, by, bz).magnitude()
+    if not ZERO_FIELD_RTOL * c.b0 < b:
         raise ValueError("Larmor frequency undefined at field zero")
-    omega0 = abs(c.gamma) * b if b >= FLOAT_MIN else math.hypot(*(abs(c.gamma) * v for v in (bx, by, bz)))
+    omega0 = abs(c.gamma) * b if FLOAT_MIN <= b < math.inf else math.hypot(*(abs(c.gamma) * v for v in (bx, by, bz)))
     if not 0.0 < omega0 < math.inf:  # overflows, or underflows to 0 with an infinite Larmor period
-        check_finite("the Larmor frequency" if omega0 else "the Larmor period", math.inf, gamma=c.gamma, **{"|B|": b})
+        check_finite("|B|", (bx, by, bz), bx=bx, by=by, bz=bz)  # an infinite component
+        field = {"|B|": b} if b < math.inf else {"bx": bx, "by": by, "bz": bz}
+        check_finite("the Larmor frequency" if omega0 else "the Larmor period", math.inf, gamma=c.gamma, **field)
     return omega0
 
 
@@ -179,15 +179,15 @@ def field_angle_at(c: TrapConfig, x: float, y: float, t: float, z: float = 0.0) 
     """Polar angle arccos(Bz/|B|) of the field at (x, y, z); pi/2 anywhere in z = 0.
 
     Raises:
-        ValueError: at the field zero, where the direction is undefined, and
-            naming the field components where the magnitude overflows.
+        ValueError: at the field zero, where the direction is undefined, and naming the components where one is inf.
     """
     bx, by, bz, b = _field(c, x, y, z, t)
-    if not ZERO_FIELD_RTOL * c.b0 < b < math.inf:  # |B| overflows (reported by magnitude) or vanishes
-        FieldVector(bx, by, bz).magnitude()
+    if not ZERO_FIELD_RTOL * c.b0 < b:
         raise ValueError("field angle undefined at field zero")
-    if b < FLOAT_MIN:  # the components scaled by 2^600, exactly, keep the bits that a subnormal |B| has lost
-        bz, b = bz * 2.0**600, math.hypot(bx * 2.0**600, by * 2.0**600, bz * 2.0**600)
+    if not FLOAT_MIN <= b < math.inf:  # scaled by 2^600 or 2^-600, exactly, the components give |B| in full
+        check_finite("|B|", (bx, by, bz), bx=bx, by=by, bz=bz)  # an infinite component
+        k = 2.0**600 if b < FLOAT_MIN else 2.0**-600
+        bz, b = bz * k, math.hypot(bx * k, by * k, bz * k)
     return math.acos(bz / b)
 
 

@@ -51,6 +51,17 @@ def omega_bar_of(omega0, omega, theta):
     return wb
 
 
+def adiabaticity_of(omega0, omega, theta):
+    """(omega / (2 omega0)) sin(theta), broadcast, as 0.5 m ms / m0 on the mantissas of omega, sin(theta) and omega0
+    and one exact ldexp by their exponents: no subnormal input loses a bit, and where every step is normal these are
+    the bits of 0.5 omega sin(theta) / omega0.  A ValueError names omega0 and omega where the parameter overflows."""
+    (m0, e0), (m, e), (ms, es) = np.frexp(omega0), np.frexp(omega), np.frexp(np.sin(theta))
+    with np.errstate(over="ignore"):  # an overflowing parameter is named below
+        parameter = np.ldexp(0.5 * m * ms / m0, e + es - e0)
+    check_finite("the adiabaticity parameter", parameter, omega0=omega0, omega=omega)
+    return parameter
+
+
 # Named (rule, test) pairs for check, then the drive domain: a rule per input; nan fails every test.  Bounded by
 # FLOAT_MAX, not inf, so a Python int beyond the float range fails its test rather than overflowing a conversion.
 FINITE = ("finite", lambda v: abs(v) <= FLOAT_MAX)
@@ -211,7 +222,7 @@ def eigensystem_at(p: DriveParams, t: float) -> EigenPair:
 
 
 def adiabaticity_parameter(p: DriveParams) -> float:
-    """Dimensionless adiabaticity measure (omega / (2 omega0)) sin(theta).
+    """Dimensionless adiabaticity measure (omega / (2 omega0)) sin(theta), from :func:`adiabaticity_of`.
 
     Evolution is adiabatic when this is much less than one; note that the
     angle enters on equal footing with the frequency ratio, so a slow drive
@@ -220,18 +231,18 @@ def adiabaticity_parameter(p: DriveParams) -> float:
     Raises:
         ValueError: naming omega0 and omega where the parameter overflows.
     """
-    parameter = 0.5 * p.omega * math.sin(p.theta) / p.omega0
-    check_finite("the adiabaticity parameter", parameter, omega0=p.omega0, omega=p.omega)
-    return parameter
+    return float(adiabaticity_of(p.omega0, p.omega, p.theta))
 
 
 def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None = None) -> float:
     """Evaluate |<-(t)| dH/dt |+(t)>| / (E+ - E-)^2 by central differences.
 
     The squared gap makes the ratio dimensionless; for this drive it is independent of ``t`` and converges
-    quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  The real element of H(t + dt) - H(t - dt) is divided
-    by the gap omega0, by the spacing of the rounded ends t +/- dt (2 dt only where both round exactly, as at t = 0)
-    and by omega0 again, one at a time: no complex divide (by a reciprocal) and no squared gap leaves the float range.
+    quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  On :func:`eigenbasis`'s turns T at t -/+ dt and t,
+    x = sin(theta) (conj T+ - conj T-) T0 gives |<-|H(t + dt) - H(t - dt)|+>| / omega0 as |s^2 x - c^2 conj x| / 2,
+    the diagonal cancelled exactly; it, the spacing of the rounded ends and omega0 are joined as mantissas and exact
+    exponents.  A flipping drive (omega, theta > 0) is refused where that difference, below 2^-1048, keeps fewer than
+    26 bits (an error above 1.5e-8; subnormals step by 2^-1074), or the element is below the smallest normal float.
 
     Args:
         p: drive parameters.
@@ -239,11 +250,9 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         dt: finite-difference step; by default 1e-6 of the shortest drive period, against truncation and round-off.
 
     Raises:
-        ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming omega0 and omega where
-            the default dt overflows, t and dt where t +/- dt overflows, omega, t and dt where the phase
-            omega (t +/- dt) does, t and dt where t +/- dt rounds to t (the difference would be 0), and omega0,
-            omega, dt where the element overflows, or is below the smallest normal float while the coupling is not 0
-            (its bits are lost).
+        ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming omega0 and omega where the
+            default dt overflows, t and dt where t +/- dt overflows or rounds to t, omega, t and dt where the phase
+            omega (t +/- dt) overflows, and omega0, omega, dt where the element overflows or its bits are lost.
     """
     if dt is None:
         dt = 1e-6 * 2.0 * math.pi / max(p.omega, p.omega0)
@@ -254,11 +263,11 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         check_finite("t +/- dt", ends, t=t, dt=dt)
         check_finite("the phase omega (t +/- dt)", p.omega * ends, omega=p.omega, t=t, dt=dt)
         check("dt", f"large enough that t +/- dt differs from t = {t!r}", lambda v: (t - v != t) & (t + v != t), dt)
-        (s, minus_c), (c, _), turn = eigenbasis(p, t)
-        h_low, h_high = hamiltonian_at(p, ends)
-        element = np.vdot(np.array([s, minus_c * turn]), (h_high - h_low) @ np.array([c, s * turn]))
-        result = float(abs(element) / p.omega0 / (ends[1] - ends[0]) / p.omega0)
-    if result < FLOAT_MIN and p.coupling:  # a flipping drive's element has lost its bits: refused below
-        result = math.nan
-    check_finite("the matrix element", result, omega0=p.omega0, omega=p.omega, dt=dt)
+        (s, _), (c, _), (low, mid, high) = eigenbasis(p, [ends[0], t, ends[1]])
+        x = math.sin(p.theta) * (high.conjugate() - low.conjugate()) * mid
+        difference = 0.5 * abs(s * s * x - c * c * x.conjugate())
+        (md, ed), (ms, es), (mo, eo) = map(math.frexp, (difference, ends[1] - ends[0], p.omega0))
+        result = float(np.ldexp(md / (ms * mo), ed - es - eo))
+    lost = p.omega and p.theta and (difference < 2.0**-1048 or result < FLOAT_MIN)  # a flipping drive's bits
+    check_finite("the matrix element", math.nan if lost else result, omega0=p.omega0, omega=p.omega, dt=dt)
     return result

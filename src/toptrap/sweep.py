@@ -19,7 +19,7 @@ import numpy as np
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
 from .closed_form import probabilities, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
-from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, check, check_domain, check_finite, omega_bar_of
+from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, adiabaticity_of, check, check_domain, check_finite, omega_bar_of
 
 AXIS_NAMES = ("omega0", "omega", "theta", "t", "x")
 QUANTITIES = ("survival", "transition", "tau", "adiabaticity", "omega_bar")
@@ -184,12 +184,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 _check_oracle(q, col[q], col[f"{q}_ode"], spec.axes)
         elif q == "tau":
             col[q][...] = tau_of_ratio(x, theta) if x is not None else tau_of_drive(omega0, omega, theta)[1]
-        else:  # adiabaticity or omega_bar, named with omega0 and omega where not finite
+        else:  # adiabaticity or omega_bar: its kernel names omega0 and omega where it overflows
             if x is not None:  # omega0 = x * omega is checked only here: tau may take x = 0
                 check_domain("omega0", omega0)
-            with np.errstate(all="ignore"):
-                col[q][...] = 0.5 * omega * np.sin(theta) / omega0 if q == "adiabaticity" else omega_bar_of(omega0, omega, theta)
-            check_finite(q, col[q], omega0=omega0, omega=omega)
+            col[q][...] = (adiabaticity_of if q == "adiabaticity" else omega_bar_of)(omega0, omega, theta)
     for a in spec.axes:  # last: the kernel's temporaries are freed before these pages are first touched
         col[a.name][...] = inputs[a.name]
 

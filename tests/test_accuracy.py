@@ -1,5 +1,5 @@
-"""Accuracy contract of the closed form over ``spin.DOMAIN`` and of the trap field over the whole float range, against
-50-digit mpmath references.
+"""Accuracy contract of the closed form over ``spin.DOMAIN`` and of the trap field and the adiabaticity measures over
+the whole float range, against 50-digit mpmath references.
 
 The references take the float inputs as exact and evaluate every formula in 50 significant digits, where nothing
 cancels, overflows or underflows: wbar^2 as (omega0 - omega)^2 + 4 omega0 omega sin^2(theta/2), the drive's tau as
@@ -18,28 +18,48 @@ every component, trap scale and position drawn from the whole float range (subno
   rounding of the quotient), plus 1 ulp of the angle for acos itself: acos's conditioning, 1/sqrt(1 - u^2), taken
   exactly, so the bound stays finite at angles 0 and pi.
 
-A ValueError passes only where the exact value, or a phase or square the function documents as its limit, leaves
-the float range (for the field: a component, the phase omega t or |B|), and where |B| is at the field zero (within
-rounding of ``ZERO_FIELD_RTOL`` b0).  Near-resonant, small-theta and underflow drives are pinned as examples, and so
-are drives whose survival dips to about 0, where 1 - transition is accurate in absolute terms only.  So are the fields
-once refused: a0 = b0 = 1e-170 and 1e200 at x = 0.5, and a subnormal |B|, whose bits the scaled components keep.
+A ValueError passes only where the exact value, or a phase the function documents as its limit, leaves the float
+range (for the field: a component or the phase omega t; |B| only for ``magnitude``, as ``larmor_at`` and
+``field_angle_at`` scale the components), and where |B| is at the field zero (within rounding of ``ZERO_FIELD_RTOL``
+b0).  Near-resonant, small-theta and underflow drives are pinned as examples, and so are drives whose survival dips to
+about 0, where 1 - transition is accurate in absolute terms only.  So are the fields once refused: a0 = b0 = 1e-170
+and 1e200 at x = 0.5, a subnormal |B|, whose bits the scaled components keep, and an |B| beyond the floats.
+
+The adiabaticity measures, over the whole float range:
+
+* ``adiabaticity_parameter``: within 2 ulp of omega sin(theta) / (2 omega0) wherever that is a normal float (sin,
+  a product and a quotient, each rounded once, on exact mantissas), refused only where it overflows;
+* ``adiabaticity_matrix_element``: against the same central difference evaluated in 50 digits on the float ends
+  t -/+ dt, E = X / (2 (t+ - t-) omega0) for X = |s^2 x - c^2 conj x|, x = sin(theta) (e^{-i omega (t+ - t)} -
+  e^{-i omega (t- - t)}).  The bound is that of X, over 2 (t+ - t-) omega0: 8 eps X at t = 0 and 12 eps X elsewhere
+  (the first-order count of the evaluation's roundings, 7 and 11 eps, each libm sin, cos or exp at one ulp), plus
+  sin(theta) times the sum of the ulps of the three float phases omega t-, omega t, omega t+ (each rounds by half an
+  ulp and moves X by at most twice that), plus 4 eps sin(theta) away from t = 0 for the roundings of the turns
+  e^{i omega t+-}, which cancel exactly at t = 0, where one is the conjugate of the other, plus 2^-1070 for the
+  subnormal roundings of x and its products.  At t = 0 with a phase omega dt below about 1 this is a few eps of E;
+  where the phases are large it is their conditioning.  A refusal passes only where an input rule fails, the value
+  may leave the floats, or, for a drive that flips (omega > 0 and theta > 0), X/2 may lie below the threshold
+  2^-1048 or E below the smallest normal float, each within the bound.  The defects once found are pinned.
 """
 
 import math
+import re
 import sys
 
 import hypothesis as hyp
 import hypothesis.strategies as st
 import mpmath
+import pytest
 
 from toptrap.closed_form import probabilities, resurrection_time, tau_of_ratio
 from toptrap.geometry import ZERO_FIELD_RTOL, FieldVector, TrapConfig, field_angle_at, field_at, larmor_at
-from toptrap.spin import DriveParams, omega_bar_of
+from toptrap.spin import DriveParams, adiabaticity_matrix_element, adiabaticity_parameter, omega_bar_of
 
 mp = mpmath.mp.clone()
 mp.dps = 50
 EPS = sys.float_info.epsilon
 BIG = mp.mpf(sys.float_info.max)
+FLOAT_MIN = sys.float_info.min
 
 rates = st.floats(min_value=0.0, max_value=sys.float_info.max)
 positive_rates = st.floats(min_value=5e-324, max_value=sys.float_info.max)
@@ -209,6 +229,8 @@ class TestField:
     @hyp.example(c=TrapConfig(1e200, 1e200, 1.0, 1.0, 1.0, 1.0), x=0.5, y=0.0, z=0.0, t=0.0)  # once "|B| finite"
     @hyp.example(c=TrapConfig(5e-324, 5e-324, 1.0, 1e300, 1.0, 1.0), x=0.0, y=1.0, z=1.0, t=0.0)  # |B| subnormal
     @hyp.example(c=TrapConfig(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), x=-1.0, y=0.0, z=1e-200, t=0.0)  # angle near 0
+    @hyp.example(c=TrapConfig(1.0, 1.0, 1.0, 1e-10, 1.0, 1.0), x=1.5e308, y=1.5e308, z=0.0, t=0.0)  # |B| beyond
+    @hyp.example(c=TrapConfig(1.0, 1.0, 1.0, 0.5, 1.0, 1.0), x=1.7e308, y=1.7e308, z=5e307, t=0.0)  # the floats
     @SETTINGS
     def test_larmor_and_angle_on_the_field_components(self, c, x, y, z, t):
         try:
@@ -224,14 +246,140 @@ class TestField:
         try:
             omega0 = larmor_at(c, x, y, t, z)
         except ValueError:
-            assert at_zero or beyond_floats(b) or beyond_floats(larmor) or larmor <= mp.mpf(5e-324) / 2 * (1 + 4 * EPS)
+            assert at_zero or beyond_floats(larmor) or larmor <= mp.mpf(5e-324) / 2 * (1 + 4 * EPS)
         else:
             assert not at_zero and ulps(omega0, larmor) <= 2.0
         try:
             theta = field_angle_at(c, x, y, t, z)
         except ValueError:
-            assert at_zero or beyond_floats(b)
+            assert at_zero
         else:
             u = exact(field.bz) / b
             bound = acos_spread(u, 2 * EPS) + mp.mpf(math.ulp(float(mp.acos(u))))
             assert abs(exact(theta) - mp.acos(u)) <= bound
+
+
+class TestAdiabaticityParameter:
+    @hyp.example(omega0=1e-300, omega=5e-324, theta=1.2)  # 0.5 omega rounded to 0: the parameter was 0.0
+    @hyp.example(omega0=0.25, omega=1.1125369292536007e-308, theta=1.0)  # 0.5 omega subnormal: a bit lost
+    @hyp.example(omega0=1.0, omega=1.0, theta=5e-324)  # sin(theta) subnormal
+    @hyp.example(omega0=1e-300, omega=1e300, theta=1.0)  # overflows
+    @over_drives()
+    def test_within_2_ulp_where_normal(self, omega0, omega, theta):
+        reference = exact(omega) * mp.sin(exact(theta)) / (2 * exact(omega0))
+        try:
+            parameter = adiabaticity_parameter(DriveParams(omega0, omega, theta))
+        except ValueError:
+            assert beyond_floats(reference)
+            return
+        if reference >= FLOAT_MIN:
+            assert ulps(parameter, reference) <= 2.0
+
+    def test_subnormal_omega_pinned(self):
+        assert adiabaticity_parameter(DriveParams(1e-300, 5e-324, 1.2)) == 2.302442464788414e-24
+
+
+def default_step(omega0, omega) -> float:
+    return 1e-6 * 2.0 * math.pi / max(omega, omega0)
+
+
+def element_reference(omega0, omega, theta, t, dt):
+    """(exact element, its bound, X/2 less its bound) for the float ends t -/+ dt that the element forms: the element
+    is X / (2 (t+ - t-) omega0) for X = |s^2 x - c^2 conj x|, x = sin(theta) (e^{-i omega (t+ - t)} -
+    e^{-i omega (t- - t)}), and the bound is the module docstring's."""
+    low, high = t - dt, t + dt
+    o0, om, th, centre = exact(omega0), exact(omega), exact(theta), exact(t)
+    s, c, sin_theta = mp.sin(th / 2), mp.cos(th / 2), mp.sin(th)
+    x = sin_theta * (mp.expj(-om * (exact(high) - centre)) - mp.expj(-om * (exact(low) - centre)))
+    big_x = abs(s**2 * x - c**2 * mp.conj(x))
+    phases = (omega * low, omega * t, omega * high)  # the float phases of the turns
+    bound_x = (
+        (8 if t == 0 else 12) * EPS * big_x
+        + sin_theta * sum(mp.mpf(math.ulp(phase)) for phase in phases)
+        + (0 if t == 0 else 4 * EPS * sin_theta)
+        + mp.mpf(2) ** -1070
+    )
+    scale = 2 * (exact(high) - exact(low)) * o0
+    return big_x / scale, bound_x / scale, (big_x - bound_x) / 2
+
+
+def refusal_holds(message, omega0, omega, theta, t, dt, given_dt) -> bool:
+    """Whether the rule that the element's refusal ``message`` names fails: an input rule, a value beyond the floats,
+    or a flipping drive whose difference or element may lie below the stated thresholds."""
+    span = abs(exact(t)) + exact(dt)
+    if "the default step dt" in message:
+        return given_dt is None and beyond_floats(2 * mp.pi * mp.mpf(1e-6) / max(exact(omega), exact(omega0)))
+    if "t +/- dt finite" in message:
+        return beyond_floats(span)
+    if "the phase omega (t +/- dt)" in message:
+        return beyond_floats(exact(omega) * span)
+    if "differs from t" in message:
+        return t - dt == t or t + dt == t
+    assert "must keep the matrix element finite" in message, message
+    reference, bound, low_difference = element_reference(omega0, omega, theta, t, dt)
+    lost = omega > 0 and theta > 0 and (low_difference < mp.mpf(2) ** -1048 or reference - bound < FLOAT_MIN)
+    return lost or beyond_floats(reference + bound)
+
+
+def assert_element_accurate(omega0, omega, theta, t, dt):
+    given_dt, dt = dt, default_step(omega0, omega) if dt is None else dt
+    try:
+        element = adiabaticity_matrix_element(DriveParams(omega0, omega, theta), t, given_dt)
+    except ValueError as error:
+        assert refusal_holds(str(error), omega0, omega, theta, t, dt, given_dt)
+        return
+    reference, bound, _ = element_reference(omega0, omega, theta, t, dt)
+    assert abs(exact(element) - reference) <= bound
+
+
+# (omega0, omega, theta, t, dt): the element's pinned answers, then its pinned refusals (each at dt = 5e-324)
+ELEMENT_ANSWERS = [
+    (1e-310, 2.2250738585072014e-308, 1e-8, 0.0, None),  # was 57% off: digits lost in H's subnormal entries
+    (1e-310, 1e-312, 1.0, 0.0, None),  # was 5.8e-7 off
+    (1e-300, 5e-324, math.pi / 2, 0.0, None),  # was refused as a subnormal element
+    (1e-300, 5e-324, math.pi / 2, 1e300, None),  # was 3.2e5 times the element
+]
+ELEMENT_REFUSALS = [
+    (1e155, 1.0, 1.0, 0.0, 5e-324),  # answered 19% off: the difference keeps one bit
+    (1e300, 1.0, 1.0, 0.0, 5e-324),
+    (1e-310, 5e-324, 1e-8, 0.0, 5e-324),  # answered 0.0: the phases round to 0
+]
+ELEMENT_EXAMPLES = ELEMENT_ANSWERS + ELEMENT_REFUSALS + [
+    (1e-310, 1.7e308, 1e-8, 1.0, 1e-3),  # the float phases round by about 1e292 rad: within their conditioning
+    (1.0, 1.5, 1.0, 1.0, 1.2e-16),  # the rounded ends are asymmetric about t
+    (5e-324, 0.0, 1.0, 0.0, 1e-3),  # no flip: exactly 0
+    (1.0, 1.0, math.pi, 0.0, None),  # sin(pi) = 1.2e-16: the drive flips by the rule
+]
+
+
+def with_element_examples(f):
+    for omega0, omega, theta, t, dt in ELEMENT_EXAMPLES:
+        f = hyp.example(omega0=omega0, omega=omega, theta=theta, t=t, dt=dt)(f)
+    return f
+
+
+class TestAdiabaticityElement:
+    @pytest.mark.parametrize("omega0, omega, theta, t, dt", ELEMENT_ANSWERS)
+    def test_pinned_answers_within_4_eps(self, omega0, omega, theta, t, dt):
+        element = adiabaticity_matrix_element(DriveParams(omega0, omega, theta), t, dt)
+        reference, _, _ = element_reference(omega0, omega, theta, t, default_step(omega0, omega) if dt is None else dt)
+        assert abs(exact(element) - reference) <= 4 * EPS * reference
+
+    @pytest.mark.parametrize("omega0, omega, theta, t, dt", ELEMENT_REFUSALS)
+    def test_pinned_refusals(self, omega0, omega, theta, t, dt):
+        message = f"omega0 and omega and dt must keep the matrix element finite, got omega0 = {omega0!r}, omega = "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            adiabaticity_matrix_element(DriveParams(omega0, omega, theta), t, dt)
+
+    @with_element_examples
+    @hyp.given(
+        omega0=positive_rates,
+        omega=rates,
+        theta=angles,
+        t=st.one_of(st.just(0.0), finite),
+        dt=st.one_of(st.none(), positive_rates),
+    )
+    @SETTINGS
+    def test_within_the_phase_conditioning(self, omega0, omega, theta, t, dt):
+        """t = 0, or anywhere in the floats; the default dt, or any positive one."""
+        assert_element_accurate(omega0, omega, theta, t, dt)

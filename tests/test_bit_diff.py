@@ -1,5 +1,5 @@
-"""The pure parts of ``tools/bit_diff.py``: outputs as text, the routes battery's emitter, the comparison of two trees'
-items and its report.
+"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter and routes batteries' emitters, the comparison
+of two trees' items and its report.
 
 Nothing here unpacks a tree or runs a battery in a subprocess; the script is loaded from its file, as ``tools`` is not
 a package.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
-from toptrap.spin import DriveParams
+from toptrap.spin import DriveParams, adiabaticity_parameter
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bit_diff", ROOT / "tools" / "bit_diff.py")
@@ -53,6 +53,23 @@ def test_route_items_name_each_route_and_digest_its_probabilities():
         series = route(p, np.linspace(0.0, span, bit_diff.ROUTE_SAMPLES))
         assert re.fullmatch("sha256 [0-9a-f]{64}", output) and output == bit_diff.series_digest(series)
     assert len({output for _, output in items}) == len(items)
+
+
+def test_parameter_items_cover_each_element_drive_then_the_sweep_column():
+    """One item per distinct (omega0, omega, theta) of the element battery, in its order, then one per point of the
+    seeded n^3 sweep grid, whose column has the bits of the scalar parameter; the same seed gives the same items."""
+    items = list(bit_diff.parameter_items(3))
+    assert items == list(bit_diff.parameter_items(3))
+    drives = list(dict.fromkeys(drive[:3] for drive in bit_diff.element_drives()))
+    assert len(drives) == 20_000 + 9 * 7 * 5 and len(items) == len(drives) + 27
+    for (key, output), drive in zip(items, drives):
+        assert ast.literal_eval(key) == ("adiabaticity_parameter", *drive)
+        assert output == bit_diff.outcome(lambda: adiabaticity_parameter(DriveParams(*drive)))
+    assert any(output.startswith("ValueError: omega0 and omega must keep the adiabaticity parameter") for _, output in items)
+    for key, output in items[len(drives):]:
+        name, *drive = ast.literal_eval(key)
+        assert name == "run_sweep" and 1e-3 <= drive[0] <= 1e3 and 1e-3 <= drive[1] <= 1e3 and 0.0 <= drive[2] <= math.pi
+        assert output == adiabaticity_parameter(DriveParams(*drive)).hex()
 
 
 def test_series_digest_covers_both_columns_in_order():

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import sys
 from xml.etree import ElementTree as ET
 
 import hypothesis as hyp
@@ -805,6 +806,38 @@ class TestAdiabatic:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["matrix_element"] == pytest.approx(payload["parameter"], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "drive, element",
+        [
+            ("--omega0 1e-310 --omega 2.2250738585072014e-308 --theta 1e-8", 1.1125369292462839e-06),
+            ("--omega0 1e-310 --omega 1e-312 --theta 1", 0.004207354924033036),
+            ("--omega0 1e-300 --omega 5e-324 --theta 1.5707963267948966", 2.4703282292062325e-24),
+            ("--omega0 1e-300 --omega 5e-324 --theta 1.5707963267948966 --t 1e300", 2.4703282292062325e-24),
+        ],
+        ids=["omega0-subnormal", "both-subnormal", "omega-5e-324", "omega-5e-324-t-1e300"],
+    )
+    def test_element_at_subnormal_rates(self, drive, element, capsys):
+        """Within 4 eps of a 50-digit evaluation of the same central difference: once 57% and 5.8e-7 off, refused,
+        and 3.2e5 times too large; the last two report the parameter, once 0.0, too."""
+        code, out, _ = run(["adiabatic", *drive.split(), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["matrix_element"] == pytest.approx(element, rel=4 * sys.float_info.epsilon, abs=0.0)
+        assert payload["parameter"] == pytest.approx(payload["matrix_element"], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "drive", ["1e155 1 1", "1e300 1 1", "1e-310 5e-324 1e-8"], ids=["omega0-1e155", "omega0-1e300", "phase-0"]
+    )
+    def test_element_whose_bits_are_lost_refused(self, drive, capsys):
+        """At dt = 5e-324 the difference keeps one bit or none: once answered 19% off (twice) and 0.0."""
+        omega0, omega, theta = drive.split()
+        argv = ["adiabatic", "--omega0", omega0, "--omega", omega, "--theta", theta, "--dt", "5e-324"]
+        message = (
+            f"omega0 and omega and dt must keep the matrix element finite, "
+            f"got omega0 = {float(omega0)!r}, omega = {float(omega)!r}, dt = 5e-324"
+        )
+        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
 
     def test_overflowing_shifted_time_names_t_and_dt(self, capsys):
         """t + dt overflows: the message names the given t and dt, not an infinite t."""

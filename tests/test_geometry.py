@@ -215,8 +215,6 @@ class TestOverflow:
         "call, got",
         [
             # finite components whose |B|, about 2.1e308, no float holds
-            (lambda c: larmor_at(c, 1.5e308, 1.5e308, 0.0), "bx = 1.5e+308, by = 1.5e+308, bz = -0.0"),
-            (lambda c: field_angle_at(c, 1.5e308, 1.5e308, 0.0), "bx = 1.5e+308, by = 1.5e+308, bz = -0.0"),
             (lambda c: FieldVector(1.5e308, 1.5e308, -0.0).magnitude(), "bx = 1.5e+308, by = 1.5e+308, bz = -0.0"),
             (lambda c: FieldVector(1.5e308, 1.5e308, 0.0).magnitude(), "bx = 1.5e+308, by = 1.5e+308, bz = 0.0"),
             # a0 above half the largest float: bz = -2 (a0 z) is -0.0 at z = 0, not (-2 a0) z = -inf * 0 = nan
@@ -246,9 +244,22 @@ class TestOverflow:
         """|B| is found without squaring a component: these fields were once refused as "must keep |B| finite"."""
         assert call(self.UNIT) == expected
 
+    def test_finite_components_whose_magnitude_overflows(self):
+        """|B|, about 2.1e308, is beyond the floats, but the angle is not, nor |gamma| |B| for a small gamma: these
+        were refused as "must keep |B| finite".  At gamma = 1 the Larmor frequency itself overflows, and is named with
+        gamma and the components, not with |B| = inf."""
+        assert field_angle_at(self.UNIT, 1.5e308, 1.5e308, 0.0) == math.pi / 2
+        assert larmor_at(dataclasses.replace(self.UNIT, gamma=1e-10), 1.5e308, 1.5e308, 0.0) == 2.121320343559643e298
+        message = (
+            "gamma and bx and by and bz must keep the Larmor frequency finite, "
+            "got gamma = 1.0, bx = 1.5e+308, by = 1.5e+308, bz = -0.0"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            larmor_at(self.UNIT, 1.5e308, 1.5e308, 0.0)
+
     def test_gradient_beyond_half_the_largest_float_keeps_bz(self):
         """The components and |B| that larmor_at and field_angle_at read: bz = -0.0 beside bx = inf (field_at reports
-        it), and |B| = inf, which their failing branch reports."""
+        it), and |B| = inf, whose branch reports the infinite component."""
         bx, by, bz, b = geometry._field(dataclasses.replace(self.UNIT, a0=1e308), 10.0, 0.0, 0.0, 0.0)
         assert (bx, by, bz) == (math.inf, 0.0, 0.0) and math.copysign(1.0, bz) == -1.0
         assert b == math.inf

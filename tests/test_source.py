@@ -17,11 +17,14 @@ vulture's unused-code report, which keeps leftovers of removed code paths out.
 
 ``serialize`` is a leaf: it imports no sibling module, so the writers and the parser depend on no result type.
 
-Four rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
+Six rules have one owner each.  ``sweep.grid_values`` builds every grid (``Axis.linear``, ``Axis.log`` and the CLI's
 t and x grids): no other code calls ``np.linspace`` or reports the grid.  ``closed_form.tau_of_drive`` is the only code that
 refuses omega = 0 for tau and reports an overflowing x = omega0/omega.  ``spin.eigenbasis`` is the only code that forms
 the half-angle pair sin(theta/2), cos(theta/2) of the eigenvectors, and no module calls ``np.linalg``.  ``cli._echo`` is
 the only code that reads the parsed arguments as a whole: a table's parameter echo is them, not a copy by hand.
+``spin.hamiltonian_at`` has no caller in the package: the matrix element differences ``eigenbasis``'s turns, and H(t)
+is the tests' independent reference.  ``spin.adiabaticity_of`` is the only code that forms the adiabaticity parameter,
+for ``adiabaticity_parameter`` and ``run_sweep`` alike: its exponent line appears nowhere else.
 
 A frozen dataclass with a hand-written ``__init__`` (one that stores its fields straight into ``__dict__``, without
 dataclass's ``object.__setattr__`` per field) takes exactly its fields, in order: a field added to the class without
@@ -192,8 +195,13 @@ def test_serialize_imports_no_sibling_module():
         ('check_finite("x"', "closed_form.py", "tau_of_drive"),
         ("0.5 * p.theta", "spin.py", "eigenbasis"),
         ("vars(args)", "cli.py", "_echo"),
+        ("hamiltonian_at(", "spin.py", "hamiltonian_at"),
+        ("e + es - e0", "spin.py", "adiabaticity_of"),
     ],
-    ids=["linspace", "grid-report", "omega-refusal", "x-report", "half-angle-pair", "parameter-echo"],
+    ids=[
+        "linspace", "grid-report", "omega-refusal", "x-report", "half-angle-pair", "parameter-echo", "hamiltonian",
+        "adiabaticity-exponent",
+    ],
 )
 def test_rule_only_in_its_owner(text, module, owner):
     found = _lines_mentioning(text)

@@ -280,11 +280,12 @@ class TestRunSweep:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_adiabaticity_named(self):
-        """omega / omega0 overflows: a ValueError naming both, and no RuntimeWarning first."""
+        """omega / omega0 overflows: a ValueError naming both in the words of spin.adiabaticity_of, the column's
+        kernel, and no RuntimeWarning first."""
         spec = SweepSpec(
             axes=(Axis("omega", np.array([1e299, 1e300])),), quantities=("adiabaticity",), fixed={"omega0": 1e-300, "theta": 1.0}
         )
-        message = r"^omega0 and omega must keep adiabaticity finite, got omega0 = 1e-300, omega = 1e\+299$"
+        message = r"^omega0 and omega must keep the adiabaticity parameter finite, got omega0 = 1e-300, omega = 1e\+299$"
         with pytest.raises(ValueError, match=message):
             run_sweep(spec)
 
@@ -417,13 +418,15 @@ def reference_sweep(spec):
                 o0, om = float(omega0[bad][0]), float(omega[bad][0])
                 raise ValueError(f"omega0 and omega must keep x finite, got omega0 = {o0!r}, omega = {om!r}")
             values = np.asarray(tau_of_ratio(ratio, theta, one_minus_x))
-        elif q == "adiabaticity":
-            with np.errstate(all="ignore"):
-                values = 0.5 * omega * np.sin(theta) / omega0
+        elif q == "adiabaticity":  # 0.5 omega sin(theta) / omega0 on the mantissas, then one ldexp by the exponents
+            (m0, e0), (m, e), (ms, es) = np.frexp(omega0), np.frexp(omega), np.frexp(np.sin(theta))
+            with np.errstate(over="ignore"):
+                values = np.ldexp(0.5 * m * ms / m0, e + es - e0)
             bad = ~np.isfinite(values)
             if np.any(bad):
                 o0, om = float(omega0[bad][0]), float(omega[bad][0])
-                raise ValueError(f"omega0 and omega must keep adiabaticity finite, got omega0 = {o0!r}, omega = {om!r}")
+                message = f"omega0 and omega must keep the adiabaticity parameter finite, got omega0 = {o0!r}, omega = {om!r}"
+                raise ValueError(message)
         else:
             values = np.asarray(omega_bar_of(omega0, omega, theta))
         columns.append(q)
@@ -459,6 +462,8 @@ class TestBroadcastGrid:
     )
     @hyp.example(spec=SweepSpec(quantities=QUANTITIES, fixed={"omega0": 1.3, "omega": 0.7, "theta": 2.2, "t": 4.1}))
     @hyp.example(spec=SweepSpec(axes=(Axis("x", np.array([0.0, 1.0])),), quantities=("adiabaticity",), fixed={"omega": 1.5, "theta": 1.0}))
+    # 0.5 omega is subnormal: as 0.5 omega sin(theta) / omega0 the column lost a bit here
+    @hyp.example(spec=SweepSpec(quantities=("adiabaticity",), fixed={"omega0": 0.25, "omega": 1.1125369292536007e-308, "theta": 1.0}))
     @hyp.example(spec=SweepSpec(axes=(Axis("theta", np.array([0.5, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "omega": 0.0}))
     @hyp.example(spec=SweepSpec(quantities=("tau",), fixed={"omega0": 1.0, "omega": 2.225073858507203e-309, "theta": 0.0}))
     @hyp.example(spec=SweepSpec(axes=(Axis("omega", np.array([8e-237, 1.0])),), quantities=("tau",), fixed={"omega0": 1.0, "theta": 1.0}))

@@ -15,6 +15,9 @@ Batteries:
 
 * ``element``: ``adiabaticity_matrix_element`` on 20,000 seeded random drives (omega0 and omega log-uniform in
   [1e-3, 1e3], theta uniform in [0, pi], half at t = 0, default dt) and on the 1,575-drive extreme grid below;
+* ``parameter``: ``adiabaticity_parameter`` on each distinct drive of the element battery, and ``run_sweep``'s
+  adiabaticity column on a seeded 8,000-point grid (omega0 and omega log-uniform in [1e-3, 1e3], theta uniform in
+  [0, pi]);
 * ``atoms``: the ``field_at`` components, ``larmor_at`` and ``field_angle_at`` on a seeded 100,000-atom cloud in the
   ``cloud_scan`` trap of ``bench/workloads.py``, drawn as that workload draws its atoms;
 * ``routes``: ``evolve_instantaneous_basis``, ``evolve_lab_frame`` and ``evolve_rotating_frame`` at the default
@@ -41,7 +44,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BATTERIES = ("element", "atoms", "routes", "cli")
+BATTERIES = ("element", "parameter", "atoms", "routes", "cli")
 
 FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
 GRID_OMEGA0 = (5e-324, 1.5e-323, 1e-310, FLOAT_MIN, 1e-300, 1.0, 1e155, 1e300, 1.7e308)
@@ -49,6 +52,7 @@ GRID_OMEGA = (0.0, 5e-324, 1e-308, 1e-3, 1.0, 1e300, 1.7e308)
 GRID_THETA = (0.0, 1e-8, 1.0, math.pi / 2, math.pi)
 GRID_T_DT = ((0.0, None), (1.0, None), (1e300, None), (0.0, 5e-324), (1.0, 1e-3))
 ROUTE_DRIVES, ROUTE_SAMPLES, ROUTE_PERIODS = 1000, 64, 3.0
+SWEEP_AXIS = 20
 CLOUD_TRAP = dict(a0=1.0, b0=1e-3, omega=2.0 * math.pi * 7e3, gamma=4.4e10, mu=9.274e-24, mass=1.443e-25)
 DRIVE = ["--omega0", "1", "--omega", "1.5", "--theta", "1"]
 COMMANDS = (
@@ -72,24 +76,46 @@ def outcome(call, text=lambda value: float(value).hex()) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def element_items():
+def element_drives():
+    """The element battery's inputs (omega0, omega, theta, t, dt): the seeded random drives at the default dt (None),
+    then the extreme grid."""
     import numpy as np
-    from toptrap.spin import DriveParams, adiabaticity_matrix_element
-
-    def element(omega0, omega, theta, t, dt):
-        return outcome(lambda: adiabaticity_matrix_element(DriveParams(omega0, omega, theta), t, dt))
 
     rng = np.random.default_rng(2024)
     n = 20_000
     omega0, omega = 10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-3.0, 3.0, n)
     theta, t = rng.uniform(0.0, math.pi, n), np.where(np.arange(n) % 2 == 0, 0.0, rng.uniform(0.0, 10.0, n))
     for drive in zip(omega0.tolist(), omega.tolist(), theta.tolist(), t.tolist()):
-        yield repr(drive), element(*drive, None)
+        yield (*drive, None)
     for omega0 in GRID_OMEGA0:
         for omega in GRID_OMEGA:
             for theta in GRID_THETA:
                 for t, dt in GRID_T_DT:
-                    yield repr((omega0, omega, theta, t, dt)), element(omega0, omega, theta, t, dt)
+                    yield omega0, omega, theta, t, dt
+
+
+def element_items():
+    from toptrap.spin import DriveParams, adiabaticity_matrix_element
+
+    for drive in element_drives():
+        yield repr(drive), outcome(lambda: adiabaticity_matrix_element(DriveParams(*drive[:3]), *drive[3:]))
+
+
+def parameter_items(n: int = SWEEP_AXIS):
+    """``adiabaticity_parameter`` on each distinct drive of the element battery, then ``run_sweep``'s adiabaticity
+    column on a seeded n x n x n grid (omega0 and omega log-uniform in [1e-3, 1e3], theta uniform in [0, pi])."""
+    import numpy as np
+    from toptrap.spin import DriveParams, adiabaticity_parameter
+    from toptrap.sweep import Axis, SweepSpec, run_sweep
+
+    for drive in dict.fromkeys(drive[:3] for drive in element_drives()):
+        yield repr(("adiabaticity_parameter", *drive)), outcome(lambda: adiabaticity_parameter(DriveParams(*drive)))
+    rng = np.random.default_rng(2024)
+    values = {"omega0": 10.0 ** rng.uniform(-3.0, 3.0, n), "omega": 10.0 ** rng.uniform(-3.0, 3.0, n)}
+    values["theta"] = rng.uniform(0.0, math.pi, n)
+    result = run_sweep(SweepSpec(axes=[Axis(name, v) for name, v in values.items()], quantities=("adiabaticity",)))
+    for row in result.table.tolist():
+        yield repr(("run_sweep", *row[:3])), row[3].hex()
 
 
 def atom_items():
@@ -136,7 +162,9 @@ def cli_items():
         yield " ".join(argv), f"exit {code}, sha256 {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
 
 
-EMITTERS = {"element": element_items, "atoms": atom_items, "routes": route_items, "cli": cli_items}
+EMITTERS = {
+    "element": element_items, "parameter": parameter_items, "atoms": atom_items, "routes": route_items, "cli": cli_items,
+}
 
 
 def emit(battery: str):
