@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
@@ -27,6 +28,7 @@ from . import __version__
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 720, 480  # chart size, px
 TICKS = 6  # tick count aimed at per axis
+_BLOCK = 4096  # rows formatted per block of text
 _AXIS = '{\n      "name": %s,\n      "values": %s\n    }'  # one "axes" entry in the json.dumps(indent=2) layout
 
 
@@ -55,24 +57,26 @@ def _axis_text(column: np.ndarray, values: np.ndarray, text: list[str], template
     return gathered.tolist()
 
 
-def _rows(table: Table, template: str, axes: dict, join) -> map:
-    """Row texts, by the row template ``join`` makes of one template per column.  A column named in ``axes`` (name ->
-    non-empty float64 values and their text) is written as that text, any other column by ``template``."""
+def _rows(table: Table, template: str, axes: dict, join) -> Iterator[str]:
+    """Row texts in blocks of ``_BLOCK`` rows, by the row template ``join`` makes of one template per column.  A
+    column named in ``axes`` (name -> non-empty float64 values and their text) is written as that text, mapped once
+    over the whole column, any other column by ``template``."""
     named = list(zip(table.columns, table.rows.T))
-    lists = [_axis_text(column, *axes[name], template) if name in axes else column.tolist() for name, column in named]
-    return map(join(["%s" if name in axes else template for name, _ in named]).__mod__, zip(*lists))
+    texts = {j: _axis_text(column, *axes[name], template) for j, (name, column) in enumerate(named) if name in axes}
+    row = join(["%s" if name in axes else template for name, _ in named]).__mod__
+    for start in range(0, len(table.rows), _BLOCK):
+        cut = slice(start, start + _BLOCK)
+        lists = [texts[j][cut] if j in texts else column[cut].tolist() for j, (_, column) in enumerate(named)]
+        yield "".join(map(row, zip(*lists)))
 
 
 def to_csv(table: Table) -> str:
     """CSV lists no axes, so it formats an axis only where a like-named column holds more values than the axis."""
-    lines = [f"# toptrap {__version__}"]
-    for key, value in table.params.items():
-        lines.append(f"# {key} = {value}")
-    lines.append(",".join(table.columns))
+    lines = [f"# toptrap {__version__}", *(f"# {key} = {value}" for key, value in table.params.items())]
     axes = ((name, np.asarray(v, float)) for name, v in table.axes if name in table.columns)
     text = {name: (v, list(map("%.17g".__mod__, v.tolist()))) for name, v in axes if 0 < len(v) < len(table.rows)}
-    lines.extend(_rows(table, "%.17g", text, ",".join))
-    return "\n".join(lines) + "\n"
+    blocks = _rows(table, "%.17g", text, lambda templates: ",".join(templates) + "\n")
+    return "".join(["\n".join([*lines, ",".join(table.columns), ""]), *blocks])
 
 
 def parse_csv(text: str) -> Table:
@@ -127,10 +131,8 @@ def _json_array(items, indent: str) -> str:
     return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
 
 
-def _json_floats(items, indent: str) -> str:
-    """:func:`_json_array` of ``items``, repr's text of floats; its nan and inf, the only reprs holding an "n", become
-    json's NaN and Infinity."""
-    text = _json_array(items, indent)
+def _json_floats(text: str) -> str:
+    """``text`` of repr's floats with its nan and inf, the only reprs holding an "n", as json's NaN and Infinity."""
     return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
@@ -139,10 +141,14 @@ def to_json(table: Table) -> str:
     params = json.dumps({"tool": f"toptrap {__version__}", **table.params}, indent=2).replace("\n", "\n  ")
     columns = json.dumps(list(table.columns), indent=2).replace("\n", "\n  ")
     texts = [(name, np.asarray(v), list(map("%r".__mod__, np.asarray(v).tolist()))) for name, v in table.axes]
-    axes = [_AXIS % (json.dumps(name), _json_floats(text, "      ")) for name, _, text in texts]
+    axes = _json_array([_AXIS % (json.dumps(name), _json_floats(_json_array(t, "      "))) for name, _, t in texts], "  ")
     float_axes = {name: (v, text) for name, v, text in texts if len(v) and v.dtype == np.float64}  # repr(3) != repr(3.0)
-    data = _json_floats(_rows(table, "%r", float_axes, lambda templates: _json_array(templates, "    ")), "  ")
-    return f'{{\n  "params": {params},\n  "axes": {_json_array(axes, "  ")},\n  "columns": {columns},\n  "data": {data}\n}}\n'
+    blocks = map(_json_floats, _rows(table, "%r", float_axes, lambda row: ",\n    " + _json_array(row, "    ")))
+    first = next(blocks, "")  # each row opens with its separator, which the table's first row drops
+    data = ["[", first[1:], *blocks, "\n  ]"] if first else ["[]"]
+    del texts, float_axes  # the axes' text, a column's worth of str objects, is not held through the join
+    head = ['{\n  "params": ', params, ',\n  "axes": ', axes, ',\n  "columns": ', columns, ',\n  "data": ']
+    return "".join([*head, *data, "\n}\n"])  # each piece is copied once, into the text
 
 
 @dataclass(frozen=True)

@@ -238,11 +238,11 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
     """Evaluate |<-(t)| dH/dt |+(t)>| / (E+ - E-)^2 by central differences.
 
     The squared gap makes the ratio dimensionless; for this drive it is independent of ``t`` and converges
-    quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  On :func:`eigenbasis`'s turns T at t -/+ dt and t,
-    x = sin(theta) (conj T+ - conj T-) T0 gives |<-|H(t + dt) - H(t - dt)|+>| / omega0 as |s^2 x - c^2 conj x| / 2,
-    the diagonal cancelled exactly; it, the spacing of the rounded ends and omega0 are joined as mantissas and exact
-    exponents.  A flipping drive (omega, theta > 0) is refused where that difference, below 2^-1048, keeps fewer than
-    26 bits (an error above 1.5e-8; subnormals step by 2^-1074), or the element is below the smallest normal float.
+    quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  As H(t + tau) = F(t) H(tau) F(t)^+, :func:`eigenbasis`'s
+    turns T at the offsets (t -/+ dt) - t, exact by Sterbenz near t, give x = sin(theta) (conj T+ - conj T-) and
+    |<-|H(t + dt) - H(t - dt)|+>| / omega0 = |s^2 x - c^2 conj x| / 2; it, the ends' spacing and omega0 are joined as
+    mantissas and exact exponents.  A flipping drive (omega, theta > 0) is refused where that difference, below 2^-1048,
+    keeps < 26 bits (an error above 1.5e-8; subnormals step by 2^-1074), or the element is below the smallest normal.
 
     Args:
         p: drive parameters.
@@ -263,8 +263,8 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         check_finite("t +/- dt", ends, t=t, dt=dt)
         check_finite("the phase omega (t +/- dt)", p.omega * ends, omega=p.omega, t=t, dt=dt)
         check("dt", f"large enough that t +/- dt differs from t = {t!r}", lambda v: (t - v != t) & (t + v != t), dt)
-        (s, _), (c, _), (low, mid, high) = eigenbasis(p, [ends[0], t, ends[1]])
-        x = math.sin(p.theta) * (high.conjugate() - low.conjugate()) * mid
+        (s, _), (c, _), (low, high) = eigenbasis(p, ends - t)
+        x = math.sin(p.theta) * (high.conjugate() - low.conjugate())
         difference = 0.5 * abs(s * s * x - c * c * x.conjugate())
         (md, ed), (ms, es), (mo, eo) = map(math.frexp, (difference, ends[1] - ends[0], p.omega0))
         result = float(np.ldexp(md / (ms * mo), ed - es - eo))

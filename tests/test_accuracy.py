@@ -31,15 +31,17 @@ The adiabaticity measures, over the whole float range:
   a product and a quotient, each rounded once, on exact mantissas), refused only where it overflows;
 * ``adiabaticity_matrix_element``: against the same central difference evaluated in 50 digits on the float ends
   t -/+ dt, E = X / (2 (t+ - t-) omega0) for X = |s^2 x - c^2 conj x|, x = sin(theta) (e^{-i omega (t+ - t)} -
-  e^{-i omega (t- - t)}).  The bound is that of X, over 2 (t+ - t-) omega0: 8 eps X at t = 0 and 12 eps X elsewhere
-  (the first-order count of the evaluation's roundings, 7 and 11 eps, each libm sin, cos or exp at one ulp), plus
-  sin(theta) times the sum of the ulps of the three float phases omega t-, omega t, omega t+ (each rounds by half an
-  ulp and moves X by at most twice that), plus 4 eps sin(theta) away from t = 0 for the roundings of the turns
-  e^{i omega t+-}, which cancel exactly at t = 0, where one is the conjugate of the other, plus 2^-1070 for the
-  subnormal roundings of x and its products.  At t = 0 with a phase omega dt below about 1 this is a few eps of E;
-  where the phases are large it is their conditioning.  A refusal passes only where an input rule fails, the value
-  may leave the floats, or, for a drive that flips (omega > 0 and theta > 0), X/2 may lie below the threshold
-  2^-1048 or E below the smallest normal float, each within the bound.  The defects once found are pinned.
+  e^{-i omega (t- - t)}).  The element turns by the float offsets t+- - t, exact wherever t+- lies within a factor 2
+  of t (Sterbenz), and by 1 at t.  The bound is that of X, over 2 (t+ - t-) omega0: 8 eps X (the first-order count of
+  the evaluation's roundings, 7 eps, each libm sin, cos or exp at one ulp), plus sin(theta) times the sum of the ulps
+  of the two float phases omega (t+- - t) (each rounds by half an ulp and moves X by at most twice that), plus twice
+  sin(theta) omega times the rounding of each offset, plus 4 eps sin(theta) where the offsets are not opposite, for
+  the roundings of the turns, which cancel exactly where one is the conjugate of the other, plus 2^-1070 for the
+  subnormal roundings of x and its products.  With a phase omega dt below about 1 and exact, opposite offsets this is
+  a few eps of E at any t; where the phases are large it is their conditioning.  A refusal passes only where an input
+  rule fails, the value may leave the floats, or, for a drive that flips (omega > 0 and theta > 0), X/2 may lie below
+  the threshold 2^-1048 or E below the smallest normal float, each within the bound.  The defects once found are
+  pinned.
 """
 
 import math
@@ -292,11 +294,12 @@ def element_reference(omega0, omega, theta, t, dt):
     s, c, sin_theta = mp.sin(th / 2), mp.cos(th / 2), mp.sin(th)
     x = sin_theta * (mp.expj(-om * (exact(high) - centre)) - mp.expj(-om * (exact(low) - centre)))
     big_x = abs(s**2 * x - c**2 * mp.conj(x))
-    phases = (omega * low, omega * t, omega * high)  # the float phases of the turns
+    offsets = (low - t, high - t)  # the float offsets whose turns the element forms, exact where Sterbenz holds
     bound_x = (
-        (8 if t == 0 else 12) * EPS * big_x
-        + sin_theta * sum(mp.mpf(math.ulp(phase)) for phase in phases)
-        + (0 if t == 0 else 4 * EPS * sin_theta)
+        8 * EPS * big_x
+        + sin_theta * sum(mp.mpf(math.ulp(omega * offset)) for offset in offsets)
+        + 2 * sin_theta * om * sum(abs(exact(o) - (exact(end) - centre)) for o, end in zip(offsets, (low, high)))
+        + (0 if offsets[0] == -offsets[1] else 4 * EPS * sin_theta)
         + mp.mpf(2) ** -1070
     )
     scale = 2 * (exact(high) - exact(low)) * o0
@@ -338,6 +341,7 @@ ELEMENT_ANSWERS = [
     (1e-310, 1e-312, 1.0, 0.0, None),  # was 5.8e-7 off
     (1e-300, 5e-324, math.pi / 2, 0.0, None),  # was refused as a subnormal element
     (1e-300, 5e-324, math.pi / 2, 1e300, None),  # was 3.2e5 times the element
+    (393.93, 0.0072477, 2.5263, 9.19, None),  # was 1.7e-9 off: turns at t -/+ dt, not at the offsets -/+ dt
 ]
 ELEMENT_REFUSALS = [
     (1e155, 1.0, 1.0, 0.0, 5e-324),  # answered 19% off: the difference keeps one bit

@@ -1,11 +1,12 @@
-"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter and routes batteries' emitters, the comparison
-of two trees' items and its report.
+"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter, routes and writers batteries' emitters, the
+comparison of two trees' items and its report.
 
 Nothing here unpacks a tree or runs a battery in a subprocess; the script is loaded from its file, as ``tools`` is not
 a package.
 """
 
 import ast
+import hashlib
 import importlib.util
 import math
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toptrap import serialize
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
 from toptrap.spin import DriveParams, adiabaticity_parameter
 
@@ -70,6 +72,30 @@ def test_parameter_items_cover_each_element_drive_then_the_sweep_column():
         name, *drive = ast.literal_eval(key)
         assert name == "run_sweep" and 1e-3 <= drive[0] <= 1e3 and 1e-3 <= drive[1] <= 1e3 and 0.0 <= drive[2] <= math.pi
         assert output == adiabaticity_parameter(DriveParams(*drive)).hex()
+
+
+def test_writer_items_digest_both_writers_on_each_table():
+    """Two items per table, to_csv then to_json, each the sha256 of the writer's text; the tables cross the writers'
+    block edges in every layout, hold NaN, +-inf and -0.0 values, and put column entries on and off their axes."""
+    tables = list(bit_diff.writer_tables())
+    items = list(bit_diff.writer_items())
+    assert items == list(bit_diff.writer_items())
+    assert [key for key, _ in tables] == [(layout, n) for layout in bit_diff.WRITER_LAYOUTS for n in bit_diff.WRITER_ROWS]
+    assert {n % serialize._BLOCK for n in bit_diff.WRITER_ROWS if n} == {0, 1, 5, serialize._BLOCK - 1}
+    assert len(items) == 2 * len(tables)
+    for (key, table), csv_item, json_item in zip(tables, items[::2], items[1::2]):
+        for (name, output), write in ((csv_item, serialize.to_csv), (json_item, serialize.to_json)):
+            assert ast.literal_eval(name) == (write.__name__, *key)
+            assert output == "sha256 " + hashlib.sha256(write(table).encode()).hexdigest()
+        if len(table.rows) < serialize._BLOCK:
+            continue
+        values = table.rows.view(np.uint64)
+        for special in (math.nan, math.inf, -math.inf, -0.0):
+            assert np.isin(values, np.array([special]).view(np.uint64)).any()
+        for j, name in enumerate(table.columns):
+            on = [np.isin(table.rows[:, j], axis) for axis_name, axis in table.axes if axis_name == name and len(axis)]
+            assert not on or (on[0].any() and (key[0] == "the axis" or not on[0].all()))
+    assert len({output for _, output in items}) == len(items)
 
 
 def test_series_digest_covers_both_columns_in_order():

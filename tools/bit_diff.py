@@ -23,6 +23,10 @@ Batteries:
 * ``routes``: ``evolve_instantaneous_basis``, ``evolve_lab_frame`` and ``evolve_rotating_frame`` at the default
   tolerances on 1,000 seeded random drives (omega0 and omega log-uniform in [1e-3, 1e3], theta uniform in [0, pi]),
   each over 64 samples of 3 Rabi periods; an output is the sha256 of the survival and transition bytes;
+* ``writers``: the sha256 of ``to_csv`` and ``to_json`` text on seeded 3-column tables of 0, 1, 4095, 4096, 4097
+  and 3 * 4096 + 5 rows, across the writers' 4,096-row blocks, in three axis layouts: the axis is the first column, as
+  ``evolve``'s ``t`` is; a tiled and a repeated axis with some entries off them, as ``fig`` and ``tau`` write them;
+  and an axis shorter than the table.  About 5% of the values, axes included, are NaN, +-inf or -0.0;
 * ``cli``: stdout of fixed ``evolve`` (closed and all), ``tau``, ``fig`` (csv and json) and ``adiabatic`` commands.
 
 Standard library and numpy only.  The script changes nothing in either tree; its directory is removed at exit.
@@ -44,7 +48,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BATTERIES = ("element", "parameter", "atoms", "routes", "cli")
+BATTERIES = ("element", "parameter", "atoms", "routes", "writers", "cli")
 
 FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
 GRID_OMEGA0 = (5e-324, 1.5e-323, 1e-310, FLOAT_MIN, 1e-300, 1.0, 1e155, 1e300, 1.7e308)
@@ -52,6 +56,8 @@ GRID_OMEGA = (0.0, 5e-324, 1e-308, 1e-3, 1.0, 1e300, 1.7e308)
 GRID_THETA = (0.0, 1e-8, 1.0, math.pi / 2, math.pi)
 GRID_T_DT = ((0.0, None), (1.0, None), (1e300, None), (0.0, 5e-324), (1.0, 1e-3))
 ROUTE_DRIVES, ROUTE_SAMPLES, ROUTE_PERIODS = 1000, 64, 3.0
+WRITER_ROWS = (0, 1, 4095, 4096, 4097, 3 * 4096 + 5)
+WRITER_LAYOUTS = ("the axis", "tiled and repeated", "short axis")
 SWEEP_AXIS = 20
 CLOUD_TRAP = dict(a0=1.0, b0=1e-3, omega=2.0 * math.pi * 7e3, gamma=4.4e10, mu=9.274e-24, mass=1.443e-25)
 DRIVE = ["--omega0", "1", "--omega", "1.5", "--theta", "1"]
@@ -152,6 +158,47 @@ def route_items(n: int = ROUTE_DRIVES):
             yield repr((route.__name__, *drive)), outcome(lambda: route(p, ts), series_digest)
 
 
+def writer_tables():
+    """((layout, rows), Table) for each layout of WRITER_LAYOUTS and each row count of WRITER_ROWS, seeded by both."""
+    import numpy as np
+    from toptrap.serialize import Table
+
+    def draw(rng, shape):  # magnitudes from 1e-300 to 1e300, about 5% of them NaN, +-inf or -0.0
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+        special = rng.random(shape) < 0.05
+        values[special] = rng.choice([math.nan, math.inf, -math.inf, -0.0], special.sum())
+        return values
+
+    for index, layout in enumerate(WRITER_LAYOUTS):
+        for n in WRITER_ROWS:
+            rng = np.random.default_rng([2024, index, n])
+            rows, columns = draw(rng, (n, 3)), ("t", "survival", "transition")
+            if layout == "the axis":
+                axes = (("t", rows[:, 0].copy()),)
+            elif layout == "tiled and repeated":
+                columns, omega, theta = ("omega", "theta", "survival"), draw(rng, 7), draw(rng, 5)
+                on = rng.random((n, 2)) < 0.99  # the rest keep their own values, off the axes
+                rows[:, 0] = np.where(on[:, 0], np.resize(omega, n), rows[:, 0])
+                rows[:, 1] = np.where(on[:, 1], np.repeat(theta, -(-n // len(theta)))[:n], rows[:, 1])
+                axes = (("omega", omega), ("theta", theta))
+            else:
+                axes = (("t", rows[: n // 3, 0].copy()),)
+            yield (layout, n), Table(columns=columns, rows=rows, params={"layout": layout, "rows": n}, axes=axes)
+
+
+def text_digest(text: str) -> str:
+    """The sha256 of ``text``'s UTF-8 bytes."""
+    return "sha256 " + hashlib.sha256(text.encode()).hexdigest()
+
+
+def writer_items():
+    from toptrap.serialize import to_csv, to_json
+
+    for key, table in writer_tables():
+        for write in (to_csv, to_json):
+            yield repr((write.__name__, *key)), outcome(lambda: write(table), text_digest)
+
+
 def cli_items():
     from toptrap.cli import main
 
@@ -159,11 +206,12 @@ def cli_items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(list(argv))
-        yield " ".join(argv), f"exit {code}, sha256 {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+        yield " ".join(argv), f"exit {code}, {text_digest(out.getvalue())}"
 
 
 EMITTERS = {
-    "element": element_items, "parameter": parameter_items, "atoms": atom_items, "routes": route_items, "cli": cli_items,
+    "element": element_items, "parameter": parameter_items, "atoms": atom_items, "routes": route_items,
+    "writers": writer_items, "cli": cli_items,
 }
 
 
