@@ -51,13 +51,13 @@ def omega_bar_of(omega0, omega, theta):
     return wb
 
 
-def adiabaticity_of(omega0, omega, theta):
-    """(omega / (2 omega0)) sin(theta), broadcast, as 0.5 m ms / m0 on the mantissas of omega, sin(theta) and omega0
-    and one exact ldexp by their exponents: no subnormal input loses a bit, and where every step is normal these are
-    the bits of 0.5 omega sin(theta) / omega0.  A ValueError names omega0 and omega where the parameter overflows."""
-    (m0, e0), (m, e), (ms, es) = np.frexp(omega0), np.frexp(omega), np.frexp(np.sin(theta))
+def adiabaticity_of(omega0, omega, theta, factor=1.0):
+    """(omega / (2 omega0)) sin(theta) times ``factor``, broadcast, as 0.5 m ms mf / m0 on the mantissas of omega,
+    sin(theta), ``factor`` and omega0 and one exact ldexp by their exponents: no subnormal input loses a bit.  At
+    factor 1, where every step is normal, these are the bits of 0.5 omega sin(theta) / omega0.  Overflow: ValueError."""
+    (m0, e0), (m, e), (ms, es), (mf, ef) = np.frexp(omega0), np.frexp(omega), np.frexp(np.sin(theta)), np.frexp(factor)
     with np.errstate(over="ignore"):  # an overflowing parameter is named below
-        parameter = np.ldexp(0.5 * m * ms / m0, e + es - e0)
+        parameter = np.ldexp(0.5 * m * ms * mf / m0, e + es + ef - e0)
     check_finite("the adiabaticity parameter", parameter, omega0=omega0, omega=omega)
     return parameter
 
@@ -235,14 +235,12 @@ def adiabaticity_parameter(p: DriveParams) -> float:
 
 
 def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None = None) -> float:
-    """Evaluate |<-(t)| dH/dt |+(t)>| / (E+ - E-)^2 by central differences.
+    """Evaluate |<-(t)| dH/dt |+(t)>| / (E+ - E-)^2 by central differences, in closed form.
 
     The squared gap makes the ratio dimensionless; for this drive it is independent of ``t`` and converges
-    quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  As H(t + tau) = F(t) H(tau) F(t)^+, :func:`eigenbasis`'s
-    turns T at the offsets (t -/+ dt) - t, exact by Sterbenz near t, give x = sin(theta) (conj T+ - conj T-) and
-    |<-|H(t + dt) - H(t - dt)|+>| / omega0 = |s^2 x - c^2 conj x| / 2; it, the ends' spacing and omega0 are joined as
-    mantissas and exact exponents.  A flipping drive (omega, theta > 0) is refused where that difference, below 2^-1048,
-    keeps < 26 bits (an error above 1.5e-8; subnormals step by 2^-1074), or the element is below the smallest normal.
+    quadratically in ``dt`` to ``adiabaticity_parameter(p)``.  As H(t + tau) = F(t) H(tau) F(t)^+, it is the parameter
+    times |sin(u) / u| sqrt(cos^2 phi + cos^2 theta sin^2 phi), both factors joined by :func:`adiabaticity_of`, for
+    u, phi = omega (hi -/+ lo) / 2 on the float ends' offsets lo, hi = (t -/+ dt) - t, exact by Sterbenz near t.
 
     Args:
         p: drive parameters.
@@ -250,9 +248,9 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         dt: finite-difference step; by default 1e-6 of the shortest drive period, against truncation and round-off.
 
     Raises:
-        ValueError: if ``dt`` is not a positive finite number or ``t`` not finite, naming omega0 and omega where the
-            default dt overflows, t and dt where t +/- dt overflows or rounds to t, omega, t and dt where the phase
-            omega (t +/- dt) overflows, and omega0, omega, dt where the element overflows or its bits are lost.
+        ValueError: if ``dt`` is not positive and finite or ``t`` not finite; naming omega0, omega where the default dt
+            overflows, t, dt where t +/- dt overflows or rounds to t, omega, t, dt where the phase omega (t +/- dt)
+            overflows, and omega0, omega, dt where the element overflows or, for a flipping drive, is not normal.
     """
     if dt is None:
         dt = 1e-6 * 2.0 * math.pi / max(p.omega, p.omega0)
@@ -263,11 +261,13 @@ def adiabaticity_matrix_element(p: DriveParams, t: float = 0.0, dt: float | None
         check_finite("t +/- dt", ends, t=t, dt=dt)
         check_finite("the phase omega (t +/- dt)", p.omega * ends, omega=p.omega, t=t, dt=dt)
         check("dt", f"large enough that t +/- dt differs from t = {t!r}", lambda v: (t - v != t) & (t + v != t), dt)
-        (s, _), (c, _), (low, high) = eigenbasis(p, ends - t)
-        x = math.sin(p.theta) * (high.conjugate() - low.conjugate())
-        difference = 0.5 * abs(s * s * x - c * c * x.conjugate())
-        (md, ed), (ms, es), (mo, eo) = map(math.frexp, (difference, ends[1] - ends[0], p.omega0))
-        result = float(np.ldexp(md / (ms * mo), ed - es - eo))
-    lost = p.omega and p.theta and (difference < 2.0**-1048 or result < FLOAT_MIN)  # a flipping drive's bits
+        lo, hi = 0.5 * p.omega * (ends - t)  # omega/2 times the offsets: halved, so that u cannot overflow
+        u, phi = hi - lo, hi + lo
+        factor = (abs(math.sin(u) / u) if u else 1.0) * math.hypot(math.cos(phi), math.cos(p.theta) * math.sin(phi))
+        try:
+            result = float(adiabaticity_of(p.omega0, p.omega, p.theta, factor))
+        except ValueError:  # the element overflows: named below, with dt
+            result = math.inf
+    lost = p.omega and p.theta and result < FLOAT_MIN  # a flipping drive's element below the normals
     check_finite("the matrix element", math.nan if lost else result, omega0=p.omega0, omega=p.omega, dt=dt)
     return result

@@ -827,17 +827,25 @@ class TestAdiabatic:
         assert payload["parameter"] == pytest.approx(payload["matrix_element"], rel=1e-9)
 
     @pytest.mark.parametrize(
-        "drive", ["1e155 1 1", "1e300 1 1", "1e-310 5e-324 1e-8"], ids=["omega0-1e155", "omega0-1e300", "phase-0"]
+        "drive, element",
+        [
+            ("--omega0 1e155 --omega 1 --theta 1 --dt 5e-324", 4.2073549240394823e-156),
+            ("--omega0 1e300 --omega 1 --theta 1 --dt 5e-324", 4.207354924039483e-301),
+            ("--omega0 1e-310 --omega 5e-324 --theta 1e-8 --dt 5e-324", 2.4703282292062404e-22),
+            (
+                "--omega0 0.125 --omega 1.5786167596167246e-307 --theta 1 --dt 8.98846567431158e+307",
+                3.7395742899860345e-308,
+            ),
+        ],
+        ids=["omega0-1e155", "omega0-1e300", "phase-0", "dt-2**1023"],
     )
-    def test_element_whose_bits_are_lost_refused(self, drive, capsys):
-        """At dt = 5e-324 the difference keeps one bit or none: once answered 19% off (twice) and 0.0."""
-        omega0, omega, theta = drive.split()
-        argv = ["adiabatic", "--omega0", omega0, "--omega", omega, "--theta", theta, "--dt", "5e-324"]
-        message = (
-            f"omega0 and omega and dt must keep the matrix element finite, "
-            f"got omega0 = {float(omega0)!r}, omega = {float(omega)!r}, dt = 5e-324"
-        )
-        assert run(argv, capsys) == (EXIT_USAGE, "", f"toptrap: {message}\n")
+    def test_element_once_refused_answers(self, drive, element, capsys):
+        """Within 4 eps of a 50-digit evaluation of the same central difference.  At dt = 5e-324 a float difference
+        of turns kept one bit or none (once answered 19% off, twice, and 0.0, then refused); at dt = 2^1023 the
+        spacing of the ends overflowed (refused)."""
+        code, out, _ = run(["adiabatic", *drive.split(), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["matrix_element"] == pytest.approx(element, rel=4 * sys.float_info.epsilon, abs=0.0)
 
     def test_overflowing_shifted_time_names_t_and_dt(self, capsys):
         """t + dt overflows: the message names the given t and dt, not an infinite t."""

@@ -22,9 +22,10 @@ t and x grids): no other code calls ``np.linspace`` or reports the grid.  ``clos
 refuses omega = 0 for tau and reports an overflowing x = omega0/omega.  ``spin.eigenbasis`` is the only code that forms
 the half-angle pair sin(theta/2), cos(theta/2) of the eigenvectors, and no module calls ``np.linalg``.  ``cli._echo`` is
 the only code that reads the parsed arguments as a whole: a table's parameter echo is them, not a copy by hand.
-``spin.hamiltonian_at`` has no caller in the package: the matrix element differences ``eigenbasis``'s turns, and H(t)
-is the tests' independent reference.  ``spin.adiabaticity_of`` is the only code that forms the adiabaticity parameter,
-for ``adiabaticity_parameter`` and ``run_sweep`` alike: its exponent line appears nowhere else.
+``spin.hamiltonian_at`` has no caller in the package: the matrix element is the closed form of its central difference,
+and H(t) is the tests' independent reference.  ``spin.adiabaticity_of`` is the only code that forms the adiabaticity
+parameter, for ``adiabaticity_parameter``, ``run_sweep`` and the matrix element alike: its exponent line appears nowhere
+else, and no other code joins mantissas and exponents (``frexp``, ``ldexp``).
 
 A frozen dataclass with a hand-written ``__init__`` (one that stores its fields straight into ``__dict__``, without
 dataclass's ``object.__setattr__`` per field) takes exactly its fields, in order: a field added to the class without
@@ -196,7 +197,7 @@ def test_serialize_imports_no_sibling_module():
         ("0.5 * p.theta", "spin.py", "eigenbasis"),
         ("vars(args)", "cli.py", "_echo"),
         ("hamiltonian_at(", "spin.py", "hamiltonian_at"),
-        ("e + es - e0", "spin.py", "adiabaticity_of"),
+        ("e + es + ef - e0", "spin.py", "adiabaticity_of"),
     ],
     ids=[
         "linspace", "grid-report", "omega-refusal", "x-report", "half-angle-pair", "parameter-echo", "hamiltonian",
@@ -206,6 +207,11 @@ def test_serialize_imports_no_sibling_module():
 def test_rule_only_in_its_owner(text, module, owner):
     found = _lines_mentioning(text)
     assert len(found) == 1 and set(found) <= _lines_of(module, owner)
+
+
+def test_one_exponent_join():
+    found = _lines_mentioning("frexp") + _lines_mentioning("ldexp")
+    assert found and set(found) <= _lines_of("spin.py", "adiabaticity_of")
 
 
 @pytest.mark.parametrize(
