@@ -14,8 +14,6 @@ and the exact propagator built in the frame co-rotating with the drive.
 
 from .closed_form import (
     ResurrectionPoint,
-    SpinAmplitudes,
-    amplitudes_at,
     probabilities,
     resurrection_time,
     survival_probability,
@@ -70,14 +68,12 @@ __all__ = [
     "IntegratorSettings",
     "OracleMismatchError",
     "ResurrectionPoint",
-    "SpinAmplitudes",
     "SweepResult",
     "SweepSpec",
     "TimeSeries",
     "TrapConfig",
     "adiabaticity_matrix_element",
     "adiabaticity_parameter",
-    "amplitudes_at",
     "circle_of_death_radius",
     "confinement_advisor",
     "eigensystem_at",

@@ -36,14 +36,6 @@ from .spin import FLOAT_MAX, DriveParams, check, check_domain, check_finite, cho
 
 
 @dataclass(frozen=True)
-class SpinAmplitudes:
-    """Complex amplitude pair in the instantaneous eigenbasis, unit norm."""
-
-    alpha: complex | np.ndarray
-    beta: complex | np.ndarray
-
-
-@dataclass(frozen=True)
 class ResurrectionPoint:
     """Resurrection time ``tau`` in drive-period units at ratio ``x`` = omega0/omega."""
 
@@ -52,26 +44,14 @@ class ResurrectionPoint:
     theta: float
 
 
-def _broadcast_terms(omega0, omega, theta, t):
-    """Validated broadcast wbar t/2, an array of the broadcast shape, and coupling/wbar; a zero wbar divides as 1, so
-    there the ratio only multiplies sin 0 = 0."""
-    omega0, omega, theta, t = map(check_domain, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
-    wb = omega_bar_of(omega0, omega, theta)
-    with np.errstate(over="ignore"):  # an overflowing phase raises instead
-        half = np.asarray(0.5 * wb * t)  # an array even for 0-d inputs: probabilities takes its sine in place
-    check_finite("the phase wbar t/2", half, t=t)
-    return half, omega * np.sin(theta) / np.where(wb == 0.0, 1.0, wb)
-
-
-def _scalar_terms(p: DriveParams, t):
-    """By ``math`` for scalar ``t``: the transition (coupling/wbar)^2 sin^2(wbar t/2) clamped to 1, wbar t/2, and
-    wbar, a zero one as 1.  A bad t, or a phase that overflows, is named by :func:`_broadcast_terms`."""
+def _scalar_transition(p: DriveParams, t) -> float:
+    """The transition (coupling/wbar)^2 sin^2(wbar t/2) by ``math`` for scalar ``t``, clamped to 1; a zero wbar divides
+    as 1.  A bad t, or a phase that overflows, is named by :func:`probabilities`."""
     if not (0.0 <= t <= FLOAT_MAX and (half := 0.5 * p.omega_bar * float(t)) < math.inf):
-        _broadcast_terms(p.omega0, p.omega, p.theta, t)  # raises
-    wb = p.omega_bar or 1.0
-    ratio, s = p.coupling / wb, math.sin(half)
+        probabilities(p.omega0, p.omega, p.theta, t)  # raises
+    ratio, s = p.coupling / (p.omega_bar or 1.0), math.sin(half)
     transition = ratio * ratio * (s * s)
-    return transition if transition < 1.0 else 1.0, half, wb
+    return transition if transition < 1.0 else 1.0
 
 
 def probabilities(omega0, omega, theta, t, out=(None, None)):
@@ -89,7 +69,12 @@ def probabilities(omega0, omega, theta, t, out=(None, None)):
             omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0, and naming
             omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
     """
-    half, coupling_ratio = _broadcast_terms(omega0, omega, theta, t)
+    omega0, omega, theta, t = map(check_domain, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
+    wb = omega_bar_of(omega0, omega, theta)
+    with np.errstate(over="ignore"):  # an overflowing phase raises instead
+        half = np.asarray(0.5 * wb * t)  # an array even for 0-d inputs: its sine is taken in place
+    check_finite("the phase wbar t/2", half, t=t)
+    coupling_ratio = omega * np.sin(theta) / np.where(wb == 0.0, 1.0, wb)  # a zero wbar only multiplies sin 0 = 0
     survival, transition = out
     sin2 = np.sin(half, out=half)
     sin2 *= sin2
@@ -100,21 +85,6 @@ def probabilities(omega0, omega, theta, t, out=(None, None)):
     return np.subtract(1.0, transition, out=survival), transition
 
 
-def amplitudes_at(p: DriveParams, t) -> SpinAmplitudes:
-    """Amplitudes (alpha, beta) at time ``t`` for the alpha(0) = 1 start.
-
-    Raises:
-        ValueError: for negative or non-finite ``t``.
-    """
-    if isinstance(t, float) or np.ndim(t) == 0:
-        _, half, wb = _scalar_terms(p, t)
-        c, s = math.cos(half), math.sin(half)
-    else:
-        half, _ = _broadcast_terms(p.omega0, p.omega, p.theta, t)
-        wb, c, s = p.omega_bar or 1.0, np.cos(half), np.sin(half)
-    return SpinAmplitudes(alpha=c + 1j * (p.drift / wb) * s, beta=1j * (p.coupling / wb) * s)
-
-
 def survival_probability(p: DriveParams, t):
     """Probability of still being a weak-field seeker at time ``t``.
 
@@ -123,7 +93,7 @@ def survival_probability(p: DriveParams, t):
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[0]
-    return 1.0 - _scalar_terms(p, t)[0]
+    return 1.0 - _scalar_transition(p, t)
 
 
 def transition_probability(p: DriveParams, t):
@@ -134,7 +104,7 @@ def transition_probability(p: DriveParams, t):
     """
     if not isinstance(t, float) and np.ndim(t) != 0:
         return probabilities(p.omega0, p.omega, p.theta, t)[1]
-    return _scalar_terms(p, t)[0]
+    return _scalar_transition(p, t)
 
 
 def tau_of_ratio(x, theta, one_minus_x=None):

@@ -80,7 +80,10 @@ def check(name, rule, test, value):
     """``value`` as a float array; a ValueError reads ``<name> must be <rule>, got <first bad value>``.  A Python int is
     tested as itself, and so are the values of an object array (numpy's dtype for a sequence holding an int beyond
     int64): it prints as an int, and one too large for a float is named rather than overflowing a conversion.  Values
-    numpy does not cast to float within their kind (complex, strings) are its TypeError."""
+    numpy does not cast to float within their kind (complex, strings) are its TypeError.  A good Python float returns
+    at once."""
+    if type(value) is float and test(value):
+        return np.asarray(value)
     is_int = isinstance(value, int)
     v = value if is_int else np.asarray(value)
     if not is_int and v.dtype != object:
@@ -97,7 +100,9 @@ def check_domain(name, value):
 
 def check_finite(quantity, values, **inputs):
     """Raise ValueError naming the ``inputs`` at the first point where ``quantity`` ``values`` is not finite
-    (e.g. an omega_bar above the largest float)."""
+    (e.g. an omega_bar above the largest float); a finite Python float returns at once."""
+    if type(values) is float and math.isfinite(values):
+        return
     bad = ~np.isfinite(values)
     if np.any(bad):
         got = ", ".join(f"{name} = {float(np.broadcast_to(v, np.shape(values))[bad][0])!r}" for name, v in inputs.items())

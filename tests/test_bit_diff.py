@@ -1,5 +1,5 @@
-"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter, routes and writers batteries' emitters, the
-comparison of two trees' items and its report.
+"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter, closed, routes and writers batteries' emitters,
+the comparison of two trees' items and its report.
 
 Nothing here unpacks a tree or runs a battery in a subprocess; the script is loaded from its file, as ``tools`` is not
 a package.
@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from toptrap import serialize
+from toptrap.closed_form import survival_probability, transition_probability
+from toptrap.geometry import confinement_advisor
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
 from toptrap.spin import DriveParams, adiabaticity_parameter
 
@@ -72,6 +74,40 @@ def test_parameter_items_cover_each_element_drive_then_the_sweep_column():
         name, *drive = ast.literal_eval(key)
         assert name == "run_sweep" and 1e-3 <= drive[0] <= 1e3 and 1e-3 <= drive[1] <= 1e3 and 0.0 <= drive[2] <= math.pi
         assert output == adiabaticity_parameter(DriveParams(*drive)).hex()
+
+
+def test_closed_items_cover_both_kernels_at_each_time():
+    """Per drive, the scalar survival, transition and confinement ratio at each of CLOSED_TIMES, then probabilities
+    over the times without and with the last, each the direct call's float.hex or refusal; the array's bits are the
+    scalar ones.  The default drives are the element battery's distinct ones; the times include 0 and a phase that
+    overflows.  The same drives give the same items."""
+    drives = bit_diff.distinct_drives()
+    assert drives == list(dict.fromkeys(drive[:3] for drive in bit_diff.element_drives())) and len(drives) == 20_315
+    drives = drives[:3] + drives[20_000:]  # three random drives and the extreme grid
+    items = list(bit_diff.closed_items(drives))
+    assert items == list(bit_diff.closed_items(drives))
+    times = bit_diff.CLOSED_TIMES
+    assert times[0] == 0.0 and len(items) == len(drives) * (3 * len(times) + 2)
+    calls = (survival_probability, transition_probability, lambda p, t: confinement_advisor(p, t).ratio)
+    items = iter(items)
+    for drive in drives:
+        scalars = []
+        for t in times:
+            for call, (key, output) in zip(calls, items):
+                assert ast.literal_eval(key)[1:] == (*drive, t)
+                assert output == bit_diff.outcome(lambda: call(DriveParams(*drive), t))
+                scalars.append(output)
+        for ts in (times[:-1], times):
+            key, output = next(items)
+            assert ast.literal_eval(key) == ("probabilities", *drive, ts)
+            if output.startswith("ValueError"):  # a scalar call's refusal at one of the times
+                assert output in scalars[0::3][: len(ts)]
+            else:
+                survival, transition = np.reshape(output.split(), (2, len(ts)))
+                assert list(survival) == scalars[0::3][: len(ts)] and list(transition) == scalars[1::3][: len(ts)]
+    outputs = [output for _, output in bit_diff.closed_items(drives)]
+    assert any(output.startswith("ValueError: t must keep the phase wbar t/2 finite") for output in outputs)
+    assert any(output.startswith("ValueError: omega0 and omega must keep omega_bar finite") for output in outputs)
 
 
 def test_writer_items_digest_both_writers_on_each_table():

@@ -1,8 +1,7 @@
-"""Tests for the closed-form amplitudes, probabilities and resurrection time."""
+"""Tests for the closed-form probabilities and resurrection time."""
 
 import math
 import re
-from dataclasses import astuple
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -12,7 +11,6 @@ import pytest
 import toptrap.closed_form
 import toptrap.spin
 from toptrap.closed_form import (
-    amplitudes_at,
     probabilities,
     resurrection_time,
     survival_probability,
@@ -31,59 +29,6 @@ RNG = np.random.default_rng(7)
 def random_params(n):
     for _ in range(n):
         yield DriveParams(RNG.uniform(0.1, 10), RNG.uniform(0, 10), RNG.uniform(0, math.pi))
-
-
-class TestAmplitudes:
-    def test_initial_condition(self):
-        amps = amplitudes_at(DriveParams(1.0, 1.5, 1.0), 0.0)
-        assert amps.alpha == pytest.approx(1.0)
-        assert amps.beta == 0.0
-
-    def test_theta_zero_is_pure_phase(self):
-        p = DriveParams(1.0, 0.7, 0.0)
-        for t in (0.1, 1.0, 10.0):
-            amps = amplitudes_at(p, t)
-            assert abs(amps.alpha) == pytest.approx(1.0, abs=1e-15)
-            assert amps.beta == 0.0
-
-    def test_half_period_populations_against_ode(self):
-        p = DriveParams(1.0, 1.5, math.pi / 2)
-        t_half = math.pi / p.omega_bar
-        amps = amplitudes_at(p, t_half)
-        assert abs(amps.alpha) ** 2 == pytest.approx(1 / 3.25, abs=1e-14)
-        assert abs(amps.beta) ** 2 == pytest.approx(2.25 / 3.25, abs=1e-14)
-        series = evolve_instantaneous_basis(p, [0.0, t_half])
-        assert series.survival[1] == pytest.approx(1 / 3.25, abs=1e-9)
-
-    def test_degenerate_drive_stays_put(self):
-        amps = amplitudes_at(DriveParams(1.0, 1.0, 0.0), 5.0)
-        assert amps.alpha == 1.0 + 0.0j
-        assert amps.beta == 0.0j
-
-    def test_subnormal_angle_near_degeneracy(self):
-        # theta/2 rounds to 0 here, but omega_bar takes 2 sin(theta/2) as theta itself: the exact 5e-324, with a
-        # non-zero coupling; the phase wbar t/2 underflows to 0, so the ratios only multiply sin 0 = 0
-        p = DriveParams(1.0, 1.0, 5e-324)
-        assert p.omega_bar == 5e-324 and p.coupling != 0.0
-        assert survival_probability(p, 3.0) == 1.0
-        assert transition_probability(p, 3.0) == 0.0
-        amps = amplitudes_at(p, 3.0)
-        assert amps.alpha == 1.0 + 0.0j and amps.beta == 0.0j
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            amplitudes_at(DriveParams(1.0, 1.0, 1.0), -0.1)
-
-    @hyp.given(
-        omega0=st.floats(1e-2, 1e2),
-        ratio=st.floats(0.0, 10.0),
-        theta=st.floats(0.0, math.pi),
-        t=st.floats(0.0, 100.0),
-    )
-    @hyp.settings(max_examples=200, deadline=None)
-    def test_unit_norm(self, omega0, ratio, theta, t):
-        amps = amplitudes_at(DriveParams(omega0, ratio * omega0, theta), t)
-        assert abs(amps.alpha) ** 2 + abs(amps.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProbabilities:
@@ -108,15 +53,30 @@ class TestProbabilities:
 
     def test_transition_examples(self):
         p = DriveParams(1.0, 1.5, math.pi / 2)
+        t_half = math.pi / p.omega_bar
         assert transition_probability(p, 0.0) == 0.0
-        assert transition_probability(p, math.pi / p.omega_bar) == pytest.approx(2.25 / 3.25, abs=1e-14)
+        assert transition_probability(p, t_half) == pytest.approx(2.25 / 3.25, abs=1e-14)
+        assert survival_probability(p, t_half) == pytest.approx(1 / 3.25, abs=1e-14)
+        series = evolve_instantaneous_basis(p, [0.0, t_half])
+        assert series.survival[1] == pytest.approx(1 / 3.25, abs=1e-9)
+
+    def test_subnormal_angle_near_degeneracy(self):
+        # theta/2 rounds to 0 here, but omega_bar takes 2 sin(theta/2) as theta itself: the exact 5e-324, with a
+        # non-zero coupling; the phase wbar t/2 underflows to 0, so the ratio only multiplies sin 0 = 0
+        p = DriveParams(1.0, 1.0, 5e-324)
+        assert p.omega_bar == 5e-324 and p.coupling != 0.0
+        assert survival_probability(p, 3.0) == 1.0
+        assert transition_probability(p, 3.0) == 0.0
 
     def test_matches_amplitudes(self):
+        """|alpha|^2 = cos^2(wbar t/2) + (drift/wbar)^2 sin^2(wbar t/2) and |beta|^2 = (coupling/wbar)^2 sin^2(wbar t/2),
+        formed here from the rates."""
         for p in random_params(50):
             t = RNG.uniform(0, 20)
-            amps = amplitudes_at(p, t)
-            assert survival_probability(p, t) == pytest.approx(abs(amps.alpha) ** 2, abs=1e-14)
-            assert transition_probability(p, t) == pytest.approx(abs(amps.beta) ** 2, abs=1e-14)
+            c, s = math.cos(0.5 * p.omega_bar * t), math.sin(0.5 * p.omega_bar * t)
+            alpha2 = c * c + (p.drift / p.omega_bar) ** 2 * (s * s)
+            assert survival_probability(p, t) == pytest.approx(alpha2, abs=1e-14)
+            assert transition_probability(p, t) == pytest.approx((p.coupling / p.omega_bar) ** 2 * (s * s), abs=1e-14)
 
     @hyp.given(
         ratio=st.floats(0.0, 10.0),
@@ -211,14 +171,10 @@ class TestKernelAgreement:
         """Every call shape and sweep cell gives the scalar path's bits."""
         p = DriveParams(omega0, ratio * omega0, theta)
         expected = [survival_probability(p, t), transition_probability(p, t)]
-        amplitudes = amplitudes_at(p, t)
         for ts in (np.float64(t), np.array(t), np.array([t]), np.array([[0.0, t], [t, 3.0 * t]])):
             at_t = np.asarray(ts) == t
             n = int(np.sum(at_t))
-            for got, want in zip(
-                (survival_probability(p, ts), transition_probability(p, ts), *astuple(amplitudes_at(p, ts))),
-                (*expected, amplitudes.alpha, amplitudes.beta),
-            ):
+            for got, want in zip((survival_probability(p, ts), transition_probability(p, ts)), expected):
                 assert np.asarray(got)[at_t].tolist() == [want] * n
         fixed_drive = SweepSpec(
             axes=(Axis("t", np.array([t, 0.5 * t])),),
@@ -311,9 +267,6 @@ class TestKernelAgreement:
         survival, transition = probabilities(p.omega0, p.omega, p.theta, ts)
         assert survival.tolist() == [survival_probability(p, t) for t in ts.tolist()]
         assert transition.tolist() == [transition_probability(p, t) for t in ts.tolist()]
-        amplitudes = amplitudes_at(p, ts)
-        for k, t in enumerate(ts.tolist()):
-            assert (amplitudes.alpha[k], amplitudes.beta[k]) == astuple(amplitudes_at(p, t))
         route = evolve_rotating_frame(p, ts)
         np.testing.assert_allclose(survival, route.survival, rtol=0, atol=1e-12)
         np.testing.assert_allclose(transition, route.transition, rtol=0, atol=1e-12)
@@ -368,12 +321,10 @@ class TestKernelAgreement:
         [
             lambda p: survival_probability(p, 1e300),
             lambda p: transition_probability(p, 1e300),
-            lambda p: amplitudes_at(p, 1e300),
             lambda p: survival_probability(p, np.array([0.0, 1e300])),
-            lambda p: amplitudes_at(p, np.array([0.0, 1e300])),
             lambda p: probabilities(p.omega0, p.omega, p.theta, [0.0, 1e300]),
         ],
-        ids=["scalar-survival", "scalar-transition", "scalar-amplitudes", "array-survival", "array-amplitudes", "kernel"],
+        ids=["scalar-survival", "scalar-transition", "array-survival", "kernel"],
     )
     def test_overflowing_phase_rejected(self, call):
         """wbar t/2 = inf would give nan (array) or a bare math domain error (scalar)."""
@@ -386,14 +337,11 @@ class TestKernelAgreement:
         [
             lambda p: survival_probability(p, 0.0),
             lambda p: transition_probability(p, 0.0),
-            lambda p: amplitudes_at(p, 0.0),
             lambda p: survival_probability(p, np.array([0.0, 1.0])),
-            lambda p: amplitudes_at(p, np.array([0.0, 1.0])),
             lambda p: probabilities(p.omega0, p.omega, p.theta, 0.0),
             lambda p: probabilities(p.omega0, p.omega, np.array([0.0, p.theta]), np.array([[0.0], [1.0]])),
         ],
-        ids=["scalar-survival", "scalar-transition", "scalar-amplitudes", "array-survival", "array-amplitudes", "kernel",
-             "kernel-theta-zero"],
+        ids=["scalar-survival", "scalar-transition", "array-survival", "kernel", "kernel-theta-zero"],
     )
     def test_overflowing_omega_bar_rejected(self, call):
         """An overflowing wbar (2e308 here) once made the error blame t; it names omega0 and omega."""
@@ -458,11 +406,10 @@ class TestKernelAgreement:
         exact = float(t)
         assert survival_probability(p, t) == survival_probability(p, exact)
         assert transition_probability(p, t) == transition_probability(p, exact)
-        assert amplitudes_at(p, t) == amplitudes_at(p, exact)
         assert type(survival_probability(p, t)) is float
 
     def test_omega_bar_evaluated_once_per_drive(self, monkeypatch):
-        """Survival, transition, amplitudes and the confinement verdict on one DriveParams share one omega_bar."""
+        """Survival, transition and the confinement verdict on one DriveParams share one omega_bar."""
         calls = []
         chord = toptrap.spin.chord
 
@@ -474,7 +421,6 @@ class TestKernelAgreement:
         p = DriveParams(1.0, 1.5, 1.0)
         survival_probability(p, 2.0)
         transition_probability(p, 2.0)
-        amplitudes_at(p, 2.0)
         confinement_advisor(p, escape_time=1.0)
         assert len(calls) == 1
 

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from toptrap.closed_form import amplitudes_at, probabilities, survival_probability, tau_of_ratio, transition_probability
+from toptrap.closed_form import probabilities, survival_probability, tau_of_ratio, transition_probability
 from toptrap.geometry import (
     TrapConfig,
     confinement_advisor,
@@ -52,10 +52,8 @@ DIRECT = {
     "probabilities": (("omega0", "omega", "theta", "t"), lambda v: probabilities(*_drive(v), v["t"])),
     "survival-scalar": (("t",), lambda v: survival_probability(P, v["t"])),
     "transition-scalar": (("t",), lambda v: transition_probability(P, v["t"])),
-    "amplitudes-scalar": (("t",), lambda v: amplitudes_at(P, v["t"])),
     "survival-array": (("t",), lambda v: survival_probability(P, np.array([1.0, v["t"]]))),
     "transition-array": (("t",), lambda v: transition_probability(P, np.array([1.0, v["t"]]))),
-    "amplitudes-array": (("t",), lambda v: amplitudes_at(P, np.array([1.0, v["t"]]))),
     "tau_of_ratio": (("x", "theta"), lambda v: tau_of_ratio(v["x"], v["theta"])),
     "check_domain": (("t", "x"), lambda v: [check_domain(name, v[name]) for name in ("t", "x")]),
     "evolve_instantaneous_basis": (("t",), lambda v: evolve_instantaneous_basis(P, np.array([v["t"], 3.0]))),
@@ -179,3 +177,10 @@ def test_check_refuses_values_a_float_cast_would_change(value):
     """A complex number would lose its imaginary part and a string be parsed: numpy's same-kind cast refuses both."""
     with pytest.raises(TypeError):
         check("x", *FINITE, value)
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), np.array(2.0), 2], ids=["float", "float64", "0-d", "int"])
+def test_check_gives_every_good_scalar_one_0d_float_array(value):
+    """A good Python float returns before the cast, with what a numpy float, a 0-d array or an int returns."""
+    got = check("x", *FINITE, value)
+    assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64 and got == 2.0

@@ -38,6 +38,9 @@ The DP5(4) stepper has one step path.  Certified step sizes skip the error norm 
 expression and the D and E mat-vecs each appear once in the package, in ``integrate._integrate_dp45``: a second,
 "fast" step loop would repeat them.
 
+Every public name has a user: each ``toptrap.__all__`` name is read by another package module or by ``bench/`` or
+``tools/``, is named in backticks in README.md, or is the return annotation of a public function of its module.
+
 One atom of a cloud scan (``larmor_at``, ``field_angle_at``, ``DriveParams``, scalar ``survival_probability`` and
 ``transition_probability``, ``confinement_advisor``) makes at most 12 Python-level calls: one helper call per public
 function, rates stored at construction, and no call into ``check`` or a report on a good input.
@@ -47,14 +50,17 @@ import ast
 import dataclasses
 import importlib
 import math
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import toptrap
 from toptrap import closed_form, geometry, spin
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "toptrap"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toptrap"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -141,16 +147,22 @@ def bound_at_module_level(node) -> list[str]:
     return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
 
 
-def unused_private_names() -> list[str]:
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def names_read(path: Path) -> set[str]:
+    """The names ``path`` loads, reads as an attribute or imports."""
     read = set()
-    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.alias):  # imported by another module
             read.add(node.name)
+    return read
+
+
+def unused_private_names() -> list[str]:
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(names_read, SRC.glob("*.py")))
     return [
         f"{name}:{node.lineno}: {bound}"
         for name, tree in trees.items()
@@ -162,6 +174,31 @@ def unused_private_names() -> list[str]:
 
 def test_no_unused_private_name():
     assert unused_private_names() == []
+
+
+def public_names_without_a_user() -> list[str]:
+    readers = [*SRC.glob("*.py"), *ROOT.glob("bench/**/*.py"), *ROOT.glob("tools/**/*.py")]
+    read_by = {path: names_read(path) for path in readers}
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    in_backticks = {word for span in spans for word in re.findall(r"\w+", span)}
+    unused = []
+    for name in toptrap.__all__:
+        home = SRC / f"{getattr(toptrap, name).__module__.rsplit('.', 1)[1]}.py"
+        returned = {
+            node.id
+            for function in ast.parse(home.read_text()).body
+            if isinstance(function, ast.FunctionDef) and not function.name.startswith("_") and function.returns
+            for node in ast.walk(function.returns)
+            if isinstance(node, ast.Name)
+        }
+        read_elsewhere = any(name in read for path, read in read_by.items() if path not in (home, SRC / "__init__.py"))
+        if not (read_elsewhere or name in in_backticks or name in returned):
+            unused.append(name)
+    return unused
+
+
+def test_every_public_name_has_a_user():
+    assert public_names_without_a_user() == []
 
 
 def imported_names(module: str) -> list[str]:

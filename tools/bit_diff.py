@@ -6,10 +6,11 @@
 ``--base`` is a git revision of the repository this script sits in, unpacked with ``git archive`` into a temporary
 directory; the change is a copy of this checkout's working tree there (both from ``tools/bench_pairs.py``).  Each
 battery runs in a fresh process in each tree: this script, with ``--emit NAME`` and that tree's ``src`` first on
-``PYTHONPATH``, prints every item of the battery as [inputs, output].  An output is the ``float.hex`` of a float, the
-type and message of an exception (a refusal compares as its message), the sha256 of a route's probabilities, or the exit
-code and sha256 of the CLI's stdout bytes.  For each battery the report gives the number of items compared, the number
-whose outputs differ, the largest distance in ulp between two differing floats, and the first differing inputs.
+``PYTHONPATH``, prints every item of the battery as [inputs, output].  An output is the ``float.hex`` of a float (of
+each float, for arrays), the type and message of an exception (a refusal compares as its message), the sha256 of a
+route's probabilities, or the exit code and sha256 of the CLI's stdout bytes.  For each battery the report gives the
+number of items compared, the number whose outputs differ, the largest distance in ulp between two differing floats,
+and the first differing inputs.
 
 Batteries:
 
@@ -18,6 +19,10 @@ Batteries:
 * ``parameter``: ``adiabaticity_parameter`` on each distinct drive of the element battery, and ``run_sweep``'s
   adiabaticity column on a seeded 8,000-point grid (omega0 and omega log-uniform in [1e-3, 1e3], theta uniform in
   [0, pi]);
+* ``closed``: on each distinct drive of the element battery, scalar ``survival_probability`` and
+  ``transition_probability`` and ``confinement_advisor``'s ratio (the time as the escape time) at each of the times
+  0, 5e-324, 1, 1e5 and the largest float, whose phase wbar t/2 overflows for wbar > 2, then ``probabilities`` over
+  the array of those times without and with the largest float;
 * ``atoms``: the ``field_at`` components, ``larmor_at`` and ``field_angle_at`` on a seeded 100,000-atom cloud in the
   ``cloud_scan`` trap of ``bench/workloads.py``, drawn as that workload draws its atoms;
 * ``routes``: ``evolve_instantaneous_basis``, ``evolve_lab_frame`` and ``evolve_rotating_frame`` at the default
@@ -48,13 +53,14 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BATTERIES = ("element", "parameter", "atoms", "routes", "writers", "cli")
+BATTERIES = ("element", "parameter", "closed", "atoms", "routes", "writers", "cli")
 
 FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
 GRID_OMEGA0 = (5e-324, 1.5e-323, 1e-310, FLOAT_MIN, 1e-300, 1.0, 1e155, 1e300, 1.7e308)
 GRID_OMEGA = (0.0, 5e-324, 1e-308, 1e-3, 1.0, 1e300, 1.7e308)
 GRID_THETA = (0.0, 1e-8, 1.0, math.pi / 2, math.pi)
 GRID_T_DT = ((0.0, None), (1.0, None), (1e300, None), (0.0, 5e-324), (1.0, 1e-3))
+CLOSED_TIMES = (0.0, 5e-324, 1.0, 1e5, FLOAT_MAX)
 ROUTE_DRIVES, ROUTE_SAMPLES, ROUTE_PERIODS = 1000, 64, 3.0
 WRITER_ROWS = (0, 1, 4095, 4096, 4097, 3 * 4096 + 5)
 WRITER_LAYOUTS = ("the axis", "tiled and repeated", "short axis")
@@ -100,6 +106,11 @@ def element_drives():
                     yield omega0, omega, theta, t, dt
 
 
+def distinct_drives():
+    """Each distinct (omega0, omega, theta) of the element battery, in its order."""
+    return list(dict.fromkeys(drive[:3] for drive in element_drives()))
+
+
 def element_items():
     from toptrap.spin import DriveParams, adiabaticity_matrix_element
 
@@ -114,7 +125,7 @@ def parameter_items(n: int = SWEEP_AXIS):
     from toptrap.spin import DriveParams, adiabaticity_parameter
     from toptrap.sweep import Axis, SweepSpec, run_sweep
 
-    for drive in dict.fromkeys(drive[:3] for drive in element_drives()):
+    for drive in distinct_drives():
         yield repr(("adiabaticity_parameter", *drive)), outcome(lambda: adiabaticity_parameter(DriveParams(*drive)))
     rng = np.random.default_rng(2024)
     values = {"omega0": 10.0 ** rng.uniform(-3.0, 3.0, n), "omega": 10.0 ** rng.uniform(-3.0, 3.0, n)}
@@ -122,6 +133,30 @@ def parameter_items(n: int = SWEEP_AXIS):
     result = run_sweep(SweepSpec(axes=[Axis(name, v) for name, v in values.items()], quantities=("adiabaticity",)))
     for row in result.table.tolist():
         yield repr(("run_sweep", *row[:3])), row[3].hex()
+
+
+def closed_items(drives=None):
+    """The closed form on ``drives``, by default :func:`distinct_drives`: per drive, the scalar survival, transition and
+    confinement ratio at each of CLOSED_TIMES, then ``probabilities`` over CLOSED_TIMES without and with its last."""
+    import numpy as np
+    from toptrap.closed_form import probabilities, survival_probability, transition_probability
+    from toptrap.geometry import confinement_advisor
+    from toptrap.spin import DriveParams
+
+    def hex_pair(pair):
+        return " ".join(v.hex() for array in pair for v in array.tolist())
+
+    scalar = {
+        "survival_probability": survival_probability,
+        "transition_probability": transition_probability,
+        "confinement_advisor": lambda p, t: confinement_advisor(p, t).ratio,
+    }
+    for drive in distinct_drives() if drives is None else drives:
+        for t in CLOSED_TIMES:
+            for name, call in scalar.items():
+                yield repr((name, *drive, t)), outcome(lambda: call(DriveParams(*drive), t))
+        for times in (CLOSED_TIMES[:-1], CLOSED_TIMES):
+            yield repr(("probabilities", *drive, times)), outcome(lambda: probabilities(*drive, np.array(times)), hex_pair)
 
 
 def atom_items():
@@ -210,7 +245,7 @@ def cli_items():
 
 
 EMITTERS = {
-    "element": element_items, "parameter": parameter_items, "atoms": atom_items, "routes": route_items,
+    "element": element_items, "parameter": parameter_items, "closed": closed_items, "atoms": atom_items, "routes": route_items,
     "writers": writer_items, "cli": cli_items,
 }
 
