@@ -31,6 +31,18 @@ def random_params(n):
         yield DriveParams(RNG.uniform(0.1, 10), RNG.uniform(0, 10), RNG.uniform(0, math.pi))
 
 
+class TestAmplitudes:
+    """The populations |alpha|^2 and |beta|^2 of the spin amplitudes, against the ODE's."""
+
+    def test_half_period_populations_against_ode(self):
+        p = DriveParams(1.0, 1.5, math.pi / 2)
+        t_half = math.pi / p.omega_bar
+        assert survival_probability(p, t_half) == pytest.approx(1 / 3.25, abs=1e-14)
+        assert transition_probability(p, t_half) == pytest.approx(2.25 / 3.25, abs=1e-14)
+        series = evolve_instantaneous_basis(p, [0.0, t_half])
+        assert series.survival[1] == pytest.approx(1 / 3.25, abs=1e-9)
+
+
 class TestProbabilities:
     def test_survival_starts_at_one(self):
         assert survival_probability(DriveParams(1.0, 1.5, 1.0), 0.0) == 1.0
@@ -53,12 +65,8 @@ class TestProbabilities:
 
     def test_transition_examples(self):
         p = DriveParams(1.0, 1.5, math.pi / 2)
-        t_half = math.pi / p.omega_bar
         assert transition_probability(p, 0.0) == 0.0
-        assert transition_probability(p, t_half) == pytest.approx(2.25 / 3.25, abs=1e-14)
-        assert survival_probability(p, t_half) == pytest.approx(1 / 3.25, abs=1e-14)
-        series = evolve_instantaneous_basis(p, [0.0, t_half])
-        assert series.survival[1] == pytest.approx(1 / 3.25, abs=1e-9)
+        assert transition_probability(p, math.pi / p.omega_bar) == pytest.approx(2.25 / 3.25, abs=1e-14)
 
     def test_subnormal_angle_near_degeneracy(self):
         # theta/2 rounds to 0 here, but omega_bar takes 2 sin(theta/2) as theta itself: the exact 5e-324, with a

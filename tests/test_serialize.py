@@ -98,14 +98,9 @@ def tables(draw):
 @hyp.given(table=tables())
 @hyp.settings(max_examples=300, deadline=None)
 def test_writers_match_the_reference_bytes_and_round_trip(table):
-    """At the default block and at blocks of a few rows, whose edges fall inside tiled, repeated and axis columns, NaN
-    and +-inf rows and repeated column names; the 0-row table has no block."""
-    csv, text = reference_csv(table), reference_json(table)
-    for block in (serialize._BLOCK, 1, 2, 7):
-        with mock.patch.object(serialize, "_BLOCK", block):
-            assert to_csv(table) == csv
-            assert to_json(table) == text
-    back = parse_csv(csv).rows
+    assert to_csv(table) == reference_csv(table)
+    assert to_json(table) == reference_json(table)
+    back = parse_csv(to_csv(table)).rows
     nan = np.isnan(table.rows)
     assert back.shape == table.rows.shape
     assert np.array_equal(np.isnan(back), nan)
@@ -113,6 +108,17 @@ def test_writers_match_the_reference_bytes_and_round_trip(table):
 
 
 WRITER_BOUNDS = [(to_csv, 2.3), (to_json, 2.3), (parse_csv, 2.7)]  # peak per byte of text
+
+
+@hyp.given(table=tables())
+@hyp.settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_writers_match_the_reference_across_block_edges(block, table):
+    """With blocks of a few rows, block edges fall inside tiled, repeated and axis columns, NaN and +-inf rows and
+    repeated column names, and the 0-row table has no block."""
+    with mock.patch.object(serialize, "_BLOCK", block):
+        assert to_csv(table) == reference_csv(table)
+        assert to_json(table) == reference_json(table)
 
 
 @pytest.mark.parametrize(
