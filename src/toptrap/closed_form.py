@@ -61,28 +61,29 @@ def probabilities(omega0, omega, theta, t, out=(None, None)):
     broadcast shape: one sine per point.  Exactly 1 and 0 where the spin never flips (coupling = 0 or wbar = 0).
     The survival is accurate in absolute terms, to 2 eps (1 + |wbar t/2|), not relative to its size near 0.
 
-    ``out``: (survival, transition) float arrays of the broadcast shape to fill
-    and return, with the bits of the call without them; a None is allocated.
+    ``out``: (survival, transition) float arrays of the broadcast shape to fill and return, with the bits of the call
+    without them; a None is allocated.  The inputs are checked here and wbar computed once, for the shared body.
 
     Raises:
-        ValueError: naming the parameter, unless every value is finite with
-            omega0 > 0, omega >= 0, theta in [0, pi] and t >= 0, and naming
-            omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
+        ValueError: naming the parameter, unless every value is finite with omega0 > 0, omega >= 0, theta in [0, pi]
+            and t >= 0, and naming omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
     """
     omega0, omega, theta, t = map(check_domain, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
-    wb = omega_bar_of(omega0, omega, theta)
+    return _probabilities(omega, theta, t, omega_bar_of(omega0, omega, theta), *out)
+
+
+def _probabilities(omega, theta, t, wb, survival=None, transition=None):
+    """:func:`probabilities` of checked inputs and their wb = omega_bar_of(omega0, omega, theta), which ``run_sweep``
+    shares: the phase wbar t/2 is built in ``transition``, or a new array, and turned in place into the transition."""
     with np.errstate(over="ignore"):  # an overflowing phase raises instead
-        half = np.asarray(0.5 * wb * t)  # an array even for 0-d inputs: its sine is taken in place
-    check_finite("the phase wbar t/2", half, t=t)
+        transition = np.asarray(np.multiply(0.5 * wb, t, out=transition))  # an array even for 0-d inputs
+    check_finite("the phase wbar t/2", transition, t=t)
     coupling_ratio = omega * np.sin(theta) / np.where(wb == 0.0, 1.0, wb)  # a zero wbar only multiplies sin 0 = 0
-    survival, transition = out
-    sin2 = np.sin(half, out=half)
-    sin2 *= sin2
-    transition = np.multiply(coupling_ratio * coupling_ratio, sin2, out=sin2 if transition is None else transition)
+    np.sin(transition, out=transition)
+    transition *= transition
+    transition *= coupling_ratio * coupling_ratio
     np.minimum(transition, 1.0, out=transition)  # exactly 0 at coupling = 0
-    if survival is None:  # the spent phase buffer, unless the transition took it
-        survival = np.empty_like(half) if transition is half else half
-    return np.subtract(1.0, transition, out=survival), transition
+    return np.subtract(1.0, transition, out=np.empty_like(transition) if survival is None else survival), transition
 
 
 def survival_probability(p: DriveParams, t):

@@ -101,12 +101,11 @@ def check_domain(name, value):
 def check_finite(quantity, values, **inputs):
     """Raise ValueError naming the ``inputs`` at the first point where ``quantity`` ``values`` is not finite
     (e.g. an omega_bar above the largest float); a finite Python float returns at once."""
-    if type(values) is float and math.isfinite(values):
+    if (type(values) is float and math.isfinite(values)) or np.isfinite(values).all():  # the bad mask only on failure
         return
     bad = ~np.isfinite(values)
-    if np.any(bad):
-        got = ", ".join(f"{name} = {float(np.broadcast_to(v, np.shape(values))[bad][0])!r}" for name, v in inputs.items())
-        raise ValueError(f"{' and '.join(inputs)} must keep {quantity} finite, got {got}")
+    got = ", ".join(f"{name} = {float(np.broadcast_to(v, np.shape(values))[bad][0])!r}" for name, v in inputs.items())
+    raise ValueError(f"{' and '.join(inputs)} must keep {quantity} finite, got {got}")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ A sweep is a cartesian grid over up to three named axes drawn from ``omega0``, `
 (the ratio omega0/omega), with the remaining inputs supplied as fixed values.  Quantities are evaluated with the
 closed-form module; when ``oracle`` is set, survival and transition pick up companion columns from the
 instantaneous-basis ODE integration and the run aborts if any point disagrees beyond ``ORACLE_TOL``.  No grid of
-inputs is built: each axis reaches the kernels along its own grid dimension.  The table is allocated once,
-column-major, and every column is written in place as one contiguous block: the closed-form survival and transition
-by the kernel itself, their ODE companions by the oracle, which groups the points by drive with one sort.
+inputs is built: each axis, checked once, reaches the kernels along its own grid dimension.  The table is allocated
+once, column-major, and every column is written in place as one contiguous block: the closed-form survival and
+transition by the kernel, from one omega_bar per drive and a phase built in the transition column, their ODE
+companions by the oracle, which groups the points by drive with one sort.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
-from .closed_form import probabilities, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
+from .closed_form import _probabilities, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
 from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, adiabaticity_of, check, check_domain, check_finite, omega_bar_of
 
@@ -147,12 +148,11 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid defined by ``spec``.
 
-    Deterministic: identical specs give bit-identical tables.  Grids above
-    ``MAX_GRID_POINTS`` are refused, and so, before any quantity, is an axis
-    (as a 1-d array) or fixed value outside ``spin.DOMAIN``.  With
-    ``spec.oracle`` set, survival and transition gain ``*_ode`` companion
-    columns and an :class:`OracleMismatchError` names the worst point if the
-    agreement bound ``ORACLE_TOL`` is violated.
+    Deterministic: identical specs give bit-identical tables.  Grids above ``MAX_GRID_POINTS`` are refused, and so,
+    before any quantity, is an axis (as a 1-d array) or fixed value outside ``spin.DOMAIN``; omega0 = x * omega is
+    checked where a quantity first reads it.  With ``spec.oracle`` set, survival and transition gain ``*_ode``
+    companion columns and an :class:`OracleMismatchError` names the worst point if the agreement bound ``ORACLE_TOL``
+    is violated.
     """
     shape = tuple(len(a.values) for a in spec.axes)
     n = math.prod(shape)
@@ -174,8 +174,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         columns += [q, f"{q}_ode"] if spec.oracle and q in pair else [q]
     table = np.empty((len(columns),) + shape)  # C-ordered by column: returned transposed, column-major
     col = {name: table[j, ...] for j, name in enumerate(columns)}  # [j, ...]: an array even for a 0-d grid
+    wb = None  # omega_bar over the drive grid, once: for the kernel and the omega_bar column
     if any(q in pair for q in spec.quantities):
-        probabilities(omega0, omega, theta, t, out=(col.get("survival"), col.get("transition")))
+        if "omega0" not in inputs:  # omega0 = x * omega is checked where a quantity first reads it: tau may take x = 0
+            inputs["omega0"] = check_domain("omega0", omega0)
+        wb = omega_bar_of(omega0, omega, theta)
+        _probabilities(omega, theta, t, wb, col.get("survival"), col.get("transition"))
     if spec.oracle:
         _oracle_series(omega0, omega, theta, t, col.get("survival_ode"), col.get("transition_ode"))
     for q in spec.quantities:
@@ -185,9 +189,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         elif q == "tau":
             col[q][...] = tau_of_ratio(x, theta) if x is not None else tau_of_drive(omega0, omega, theta)[1]
         else:  # adiabaticity or omega_bar: its kernel names omega0 and omega where it overflows
-            if x is not None:  # omega0 = x * omega is checked only here: tau may take x = 0
-                check_domain("omega0", omega0)
-            col[q][...] = (adiabaticity_of if q == "adiabaticity" else omega_bar_of)(omega0, omega, theta)
+            if "omega0" not in inputs:
+                inputs["omega0"] = check_domain("omega0", omega0)
+            kernel = adiabaticity_of if q == "adiabaticity" else omega_bar_of
+            col[q][...] = wb if q == "omega_bar" and wb is not None else kernel(omega0, omega, theta)
     for a in spec.axes:  # last: the kernel's temporaries are freed before these pages are first touched
         col[a.name][...] = inputs[a.name]
 

@@ -1,4 +1,4 @@
-"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter, closed, routes and writers batteries' emitters,
+"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter, closed, sweep, routes and writers batteries' emitters,
 the comparison of two trees' items and its report.
 
 Nothing here unpacks a tree or runs a battery in a subprocess; the script is loaded from its file, as ``tools`` is not
@@ -8,6 +8,7 @@ a package.
 import ast
 import hashlib
 import importlib.util
+import itertools
 import math
 import re
 from pathlib import Path
@@ -16,10 +17,11 @@ import numpy as np
 import pytest
 
 from toptrap import serialize
-from toptrap.closed_form import survival_probability, transition_probability
+from toptrap.closed_form import resurrection_time, survival_probability, tau_of_ratio, transition_probability
 from toptrap.geometry import confinement_advisor
 from toptrap.integrate import evolve_instantaneous_basis, evolve_lab_frame, evolve_rotating_frame
 from toptrap.spin import DriveParams, adiabaticity_parameter
+from toptrap.sweep import QUANTITIES
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bit_diff", ROOT / "tools" / "bit_diff.py")
@@ -108,6 +110,65 @@ def test_closed_items_cover_both_kernels_at_each_time():
     outputs = [output for _, output in bit_diff.closed_items(drives)]
     assert any(output.startswith("ValueError: t must keep the phase wbar t/2 finite") for output in outputs)
     assert any(output.startswith("ValueError: omega0 and omega must keep omega_bar finite") for output in outputs)
+
+
+def scalar_quantity(quantity, point):
+    """``quantity`` at one sweep point by the scalar API: DriveParams and its closed-form functions, or tau_of_ratio
+    at an x; omega0 = x * omega where x is given."""
+    x, theta = point.get("x"), point["theta"]
+    if quantity == "tau" and x is not None:
+        return tau_of_ratio(x, theta)
+    p = DriveParams(point["omega0"] if x is None else x * point["omega"], point["omega"], theta)
+    return {
+        "survival": lambda: survival_probability(p, point["t"]),
+        "transition": lambda: transition_probability(p, point["t"]),
+        "tau": lambda: resurrection_time(p).tau,
+        "adiabaticity": lambda: adiabaticity_parameter(p),
+        "omega_bar": lambda: p.omega_bar,
+    }[quantity]()
+
+
+def test_sweep_items_give_each_point_the_scalar_bits_or_a_refusal():
+    """Per spec, all five quantities and then each alone: the four seeded layouts, then a t axis over CLOSED_TIMES but
+    the last at each extreme drive and at each extreme x.  A point's values carry the scalar API's bits; a refused sweep
+    gives every point one refusal, which a scalar call makes at one of its points, or the overflow of omega0 = x * omega
+    that only a sweep forms.  The same seed gives the same items."""
+    specs = list(bit_diff.sweep_specs(3))
+    sets = [QUANTITIES, *((q,) for q in QUANTITIES)]
+    extreme = 9 * 7 * 5 + 8 * 7 * 5
+    assert [label for label, _ in specs] == [*(label for label in bit_diff.SWEEP_LAYOUTS for _ in sets), *["extreme"] * 6 * extreme]
+    assert [spec.quantities for _, spec in specs] == sets * (4 + extreme)
+    for label, spec in specs:
+        axes, fixed = bit_diff.SWEEP_LAYOUTS.get(label, (("t",), None))
+        assert tuple(a.name for a in spec.axes) == axes and (fixed is None or tuple(spec.fixed) == fixed)
+    assert bit_diff.CLOSED_TIMES[:-1] == (0.0, 5e-324, 1.0, 1e5)
+    emitted = list(bit_diff.sweep_items(3))
+    assert emitted == list(bit_diff.sweep_items(3))
+    assert len(emitted) == 4 * 6 * 27 + 6 * extreme * 4
+    items = iter(emitted)
+    for label, spec in specs:
+        outputs, scalars = [], []
+        for key, output in itertools.islice(items, math.prod(len(a.values) for a in spec.axes)):
+            found, quantities, point = ast.literal_eval(key)
+            assert (found, quantities) == (label, spec.quantities)
+            assert point.keys() == {a.name for a in spec.axes} | spec.fixed.keys()
+            outputs.append(output)
+            scalars.append([bit_diff.outcome(lambda: scalar_quantity(q, point)) for q in quantities])
+        if outputs[0].startswith("ValueError"):
+            refused = {s for row in scalars for s in row if s.startswith("ValueError")}
+            assert set(outputs) == {outputs[0]}
+            assert outputs[0] in refused or outputs[0].startswith("ValueError: x and omega must keep omega0 = x * omega")
+        else:
+            assert outputs == [" ".join(row) for row in scalars]
+    outputs = [output for _, output in emitted]
+    for message in (
+        "t must keep the phase wbar t/2 finite",
+        "omega0 must be finite and > 0, got 0.0",
+        "omega0 and omega must keep omega_bar finite",
+        "resurrection undefined",
+        "x and omega must keep omega0 = x * omega finite",
+    ):
+        assert any(output.startswith(f"ValueError: {message}") for output in outputs)
 
 
 def test_writer_items_digest_both_writers_on_each_table():

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import toptrap.spin
 import toptrap.sweep as sweep_mod
 from toptrap import __version__
 from toptrap.closed_form import (
@@ -136,17 +137,37 @@ class TestRunSweep:
 
     def test_non_finite_table_refused(self, monkeypatch):
         """The last guard: a kernel that writes a NaN into the table is refused, not returned."""
-        kernel = sweep_mod.probabilities
+        kernel = sweep_mod._probabilities
 
-        def nan_writing(*args, out):
-            kernel(*args, out=out)
-            out[0][..., 0] = math.nan
+        def nan_writing(*args):
+            survival, _ = kernel(*args)
+            survival[..., 0] = math.nan
 
-        monkeypatch.setattr(sweep_mod, "probabilities", nan_writing)
+        monkeypatch.setattr(sweep_mod, "_probabilities", nan_writing)
         fixed = {"omega0": 1.0, "omega": 1.5, "theta": 1.0}
         spec = SweepSpec(axes=(Axis.linear("t", 0.0, 9.0, 5),), quantities=("survival",), fixed=fixed)
         with pytest.raises(ValueError, match="^sweep produced non-finite values$"):
             run_sweep(spec)
+
+    def test_four_quantity_sweep_evaluates_omega_bar_once(self, monkeypatch):
+        """The kernel and the omega_bar column share one omega_bar_of over the drive grid; the adiabaticity needs none."""
+        calls = []
+        chord = toptrap.spin.chord
+
+        def counting_chord(*args):
+            calls.append(args)
+            return chord(*args)
+
+        monkeypatch.setattr(toptrap.spin, "chord", counting_chord)
+        spec = SweepSpec(
+            axes=(Axis.linear("omega", 0.5, 2.0, 3), Axis.linear("theta", 0.1, 3.0, 4), Axis.linear("t", 0.0, 9.0, 5)),
+            quantities=("survival", "transition", "omega_bar", "adiabaticity"),
+            fixed={"omega0": 1.0},
+        )
+        result = run_sweep(spec)
+        assert len(calls) == 1
+        omega, theta = result.column("omega"), result.column("theta")
+        assert np.array_equal(result.column("omega_bar"), omega_bar_of(1.0, omega, theta))
 
     def test_determinism(self):
         spec = SweepSpec(
@@ -297,15 +318,22 @@ class TestRunSweep:
             run_sweep(spec)
 
     @pytest.mark.parametrize(
-        "quantities",
-        [("survival",), ("transition",), ("survival", "transition"), ("survival", "transition", "omega_bar", "adiabaticity")],
-        ids=["survival", "transition", "survival-transition", "four-quantities"],
+        "quantities, names, bound",
+        [
+            (("survival",), ("omega", "theta", "t"), 1.2),  # 1.135 measured: the phase and its isfinite mask
+            (("transition",), ("omega", "theta", "t"), 1.2),
+            (("survival", "transition"), ("omega", "theta", "t"), 1.2),
+            (("survival", "transition", "omega_bar", "adiabaticity"), ("omega", "theta", "t"), 1.2),
+            (("survival", "transition"), ("t", "omega", "theta"), 0.7),  # 0.635 measured: the table's isfinite mask
+        ],
+        ids=["survival", "transition", "survival-transition", "four-quantities", "pair-phase-in-the-table"],
     )
-    def test_peak_memory_near_the_table(self, quantities):
-        """Beside the table, only the kernel's phase buffer, which takes its sine in place, holds one value per
-        point: no meshgrid, no per-point copies of the inputs, no outputs copied into the table."""
+    def test_peak_memory_near_the_table(self, quantities, names, bound):
+        """Beside the table, at most the kernel's phase buffer, which takes its sine in place, holds one value per
+        point: no meshgrid, no per-point copies of the inputs, no outputs copied into the table.  With a transition
+        column the phase is built there, whatever the axis order, and the largest temporary is the guard's mask."""
         spec = SweepSpec(
-            axes=tuple(Axis.linear(name, 0.1, 3.0, 100) for name in ("omega", "theta", "t")),
+            axes=tuple(Axis.linear(name, 0.1, 3.0, 100) for name in names),
             quantities=quantities,
             fixed={"omega0": 1.0},
         )
@@ -316,7 +344,7 @@ class TestRunSweep:
         finally:
             tracemalloc.stop()
         grid = 8 * table.shape[0]  # one float per point
-        assert peak <= table.nbytes + 1.2 * grid  # 1.135 measured: the phase and its isfinite mask
+        assert peak <= table.nbytes + bound * grid
 
     @pytest.mark.parametrize(
         "spec",

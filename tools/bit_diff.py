@@ -23,6 +23,10 @@ Batteries:
   ``transition_probability`` and ``confinement_advisor``'s ratio (the time as the escape time) at each of the times
   0, 5e-324, 1, 1e5 and the largest float, whose phase wbar t/2 overflows for wbar > 2, then ``probabilities`` over
   the array of those times without and with the largest float;
+* ``sweep``: ``run_sweep`` tables, one item per grid point, with all five quantities and with each alone: on seeded
+  8,000-point grids over (omega0, omega, theta), (omega, theta, t), (x, theta, t) and (x, omega, theta), and over the
+  times 0, 5e-324, 1 and 1e5 at each drive of the extreme grid and at each x in {0, 5e-324, 1e-300, 0.5, 1, 2, 1e300,
+  the largest float} with each omega and theta of that grid;
 * ``atoms``: the ``field_at`` components, ``larmor_at`` and ``field_angle_at`` on a seeded 100,000-atom cloud in the
   ``cloud_scan`` trap of ``bench/workloads.py``, drawn as that workload draws its atoms;
 * ``routes``: ``evolve_instantaneous_basis``, ``evolve_lab_frame`` and ``evolve_rotating_frame`` at the default
@@ -43,6 +47,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -53,7 +58,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BATTERIES = ("element", "parameter", "closed", "atoms", "routes", "writers", "cli")
+BATTERIES = ("element", "parameter", "closed", "sweep", "atoms", "routes", "writers", "cli")
 
 FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
 GRID_OMEGA0 = (5e-324, 1.5e-323, 1e-310, FLOAT_MIN, 1e-300, 1.0, 1e155, 1e300, 1.7e308)
@@ -61,6 +66,14 @@ GRID_OMEGA = (0.0, 5e-324, 1e-308, 1e-3, 1.0, 1e300, 1.7e308)
 GRID_THETA = (0.0, 1e-8, 1.0, math.pi / 2, math.pi)
 GRID_T_DT = ((0.0, None), (1.0, None), (1e300, None), (0.0, 5e-324), (1.0, 1e-3))
 CLOSED_TIMES = (0.0, 5e-324, 1.0, 1e5, FLOAT_MAX)
+GRID_X = (0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, FLOAT_MAX)
+# Per seeded sweep grid: its axes, then its fixed inputs.
+SWEEP_LAYOUTS = {
+    "drive axes": (("omega0", "omega", "theta"), ("t",)),
+    "time axis": (("omega", "theta", "t"), ("omega0",)),
+    "x axis": (("x", "theta", "t"), ("omega",)),
+    "x and omega axes": (("x", "omega", "theta"), ("t",)),
+}
 ROUTE_DRIVES, ROUTE_SAMPLES, ROUTE_PERIODS = 1000, 64, 3.0
 WRITER_ROWS = (0, 1, 4095, 4096, 4097, 3 * 4096 + 5)
 WRITER_LAYOUTS = ("the axis", "tiled and repeated", "short axis")
@@ -159,6 +172,50 @@ def closed_items(drives=None):
             yield repr(("probabilities", *drive, times)), outcome(lambda: probabilities(*drive, np.array(times)), hex_pair)
 
 
+def sweep_specs(n: int = SWEEP_AXIS):
+    """(label, SweepSpec) of the sweep battery, each layout with all five quantities, then with each alone: the seeded
+    n x n x n grids of SWEEP_LAYOUTS (omega0, omega and x log-uniform in [1e-3, 1e3], theta uniform in [0, pi], t in
+    [0, 50]), then a t axis over CLOSED_TIMES but the last at each drive of the extreme grid, and at each x of GRID_X
+    with each omega and theta of that grid."""
+    import numpy as np
+    from toptrap.sweep import QUANTITIES, Axis, SweepSpec
+
+    rng = np.random.default_rng(2024)
+
+    def log(k):
+        return 10.0 ** rng.uniform(-3.0, 3.0, k)
+
+    draw = {"omega0": log, "omega": log, "x": log, "theta": lambda k: rng.uniform(0.0, math.pi, k),
+            "t": lambda k: rng.uniform(0.0, 50.0, k)}
+    sets = (QUANTITIES, *((q,) for q in QUANTITIES))
+    for label, (axes, fixed) in SWEEP_LAYOUTS.items():
+        axes = [Axis(name, np.sort(draw[name](n))) for name in axes]
+        fixed = {name: draw[name](1).item() for name in fixed}
+        for quantities in sets:
+            yield label, SweepSpec(axes=axes, quantities=quantities, fixed=fixed)
+    times = (Axis("t", np.array(CLOSED_TIMES[:-1])),)
+    for names, grid in ((("omega0", "omega", "theta"), GRID_OMEGA0), (("x", "omega", "theta"), GRID_X)):
+        for drive in itertools.product(grid, GRID_OMEGA, GRID_THETA):
+            for quantities in sets:
+                yield "extreme", SweepSpec(axes=times, quantities=quantities, fixed=dict(zip(names, drive)))
+
+
+def sweep_items(n: int = SWEEP_AXIS):
+    """Per spec of :func:`sweep_specs`, one item per grid point, in table order: the point's quantity values, or the
+    sweep's refusal."""
+    from toptrap.sweep import run_sweep
+
+    def hex_rows(result):
+        return [" ".join(v.hex() for v in row) for row in result.table[:, len(result.axes):].tolist()]
+
+    for label, spec in sweep_specs(n):
+        names = [a.name for a in spec.axes]
+        found = outcome(lambda: run_sweep(spec), hex_rows)
+        points = list(itertools.product(*(a.values.tolist() for a in spec.axes)))
+        for point, output in zip(points, [found] * len(points) if isinstance(found, str) else found):
+            yield repr((label, spec.quantities, {**dict(zip(names, point)), **spec.fixed})), output
+
+
 def atom_items():
     import numpy as np
     from toptrap.geometry import TrapConfig, field_angle_at, field_at, larmor_at
@@ -245,8 +302,8 @@ def cli_items():
 
 
 EMITTERS = {
-    "element": element_items, "parameter": parameter_items, "closed": closed_items, "atoms": atom_items, "routes": route_items,
-    "writers": writer_items, "cli": cli_items,
+    "element": element_items, "parameter": parameter_items, "closed": closed_items, "sweep": sweep_items,
+    "atoms": atom_items, "routes": route_items, "writers": writer_items, "cli": cli_items,
 }
 
 
