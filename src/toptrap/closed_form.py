@@ -69,12 +69,13 @@ def probabilities(omega0, omega, theta, t, out=(None, None)):
             and t >= 0, and naming omega0 and omega, or t, where wbar or the phase wbar t/2 overflows.
     """
     omega0, omega, theta, t = map(check_domain, ("omega0", "omega", "theta", "t"), (omega0, omega, theta, t))
-    return _probabilities(omega, theta, t, omega_bar_of(omega0, omega, theta), *out)
+    transition = _transition(omega, theta, t, omega_bar_of(omega0, omega, theta), out[1])
+    return np.subtract(1.0, transition, out=np.empty_like(transition) if out[0] is None else out[0]), transition
 
 
-def _probabilities(omega, theta, t, wb, survival=None, transition=None):
-    """:func:`probabilities` of checked inputs and their wb = omega_bar_of(omega0, omega, theta), which ``run_sweep``
-    shares: the phase wbar t/2 is built in ``transition``, or a new array, and turned in place into the transition."""
+def _transition(omega, theta, t, wb, transition=None):
+    """:func:`probabilities`' transition of checked inputs and wb = omega_bar_of(omega0, omega, theta), shared with
+    ``run_sweep``: the phase wbar t/2 is built in ``transition``, or a new array, and turned into it in place."""
     with np.errstate(over="ignore"):  # an overflowing phase raises instead
         transition = np.asarray(np.multiply(0.5 * wb, t, out=transition))  # an array even for 0-d inputs
     check_finite("the phase wbar t/2", transition, t=t)
@@ -82,8 +83,7 @@ def _probabilities(omega, theta, t, wb, survival=None, transition=None):
     np.sin(transition, out=transition)
     transition *= transition
     transition *= coupling_ratio * coupling_ratio
-    np.minimum(transition, 1.0, out=transition)  # exactly 0 at coupling = 0
-    return np.subtract(1.0, transition, out=np.empty_like(transition) if survival is None else survival), transition
+    return np.minimum(transition, 1.0, out=transition)  # exactly 0 at coupling = 0
 
 
 def survival_probability(p: DriveParams, t):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
-from .closed_form import _probabilities, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
+from .closed_form import _transition, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
 from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, adiabaticity_of, check, check_domain, check_finite, omega_bar_of
 
@@ -179,7 +179,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if "omega0" not in inputs:  # omega0 = x * omega is checked where a quantity first reads it: tau may take x = 0
             inputs["omega0"] = check_domain("omega0", omega0)
         wb = omega_bar_of(omega0, omega, theta)
-        _probabilities(omega, theta, t, wb, col.get("survival"), col.get("transition"))
+        transition = _transition(omega, theta, t, wb, col.get("transition", col.get("survival")))  # no phase buffer
+        if "survival" in col:
+            np.subtract(1.0, transition, out=col["survival"])
     if spec.oracle:
         _oracle_series(omega0, omega, theta, t, col.get("survival_ode"), col.get("transition_ode"))
     for q in spec.quantities:

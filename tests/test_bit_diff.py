@@ -1,5 +1,5 @@
-"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter, closed, sweep, routes and writers batteries' emitters,
-the comparison of two trees' items and its report.
+"""The pure parts of ``tools/bit_diff.py``: outputs as text, the parameter, closed, sweep, routes, writers and chart
+batteries' emitters, the comparison of two trees' items and its report.
 
 Nothing here unpacks a tree or runs a battery in a subprocess; the script is loaded from its file, as ``tools`` is not
 a package.
@@ -192,6 +192,33 @@ def test_writer_items_digest_both_writers_on_each_table():
         for j, name in enumerate(table.columns):
             on = [np.isin(table.rows[:, j], axis) for axis_name, axis in table.axes if axis_name == name and len(axis)]
             assert not on or (on[0].any() and (key[0] == "the axis" or not on[0].all()))
+    assert len({output for _, output in items}) == len(items)
+
+
+def test_chart_items_digest_each_chart_or_give_its_refusal():
+    """One item per chart, the sha256 of render_line_chart's text or its refusal; every layout has curves across the
+    points' block edges, only the x window at the largest float is refused, and each layout is as its name says."""
+    charts = list(bit_diff.charts())
+    items = list(bit_diff.chart_items())
+    assert items == list(bit_diff.chart_items())
+    assert [key for key, _ in charts] == [(layout, n) for layout in bit_diff.CHART_LAYOUTS for n in bit_diff.CHART_POINTS]
+    assert {n % serialize._BLOCK for n in bit_diff.CHART_POINTS} == {0, 1, 2, 5, serialize._BLOCK - 1}
+    for ((layout, n), series), (name, output) in zip(charts, items):
+        assert ast.literal_eval(name) == ("render_line_chart", layout, n)
+        assert [(len(s.x), len(s.y)) for s in series] == [(n, n)] * 2
+        if layout == "refused":
+            with pytest.raises(ValueError, match="wider than the largest float") as refusal:
+                serialize.render_line_chart(series)
+            assert output == f"ValueError: {refusal.value}"
+            continue
+        assert output == "sha256 " + hashlib.sha256(serialize.render_line_chart(series).encode()).hexdigest()
+        values = [series[0].x, *(s.y for s in series)]
+        if layout == "flat":
+            assert len(np.unique(np.concatenate(values[1:]))) == 1
+        elif layout == "ulp-wide":
+            assert all(np.ptp(v) in (0.0, math.ulp(v.min())) for v in values)
+        elif n > 2:
+            assert np.ptp(np.log10(np.abs(series[0].y))) > 100
     assert len({output for _, output in items}) == len(items)
 
 

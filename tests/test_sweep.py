@@ -137,13 +137,14 @@ class TestRunSweep:
 
     def test_non_finite_table_refused(self, monkeypatch):
         """The last guard: a kernel that writes a NaN into the table is refused, not returned."""
-        kernel = sweep_mod._probabilities
+        kernel = sweep_mod._transition
 
         def nan_writing(*args):
-            survival, _ = kernel(*args)
-            survival[..., 0] = math.nan
+            transition = kernel(*args)
+            transition[..., 0] = math.nan
+            return transition
 
-        monkeypatch.setattr(sweep_mod, "_probabilities", nan_writing)
+        monkeypatch.setattr(sweep_mod, "_transition", nan_writing)
         fixed = {"omega0": 1.0, "omega": 1.5, "theta": 1.0}
         spec = SweepSpec(axes=(Axis.linear("t", 0.0, 9.0, 5),), quantities=("survival",), fixed=fixed)
         with pytest.raises(ValueError, match="^sweep produced non-finite values$"):
@@ -320,18 +321,20 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "quantities, names, bound",
         [
-            (("survival",), ("omega", "theta", "t"), 1.2),  # 1.135 measured: the phase and its isfinite mask
+            (("survival",), ("omega", "theta", "t"), 1.2),  # 0.510 measured; 1.135 with the phase in its own array
             (("transition",), ("omega", "theta", "t"), 1.2),
             (("survival", "transition"), ("omega", "theta", "t"), 1.2),
             (("survival", "transition", "omega_bar", "adiabaticity"), ("omega", "theta", "t"), 1.2),
             (("survival", "transition"), ("t", "omega", "theta"), 0.7),  # 0.635 measured: the table's isfinite mask
+            (("transition",), ("t", "omega", "theta"), 0.6),  # 0.510 measured: the mask; 1.020 with a survival array
         ],
-        ids=["survival", "transition", "survival-transition", "four-quantities", "pair-phase-in-the-table"],
+        ids=["survival", "transition", "survival-transition", "four-quantities", "pair-phase-in-the-table", "transition-only"],
     )
     def test_peak_memory_near_the_table(self, quantities, names, bound):
         """Beside the table, at most the kernel's phase buffer, which takes its sine in place, holds one value per
-        point: no meshgrid, no per-point copies of the inputs, no outputs copied into the table.  With a transition
-        column the phase is built there, whatever the axis order, and the largest temporary is the guard's mask."""
+        point: no meshgrid, no per-point copies of the inputs, no outputs copied into the table.  The phase is built in
+        the transition column, or else the survival column, whatever the axis order, and the largest temporary is the
+        guard's mask; a sweep without a survival column forms no survival."""
         spec = SweepSpec(
             axes=tuple(Axis.linear(name, 0.1, 3.0, 100) for name in names),
             quantities=quantities,

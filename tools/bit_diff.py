@@ -8,9 +8,9 @@ directory; the change is a copy of this checkout's working tree there (both from
 battery runs in a fresh process in each tree: this script, with ``--emit NAME`` and that tree's ``src`` first on
 ``PYTHONPATH``, prints every item of the battery as [inputs, output].  An output is the ``float.hex`` of a float (of
 each float, for arrays), the type and message of an exception (a refusal compares as its message), the sha256 of a
-route's probabilities, or the exit code and sha256 of the CLI's stdout bytes.  For each battery the report gives the
-number of items compared, the number whose outputs differ, the largest distance in ulp between two differing floats,
-and the first differing inputs.
+route's probabilities or of a writer's or chart's text, or the exit code and sha256 of the CLI's stdout bytes.  For
+each battery the report gives the number of items compared, the number whose outputs differ, the largest distance in
+ulp between two differing floats, and the first differing inputs.
 
 Batteries:
 
@@ -36,6 +36,10 @@ Batteries:
   and 3 * 4096 + 5 rows, across the writers' 4,096-row blocks, in three axis layouts: the axis is the first column, as
   ``evolve``'s ``t`` is; a tiled and a repeated axis with some entries off them, as ``fig`` and ``tau`` write them;
   and an axis shorter than the table.  About 5% of the values, axes included, are NaN, +-inf or -0.0;
+* ``chart``: the sha256 of ``render_line_chart`` text, or its refusal, on seeded charts of two curves of 1, 2, 4095,
+  4096, 4097 and 3 * 4096 + 5 points each, across the points' 4,096-point blocks, x and y on seeded scales from
+  1e-300 to 1e300, in four layouts: a curve whose y values each take their own scale; a flat series; x and y each on
+  one float and the next, an ulp-wide window; and x flat at the largest float, a window refused;
 * ``cli``: stdout of fixed ``evolve`` (closed and all), ``tau``, ``fig`` (csv and json) and ``adiabatic`` commands.
 
 Standard library and numpy only.  The script changes nothing in either tree; its directory is removed at exit.
@@ -58,7 +62,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BATTERIES = ("element", "parameter", "closed", "sweep", "atoms", "routes", "writers", "cli")
+BATTERIES = ("element", "parameter", "closed", "sweep", "atoms", "routes", "writers", "chart", "cli")
 
 FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
 GRID_OMEGA0 = (5e-324, 1.5e-323, 1e-310, FLOAT_MIN, 1e-300, 1.0, 1e155, 1e300, 1.7e308)
@@ -77,6 +81,8 @@ SWEEP_LAYOUTS = {
 ROUTE_DRIVES, ROUTE_SAMPLES, ROUTE_PERIODS = 1000, 64, 3.0
 WRITER_ROWS = (0, 1, 4095, 4096, 4097, 3 * 4096 + 5)
 WRITER_LAYOUTS = ("the axis", "tiled and repeated", "short axis")
+CHART_POINTS = (1, 2, 4095, 4096, 4097, 3 * 4096 + 5)
+CHART_LAYOUTS = ("magnitudes", "flat", "ulp-wide", "refused")
 SWEEP_AXIS = 20
 CLOUD_TRAP = dict(a0=1.0, b0=1e-3, omega=2.0 * math.pi * 7e3, gamma=4.4e10, mu=9.274e-24, mass=1.443e-25)
 DRIVE = ["--omega0", "1", "--omega", "1.5", "--theta", "1"]
@@ -291,6 +297,36 @@ def writer_items():
             yield repr((write.__name__, *key)), outcome(lambda: write(table), text_digest)
 
 
+def charts():
+    """((layout, points), series) for each layout of CHART_LAYOUTS and each count of CHART_POINTS, seeded by both: two
+    curves sharing x, the second dashed, x and each curve's y on their own seeded scale from 1e-300 to 1e300."""
+    import numpy as np
+    from toptrap.serialize import ChartSeries
+
+    for index, layout in enumerate(CHART_LAYOUTS):
+        for n in CHART_POINTS:
+            rng = np.random.default_rng([2024, index, n])
+            x_scale, *y_scales = 10.0 ** rng.integers(-300, 301, 3)
+            x, ys = np.sort(rng.standard_normal(n)) * x_scale, [rng.standard_normal(n) * scale for scale in y_scales]
+            if layout == "magnitudes":  # each y of the first curve on its own scale
+                ys[0] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+            elif layout == "flat":
+                ys = [np.full(n, ys[0][0])] * 2
+            elif layout == "ulp-wide":  # x and y each on one float or the next
+                x, y = (np.where(rng.random(n) < 0.5, v[0], np.nextafter(v[0], math.inf)) for v in (x, ys[0]))
+                ys = [y, y[::-1]]
+            else:
+                x = np.full(n, FLOAT_MAX)
+            yield (layout, n), [ChartSeries("a", x, ys[0]), ChartSeries("b", x, ys[1], dash="6,4")]
+
+
+def chart_items():
+    from toptrap.serialize import render_line_chart
+
+    for key, series in charts():
+        yield repr(("render_line_chart", *key)), outcome(lambda: render_line_chart(series), text_digest)
+
+
 def cli_items():
     from toptrap.cli import main
 
@@ -303,7 +339,8 @@ def cli_items():
 
 EMITTERS = {
     "element": element_items, "parameter": parameter_items, "closed": closed_items, "sweep": sweep_items,
-    "atoms": atom_items, "routes": route_items, "writers": writer_items, "cli": cli_items,
+    "atoms": atom_items, "routes": route_items, "writers": writer_items, "chart": chart_items,
+    "cli": cli_items,
 }
 
 
