@@ -121,7 +121,11 @@ def tau_of_ratio(x, theta, one_minus_x=None):
             and (1 - x)^2 finite (x below about 1.3e154); at x = 1, theta = 0 (no flip); naming theta where tau
             overflows (x = 1, theta below 5.6e-309).
     """
-    xs, theta = check_domain("x", x), check_domain("theta", theta)
+    return _tau(check_domain("x", x), check_domain("theta", theta), one_minus_x)
+
+
+def _tau(xs, theta, one_minus_x=None):
+    """:func:`tau_of_ratio` of checked x and theta, shared with :func:`tau_of_drive` and ``run_sweep``."""
     d, c = 1.0 - xs if one_minus_x is None else one_minus_x, chord(theta)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflowing d * d or 1/c raises below
         d2 = d * d + xs * (c * c)
@@ -142,7 +146,7 @@ def tau_of_drive(omega0, omega, theta):
     with np.errstate(over="ignore"):  # a subnormal omega overflows x, named below
         x, one_minus_x = np.divide(omega0, omega), np.divide(omega - omega0, omega)
     check_finite("x", x, omega0=omega0, omega=omega)
-    return x, tau_of_ratio(x, theta, one_minus_x)
+    return x, _tau(check_domain("x", x), check_domain("theta", theta), one_minus_x)
 
 
 def resurrection_time(p: DriveParams) -> ResurrectionPoint:

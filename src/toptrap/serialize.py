@@ -2,8 +2,9 @@
 
 CSV dialect: comma separators, ``.`` decimals, ``#``-prefixed header lines
 carrying the tool version and a parameter echo, then one row of column
-names.  Values are printed with 17 significant digits so re-parsing
-reproduces every float bit-exactly.
+names.  Values are printed as ``"%.17g"`` does, so re-parsing reproduces
+every float bit-exactly; the digits are exact, written ``_BLOCK`` rows at a
+time into a byte matrix by integer arithmetic on an error-free product.
 
 JSON schema: a single object ``{"params": {...}, "axes": [{"name": ...,
 "values": [...]}, ...], "columns": [...], "data": [[row], ...]}``.
@@ -15,6 +16,7 @@ on the root element so consumers can map pixels back to data coordinates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterator
@@ -30,6 +32,10 @@ WIDTH, HEIGHT = 720, 480  # chart size, px
 TICKS = 6  # tick count aimed at per axis
 _BLOCK = 4096  # rows, or chart points, formatted per block of text
 _AXIS = '{\n      "name": %s,\n      "values": %s\n    }'  # one "axes" entry in the json.dumps(indent=2) layout
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two halves whose products are exact
+_TEN = 10.0 ** np.arange(23)  # 10^0 .. 10^22, each an exact double (5^22 < 2^53)
+_TEN_HIGH = _TEN * _SPLIT - (_TEN * _SPLIT - _TEN)  # their high halves
+_POWERS = np.concatenate([1 / _TEN[5:0:-1], _TEN[:17]])  # the doubles 1e-5 .. 1e16: 1e-5 .. 0.1 lie above their powers
 
 
 @dataclass
@@ -45,37 +51,86 @@ class Table:
         return self.rows[:, self.columns.index(name)]
 
 
-def _axis_text(column: np.ndarray, values: np.ndarray, text: list[str], template: str) -> list[str]:
-    """``column`` written as ``text[i]`` wherever it holds ``values[i]``, bit for bit, and by ``template`` elsewhere."""
+def _axis_text(column: np.ndarray, values: np.ndarray, text: list[str]) -> list[str]:
+    """``column`` written as ``text[i]`` wherever it holds ``values[i]``, bit for bit, and by ``repr`` elsewhere."""
     bits, want = values.view(np.int64), column.view(np.int64)  # bits keep -0.0 and NaN payloads apart
     if np.array_equal(bits, want):
         return text
     order = np.argsort(bits)
     at = order[np.searchsorted(bits[order], want).clip(max=len(bits) - 1)]
     gathered, off = np.array(text, dtype=object)[at], bits[at] != want
-    gathered[off] = [template % v for v in column[off].tolist()]
+    gathered[off] = [repr(v) for v in column[off].tolist()]
     return gathered.tolist()
 
 
-def _rows(table: Table, template: str, axes: dict, join) -> Iterator[str]:
-    """Row texts in blocks of ``_BLOCK`` rows, by the row template ``join`` makes of one template per column.  A
-    column named in ``axes`` (name -> non-empty float64 values and their text) is written as that text, mapped once
-    over the whole column, any other column by ``template``."""
+def _rows(table: Table, axes: dict) -> Iterator[str]:
+    """JSON row texts, each opening with its separator, in blocks of ``_BLOCK`` rows.  A column named in ``axes``
+    (name -> non-empty float64 values and their text) is written as that text, mapped once over the whole column, any
+    other column by ``repr``."""
     named = list(zip(table.columns, table.rows.T))
-    texts = {j: _axis_text(column, *axes[name], template) for j, (name, column) in enumerate(named) if name in axes}
-    row = join(["%s" if name in axes else template for name, _ in named]).__mod__
+    texts = {j: _axis_text(column, *axes[name]) for j, (name, column) in enumerate(named) if name in axes}
+    row = (",\n    " + _json_array(["%s" if name in axes else "%r" for name, _ in named], "    ")).__mod__
     for start in range(0, len(table.rows), _BLOCK):
         cut = slice(start, start + _BLOCK)
         lists = [texts[j][cut] if j in texts else column[cut].tolist() for j, (_, column) in enumerate(named)]
         yield "".join(map(row, zip(*lists)))
 
 
+@functools.cache  # built at the first CSV, not at import
+def _csv_tables():
+    """A CSV cell is 48 bytes: the sign, "0." and zeros (exponent x in [-4, -1]), N's digits at bytes 6, 8, .., 38, each
+    but the last followed by a point's byte, "e-0" and a digit (x < -4), then the separator; zero bytes are dropped.
+    ``lasts[c]``, by the value of N's chunk c (digits 4c-3..4c): the index in N of its last nonzero digit, or 0.
+    ``frame`` and ``keep``, by x and N's last nonzero digit: the cell's other bytes and the mask of its digits."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0..9999, in order
+    four = (digits.T + 48).astype("<u2", order="C").view(np.uint64).ravel()  # each digit, then a zero byte
+    lasts = (np.arange(-3, 17, dtype=np.int8).reshape(5, 4, 1) * (digits > 0)).max(axis=1)  # digit j is N's 4c-3+j
+    x, last, byte = np.arange(-6, 17)[:, None, None], np.arange(17)[:, None], np.arange(48)
+    point, lead = np.where(x < -4, 0, np.maximum(x, -1)), (x < 0) & (x >= -4)  # the digit the point follows
+    rules = [lead & (byte == 1), lead & (byte == 2), lead & (byte >= 3) & (byte + x < 2),  # "0.", then -x - 1 zeros
+             (byte == 7 + 2 * point) & (last > point) & ~lead, *((x < -4) & (byte == 40 + k) for k in range(4))]
+    frame = np.select(rules, [48, 46, 48, 46, 101, 45, 48, 48 - x], 0).astype(np.uint8).reshape(-1, 48)
+    keep = np.where((byte >= 6) & ((byte - 6) // 2 <= np.maximum(last, point)), 255, 0).astype(np.uint8).reshape(-1, 48)
+    return four, lasts, frame.view(np.uint64), keep.view(np.uint64)[:, :5].T.copy()
+
+
+def _csv_cells(a: np.ndarray) -> np.ndarray:
+    """The unsigned cells, as words, of ``a`` in (1e-6, 1e17).  With x its decimal exponent, counted exactly (a double
+    is >= 1e-5 just where it is >= 10^-5), h + l = a 10^(16-x) exactly (Dekker 1971), h an even integer and |l| <= 8:
+    N = h + rint(l) is the 17 digits, rounded half to even, never 10^17 (here no double is so near a power of ten)."""
+    four, lasts, frame, keep = _csv_tables()
+    p = 22 - np.searchsorted(_POWERS, a, side="right")  # 16 - x; 10^p is exact
+    high, a_high = _TEN_HIGH[p], a * _SPLIT - (a * _SPLIT - a)
+    low, a_low, h = _TEN[p] - high, a - a_high, a * _TEN[p]
+    n = h.astype(np.int64) + np.rint(((a_high * high - h) + a_high * low + a_low * high) + a_low * low).astype(np.int64)
+    chunks = [(head := n // 10**k) - head // 10**4 * 10**4 for k in (16, 12, 8, 4, 0)]
+    del high, a_high, low, a_low, h, n, head  # freed before the cells are built
+    index = (22 - p) * 17 + np.maximum.reduce([lasts[c][chunk] for c, chunk in enumerate(chunks)])
+    cells = np.take(frame, index, axis=0)
+    for c, chunk in enumerate(chunks):
+        cells[..., c] |= four[chunk] & keep[c][index]
+    return cells
+
+
+def _csv_bytes(block: np.ndarray) -> bytes:
+    """``block``'s rows as CSV lines in a byte matrix whose zero bytes are to be dropped.  A value outside (1e-6, 1e17),
+    zero or not finite, is written by ``"%.17g"`` itself; the double 1e-6 is below 10^-6."""
+    if not block.shape[1]:
+        return b"\n" * len(block)
+    a = np.abs(block)
+    slow = ~((a > 1e-6) & (a < 1e17))
+    a[slow] = 1.0
+    text = _csv_cells(a).view(np.uint8)
+    text[..., 0], text[..., 44], text[:, -1, 44] = (block < 0) * np.uint8(45), 44, 10  # "-", ",", "\n"
+    text[slow, :44] = np.array(list(map("%.17g".__mod__, block[slow].tolist())), "S44").view(np.uint8).reshape(-1, 44)
+    return text.tobytes()
+
+
 def to_csv(table: Table) -> str:
-    """CSV lists no axes, so it formats an axis only where a like-named column holds more values than the axis."""
+    """The ``#`` header lines, the column names, then the rows, each block's bytes decoded once its cells are freed."""
     lines = [f"# toptrap {__version__}", *(f"# {key} = {value}" for key, value in table.params.items())]
-    axes = ((name, np.asarray(v, float)) for name, v in table.axes if name in table.columns)
-    text = {name: (v, list(map("%.17g".__mod__, v.tolist()))) for name, v in axes if 0 < len(v) < len(table.rows)}
-    blocks = _rows(table, "%.17g", text, lambda templates: ",".join(templates) + "\n")
+    rows = (table.rows[start : start + _BLOCK] for start in range(0, len(table.rows), _BLOCK))
+    blocks = (_csv_bytes(block).translate(None, b"\0").decode() for block in rows)
     return "".join(["\n".join([*lines, ",".join(table.columns), ""]), *blocks])
 
 
@@ -143,7 +198,7 @@ def to_json(table: Table) -> str:
     texts = [(name, np.asarray(v), list(map("%r".__mod__, np.asarray(v).tolist()))) for name, v in table.axes]
     axes = _json_array([_AXIS % (json.dumps(name), _json_floats(_json_array(t, "      "))) for name, _, t in texts], "  ")
     float_axes = {name: (v, text) for name, v, text in texts if len(v) and v.dtype == np.float64}  # repr(3) != repr(3.0)
-    blocks = map(_json_floats, _rows(table, "%r", float_axes, lambda row: ",\n    " + _json_array(row, "    ")))
+    blocks = map(_json_floats, _rows(table, float_axes))
     first = next(blocks, "")  # each row opens with its separator, which the table's first row drops
     data = ["[", first[1:], *blocks, "\n  ]"] if first else ["[]"]
     del texts, float_axes  # the axes' text, a column's worth of str objects, is not held through the join

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# survival/transition_probability are unused here but kept: bench/spans.py wraps them at this module.
-from .closed_form import _transition, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
+# survival/transition_probability and tau_of_ratio are unused here but kept: bench/spans.py wraps them at this module.
+from .closed_form import _tau, _transition, survival_probability, tau_of_drive, tau_of_ratio, transition_probability  # noqa: F401
 from .integrate import evolve_instantaneous_basis
 from .spin import FINITE, FLOAT_MAX, POSITIVE, DriveParams, adiabaticity_of, check, check_domain, check_finite, omega_bar_of
 
@@ -189,7 +189,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if spec.oracle:
                 _check_oracle(q, col[q], col[f"{q}_ode"], spec.axes)
         elif q == "tau":
-            col[q][...] = tau_of_ratio(x, theta) if x is not None else tau_of_drive(omega0, omega, theta)[1]
+            col[q][...] = _tau(x, theta) if x is not None else tau_of_drive(omega0, omega, theta)[1]
         else:  # adiabaticity or omega_bar: its kernel names omega0 and omega where it overflows
             if "omega0" not in inputs:
                 inputs["omega0"] = check_domain("omega0", omega0)

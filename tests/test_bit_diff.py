@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,47 @@ def test_writer_items_digest_both_writers_on_each_table():
             on = [np.isin(table.rows[:, j], axis) for axis_name, axis in table.axes if axis_name == name and len(axis)]
             assert not on or (on[0].any() and (key[0] == "the axis" or not on[0].all()))
     assert len({output for _, output in items}) == len(items)
+
+
+def test_digit_pins_are_the_hard_cases():
+    """Each pin comes with its negation.  66 are ties q 2^-(p+1) of the 17th digit (odd q < 2^53, q 5^p in [2e16,
+    2e17), three per p = 1..22; p = 0 has none, its q being above 2^53): times 10^p, a half-integer in [10^16, 10^17);
+    the largest double below 1e15 is one of them.  The largest doubles below the powers of ten from 1e-5 to
+    1e17 are 8 to 20 units of the 17th digit below them, so no N in to_csv's exact range rounds up to 10^17 (N grows
+    with the value within a decade).  The double 1e-6 lies below 10^-6, its next double above it."""
+    pins = bit_diff.digit_pins()
+    half = pins[: len(pins) // 2]
+    assert np.array_equal(pins[len(half) :], -np.array(half), equal_nan=True)
+    finite = [Fraction(x) for x in half if math.isfinite(x)]
+    ties = [x for x in finite if any((x * 10**p).denominator == 2 and 10**16 <= x * 10**p < 10**17 for p in range(23))]
+    assert len(set(ties)) == 66 and Fraction(math.nextafter(1e15, 0.0)) in ties
+    for k in range(-5, 18):
+        below = {x for x in finite if x < Fraction(10) ** k <= Fraction(math.nextafter(float(x), math.inf))}
+        assert len(below) == 1 and 8 <= 10**17 - below.pop() * Fraction(10) ** (17 - k) <= 20
+    assert Fraction(1e-6) < Fraction(1, 10**6) < Fraction(math.nextafter(1e-6, 1.0))
+    for x in (1e-6, math.nextafter(1e-6, 0.0), math.nextafter(1e-6, 1.0), 1e17, 0.5, 1.0, 10.0, 1e16, 1e-5, 1.5e-5):
+        assert Fraction(x) in finite
+    assert Fraction(5e-324) in finite  # a subnormal
+    assert 0.0 in half and math.inf in half and any(math.isnan(x) for x in half)
+
+
+def test_digit_tables_hold_the_pins_among_log_uniform_values():
+    """The ``digits`` tables are log-uniform over [1e-8, 1e18] of both signs, with as many pins as they hold, every
+    pin in each table past the block."""
+    pins = bit_diff.digit_pins()
+    digits = [(n, table) for (layout, n), table in bit_diff.writer_tables() if layout == "digits"]
+    assert [n for n, _ in digits] == list(bit_diff.WRITER_ROWS)
+    for n, table in digits:
+        assert table.axes == () and table.rows.shape == (n, 3)
+        values = table.rows.ravel()
+        placed = np.isin(values.view(np.uint64), np.array(pins).view(np.uint64))
+        assert placed.sum() == min(len(pins), values.size)
+        rest = np.abs(values[~placed])
+        assert np.all((rest >= 1e-8) & (rest <= 1e18))
+        if n >= serialize._BLOCK:
+            assert np.isin(np.array(pins).view(np.uint64), values.view(np.uint64)).all()
+            assert (values[~placed] < 0).any() and (values[~placed] > 0).any()
+            assert (rest < 1e-6).any() and (rest >= 1e17).any()
 
 
 def test_chart_items_digest_each_chart_or_give_its_refusal():

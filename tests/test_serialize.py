@@ -1,11 +1,14 @@
 """Tests for CSV/JSON emission and the standalone SVG chart renderer."""
 
+import importlib.util
 import json
 import math
 import re
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree as ET
 
@@ -121,6 +124,12 @@ def test_writers_match_the_reference_across_block_edges(block, table):
         assert to_json(table) == reference_json(table)
 
 
+def evolve_table(rows):
+    """An ``evolve``-like table: ``rows`` x 3, t on [0, 20] with its ``t`` axis, sin^2 t and cos^2 t."""
+    ts = np.linspace(0.0, 20.0, rows)
+    return Table(("t", "survival", "transition"), np.column_stack([ts, np.sin(ts) ** 2, np.cos(ts) ** 2]), axes=(("t", ts),))
+
+
 @pytest.mark.parametrize(
     "call, bound, rows",
     [
@@ -130,11 +139,11 @@ def test_writers_match_the_reference_across_block_edges(block, table):
 )
 def test_peak_memory_near_the_text(call, bound, rows):
     """On an ``evolve``-like table, ``rows`` x 3 with its ``t`` axis, a writer's or parse_csv's tracemalloc peak stays
-    within ``bound`` times the text it writes or reads.  Measured at 20,000 and 100,000 rows: to_csv 2.00 and 2.00,
-    to_json 2.16 and 2.03 (the text and its blocks, and the ``t`` axis's text), parse_csv 2.38 and 2.36.  With the
-    whole table's row texts and their joins, the writers held 3.96 and 3.39 times the text."""
-    ts = np.linspace(0.0, 20.0, rows)
-    table = Table(("t", "survival", "transition"), np.column_stack([ts, np.sin(ts) ** 2, np.cos(ts) ** 2]), axes=(("t", ts),))
+    within ``bound`` times the text it writes or reads.  Measured at 20,000 and 100,000 rows: to_csv 2.08 and 2.00 (the
+    text and its blocks; at 20,000 rows the peak is a block's 48-byte cells and their bytes, late in the text), to_json
+    2.16 and 2.03 (the text and its blocks, and the ``t`` axis's text), parse_csv 2.38 and 2.36.  With the whole
+    table's row texts and their joins, the writers held 3.96 and 3.39 times the text."""
+    table = evolve_table(rows)
     text = (to_csv if call is parse_csv else call)(table)
     arg = text if call is parse_csv else table
     tracemalloc.start()
@@ -144,6 +153,64 @@ def test_peak_memory_near_the_text(call, bound, rows):
     finally:
         tracemalloc.stop()
     assert peak <= bound * len(text)
+
+
+def test_fast_path_formats_all_but_the_outliers():
+    """On the 20,000-row table above, only the values outside (1e-6, 1e17), zeros among them, reach the per-value
+    ``"%.17g"``: the bytes alone would not show a block formatter that never took its exact path."""
+    table, sent = evolve_table(20_000), []
+
+    def counting_map(function, values):
+        sent.extend(values)
+        return map(function, values)
+
+    with mock.patch.object(serialize, "map", counting_map, create=True):
+        assert to_csv(table) == reference_csv(table)
+    magnitude = np.abs(table.rows)
+    outside = table.rows[~((magnitude > 1e-6) & (magnitude < 1e17))].tolist()
+    assert sent == outside and outside.count(0.0) == 2 and 0 < len(outside) < 100
+
+
+# The block formatter's hard cases, shared with the writers battery of tools/bit_diff.py, which is loaded from its file
+# as ``tools`` is not a package: ties of the 17th digit, the largest doubles below powers of ten, the double 1e-6 and
+# its neighbours, short digit strings, and values written by "%.17g" itself; tests/test_bit_diff.py checks that each
+# is the case it is named for.
+spec = importlib.util.spec_from_file_location("bit_diff", Path(__file__).resolve().parents[1] / "tools" / "bit_diff.py")
+bit_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bit_diff)
+DIGIT_PINS = bit_diff.digit_pins()
+# log-uniform over [1e-8, 1e18], both signs: the exact range and a decade or two beyond it on either side
+LOG_UNIFORM = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-8.0, 18.0)).map(lambda s: s[0] * 10.0 ** s[1])
+
+
+def csv_lines(values) -> str:
+    """The value lines of to_csv's text of the one-column table of ``values``."""
+    return to_csv(Table(("v",), np.array(values, dtype=float).reshape(-1, 1))).split("\n", 2)[2]
+
+
+def test_exponent_thresholds_are_exact():
+    """``_TEN`` holds 10^0 .. 10^22 exactly, and each of ``_POWERS`` is the least double at or above its power of ten,
+    so a double is at or above it just where it is at or above the power."""
+    assert [Fraction(t) for t in serialize._TEN] == [Fraction(10) ** k for k in range(23)]
+    for k, t in zip(range(-5, 17), serialize._POWERS.tolist()):
+        assert Fraction(math.nextafter(t, 0.0)) < Fraction(10) ** k <= Fraction(t)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_csv_digits_of_the_pinned_cases(block):
+    """The hard cases, each with its negation, across block edges.  An exponent taken from the rounded N would write
+    the double 1e-6 as 1e-06."""
+    with mock.patch.object(serialize, "_BLOCK", block):
+        assert csv_lines(DIGIT_PINS) == "".join(f"{v:.17g}\n" for v in DIGIT_PINS)
+
+
+@hyp.given(values=st.lists(st.one_of(FLOATS, LOG_UNIFORM), min_size=1, max_size=20))
+@hyp.settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_csv_digits_are_the_17g_of_each_value(block, values):
+    """Any float64, or log-uniform over [1e-8, 1e18], is written as ``"%.17g"`` writes it, across block edges."""
+    with mock.patch.object(serialize, "_BLOCK", block):
+        assert csv_lines(values) == "".join(f"{v:.17g}\n" for v in values)
 
 
 @pytest.mark.parametrize("points", [20_000, 100_000])

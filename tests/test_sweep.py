@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import toptrap.closed_form
 import toptrap.spin
 import toptrap.sweep as sweep_mod
 from toptrap import __version__
@@ -19,6 +20,7 @@ from toptrap.closed_form import (
     probabilities,
     resurrection_time,
     survival_probability,
+    tau_of_drive,
     tau_of_ratio,
     transition_probability,
 )
@@ -169,6 +171,26 @@ class TestRunSweep:
         assert len(calls) == 1
         omega, theta = result.column("omega"), result.column("theta")
         assert np.array_equal(result.column("omega_bar"), omega_bar_of(1.0, omega, theta))
+
+    def test_tau_sweep_checks_each_input_once(self, monkeypatch):
+        """A (theta, x) tau sweep domain-checks theta and x once each, on entry, and tau_of_ratio checks its own
+        inputs, x then theta, as a drive's tau_of_drive does its x and theta."""
+        names = []
+
+        def counting_check_domain(name, value):
+            names.append(name)
+            return toptrap.spin.check_domain(name, value)
+
+        monkeypatch.setattr(sweep_mod, "check_domain", counting_check_domain)
+        monkeypatch.setattr(toptrap.closed_form, "check_domain", counting_check_domain)
+        spec = SweepSpec(axes=(Axis.linear("theta", 0.1, 3.0, 4), Axis.linear("x", 0.0, 2.0, 5)), quantities=("tau",))
+        result = run_sweep(spec)
+        assert names == ["theta", "x"]
+        assert np.array_equal(result.column("tau"), tau_of_ratio(result.column("x"), result.column("theta")))
+        names.clear()
+        tau_of_ratio(0.5, 1.0)
+        tau_of_drive(1.0, 2.0, 1.0)
+        assert names == ["x", "theta", "x", "theta"]
 
     def test_determinism(self):
         spec = SweepSpec(

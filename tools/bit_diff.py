@@ -33,9 +33,11 @@ Batteries:
   tolerances on 1,000 seeded random drives (omega0 and omega log-uniform in [1e-3, 1e3], theta uniform in [0, pi]),
   each over 64 samples of 3 Rabi periods; an output is the sha256 of the survival and transition bytes;
 * ``writers``: the sha256 of ``to_csv`` and ``to_json`` text on seeded 3-column tables of 0, 1, 4095, 4096, 4097
-  and 3 * 4096 + 5 rows, across the writers' 4,096-row blocks, in three axis layouts: the axis is the first column, as
-  ``evolve``'s ``t`` is; a tiled and a repeated axis with some entries off them, as ``fig`` and ``tau`` write them;
-  and an axis shorter than the table.  About 5% of the values, axes included, are NaN, +-inf or -0.0;
+  and 3 * 4096 + 5 rows, across the writers' 4,096-row blocks, in four layouts.  Three are axis layouts: the axis is
+  the first column, as ``evolve``'s ``t`` is; a tiled and a repeated axis with some entries off them, as ``fig`` and
+  ``tau`` write them; and an axis shorter than the table.  About 5% of their values, axes included, are NaN, +-inf or
+  -0.0.  The fourth, ``digits``, has no axis: values log-uniform over [1e-8, 1e18] of both signs, with the hard
+  cases of ``to_csv``'s 17 digits (``digit_pins``) at seeded places, as many as the table holds;
 * ``chart``: the sha256 of ``render_line_chart`` text, or its refusal, on seeded charts of two curves of 1, 2, 4095,
   4096, 4097 and 3 * 4096 + 5 points each, across the points' 4,096-point blocks, x and y on seeded scales from
   1e-300 to 1e300, in four layouts: a curve whose y values each take their own scale; a flat series; x and y each on
@@ -80,7 +82,7 @@ SWEEP_LAYOUTS = {
 }
 ROUTE_DRIVES, ROUTE_SAMPLES, ROUTE_PERIODS = 1000, 64, 3.0
 WRITER_ROWS = (0, 1, 4095, 4096, 4097, 3 * 4096 + 5)
-WRITER_LAYOUTS = ("the axis", "tiled and repeated", "short axis")
+WRITER_LAYOUTS = ("the axis", "tiled and repeated", "short axis", "digits")
 CHART_POINTS = (1, 2, 4095, 4096, 4097, 3 * 4096 + 5)
 CHART_LAYOUTS = ("magnitudes", "flat", "ulp-wide", "refused")
 SWEEP_AXIS = 20
@@ -256,6 +258,25 @@ def route_items(n: int = ROUTE_DRIVES):
             yield repr((route.__name__, *drive)), outcome(lambda: route(p, ts), series_digest)
 
 
+def digit_pins() -> list[float]:
+    """The hard cases of ``to_csv``'s 17 digits, each with its negation: for p = 1..22, exact ties of the 17th digit,
+    q 2^-(p+1) for the least, middle and greatest odd q below 2^53 with q 5^p in [2e16, 2e17); the largest double
+    below each power of ten from 1e-5 to 1e17, the exact range's top edge among them; 1e-6, below 10^-6, and its
+    neighbours; 1e17; 0.5, 1, 10, 1e16, 1e-5 and 1.5e-5; +0, a subnormal, NaN and inf."""
+    from fractions import Fraction
+
+    pins = []
+    for p in range(23):
+        qs = range(-(-2 * 10**16 // 5**p) | 1, min(-(-2 * 10**17 // 5**p), 2**53), 2)
+        pins += [q / 2 ** (p + 1) for q in ([qs[0], qs[len(qs) // 2], qs[-1]] if qs else [])]
+    for k in range(-5, 18):
+        x = float(f"1e{k}")
+        pins.append(x if Fraction(x) < Fraction(10) ** k else math.nextafter(x, 0.0))
+    pins += [1e-6, math.nextafter(1e-6, 0.0), math.nextafter(1e-6, 1.0), 1e17]
+    pins += [0.5, 1.0, 10.0, 1e16, 1e-5, 1.5e-5, 0.0, 5e-324, math.nan, math.inf]
+    return pins + [-x for x in pins]
+
+
 def writer_tables():
     """((layout, rows), Table) for each layout of WRITER_LAYOUTS and each row count of WRITER_ROWS, seeded by both."""
     import numpy as np
@@ -279,8 +300,13 @@ def writer_tables():
                 rows[:, 0] = np.where(on[:, 0], np.resize(omega, n), rows[:, 0])
                 rows[:, 1] = np.where(on[:, 1], np.repeat(theta, -(-n // len(theta)))[:n], rows[:, 1])
                 axes = (("omega", omega), ("theta", theta))
-            else:
+            elif layout == "short axis":
                 axes = (("t", rows[: n // 3, 0].copy()),)
+            else:
+                signs, pins = np.where(rng.random((n, 3)) < 0.5, -1.0, 1.0), digit_pins()
+                rows, axes = signs * 10.0 ** rng.uniform(-8.0, 18.0, (n, 3)), ()
+                at = rng.choice(rows.size, min(len(pins), rows.size), replace=False)
+                rows.flat[at] = pins[: len(at)]
             yield (layout, n), Table(columns=columns, rows=rows, params={"layout": layout, "rows": n}, axes=axes)
 
 
